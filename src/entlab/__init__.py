@@ -16,7 +16,6 @@ from .experiment import (
     PairComparisonRecord,
     SHistogram,
     compare_pair,
-    relative_difference,
     run_experiment,
     s_histogram_bins,
     write_csvs,
@@ -84,7 +83,6 @@ __all__ = [
     "random_density",
     "random_density_batch",
     "random_simplex",
-    "relative_difference",
     "run_experiment",
     "s_histogram_bins",
     "singlet",

@@ -17,10 +17,11 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
         raise ValueError(f"grid must be START:STOP:STEP, got {text!r}")
-    if step <= 0 or stop < start:
-        raise ValueError(f"grid must be increasing, got {text!r}")
-    count = int(round((stop - start) / step))
-    return start + step * np.arange(count + 1)
+    if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
+        raise ValueError(f"grid must be finite and increasing, got {text!r}")
+    # floor, with slack for rounding in the division, so no point passes STOP
+    count = int(np.floor((stop - start) / step + 1e-9))
+    return np.minimum(start + step * np.arange(count + 1), stop)
 
 
 def _state_from_args(args) -> list[qstate.DensityMatrix]:
@@ -132,7 +133,7 @@ def main(argv=None) -> int:
         parser.error("measure requires exactly one of --family or --input")
     try:
         return args.fn(args)
-    except (ParameterOutOfRange, BadIndices, ValueError) as exc:
+    except (ParameterOutOfRange, BadIndices, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EntanglementLabError as exc:

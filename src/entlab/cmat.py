@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndices, NonHermitianInput, NotPositiveSemidefinite
+from .errors import BadIndices, NotHermitian, NotPSD
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 def _require_hermitian(m: np.ndarray, tol: float = TOL.hermiticity) -> None:
     defect = hermiticity_defect(m)
     if defect > tol:
-        raise NonHermitianInput(
+        raise NotHermitian(
             f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {tol:.1e})",
             deviation=defect,
         )
@@ -75,15 +75,14 @@ def psd_sqrt(m: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix or (..., 4, 4) stack.
 
     Eigenvalues in [-clamp, 0) are treated as rounding noise and clamped to
-    zero before the square root; anything below -clamp raises
-    NotPositiveSemidefinite.
+    zero before the square root; anything below -clamp raises NotPSD.
     """
     m = np.asarray(m)
     _require_hermitian(m)
     w, v = np.linalg.eigh(m)
     wmin = float(w.min())
     if wmin < -clamp:
-        raise NotPositiveSemidefinite(
+        raise NotPSD(
             f"matrix has eigenvalue {wmin:.3e} below -{clamp:.1e}",
             deviation=-wmin,
         )

@@ -15,16 +15,11 @@ class EntanglementLabError(Exception):
         self.deviation = deviation
 
 
-class NonHermitianInput(EntanglementLabError):
-    """A linear-algebra routine received a matrix that is not Hermitian."""
-
-
-class NotPositiveSemidefinite(EntanglementLabError):
-    """A matrix square root was requested for an indefinite matrix."""
-
-
 class NotHermitian(EntanglementLabError):
-    """Density-matrix validation: input is not Hermitian."""
+    """A matrix is not Hermitian, or not a finite 4x4 matrix at all."""
+
+
+NonHermitianInput = NotHermitian  # former name of the same condition
 
 
 class TraceNotOne(EntanglementLabError):
@@ -32,7 +27,10 @@ class TraceNotOne(EntanglementLabError):
 
 
 class NotPSD(EntanglementLabError):
-    """Density-matrix validation: input has a negative eigenvalue."""
+    """A matrix that must be positive semidefinite has a negative eigenvalue."""
+
+
+NotPositiveSemidefinite = NotPSD  # former name of the same condition
 
 
 class ParameterOutOfRange(EntanglementLabError):
@@ -45,10 +43,6 @@ class DomainError(EntanglementLabError):
 
 class BadIndices(EntanglementLabError):
     """Invalid (i, j) index pair for an elementary rotation."""
-
-
-class ZeroDenominator(EntanglementLabError):
-    """Relative difference undefined because the denominator vanishes."""
 
 
 class SeparableInput(EntanglementLabError):

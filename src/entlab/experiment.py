@@ -4,25 +4,30 @@ The run is decomposed into fixed-size shards of pairs, each fed by its own
 RNG substream (seed, shard index), and shard results are merged in shard
 order.  The decomposition depends only on the configuration, never on the
 thread count, so parallel and serial runs with the same seed are identical
-byte for byte.
+byte for byte.  Inside a shard, states are drawn in chunks sized from the
+pairs still needed; the stream is sequential, so chunk sizes never change
+an output value either.  ``compare_pair`` and the shards apply one pairing
+and tie rule.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import measures, sampler
-from .errors import SeparableInput, ZeroDenominator
+from .errors import SeparableInput
 from .measures import MeasureReport
 from .qstate import DensityMatrix
 
 S_RANGE = (0.0, 1.5)  # attainable range of S_1 + S_2 for a pair
 SHARD_PAIRS = 2048  # pairs per RNG substream
-_CHUNK_DRAWS = 8192  # states drawn per sampling chunk inside a shard
+_CHUNK_DRAWS = 8192  # most states drawn per sampling chunk inside a shard
+_P_KEPT = 0.36  # slightly below the ensemble's entangled fraction, so chunks overshoot
+_CHUNK_MARGIN = 32  # extra draws per chunk, so a shard rarely needs one more
 _SHARD_KEY = 1  # substream tag for shards: (seed, (1, shard))
 _SCATTER_KEY = (2, 0)  # substream tag for scatter subsampling
 
@@ -50,6 +55,10 @@ class ExperimentConfig:
             raise ValueError("s_bins must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if not self.tie_epsilon >= 0.0:
+            raise ValueError("tie_epsilon must be >= 0")
+        if self.scatter_points < 0:
+            raise ValueError("scatter_points must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -98,11 +107,26 @@ class ExperimentSummary:
     s_histogram: SHistogram
 
 
-def relative_difference(a: float, b: float) -> float:
-    """(a - b) / (a + b) for nonnegative a, b; in [-1, 1]."""
-    if a + b <= 0.0:
-        raise ZeroDenominator(f"relative difference undefined for a={a!r}, b={b!r}")
-    return (a - b) / (a + b)
+def _pair_rows(
+    first: np.ndarray, second: np.ndarray, tie_epsilon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """PAIR_DTYPE rows and tie mask for pairs of per-state (C, E_F, E_N, E_sum, S) rows.
+
+    A relative difference (a - b) / (a + b) with a zero denominator (both
+    values zero) is 0.  A pair is a tie when either difference is within
+    tie_epsilon of zero, and a violation when it is no tie and the two
+    differences have strictly opposite signs.
+    """
+    rows = np.empty(len(first), dtype=PAIR_DTYPE)
+    for col, name in enumerate(("c", "ef", "en", "esum", "s")):
+        rows[f"{name}1"], rows[f"{name}2"] = first[:, col], second[:, col]
+    den = first[:, 1:3] + second[:, 1:3]
+    d = np.divide(first[:, 1:3] - second[:, 1:3], den, out=np.zeros_like(den), where=den > 0.0)
+    tie = (np.abs(d) <= tie_epsilon).any(axis=1)
+    rows["d_ef"], rows["d_en"] = d.T
+    rows["s_total"] = first[:, 4] + second[:, 4]
+    rows["violation"] = ~tie & (d[:, 0] * d[:, 1] < 0.0)
+    return rows, tie
 
 
 def compare_pair(
@@ -110,20 +134,19 @@ def compare_pair(
 ) -> PairComparisonRecord:
     """Compare the ordering the two measures assign to a pair of entangled states.
 
-    A pair counts as a violation when the relative differences have strictly
-    opposite signs; pairs where either difference is within tie_epsilon of
-    zero are flagged as ties and never count.
+    Applies the Monte Carlo harness's rule: a pair counts as a violation
+    when the relative differences have strictly opposite signs; pairs where
+    either difference is within tie_epsilon of zero, or is undefined because
+    both values are zero, are flagged as ties and never count.
     """
     report1 = measures.measure_report(rho1)
     report2 = measures.measure_report(rho2)
     if report1.separable or report2.separable:
         raise SeparableInput("compare_pair requires two entangled states")
-    d_ef = relative_difference(report1.e_formation, report2.e_formation)
-    d_en = relative_difference(report1.e_negative, report2.e_negative)
-    tie = abs(d_ef) <= tie_epsilon or abs(d_en) <= tie_epsilon
-    violation = (not tie) and (d_ef * d_en < 0.0)
-    s_total = report1.linear_entropy + report2.linear_entropy
-    return PairComparisonRecord(report1, report2, d_ef, d_en, violation, tie, s_total)
+    stats = np.array([astuple(report1)[:5], astuple(report2)[:5]])
+    rows, tie = _pair_rows(stats[:1], stats[1:], tie_epsilon)
+    d_ef, d_en, violation, s_total = rows[0][["d_ef", "d_en", "violation", "s_total"]].item()
+    return PairComparisonRecord(report1, report2, d_ef, d_en, violation, bool(tie[0]), s_total)
 
 
 def _histogram_core(
@@ -150,118 +173,42 @@ def s_histogram_bins(records, n_bins: int, s_range: tuple[float, float] = S_RANG
     return _histogram_core(s, violation, n_bins, s_range)
 
 
-def _pair_rows(stats1: np.ndarray, stats2: np.ndarray, d_ef, d_en, violation) -> np.ndarray:
-    rows = np.empty(len(stats1), dtype=PAIR_DTYPE)
-    for col, name in enumerate(("c", "ef", "en", "esum", "s")):
-        rows[f"{name}1"] = stats1[:, col]
-        rows[f"{name}2"] = stats2[:, col]
-    rows["d_ef"] = d_ef
-    rows["d_en"] = d_en
-    rows["s_total"] = stats1[:, 4] + stats2[:, 4]
-    rows["violation"] = violation
-    return rows
-
-
-def _entangled_state_stats(rhos: np.ndarray) -> tuple[np.ndarray, int]:
-    """Measures for the entangled members of a stack, in draw order.
-
-    Returns (stats, n_kept) where stats has one row per kept state with
-    columns (C, E_F, E_N, E_sum, S) and an extra final column holding the
-    position of the state within the stack.
-    """
+def _entangled_state_stats(rhos: np.ndarray, first_draw: int) -> np.ndarray:
+    """One (C, E_F, E_N, E_sum, S, draw index) row per entangled state of a
+    stack, in draw order; the stack's first state has draw index first_draw."""
     pt_w = measures.pt_eigenvalues(rhos)
-    kept_pos = np.nonzero(pt_w[:, -1] < -measures.EPS_SEP)[0]
-    kept = rhos[kept_pos]
-    c = measures.concurrence_batch(kept)
-    stats = np.column_stack(
-        [
-            c,
-            measures.ef_from_concurrence_batch(c),
-            -pt_w[kept_pos, -1],
-            np.maximum(0.0, np.abs(pt_w[kept_pos]).sum(axis=1) - 1.0),
-            measures.linear_entropy_batch(kept),
-            kept_pos.astype(float),
-        ]
-    )
-    return stats, len(kept_pos)
+    kept = np.nonzero(pt_w[:, -1] < -measures.EPS_SEP)[0]
+    columns = measures._measure_columns(rhos[kept], pt_w[kept])
+    return np.column_stack([*columns.values(), kept + first_draw])
 
 
-def _run_shard(seed: int, shard_index: int, quota: int, tie_epsilon: float) -> dict:
+def _run_shard(
+    seed: int, shard_index: int, quota: int, tie_epsilon: float
+) -> tuple[np.ndarray, int, int, int]:
     """Accumulate ``quota`` usable pairs on the shard's own RNG substream.
 
-    States are processed in draw order: entangled states pair up
-    consecutively, tie pairs are excluded and redrawn, and the shard stops
-    on the draw that completes its final usable pair, so the counters
-    reflect exactly the states consumed.
+    Entangled states pair up consecutively in draw order and tie pairs are
+    excluded.  Chunks are drawn until the quota is met, each sized from the
+    pairs still needed, and the shard ends at the draw that completes its
+    final usable pair, so the counters reflect exactly the states consumed.
+    Returns (pairs, states drawn, states kept, ties excluded).
     """
     rng = sampler.RngStream(seed, (_SHARD_KEY, shard_index))
-    drawn = kept = ties = 0
-    row_chunks = []
-    pending = None  # unpaired entangled state carried between chunks
-    need = quota
-    while need > 0:
-        rhos = sampler.random_density_batch(rng, _CHUNK_DRAWS)
-        stats, n_kept_chunk = _entangled_state_stats(rhos)
-        carry = 0
-        if pending is not None:
-            stats = np.vstack([pending, stats])
-            carry = 1
-        n_full = len(stats) // 2
-        if n_full == 0:
-            drawn += _CHUNK_DRAWS
-            kept += n_kept_chunk
-            pending = stats[-1] if len(stats) % 2 else None
-            continue
-        first = stats[0 : 2 * n_full : 2]
-        second = stats[1 : 2 * n_full : 2]
-        den_ef = first[:, 1] + second[:, 1]
-        den_en = first[:, 2] + second[:, 2]
-        safe_ef = np.where(den_ef > 0.0, den_ef, 1.0)
-        safe_en = np.where(den_en > 0.0, den_en, 1.0)
-        d_ef = (first[:, 1] - second[:, 1]) / safe_ef
-        d_en = (first[:, 2] - second[:, 2]) / safe_en
-        tie = (
-            (np.abs(d_ef) <= tie_epsilon)
-            | (np.abs(d_en) <= tie_epsilon)
-            | (den_ef <= 0.0)
-            | (den_en <= 0.0)
-        )
-        usable = ~tie
-        cum_usable = np.cumsum(usable)
-        if cum_usable[-1] >= need:
-            last = int(np.searchsorted(cum_usable, need))  # pair that fills the quota
-            seq_end = 2 * last + 1 - carry  # its second state, as a kept-state index
-            drawn += int(stats[seq_end + carry, 5]) + 1
-            kept += seq_end + 1
-            ties += int(tie[: last + 1].sum())
-            keep_slice = usable[: last + 1]
-            row_chunks.append(
-                _pair_rows(
-                    first[: last + 1][keep_slice],
-                    second[: last + 1][keep_slice],
-                    d_ef[: last + 1][keep_slice],
-                    d_en[: last + 1][keep_slice],
-                    (d_ef * d_en < 0.0)[: last + 1][keep_slice],
-                )
-            )
-            need = 0
-            pending = None
-        else:
-            drawn += _CHUNK_DRAWS
-            kept += n_kept_chunk
-            ties += int(tie.sum())
-            row_chunks.append(
-                _pair_rows(first[usable], second[usable], d_ef[usable], d_en[usable],
-                           (d_ef * d_en < 0.0)[usable])
-            )
-            need -= int(cum_usable[-1])
-            pending = stats[2 * n_full] if len(stats) > 2 * n_full else None
-    return {
-        "drawn": drawn,
-        "kept": kept,
-        "ties": ties,
-        "pairs": np.concatenate(row_chunks) if row_chunks else np.empty(0, dtype=PAIR_DTYPE),
-    }
+    stats, drawn = np.empty((0, 6)), 0
+    while True:
+        n = len(stats) - len(stats) % 2
+        rows, tie = _pair_rows(stats[0:n:2], stats[1:n:2], tie_epsilon)
+        need = quota - int(np.count_nonzero(~tie))
+        if need <= 0:
+            break
+        size = min(_CHUNK_DRAWS, int(2 * need / _P_KEPT) + _CHUNK_MARGIN)
+        rhos = sampler.random_density_batch(rng, size)
+        stats = np.concatenate([stats, _entangled_state_stats(rhos, drawn)])
+        drawn += size
+    last = int(np.searchsorted(np.cumsum(~tie), quota))  # the pair that fills the quota
+    used = slice(0, last + 1)
+    states_drawn = int(stats[2 * last + 1, 5]) + 1  # through that pair's second state
+    return rows[used][~tie[used]], states_drawn, 2 * last + 2, int(tie[used].sum())
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
@@ -270,25 +217,20 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     Deterministic for a fixed configuration; the thread count changes only
     how shards are scheduled, never any output value.
     """
-    quotas = [SHARD_PAIRS] * (cfg.n_pairs // SHARD_PAIRS)
-    if cfg.n_pairs % SHARD_PAIRS:
-        quotas.append(cfg.n_pairs % SHARD_PAIRS)
+    quotas = [min(SHARD_PAIRS, cfg.n_pairs - i) for i in range(0, cfg.n_pairs, SHARD_PAIRS)]
 
-    def shard(args):
-        index, quota = args
-        return _run_shard(cfg.seed, index, quota, cfg.tie_epsilon)
+    def shard(index):
+        return _run_shard(cfg.seed, index, quotas[index], cfg.tie_epsilon)
 
-    jobs = list(enumerate(quotas))
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(shard, jobs))
+            results = list(pool.map(shard, range(len(quotas))))
     else:
-        results = [shard(job) for job in jobs]
+        results = [shard(index) for index in range(len(quotas))]
 
-    pairs = np.concatenate([r["pairs"] for r in results])
-    states_drawn = sum(r["drawn"] for r in results)
-    states_kept = sum(r["kept"] for r in results)
-    n_ties = sum(r["ties"] for r in results)
+    shard_pairs, drawn, kept, ties = zip(*results)
+    pairs = np.concatenate(shard_pairs)
+    states_drawn, states_kept, n_ties = sum(drawn), sum(kept), sum(ties)
     n_pairs = len(pairs)
 
     p_ent = states_kept / states_drawn
@@ -300,13 +242,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     scatter_def_den = np.column_stack([pairs["d_ef"][idx], pairs["d_en"][idx]])
 
     # Per-state scatters: states of each pair interleaved, preserving run order.
-    ef_states = np.column_stack([pairs["ef1"], pairs["ef2"]]).ravel()
-    en_states = np.column_stack([pairs["en1"], pairs["en2"]]).ravel()
-    c_states = np.column_stack([pairs["c1"], pairs["c2"]]).ravel()
     k_states = min(cfg.scatter_points, 2 * n_pairs)
     idx_s = scatter_rng.subsample_indices(2 * n_pairs, k_states)
-    scatter_ef_en = np.column_stack([ef_states[idx_s], en_states[idx_s]])
-    scatter_c_en = np.column_stack([c_states[idx_s], en_states[idx_s]])
+    c, ef, en = (
+        np.column_stack([pairs[f"{name}1"], pairs[f"{name}2"]]).ravel()[idx_s]
+        for name in ("c", "ef", "en")
+    )
 
     return ExperimentSummary(
         config=cfg,
@@ -321,8 +262,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         n_ties_excluded=n_ties,
         pairs=pairs,
         scatter_def_den=scatter_def_den,
-        scatter_ef_en=scatter_ef_en,
-        scatter_c_en=scatter_c_en,
+        scatter_ef_en=np.column_stack([ef, en]),
+        scatter_c_en=np.column_stack([c, en]),
         s_histogram=_histogram_core(pairs["s_total"], pairs["violation"], cfg.s_bins),
     )
 
@@ -344,58 +285,38 @@ def write_csvs(summary: ExperimentSummary, outdir) -> dict[str, str]:
                 fh.write(",".join(row) + "\n")
         paths[name] = path
 
-    emit(
-        "fig1.csv",
-        "d_en,d_ef",
-        ((_fmt(den), _fmt(def_)) for def_, den in summary.scatter_def_den),
-    )
-    emit(
-        "fig2.csv",
-        "e_formation,e_negative",
-        ((_fmt(ef), _fmt(en)) for ef, en in summary.scatter_ef_en),
-    )
-    emit(
-        "fig3.csv",
-        "concurrence,e_negative",
-        ((_fmt(c), _fmt(en)) for c, en in summary.scatter_c_en),
-    )
+    for name, header, xy in (
+        ("fig1.csv", "d_en,d_ef", summary.scatter_def_den[:, ::-1]),
+        ("fig2.csv", "e_formation,e_negative", summary.scatter_ef_en),
+        ("fig3.csv", "concurrence,e_negative", summary.scatter_c_en),
+    ):
+        emit(name, header, ((_fmt(x), _fmt(y)) for x, y in xy))
     hist = summary.s_histogram
     emit(
         "fig4.csv",
         "bin_center,pair_count,violation_count,violation_rate,empty",
         (
-            (
-                _fmt(hist.centers[k]),
-                str(int(hist.pair_counts[k])),
-                str(int(hist.violation_counts[k])),
-                _fmt(hist.violation_rates[k]),
-                "true" if hist.empty[k] else "false",
+            (_fmt(center), str(n), str(n_vio), _fmt(rate), "true" if empty else "false")
+            for center, n, n_vio, rate, empty in zip(
+                hist.centers, hist.pair_counts, hist.violation_counts, hist.violation_rates, hist.empty
             )
-            for k in range(len(hist.centers))
         ),
     )
     cfg = summary.config
-    emit(
-        "summary.csv",
-        "p_entangled,se_p_entangled,p_violation,se_p_violation,"
-        "states_drawn,states_kept,states_discarded,n_pairs,n_ties_excluded,"
-        "seed,s_bins,tie_epsilon,scatter_points",
-        [
-            (
-                _fmt(summary.p_entangled),
-                _fmt(summary.se_entangled),
-                _fmt(summary.p_violation),
-                _fmt(summary.se_violation),
-                str(summary.states_drawn),
-                str(summary.states_kept),
-                str(summary.states_discarded),
-                str(summary.n_pairs),
-                str(summary.n_ties_excluded),
-                str(cfg.seed),
-                str(cfg.s_bins),
-                _fmt(cfg.tie_epsilon),
-                str(cfg.scatter_points),
-            )
-        ],
-    )
+    fields = {
+        "p_entangled": _fmt(summary.p_entangled),
+        "se_p_entangled": _fmt(summary.se_entangled),
+        "p_violation": _fmt(summary.p_violation),
+        "se_p_violation": _fmt(summary.se_violation),
+        "states_drawn": str(summary.states_drawn),
+        "states_kept": str(summary.states_kept),
+        "states_discarded": str(summary.states_discarded),
+        "n_pairs": str(summary.n_pairs),
+        "n_ties_excluded": str(summary.n_ties_excluded),
+        "seed": str(cfg.seed),
+        "s_bins": str(cfg.s_bins),
+        "tie_epsilon": _fmt(cfg.tie_epsilon),
+        "scatter_points": str(cfg.scatter_points),
+    }
+    emit("summary.csv", ",".join(fields), [fields.values()])
     return paths

@@ -169,10 +169,12 @@ def is_separable(rho: DensityMatrix) -> bool:
     return bool(pt_eigenvalues(rho.matrix)[-1] >= -EPS_SEP)
 
 
-def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
-    """All measures for a (n, 4, 4) stack, sharing the eigendecompositions."""
-    ms = np.asarray(ms)
-    pt_w = pt_eigenvalues(ms)
+def _measure_columns(ms: np.ndarray, pt_w: np.ndarray) -> dict[str, np.ndarray]:
+    """C, E_F, E_N, E_sum and S for a (n, 4, 4) stack with PT eigenvalues pt_w.
+
+    The Monte Carlo harness passes only the entangled states of a chunk, so
+    the concurrence runs on nothing it discards.
+    """
     c = concurrence_batch(ms)
     return {
         "concurrence": c,
@@ -180,18 +182,19 @@ def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
         "e_negative": np.maximum(0.0, -pt_w[..., -1]),
         "e_sum": np.maximum(0.0, np.abs(pt_w).sum(axis=-1) - 1.0),
         "linear_entropy": linear_entropy_batch(ms),
-        "separable": pt_w[..., -1] >= -EPS_SEP,
     }
+
+
+def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
+    """All measures for a (n, 4, 4) stack, sharing the eigendecompositions."""
+    ms = np.asarray(ms)
+    pt_w = pt_eigenvalues(ms)
+    table = _measure_columns(ms, pt_w)
+    table["separable"] = pt_w[..., -1] >= -EPS_SEP
+    return table
 
 
 def measure_report(rho: DensityMatrix) -> MeasureReport:
     """Evaluate every measure once for a single state."""
-    t = measure_table(rho.matrix[None])
-    return MeasureReport(
-        concurrence=float(t["concurrence"][0]),
-        e_formation=float(t["e_formation"][0]),
-        e_negative=float(t["e_negative"][0]),
-        e_sum=float(t["e_sum"][0]),
-        linear_entropy=float(t["linear_entropy"][0]),
-        separable=bool(t["separable"][0]),
-    )
+    table = measure_table(rho.matrix[None])
+    return MeasureReport(**{name: column[0].item() for name, column in table.items()})

@@ -17,6 +17,8 @@ def _validated(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise NotHermitian("matrix has non-finite entries")
     defect = cmat.hermiticity_defect(m)
     if defect > cmat.TOL.hermiticity:
         raise NotHermitian(
@@ -98,7 +100,8 @@ def from_csv_row(line: str) -> DensityMatrix:
     values = [float(tok) for tok in line.strip().split(",")]
     if len(values) != 32:
         raise NotHermitian(f"expected 32 CSV fields, got {len(values)}")
-    flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
+    with np.errstate(invalid="ignore"):  # validation rejects non-finite entries
+        flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
     return density_from_matrix(flat.reshape(4, 4))
 
 
@@ -111,12 +114,12 @@ def save_states(path, states) -> None:
 
 
 def load_states(path) -> list[DensityMatrix]:
-    """Read states written by save_states (header line optional)."""
+    """Read states written by save_states (header line optional, blank lines skipped)."""
     states = []
     with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line or line[0].isalpha():
+            if not line or (lineno == 1 and line == CSV_HEADER):
                 continue
             states.append(from_csv_row(line))
     return states

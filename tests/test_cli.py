@@ -1,6 +1,12 @@
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entlab import qstate
 from entlab.cli import main
@@ -75,6 +81,66 @@ class TestMeasure:
         code, _, err = run_cli(capsys, "measure", "--input", str(path))
         assert code == 1
         assert "trace" in err.lower()
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_row_is_numerical_error(self, capsys, tmp_path, token):
+        # a data row may start with a letter; only the exact header line is skipped
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join([token] + ["0.0"] * 31) + "\n")
+        code, out, err = run_cli(capsys, "measure", "--input", str(path))
+        assert code == 1
+        assert out == "" and err.startswith("error: ") and "non-finite" in err
+
+    def test_missing_input_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "measure", "--input", str(tmp_path / "missing.csv"))
+        assert code == 2
+        assert err.startswith("error: ")
+
+
+_VALID_ROWS = [
+    qstate.to_csv_row(rho)
+    for rho in (qstate.singlet(), qstate.werner_state(0.75), qstate.werner_state(0.3))
+]
+_FIELDS = st.one_of(
+    st.sampled_from(["0", "0.25", "-0.5", "nan", "inf", "-inf", "1e999", "", "abc", "1e308"]),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-naifx ", max_size=6),
+)
+
+
+@st.composite
+def _csv_rows(draw):
+    kind = draw(st.sampled_from(["valid", "mutated", "fields", "text"]))
+    if kind == "fields":
+        return ",".join(draw(st.lists(_FIELDS, max_size=34)))
+    if kind == "text":
+        return draw(st.text(alphabet="0123456789.,eE+-naifx \té", max_size=40))
+    fields = draw(st.sampled_from(_VALID_ROWS)).split(",")
+    if kind == "mutated":
+        fields[draw(st.integers(0, 31))] = draw(_FIELDS)
+    return ",".join(fields)
+
+
+@given(header=st.booleans(), rows=st.lists(_csv_rows(), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_measure_input_exit_contract(header, rows):
+    """Any CSV text yields exit 0, 1 or 2 and never a traceback; exit 0 prints
+    one row per data line."""
+    lines = ([qstate.CSV_HEADER] if header else []) + rows
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "states.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["measure", "--input", path])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        data_lines = [row for row in rows if row.strip()]
+        assert len(out.getvalue().splitlines()) == 1 + len(data_lines)
+    else:
+        assert err.getvalue().startswith("error: ")
 
 
 class TestSample:
@@ -162,11 +228,19 @@ class TestWernerTable:
         f_mid = rows[1]
         assert float(f_mid[1]) == pytest.approx(0.5, abs=1e-10)
         assert float(f_mid[3]) == pytest.approx(0.25, abs=1e-10)
+        # a step that does not divide the range stops short of STOP, never past it
+        for grid, n_rows, last in (("0.5:1.0:0.3", 2, 0.8), ("0.5:1.0:0.05", 11, 1.0)):
+            code, out, err = run_cli(capsys, "werner-table", "--grid", grid)
+            f = [float(line.split(",")[0]) for line in out.strip().splitlines()[1:]]
+            assert (code, err) == (0, "")
+            assert len(f) == n_rows and f[0] == 0.5 and f[-1] == pytest.approx(last)
+            assert max(f) <= 1.0
 
     def test_bad_grid(self, capsys):
-        code, _, err = run_cli(capsys, "werner-table", "--grid", "1.0:0.5:0.1")
-        assert code == 2
-        assert err
+        for grid in ("1.0:0.5:0.1", "0.5:1.0:0", "nan:1.0:0.1", "0.5:inf:0.1", "0.5:1.0"):
+            code, _, err = run_cli(capsys, "werner-table", "--grid", grid)
+            assert code == 2
+            assert err.startswith("error: ")
 
 
 class TestParser:

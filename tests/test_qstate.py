@@ -27,6 +27,14 @@ class TestValidation:
         with pytest.raises(NotHermitian):
             qstate.density_from_matrix(m)
 
+    def test_non_finite_entry(self):
+        # eigvalsh reads only the lower triangle, so an upper-triangle NaN
+        # would otherwise pass every check and fail later inside the SVD
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = np.nan
+        with pytest.raises(NotHermitian):
+            qstate.density_from_matrix(m)
+
     def test_matrix_is_read_only(self):
         rho = qstate.singlet()
         with pytest.raises(ValueError):
