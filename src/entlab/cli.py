@@ -78,11 +78,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_werner_table(args) -> int:
-    print("f,concurrence,e_formation,e_negative,e_sum")
-    for f in _parse_grid(args.grid):
+    lines = ["f,concurrence,e_formation,e_negative,e_sum"]
+    for f in _parse_grid(args.grid):  # every row first, so a bad point prints nothing
         report = measures.measure_report(qstate.werner_state(float(f)))
         row = (f, report.concurrence, report.e_formation, report.e_negative, report.e_sum)
-        print(",".join(f"{v:.17g}" for v in row))
+        lines.append(",".join(f"{v:.17g}" for v in row))
+    print("\n".join(lines))
     return 0
 
 

@@ -19,18 +19,12 @@ class NotHermitian(EntanglementLabError):
     """A matrix is not Hermitian, or not a finite 4x4 matrix at all."""
 
 
-NonHermitianInput = NotHermitian  # former name of the same condition
-
-
 class TraceNotOne(EntanglementLabError):
     """Density-matrix validation: trace differs from one."""
 
 
 class NotPSD(EntanglementLabError):
     """A matrix that must be positive semidefinite has a negative eigenvalue."""
-
-
-NotPositiveSemidefinite = NotPSD  # former name of the same condition
 
 
 class ParameterOutOfRange(EntanglementLabError):

@@ -177,7 +177,7 @@ def _entangled_state_stats(rhos: np.ndarray, first_draw: int) -> np.ndarray:
     """One (C, E_F, E_N, E_sum, S, draw index) row per entangled state of a
     stack, in draw order; the stack's first state has draw index first_draw."""
     pt_w = measures.pt_eigenvalues(rhos)
-    kept = np.nonzero(pt_w[:, -1] < -measures.EPS_SEP)[0]
+    kept = np.nonzero(measures._pt_entangled(pt_w))[0]
     columns = measures._measure_columns(rhos[kept], pt_w[kept])
     return np.column_stack([*columns.values(), kept + first_draw])
 

@@ -1,14 +1,19 @@
 """Entanglement measures for two-qubit states.
 
-Scalar functions take a validated DensityMatrix; the ``*_batch`` variants
-take a raw (..., 4, 4) stack and are what the Monte Carlo harness uses.
-Both go through the same numerical core, so a scalar call equals the
-corresponding batch entry exactly.
+Each quantity has one numerical core that works on a raw (..., 4, 4) stack
+or an array of values: ``pt_eigenvalues``, ``concurrence_batch``,
+``ef_from_concurrence_batch``, ``linear_entropy_batch`` and the column
+assembler behind ``measure_table``, which is what the Monte Carlo harness
+uses.  ``measure_report`` evaluates that table for one validated
+DensityMatrix, and the scalar functions (``concurrence``, ``e_formation``,
+``e_negative``, ``e_sum``, ``linear_entropy``, ``is_separable``) return its
+fields, so a scalar call equals the corresponding table entry exactly.
+``binary_entropy`` and ``ef_from_concurrence`` check their argument's
+domain and then return the element of the array formula.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +95,6 @@ def concurrence_batch(ms: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
-def concurrence(rho: DensityMatrix) -> float:
-    return float(concurrence_batch(rho.matrix[None])[0])
-
-
 def _clamped_unit(x: float, what: str) -> float:
     if not -_DOMAIN_SLACK <= x <= 1.0 + _DOMAIN_SLACK:
         raise DomainError(f"{what} must lie in [0, 1], got {x!r}")
@@ -107,9 +108,7 @@ def binary_entropy(x: float) -> float:
     out raises DomainError.
     """
     x = _clamped_unit(float(x), "binary_entropy argument")
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+    return float(_binary_entropy_arr(np.array([x]))[0])
 
 
 def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
@@ -124,7 +123,7 @@ def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
 def ef_from_concurrence(c: float) -> float:
     """Formation measure as a strictly increasing function of the concurrence."""
     c = _clamped_unit(float(c), "concurrence")
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+    return float(ef_from_concurrence_batch(np.array([c]))[0])
 
 
 def ef_from_concurrence_batch(c: np.ndarray) -> np.ndarray:
@@ -132,41 +131,14 @@ def ef_from_concurrence_batch(c: np.ndarray) -> np.ndarray:
     return _binary_entropy_arr((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
-def e_formation(rho: DensityMatrix) -> float:
-    return ef_from_concurrence(concurrence(rho))
-
-
-def e_negative(rho: DensityMatrix) -> float:
-    """Modulus of the most negative partial-transpose eigenvalue (0 if none)."""
-    return float(e_negative_batch(rho.matrix[None])[0])
-
-
-def e_negative_batch(ms: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, -pt_eigenvalues(ms)[..., -1])
-
-
-def e_sum(rho: DensityMatrix) -> float:
-    """Sum of absolute partial-transpose eigenvalues minus one (0 iff PPT)."""
-    return float(e_sum_batch(rho.matrix[None])[0])
-
-
-def e_sum_batch(ms: np.ndarray) -> np.ndarray:
-    return np.maximum(0.0, np.abs(pt_eigenvalues(ms)).sum(axis=-1) - 1.0)
-
-
-def linear_entropy(rho: DensityMatrix) -> float:
-    """1 - tr(rho^2); zero for pure states, 3/4 for the maximally mixed state."""
-    return float(linear_entropy_batch(rho.matrix[None])[0])
-
-
 def linear_entropy_batch(ms: np.ndarray) -> np.ndarray:
     ms = np.asarray(ms)
     return np.maximum(0.0, 1.0 - np.einsum("...ij,...ji->...", ms, ms).real)
 
 
-def is_separable(rho: DensityMatrix) -> bool:
-    """Positive-partial-transpose test, exact for two qubits."""
-    return bool(pt_eigenvalues(rho.matrix)[-1] >= -EPS_SEP)
+def _pt_entangled(pt_w: np.ndarray) -> np.ndarray:
+    """True where the smallest PT eigenvalue lies below -EPS_SEP (entangled)."""
+    return pt_w[..., -1] < -EPS_SEP
 
 
 def _measure_columns(ms: np.ndarray, pt_w: np.ndarray) -> dict[str, np.ndarray]:
@@ -190,7 +162,7 @@ def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
     ms = np.asarray(ms)
     pt_w = pt_eigenvalues(ms)
     table = _measure_columns(ms, pt_w)
-    table["separable"] = pt_w[..., -1] >= -EPS_SEP
+    table["separable"] = ~_pt_entangled(pt_w)
     return table
 
 
@@ -198,3 +170,31 @@ def measure_report(rho: DensityMatrix) -> MeasureReport:
     """Evaluate every measure once for a single state."""
     table = measure_table(rho.matrix[None])
     return MeasureReport(**{name: column[0].item() for name, column in table.items()})
+
+
+def concurrence(rho: DensityMatrix) -> float:
+    return measure_report(rho).concurrence
+
+
+def e_formation(rho: DensityMatrix) -> float:
+    return measure_report(rho).e_formation
+
+
+def e_negative(rho: DensityMatrix) -> float:
+    """Modulus of the most negative partial-transpose eigenvalue (0 if none)."""
+    return measure_report(rho).e_negative
+
+
+def e_sum(rho: DensityMatrix) -> float:
+    """Sum of absolute partial-transpose eigenvalues minus one (0 iff PPT)."""
+    return measure_report(rho).e_sum
+
+
+def linear_entropy(rho: DensityMatrix) -> float:
+    """1 - tr(rho^2); zero for pure states, 3/4 for the maximally mixed state."""
+    return measure_report(rho).linear_entropy
+
+
+def is_separable(rho: DensityMatrix) -> bool:
+    """Positive-partial-transpose test, exact for two qubits."""
+    return measure_report(rho).separable

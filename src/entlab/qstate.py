@@ -19,11 +19,7 @@ def _validated(m: np.ndarray) -> np.ndarray:
         raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
     if not np.isfinite(m).all():
         raise NotHermitian("matrix has non-finite entries")
-    defect = cmat.hermiticity_defect(m)
-    if defect > cmat.TOL.hermiticity:
-        raise NotHermitian(
-            f"matrix deviates from Hermiticity by {defect:.3e}", deviation=defect
-        )
+    cmat._require_hermitian(m)
     trace_dev = abs(float(np.trace(m).real) - 1.0)
     if trace_dev > cmat.TOL.hermiticity:
         raise TraceNotOne(f"trace deviates from 1 by {trace_dev:.3e}", deviation=trace_dev)

@@ -57,17 +57,23 @@ class RngStream:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
+def _rotations(a: int, b: int, phi: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) two-level rotations on 0-based indices a < b, identity elsewhere."""
+    e = np.broadcast_to(np.eye(4, dtype=complex), (len(phi), 4, 4)).copy()
+    cos_phi = np.cos(phi)
+    sin_phi = np.sin(phi)
+    e[:, a, a] = cos_phi * np.exp(1j * psi)
+    e[:, a, b] = sin_phi * np.exp(1j * chi)
+    e[:, b, a] = -sin_phi * np.exp(-1j * chi)
+    e[:, b, b] = cos_phi * np.exp(-1j * psi)
+    return e
+
+
 def elementary_unitary(i: int, j: int, phi: float, psi: float, chi: float = 0.0) -> np.ndarray:
     """Two-level rotation on basis indices i < j (1-based), identity elsewhere."""
     if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer)) and 1 <= i < j <= 4):
         raise BadIndices(f"need integer indices 1 <= i < j <= 4, got ({i}, {j})")
-    u = np.eye(4, dtype=complex)
-    a, b = i - 1, j - 1
-    u[a, a] = np.cos(phi) * np.exp(1j * psi)
-    u[a, b] = np.sin(phi) * np.exp(1j * chi)
-    u[b, a] = -np.sin(phi) * np.exp(-1j * chi)
-    u[b, b] = np.cos(phi) * np.exp(-1j * psi)
-    return u
+    return _rotations(i - 1, j - 1, np.array([phi]), np.array([psi]), np.array([chi]))[0]
 
 
 def _angles_to_unitaries(draws: np.ndarray) -> np.ndarray:
@@ -93,15 +99,7 @@ def _angles_to_unitaries(draws: np.ndarray) -> np.ndarray:
             col += 1
         else:
             chi = np.zeros(n)
-        e = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4)).copy()
-        a, b = i - 1, j - 1
-        cos_phi = np.cos(phi)
-        sin_phi = np.sin(phi)
-        e[:, a, a] = cos_phi * np.exp(1j * psi)
-        e[:, a, b] = sin_phi * np.exp(1j * chi)
-        e[:, b, a] = -sin_phi * np.exp(-1j * chi)
-        e[:, b, b] = cos_phi * np.exp(-1j * psi)
-        u = u @ e
+        u = u @ _rotations(i - 1, j - 1, phi, psi, chi)
     return u
 
 

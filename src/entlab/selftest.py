@@ -61,9 +61,8 @@ def check_measures(n: int = 2000) -> None:
     kets = rng.uniforms(n, 4) - 0.5 + 1j * (rng.uniforms(n, 4) - 0.5)
     kets /= np.linalg.norm(kets, axis=1)[:, None]
     pures = kets[:, :, None] * np.conj(kets[:, None, :])
-    c = measures.concurrence_batch(pures)
-    en = measures.e_negative_batch(pures)
-    assert np.abs(c - 2 * en).max() < 1e-9
+    pure_table = measures.measure_table(pures)
+    assert np.abs(pure_table["concurrence"] - 2 * pure_table["e_negative"]).max() < 1e-9
     rhos = sampler.random_density_batch(sampler.RngStream(104), n)
     table = measures.measure_table(rhos)
     assert np.all(table["concurrence"] >= 2 * table["e_negative"] - 1e-9)

@@ -65,10 +65,9 @@ def test_criterion_4_pure_state_oracle():
     rng = np.random.default_rng(912)
     kets = oracles.haar_kets(rng, 10_000)
     pures = oracles.projectors(kets)
-    c = measures.concurrence_batch(pures)
-    en = measures.e_negative_batch(pures)
+    table = measures.measure_table(pures)
+    c, ef, en = table["concurrence"], table["e_formation"], table["e_negative"]
     dev_connection = float(np.abs(c - 2 * en).max())
-    ef = measures.ef_from_concurrence_batch(c)
     reduced_eigs = np.linalg.eigvalsh(oracles.reduced_state_a(pures))
     dev_entropy = float(np.abs(ef - oracles.entropy_bits(reduced_eigs)).max())
     ok = dev_connection < 1e-9 and dev_entropy < 1e-9

@@ -143,6 +143,75 @@ def test_measure_input_exit_contract(header, rows):
         assert err.getvalue().startswith("error: ")
 
 
+def _not_an_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _int_args(lo, hi):
+    """An integer in [lo, hi] as text, or text that is no integer at all."""
+    return st.one_of(st.integers(lo, hi).map(str), st.text(max_size=8).filter(_not_an_int))
+
+
+_GRID_VALUES = st.one_of(
+    st.floats(-1.0, 2.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0.25", "1", "abc", ""]),
+)
+# steps of at least 3e-3 over a range of at most 3 keep a grid under 10^3 points
+_GRID_STEPS = st.one_of(
+    st.floats(3e-3, 5.0).map(repr),
+    st.sampled_from(["0", "-0.1", "nan", "inf", "-inf", "x"]),
+)
+
+
+@st.composite
+def _grids(draw):
+    kind = draw(st.sampled_from(["parts", "text"]))
+    if kind == "text":
+        return draw(st.text(max_size=12).filter(lambda t: t.count(":") != 2))
+    parts = [draw(_GRID_VALUES), draw(_GRID_VALUES), draw(_GRID_STEPS)]
+    return ":".join(parts[: draw(st.integers(1, 3))])
+
+
+_SEEDS = _int_args(-(2**70), 2**70)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["werner-table", "sample", "compare"]))
+    if command == "werner-table":
+        return ["werner-table", "--grid", draw(_grids())]
+    if command == "sample":
+        return ["sample", "--seed", draw(_SEEDS), "--count", draw(_int_args(-4, 64))]
+    return [
+        "compare", "--seed", draw(_SEEDS), "--pairs", draw(_int_args(-4, 64)),
+        "--bins", draw(_int_args(-4, 64)), "--threads", draw(_int_args(-2, 4)),
+    ]
+
+
+@given(argv=_cli_argv())
+@settings(max_examples=150, deadline=None)
+def test_cli_argument_exit_contract(argv):
+    """Any argument string yields exit 0, 1 or 2 and never a traceback; a
+    failing run prints nothing to stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        if argv[0] == "compare":
+            argv = argv + ["--out", tmp]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+
+
 class TestSample:
     def test_deterministic_file(self, capsys, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -237,9 +306,13 @@ class TestWernerTable:
             assert max(f) <= 1.0
 
     def test_bad_grid(self, capsys):
-        for grid in ("1.0:0.5:0.1", "0.5:1.0:0", "nan:1.0:0.1", "0.5:inf:0.1", "0.5:1.0"):
-            code, _, err = run_cli(capsys, "werner-table", "--grid", grid)
+        # the last two grids hold points outside [1/4, 1]: no partial table
+        bad = ("1.0:0.5:0.1", "0.5:1.0:0", "nan:1.0:0.1", "0.5:inf:0.1", "0.5:1.0",
+               "0.9:1.5:0.1", "0.1:0.5:0.1")
+        for grid in bad:
+            code, out, err = run_cli(capsys, "werner-table", "--grid", grid)
             assert code == 2
+            assert out == ""
             assert err.startswith("error: ")
 
 

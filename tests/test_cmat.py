@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entlab import cmat
-from entlab.errors import BadIndices, NonHermitianInput, NotPositiveSemidefinite
+from entlab.errors import BadIndices, NotHermitian, NotPSD
 from entlab.qstate import singlet, werner_state
 
 RNG = np.random.default_rng(2101)
@@ -39,7 +39,7 @@ class TestHermitianEig:
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex)
         m[0, 1] = 1e-6
-        with pytest.raises(NonHermitianInput) as err:
+        with pytest.raises(NotHermitian) as err:
             cmat.hermitian_eig(m)
         assert err.value.deviation == pytest.approx(1e-6)
 
@@ -72,7 +72,7 @@ class TestPsdSqrt:
         assert np.abs(s @ s - m).max() < 1e-9
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveSemidefinite) as err:
+        with pytest.raises(NotPSD) as err:
             cmat.psd_sqrt(np.diag([1.0, -0.5, 0.2, 0.3]))
         assert err.value.deviation == pytest.approx(0.5)
 

@@ -111,6 +111,20 @@ class TestFormationFromConcurrence:
             measures.ef_from_concurrence(c)
 
 
+class TestScalarMatchesArrayFormula:
+    GRID = np.linspace(0.0, 1.0, 10_000)
+
+    def test_formation_from_concurrence(self):
+        batch = measures.ef_from_concurrence_batch(self.GRID)
+        scalar = np.array([measures.ef_from_concurrence(c) for c in self.GRID])
+        assert np.array_equal(scalar, batch)
+
+    def test_binary_entropy(self):
+        batch = measures._binary_entropy_arr(self.GRID)
+        scalar = np.array([measures.binary_entropy(x) for x in self.GRID])
+        assert np.array_equal(scalar, batch)
+
+
 class TestFormation:
     def test_singlet(self):
         assert measures.e_formation(singlet()) == pytest.approx(1.0, abs=1e-12)
@@ -176,9 +190,8 @@ class TestSumMeasure:
         rhos = random_density_batch(RngStream(33), 5000)
         pt_w = measures.pt_eigenvalues(rhos)
         assert np.all(pt_w[:, -2] > 0)
-        assert np.abs(
-            measures.e_sum_batch(rhos) - 2 * measures.e_negative_batch(rhos)
-        ).max() < 1e-12
+        table = measures.measure_table(rhos)
+        assert np.abs(table["e_sum"] - 2 * table["e_negative"]).max() < 1e-12
 
 
 class TestLinearEntropy:
@@ -247,10 +260,14 @@ class TestMeasureReport:
         assert not r.separable
 
     def test_matches_scalar_functions(self):
-        for m in random_density_batch(RngStream(35), 10):
+        # at draw 6377, E_F through math.log2 differs from the table's
+        # np.log2 value in the last bit
+        draws = random_density_batch(RngStream(35), 6378)
+        for m in [*draws[:10], draws[6377]]:
             rho = qstate.density_from_matrix(m)
             r = measures.measure_report(rho)
             assert r.concurrence == measures.concurrence(rho)
+            assert r.e_formation == measures.e_formation(rho)
             assert r.e_negative == measures.e_negative(rho)
             assert r.e_sum == measures.e_sum(rho)
             assert r.linear_entropy == measures.linear_entropy(rho)
@@ -269,9 +286,8 @@ class TestPureStateConnection:
     def test_concurrence_is_twice_negativity(self):
         rng = np.random.default_rng(36)
         pures = oracles.projectors(oracles.haar_kets(rng, 10_000))
-        c = measures.concurrence_batch(pures)
-        en = measures.e_negative_batch(pures)
-        assert np.abs(c - 2 * en).max() < 1e-9
+        table = measures.measure_table(pures)
+        assert np.abs(table["concurrence"] - 2 * table["e_negative"]).max() < 1e-9
 
 
 class TestOrderingBound:
