@@ -11,6 +11,9 @@ from . import experiment, measures, qstate, sampler
 from .errors import BadIndices, EntanglementLabError, ParameterOutOfRange
 from .selftest import run_selftest
 
+# Largest grid `werner-table` accepts, counted before any point is built.
+MAX_GRID_POINTS = 10**6
+
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
@@ -20,8 +23,10 @@ def _parse_grid(text: str) -> np.ndarray:
     if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
         raise ValueError(f"grid must be finite and increasing, got {text!r}")
     # floor, with slack for rounding in the division, so no point passes STOP
-    count = int(np.floor((stop - start) / step + 1e-9))
-    return np.minimum(start + step * np.arange(count + 1), stop)
+    count = np.floor((stop - start) / step + 1e-9)
+    if count >= MAX_GRID_POINTS:  # also an infinite count
+        raise ValueError(f"grid {text!r} has over {MAX_GRID_POINTS} points")
+    return np.minimum(start + step * np.arange(int(count) + 1), stop)
 
 
 def _state_from_args(args) -> list[qstate.DensityMatrix]:

@@ -1,9 +1,11 @@
 """Random two-qubit density matrices: Haar-uniform U(4) rotations of simplex spectra.
 
-Every state consumes exactly DRAWS_PER_STATE uniforms in a fixed, documented
-order (three spectrum draws, then the rotation angles pair by pair), so the
-scalar and batch samplers walk the identical stream and two streams with the
-same seed produce identical state sequences.
+Each unitary is a product of six two-level rotations, built by updating two
+columns at a time rather than by 4x4 matrix products.  Every state consumes
+exactly DRAWS_PER_STATE uniforms in a fixed, documented order (three spectrum
+draws, then the rotation angles pair by pair), so the scalar and batch
+samplers walk the identical stream and two streams with the same seed produce
+identical state sequences.
 """
 
 from __future__ import annotations
@@ -57,23 +59,25 @@ class RngStream:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
-def _rotations(a: int, b: int, phi: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) two-level rotations on 0-based indices a < b, identity elsewhere."""
-    e = np.broadcast_to(np.eye(4, dtype=complex), (len(phi), 4, 4)).copy()
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    e[:, a, a] = cos_phi * np.exp(1j * psi)
-    e[:, a, b] = sin_phi * np.exp(1j * chi)
-    e[:, b, a] = -sin_phi * np.exp(-1j * chi)
-    e[:, b, b] = cos_phi * np.exp(-1j * psi)
-    return e
+def _rotate_columns(cols: np.ndarray, a: int, b: int, phi, psi, chi) -> None:
+    """Right-multiply, in place, the stack whose column k is ``cols[k]`` (shape
+    (4, n)) by the two-level rotation on 0-based indices a < b; only columns a
+    and b change."""
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    e_psi, e_chi = np.exp(1j * psi), np.exp(1j * chi)
+    e_aa, e_ab = cos_phi * e_psi, sin_phi * e_chi
+    e_ba, e_bb = -sin_phi * e_chi.conj(), cos_phi * e_psi.conj()
+    col_a, col_b = cols[a], cols[b]
+    cols[a], cols[b] = col_a * e_aa + col_b * e_ba, col_a * e_ab + col_b * e_bb
 
 
 def elementary_unitary(i: int, j: int, phi: float, psi: float, chi: float = 0.0) -> np.ndarray:
     """Two-level rotation on basis indices i < j (1-based), identity elsewhere."""
     if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer)) and 1 <= i < j <= 4):
         raise BadIndices(f"need integer indices 1 <= i < j <= 4, got ({i}, {j})")
-    return _rotations(i - 1, j - 1, np.array([phi]), np.array([psi]), np.array([chi]))[0]
+    cols = np.eye(4, dtype=complex)[:, :, None]
+    _rotate_columns(cols, i - 1, j - 1, np.array([phi]), np.array([psi]), np.array([chi]))
+    return cols[:, :, 0].T
 
 
 def _angles_to_unitaries(draws: np.ndarray) -> np.ndarray:
@@ -83,24 +87,20 @@ def _angles_to_unitaries(draws: np.ndarray) -> np.ndarray:
     density i * t^(i-1) on [0, 1] (phi = arccos(xi^(1/(2i)))); together with
     the uniform psi/chi phases this makes the product Haar-distributed on
     U(4) up to a global phase, which conjugation cancels.  The tests compare
-    against a QR-orthonormalized Gaussian sampler.
+    against a QR-orthonormalized Gaussian sampler.  The product is taken left
+    to right over PAIR_SEQUENCE; each factor mixes two columns of the running
+    product, so the stack is held as a (4, 4, n) array of columns, updated two
+    columns at a time and transposed to (n, 4, 4) once at the end.
     """
     n = draws.shape[0]
-    u = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4)).copy()
-    col = 0
+    cols = np.broadcast_to(np.eye(4, dtype=complex)[:, :, None], (4, 4, n)).copy()
+    x = iter(draws.T)  # the uniforms in their documented order
     for (i, j) in PAIR_SEQUENCE:
-        xi = draws[:, col]
-        col += 1
-        phi = np.arccos(xi ** (1.0 / (2.0 * i)))
-        psi = draws[:, col] * (2.0 * np.pi)
-        col += 1
-        if (i, j) in _CHI_PAIRS:
-            chi = draws[:, col] * (2.0 * np.pi)
-            col += 1
-        else:
-            chi = np.zeros(n)
-        u = u @ _rotations(i - 1, j - 1, phi, psi, chi)
-    return u
+        phi = np.arccos(next(x) ** (1.0 / (2.0 * i)))
+        psi = next(x) * (2.0 * np.pi)
+        chi = next(x) * (2.0 * np.pi) if (i, j) in _CHI_PAIRS else np.zeros(n)
+        _rotate_columns(cols, i - 1, j - 1, phi, psi, chi)
+    return np.ascontiguousarray(cols.transpose(2, 1, 0))
 
 
 def random_cue_unitary(rng: RngStream) -> np.ndarray:

@@ -2,7 +2,11 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -165,14 +169,21 @@ _GRID_STEPS = st.one_of(
     st.floats(3e-3, 5.0).map(repr),
     st.sampled_from(["0", "-0.1", "nan", "inf", "-inf", "x"]),
 )
+# tiny steps, down to the smallest subnormal, only between ends 0 or at least
+# 1/4 apart: such a grid has one point or far more than the CLI accepts
+_TINY_GRID_ENDS = st.sampled_from(["0.25", "0.5", "1", "2"])
+_TINY_GRID_STEPS = st.floats(5e-324, 1e-7).map(repr)
 
 
 @st.composite
 def _grids(draw):
-    kind = draw(st.sampled_from(["parts", "text"]))
+    kind = draw(st.sampled_from(["parts", "tiny", "text"]))
     if kind == "text":
         return draw(st.text(max_size=12).filter(lambda t: t.count(":") != 2))
-    parts = [draw(_GRID_VALUES), draw(_GRID_VALUES), draw(_GRID_STEPS)]
+    if kind == "tiny":
+        parts = [draw(_TINY_GRID_ENDS), draw(_TINY_GRID_ENDS), draw(_TINY_GRID_STEPS)]
+    else:
+        parts = [draw(_GRID_VALUES), draw(_GRID_VALUES), draw(_GRID_STEPS)]
     return ":".join(parts[: draw(st.integers(1, 3))])
 
 
@@ -251,9 +262,9 @@ class TestCompare:
     # states_kept 6000, 0 ties).  A refactor of the harness must leave these
     # unchanged; a change that alters output bits says so and re-pins them.
     PINNED_SHA256 = {
-        "fig1.csv": "82752b8185e111a2fefac927555a393f9f28fef637f7bbdddb59d4876fa4f09f",
-        "fig2.csv": "32a65d7cd7ec8c4446a4408a8e33ff0e1c0c349686fb8daa0e18e0c7be6e0aae",
-        "fig3.csv": "a0ca21bfbe996e9ced919c77301c88b93ac24cef5f41f745201bc4405d3ba37e",
+        "fig1.csv": "49dcd908fef7a117ccea577855610d3cd68d1ea25d1cda8cae14650e65bb69a6",
+        "fig2.csv": "05fdb540c2f43c4d461fe2c840d0cd6af2f014c0e080e705eb3ddb67eb845feb",
+        "fig3.csv": "03f2a79993b8f926d2e3cea74eaf03a994e2873f97c2beb5d55bc79ea99fa358",
         "fig4.csv": "9c2fd2364b1633c360a94d8ab5edb8630d2f022ddbd43d44b7acab7587abbd83",
         "summary.csv": "ecc8fc07191672407314c051cf8a695903f0d17098d96a030444d9eb8b7f53ad",
     }
@@ -306,14 +317,22 @@ class TestWernerTable:
             assert max(f) <= 1.0
 
     def test_bad_grid(self, capsys):
-        # the last two grids hold points outside [1/4, 1]: no partial table
+        # "0.9:1.5:0.1" and "0.1:0.5:0.1" hold points outside [1/4, 1]: no
+        # partial table; the last three have too many points (the last an
+        # infinite count) and are refused before any point is built
         bad = ("1.0:0.5:0.1", "0.5:1.0:0", "nan:1.0:0.1", "0.5:inf:0.1", "0.5:1.0",
-               "0.9:1.5:0.1", "0.1:0.5:0.1")
+               "0.9:1.5:0.1", "0.1:0.5:0.1", "0:1:1e-12", "0.25:1:1e-7", "0:1e308:1e-10")
         for grid in bad:
-            code, out, err = run_cli(capsys, "werner-table", "--grid", grid)
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli(capsys, "werner-table", "--grid", grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
             assert code == 2
             assert out == ""
             assert err.startswith("error: ")
+            assert peak < 2**20
 
 
 class TestParser:
@@ -332,3 +351,14 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_python_m_entlab_from_checkout(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "entlab", "werner-table", "--grid", "0.5:1.0:0.25"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 4

@@ -76,6 +76,22 @@ class TestCueUnitary:
         u = sampler._angles_to_unitaries(np.ones((1, 15)))[0]
         assert np.abs(u - np.eye(4)).max() < 1e-12
 
+    def test_matches_elementary_product(self):
+        # the documented convention: per pair (i, j) in PAIR_SEQUENCE take
+        # phi = arccos(xi^(1/(2i))), psi = 2*pi*x, chi = 2*pi*x on _CHI_PAIRS
+        # (else 0), and multiply the elementary rotations left to right
+        draws = np.vstack([RngStream(46).uniforms(1000, 15), np.zeros(15), np.ones(15)])
+        us = sampler._angles_to_unitaries(draws)
+        for row, u in zip(draws, us):
+            x = iter(row)
+            ref = np.eye(4, dtype=complex)
+            for (i, j) in sampler.PAIR_SEQUENCE:
+                phi = np.arccos(next(x) ** (1.0 / (2.0 * i)))
+                psi = 2.0 * np.pi * next(x)
+                chi = 2.0 * np.pi * next(x) if (i, j) in sampler._CHI_PAIRS else 0.0
+                ref = ref @ sampler.elementary_unitary(i, j, phi, psi, chi)
+            assert np.abs(u - ref).max() < 1e-14
+
     def test_scalar_form(self):
         u = sampler.random_cue_unitary(RngStream(41))
         v = sampler._angles_to_unitaries(RngStream(41).uniforms(1, 15))[0]
