@@ -175,10 +175,16 @@ def s_histogram_bins(records, n_bins: int, s_range: tuple[float, float] = S_RANG
 
 def _entangled_state_stats(rhos: np.ndarray, first_draw: int) -> np.ndarray:
     """One (C, E_F, E_N, E_sum, S, draw index) row per entangled state of a
-    stack, in draw order; the stack's first state has draw index first_draw."""
-    pt_w = measures.pt_eigenvalues(rhos)
-    kept = np.nonzero(measures._pt_entangled(pt_w))[0]
-    columns = measures._measure_columns(rhos[kept], pt_w[kept])
+    stack, in draw order; the stack's first state has draw index first_draw.
+
+    Only the states that pass the determinant screen get a PT spectrum, and
+    ``measures._pt_entangled`` decides among them.
+    """
+    screened = measures._pt_screen(rhos)
+    pt_w = measures.pt_eigenvalues(rhos[screened])
+    entangled = measures._pt_entangled(pt_w)
+    kept = screened[entangled]
+    columns = measures._measure_columns(rhos[kept], pt_w[entangled])
     return np.column_stack([*columns.values(), kept + first_draw])
 
 

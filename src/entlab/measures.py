@@ -25,6 +25,9 @@ from .qstate import DensityMatrix
 # PT eigenvalues above -EPS_SEP count as separable; the Monte Carlo harness
 # discards such states rather than treating rounding noise as entanglement.
 EPS_SEP = 1e-10
+# det(rho^Gamma) above DET_SCREEN certifies that a density matrix is
+# separable under the EPS_SEP rule, without its PT spectrum; see _pt_screen.
+DET_SCREEN = 1e-12
 _DOMAIN_SLACK = 1e-12
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -139,6 +142,27 @@ def linear_entropy_batch(ms: np.ndarray) -> np.ndarray:
 def _pt_entangled(pt_w: np.ndarray) -> np.ndarray:
     """True where the smallest PT eigenvalue lies below -EPS_SEP (entangled)."""
     return pt_w[..., -1] < -EPS_SEP
+
+
+def _pt_screen(ms: np.ndarray) -> np.ndarray:
+    """Indices of the states of a (n, 4, 4) stack of density matrices whose
+    PT spectrum can still decide them: those with det(rho^Gamma) <= DET_SCREEN.
+
+    The Hermiticity check runs on every PT, screened out or not.  A two-qubit
+    PT has at most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58,
+    826 (1998)), so det(rho^Gamma) > 0 means PPT.  The screen is safe at
+    DET_SCREEN: the eigensolver's eigenvalues are exact for a matrix within
+    about 1e-15 of rho^Gamma (whose norm is at most 1), so a state that
+    ``_pt_entangled`` calls entangled has a true smallest eigenvalue below
+    -EPS_SEP + 1e-15 < 0 and a true determinant of at most the rounding of rho
+    itself (about 1e-16); LU rounding moves the computed determinant by at most
+    about 1e-14.  The argument holds for stacks whose Hermiticity defect is at
+    rounding level, as the sampler's (about 1e-16) are: eigvalsh reads one
+    triangle, det the whole matrix.
+    """
+    pt = cmat.partial_transpose_b(np.asarray(ms))
+    cmat._require_hermitian(pt)
+    return np.nonzero(np.linalg.det(pt).real <= DET_SCREEN)[0]
 
 
 def _measure_columns(ms: np.ndarray, pt_w: np.ndarray) -> dict[str, np.ndarray]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entlab import experiment, measures
+from entlab import experiment, measures, sampler
 from entlab.errors import SeparableInput
 from entlab.experiment import ExperimentConfig, compare_pair, s_histogram_bins
 from entlab.qstate import pure_schmidt, singlet, werner_state
@@ -150,6 +150,32 @@ class TestRunExperiment:
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**{"seed": 1, "n_pairs": 10, **bad})
+
+
+class TestDeterminantScreen:
+    """The det(rho^Gamma) screen drops only states the EPS_SEP rule calls separable."""
+
+    @staticmethod
+    def rows_with_and_without_screen(monkeypatch, rhos):
+        screened = experiment._entangled_state_stats(rhos, 7)
+        with monkeypatch.context() as m:
+            m.setattr(measures, "DET_SCREEN", np.inf)  # every state gets its PT spectrum
+            unscreened = experiment._entangled_state_stats(rhos, 7)
+        return screened, unscreened
+
+    def test_sampler_states(self, monkeypatch):
+        rhos = sampler.random_density_batch(sampler.RngStream(63), 20_000)
+        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, rhos)
+        assert 7000 < len(screened) < 8000
+        assert np.array_equal(screened, unscreened)
+
+    def test_werner_states_at_the_threshold(self, monkeypatch):
+        # E_N = F - 1/2 lies just above, just below and far below EPS_SEP
+        fs = (0.5 + 1e-10 * (1 + 1e-3), 0.5 + 1e-10 * (1 - 1e-3), 0.5)
+        rhos = np.stack([werner_state(f).matrix for f in fs])
+        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, rhos)
+        assert np.array_equal(screened, unscreened)
+        assert screened[:, 5].tolist() == [7.0]
 
 
 class TestCsvEmission:
