@@ -47,6 +47,7 @@ from .sampler import (
     random_density,
     random_density_batch,
     random_simplex,
+    random_spectral_batch,
 )
 
 __version__ = "0.1.0"
@@ -83,6 +84,7 @@ __all__ = [
     "random_density",
     "random_density_batch",
     "random_simplex",
+    "random_spectral_batch",
     "run_experiment",
     "s_histogram_bins",
     "singlet",

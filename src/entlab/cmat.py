@@ -71,23 +71,41 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
+def _clip_psd(w: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:
+    """Eigenvalues w of a PSD matrix or stack, clipped at zero.
+
+    Values in [-clamp, 0) are treated as rounding noise; anything below
+    -clamp raises NotPSD.
+    """
+    wmin = float(w.min()) if w.size else 0.0
+    if wmin < -clamp:
+        raise NotPSD(
+            f"matrix has eigenvalue {wmin:.3e} below -{clamp:.1e}",
+            deviation=-wmin,
+        )
+    return np.clip(w, 0.0, None)
+
+
+def psd_eigh(m: np.ndarray, clamp: float = TOL.psd_clamp) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, clipped at zero) and eigenvectors (columns) of a
+    Hermitian PSD matrix or (..., 4, 4) stack.
+
+    Raises NotHermitian, or NotPSD for an eigenvalue below -clamp.
+    """
+    m = np.asarray(m)
+    _require_hermitian(m)
+    w, v = np.linalg.eigh(m)
+    return _clip_psd(w, clamp), v
+
+
 def psd_sqrt(m: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix or (..., 4, 4) stack.
 
     Eigenvalues in [-clamp, 0) are treated as rounding noise and clamped to
     zero before the square root; anything below -clamp raises NotPSD.
     """
-    m = np.asarray(m)
-    _require_hermitian(m)
-    w, v = np.linalg.eigh(m)
-    wmin = float(w.min())
-    if wmin < -clamp:
-        raise NotPSD(
-            f"matrix has eigenvalue {wmin:.3e} below -{clamp:.1e}",
-            deviation=-wmin,
-        )
-    root = np.sqrt(np.clip(w, 0.0, None))
-    s = (v * root[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    w, v = psd_eigh(m, clamp)
+    s = (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return 0.5 * (s + np.conj(np.swapaxes(s, -1, -2)))
 
 

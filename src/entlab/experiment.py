@@ -173,18 +173,23 @@ def s_histogram_bins(records, n_bins: int, s_range: tuple[float, float] = S_RANG
     return _histogram_core(s, violation, n_bins, s_range)
 
 
-def _entangled_state_stats(rhos: np.ndarray, first_draw: int) -> np.ndarray:
+def _entangled_state_stats(
+    rhos: np.ndarray, probs: np.ndarray, u: np.ndarray, first_draw: int
+) -> np.ndarray:
     """One (C, E_F, E_N, E_sum, S, draw index) row per entangled state of a
-    stack, in draw order; the stack's first state has draw index first_draw.
+    stack rhos = u diag(probs) u^dagger, in draw order; the stack's first state
+    has draw index first_draw.
 
     Only the states that pass the determinant screen get a PT spectrum, and
-    ``measures._pt_entangled`` decides among them.
+    ``measures._pt_entangled`` decides among them.  The concurrence comes
+    from the spectral pairs (probs, u), so rho is never diagonalized.
     """
     screened = measures._pt_screen(rhos)
     pt_w = measures.pt_eigenvalues(rhos[screened])
     entangled = measures._pt_entangled(pt_w)
     kept = screened[entangled]
-    columns = measures._measure_columns(rhos[kept], pt_w[entangled])
+    c = measures.concurrence_from_eig(probs[kept], u[kept])
+    columns = measures._measure_columns(rhos[kept], pt_w[entangled], c)
     return np.column_stack([*columns.values(), kept + first_draw])
 
 
@@ -208,8 +213,8 @@ def _run_shard(
         if need <= 0:
             break
         size = min(_CHUNK_DRAWS, int(2 * need / _P_KEPT) + _CHUNK_MARGIN)
-        rhos = sampler.random_density_batch(rng, size)
-        stats = np.concatenate([stats, _entangled_state_stats(rhos, drawn)])
+        rhos, probs, u = sampler.random_spectral_batch(rng, size)
+        stats = np.concatenate([stats, _entangled_state_stats(rhos, probs, u, drawn)])
         drawn += size
     last = int(np.searchsorted(np.cumsum(~tie), quota))  # the pair that fills the quota
     used = slice(0, last + 1)

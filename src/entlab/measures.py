@@ -33,6 +33,8 @@ _DOMAIN_SLACK = 1e-12
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y (x) sigma_y is exactly real: the anti-diagonal (-1, 1, 1, -1).
 _FLIP = cmat.kron2(SIGMA_Y, SIGMA_Y).real
+# (sy x sy) M is M with its rows reversed and row i multiplied by _FLIP_SIGNS[i].
+_FLIP_SIGNS = np.fliplr(_FLIP).diagonal()
 
 
 @dataclass(frozen=True)
@@ -78,24 +80,32 @@ def pt_eigenvalues(ms: np.ndarray) -> np.ndarray:
     return cmat.eigvalsh_desc(cmat.partial_transpose_b(np.asarray(ms)))
 
 
-def r_spectrum_batch(ms: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of R = sqrt(sqrt(rho) rho~ sqrt(rho)).
+def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Concurrence of rho = u diag(p) u^dagger from its spectral pair, for
+    spectra p of shape (..., 4) and unitaries u of shape (..., 4, 4).
 
-    Evaluated as the singular values of B = sqrt(rho) (sy x sy) sqrt(rho)^T,
-    which equals the R spectrum exactly (R^2 = B B^dagger) but keeps full
-    absolute accuracy for near-zero eigenvalues; squaring-then-rooting loses
-    half the digits there, which rank-deficient (pure) states cannot afford.
+    The R spectrum, the eigenvalues of sqrt(sqrt(rho) rho~ sqrt(rho)), is the
+    set of singular values of B = sqrt(p) u^dagger (sy x sy) conj(u) sqrt(p)
+    (Wootters, PRL 80, 2245 (1998)): B is sqrt(rho) (sy x sy) sqrt(rho)^T with
+    the unitaries u and u^T taken off its two sides, and R^2 is unitarily
+    similar to B B^dagger.  Singular values keep full absolute accuracy for
+    near-zero R eigenvalues, where squaring and rooting would lose half the
+    digits that rank-deficient (pure) states need.  (sy x sy) conj(u) is a
+    signed row reversal, so B needs one product.  Entries of p in
+    [-TOL.psd_clamp, 0) are clipped to zero; anything lower raises NotPSD.
     """
-    ms = np.asarray(ms)
-    root = cmat.psd_sqrt(ms)
-    b = root @ _FLIP @ np.swapaxes(root, -1, -2)
-    return np.linalg.svd(b, compute_uv=False)
+    root = np.sqrt(cmat._clip_psd(np.asarray(p)))
+    u = np.asarray(u)
+    flipped = _FLIP_SIGNS[:, None] * np.conj(u[..., ::-1, :])
+    b = root[..., :, None] * (np.conj(np.swapaxes(u, -1, -2)) @ flipped) * root[..., None, :]
+    lam = np.linalg.svd(b, compute_uv=False)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def concurrence_batch(ms: np.ndarray) -> np.ndarray:
-    """max{0, l1 - l2 - l3 - l4} over the descending R spectrum."""
-    lam = r_spectrum_batch(ms)
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    """max{0, l1 - l2 - l3 - l4} over the descending R spectrum of each state
+    of a (..., 4, 4) stack, from one checked eigendecomposition."""
+    return concurrence_from_eig(*cmat.psd_eigh(ms))
 
 
 def _clamped_unit(x: float, what: str) -> float:
@@ -165,13 +175,13 @@ def _pt_screen(ms: np.ndarray) -> np.ndarray:
     return np.nonzero(np.linalg.det(pt).real <= DET_SCREEN)[0]
 
 
-def _measure_columns(ms: np.ndarray, pt_w: np.ndarray) -> dict[str, np.ndarray]:
-    """C, E_F, E_N, E_sum and S for a (n, 4, 4) stack with PT eigenvalues pt_w.
+def _measure_columns(ms: np.ndarray, pt_w: np.ndarray, c: np.ndarray) -> dict[str, np.ndarray]:
+    """C, E_F, E_N, E_sum and S for a (n, 4, 4) stack with PT eigenvalues pt_w
+    and concurrences c.
 
-    The Monte Carlo harness passes only the entangled states of a chunk, so
-    the concurrence runs on nothing it discards.
+    The Monte Carlo harness passes only the entangled states of a chunk, with
+    concurrences from the sampler's spectral pairs.
     """
-    c = concurrence_batch(ms)
     return {
         "concurrence": c,
         "e_formation": ef_from_concurrence_batch(c),
@@ -185,7 +195,7 @@ def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
     """All measures for a (n, 4, 4) stack, sharing the eigendecompositions."""
     ms = np.asarray(ms)
     pt_w = pt_eigenvalues(ms)
-    table = _measure_columns(ms, pt_w)
+    table = _measure_columns(ms, pt_w, concurrence_batch(ms))
     table["separable"] = ~_pt_entangled(pt_w)
     return table
 

@@ -123,20 +123,25 @@ def random_simplex(rng: RngStream) -> np.ndarray:
     return _uniforms_to_simplex(rng.uniforms(1, 3))[0]
 
 
-def random_density_batch(rng: RngStream, n: int, return_probs: bool = False):
-    """Stack of n random density matrices as a raw (n, 4, 4) complex array.
+def random_spectral_batch(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n random density matrices with their spectral pairs, as (rhos, probs, u).
 
-    Each matrix is U diag(p) U^dagger with p uniform on the simplex and U
-    Haar-uniform, so the results satisfy the DensityMatrix invariants by
-    construction.  With return_probs=True the drawn spectra are returned too.
+    rhos is the raw (n, 4, 4) stack u diag(probs) u^dagger, with each probs
+    row uniform on the simplex and each u Haar-uniform, so the results
+    satisfy the DensityMatrix invariants by construction; probs (n, 4) and
+    u (n, 4, 4) are the eigenvalues and eigenvectors the stack was built from.
     """
     draws = rng.uniforms(n, DRAWS_PER_STATE)
     probs = _uniforms_to_simplex(draws[:, :3])
     u = _angles_to_unitaries(draws[:, 3:])
     rhos = (u * probs[:, None, :]) @ np.conj(u.transpose(0, 2, 1))
-    if return_probs:
-        return rhos, probs
-    return rhos
+    return rhos, probs, u
+
+
+def random_density_batch(rng: RngStream, n: int) -> np.ndarray:
+    """Stack of n random density matrices as a raw (n, 4, 4) complex array,
+    the rhos of ``random_spectral_batch``."""
+    return random_spectral_batch(rng, n)[0]
 
 
 def random_density(rng: RngStream) -> DensityMatrix:

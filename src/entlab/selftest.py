@@ -74,7 +74,7 @@ def check_sampler(n: int = 2000) -> None:
     a = sampler.random_density_batch(sampler.RngStream(105), n)
     b = sampler.random_density_batch(sampler.RngStream(105), n)
     assert np.array_equal(a, b)
-    rhos, probs = sampler.random_density_batch(sampler.RngStream(106), n, return_probs=True)
+    rhos, probs, _ = sampler.random_spectral_batch(sampler.RngStream(106), n)
     u = sampler.random_cue_unitary(sampler.RngStream(107))
     assert np.abs(u @ np.conj(u.T) - np.eye(4)).max() < 1e-12
     w = cmat.eigvalsh_desc(rhos)

@@ -262,9 +262,9 @@ class TestCompare:
     # states_kept 6000, 0 ties).  A refactor of the harness must leave these
     # unchanged; a change that alters output bits says so and re-pins them.
     PINNED_SHA256 = {
-        "fig1.csv": "49dcd908fef7a117ccea577855610d3cd68d1ea25d1cda8cae14650e65bb69a6",
-        "fig2.csv": "05fdb540c2f43c4d461fe2c840d0cd6af2f014c0e080e705eb3ddb67eb845feb",
-        "fig3.csv": "03f2a79993b8f926d2e3cea74eaf03a994e2873f97c2beb5d55bc79ea99fa358",
+        "fig1.csv": "8ab2a132685546f9e705982ad9809013657120c4088a4a6b016a878da143d724",
+        "fig2.csv": "1b1dff2c9b836976d3ef800868f7830ea02e120c57fbfd76375fe175358ae02b",
+        "fig3.csv": "cebb46818fab193653c6b43ea084ca725bef1da0ea789d009b5a014abd45a220",
         "fig4.csv": "9c2fd2364b1633c360a94d8ab5edb8630d2f022ddbd43d44b7acab7587abbd83",
         "summary.csv": "ecc8fc07191672407314c051cf8a695903f0d17098d96a030444d9eb8b7f53ad",
     }

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from entlab import experiment, measures, sampler
+from entlab import cmat, experiment, measures, sampler
 from entlab.errors import SeparableInput
 from entlab.experiment import ExperimentConfig, compare_pair, s_histogram_bins
 from entlab.qstate import pure_schmidt, singlet, werner_state
@@ -156,16 +156,16 @@ class TestDeterminantScreen:
     """The det(rho^Gamma) screen drops only states the EPS_SEP rule calls separable."""
 
     @staticmethod
-    def rows_with_and_without_screen(monkeypatch, rhos):
-        screened = experiment._entangled_state_stats(rhos, 7)
+    def rows_with_and_without_screen(monkeypatch, rhos, probs, u):
+        screened = experiment._entangled_state_stats(rhos, probs, u, 7)
         with monkeypatch.context() as m:
             m.setattr(measures, "DET_SCREEN", np.inf)  # every state gets its PT spectrum
-            unscreened = experiment._entangled_state_stats(rhos, 7)
+            unscreened = experiment._entangled_state_stats(rhos, probs, u, 7)
         return screened, unscreened
 
     def test_sampler_states(self, monkeypatch):
-        rhos = sampler.random_density_batch(sampler.RngStream(63), 20_000)
-        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, rhos)
+        spectral = sampler.random_spectral_batch(sampler.RngStream(63), 20_000)
+        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, *spectral)
         assert 7000 < len(screened) < 8000
         assert np.array_equal(screened, unscreened)
 
@@ -173,9 +173,13 @@ class TestDeterminantScreen:
         # E_N = F - 1/2 lies just above, just below and far below EPS_SEP
         fs = (0.5 + 1e-10 * (1 + 1e-3), 0.5 + 1e-10 * (1 - 1e-3), 0.5)
         rhos = np.stack([werner_state(f).matrix for f in fs])
-        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, rhos)
+        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, rhos, *cmat.psd_eigh(rhos))
         assert np.array_equal(screened, unscreened)
         assert screened[:, 5].tolist() == [7.0]
+
+    def test_chunk_without_entangled_states(self):
+        rhos = np.stack([np.eye(4, dtype=complex) / 4, werner_state(0.4).matrix])
+        assert experiment._entangled_state_stats(rhos, *cmat.psd_eigh(rhos), 0).shape == (0, 6)
 
 
 class TestCsvEmission:

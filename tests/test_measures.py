@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import oracles
 from entlab import measures, qstate
-from entlab.errors import DomainError
+from entlab.errors import DomainError, NotPSD
 from entlab.qstate import pure_schmidt, singlet, werner_state
-from entlab.sampler import RngStream, random_density_batch
+from entlab.sampler import RngStream, random_density_batch, random_spectral_batch
 
 MIXED = np.eye(4) / 4
 
@@ -56,6 +56,39 @@ class TestConcurrence:
         ours = measures.concurrence_batch(rhos)
         reference = oracles.concurrence_product_route(rhos)
         assert np.abs(ours - reference).max() < 1e-8
+
+
+class TestConcurrenceFromEig:
+    """The spectral core: concurrence of u diag(p) u^dagger from (p, u)."""
+
+    def test_matches_product_spectrum_route(self):
+        rhos, probs, u = random_spectral_batch(RngStream(38), 10_000)
+        ours = measures.concurrence_from_eig(probs, u)
+        assert np.abs(ours - oracles.concurrence_product_route(rhos)).max() < 1e-8
+        assert np.abs(ours - measures.concurrence_batch(rhos)).max() < 1e-13
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_pure_spectrum(self, k):
+        # p = e_k is the pure state u[:, k], whose concurrence is |psi^T (sy x sy) psi|
+        _, _, u = random_spectral_batch(RngStream(39), 500)
+        probs = np.zeros((500, 4))
+        probs[:, k] = 1.0
+        psi = u[:, :, k]
+        expected = np.abs(np.einsum("ni,ij,nj->n", psi, oracles.SY2, psi))
+        assert np.abs(measures.concurrence_from_eig(probs, u) - expected).max() < 1e-14
+
+    def test_clips_rounding_noise(self):
+        _, _, u = random_spectral_batch(RngStream(40), 50)
+        clean = np.tile([0.6, 0.4, 0.0, 0.0], (50, 1))
+        noisy = clean.copy()
+        noisy[:, 3] = -1e-17
+        assert np.array_equal(measures.concurrence_from_eig(noisy, u), measures.concurrence_from_eig(clean, u))
+
+    def test_rejects_negative_spectrum(self):
+        _, _, u = random_spectral_batch(RngStream(41), 3)
+        probs = np.tile([0.6, 0.4, 1e-9, -1e-9], (3, 1))
+        with pytest.raises(NotPSD):
+            measures.concurrence_from_eig(probs, u)
 
 
 class TestBinaryEntropy:

@@ -164,7 +164,9 @@ class TestRandomDensity:
             qstate.density_from_matrix(m)
 
     def test_spectrum_equals_drawn_simplex(self):
-        rhos, probs = sampler.random_density_batch(RngStream(53), 2000, return_probs=True)
+        rhos, probs, u = sampler.random_spectral_batch(RngStream(53), 2000)
+        assert np.array_equal(rhos, sampler.random_density_batch(RngStream(53), 2000))
+        assert np.array_equal(rhos, (u * probs[:, None, :]) @ np.conj(u.transpose(0, 2, 1)))
         w = cmat.eigvalsh_desc(rhos)
         assert np.abs(w - np.sort(probs, axis=1)[:, ::-1]).max() < 1e-10
 
