@@ -13,6 +13,8 @@ from .selftest import run_selftest
 
 # Largest grid `werner-table` accepts, counted before any point is built.
 MAX_GRID_POINTS = 10**6
+# Most states `sample` draws, checked before any is drawn.
+MAX_SAMPLE_COUNT = 10**6
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -50,6 +52,8 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if not 0 <= args.count <= MAX_SAMPLE_COUNT:
+        raise ValueError(f"--count must lie in [0, {MAX_SAMPLE_COUNT}], got {args.count}")
     rng = sampler.RngStream(args.seed)
     rhos = sampler.random_density_batch(rng, args.count)
     states = [qstate.density_from_matrix(m) for m in rhos]

@@ -71,7 +71,7 @@ def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
 
 
-def _clip_psd(w: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:
+def _require_psd(w: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:
     """Eigenvalues w of a PSD matrix or stack, clipped at zero.
 
     Values in [-clamp, 0) are treated as rounding noise; anything below
@@ -95,7 +95,7 @@ def psd_eigh(m: np.ndarray, clamp: float = TOL.psd_clamp) -> tuple[np.ndarray, n
     m = np.asarray(m)
     _require_hermitian(m)
     w, v = np.linalg.eigh(m)
-    return _clip_psd(w, clamp), v
+    return _require_psd(w, clamp), v
 
 
 def psd_sqrt(m: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:

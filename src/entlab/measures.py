@@ -1,10 +1,14 @@
 """Entanglement measures for two-qubit states.
 
 Each quantity has one numerical core that works on a raw (..., 4, 4) stack
-or an array of values: ``pt_eigenvalues``, ``concurrence_batch``,
-``ef_from_concurrence_batch``, ``linear_entropy_batch`` and the column
-assembler behind ``measure_table``, which is what the Monte Carlo harness
-uses.  ``measure_report`` evaluates that table for one validated
+or an array of values: ``pt_eigenvalues``, ``concurrence_from_eig`` (from a
+spectral pair (p, U); ``concurrence_batch`` feeds it one checked
+eigendecomposition of each matrix), ``ef_from_concurrence_batch``,
+``linear_entropy_batch`` and the column assembler behind ``measure_table``.
+The Monte Carlo harness uses the same cores and the same separability rule
+``_pt_entangled``, but screens states by det(rho^Gamma) (``_pt_screen``)
+before it computes PT spectra, and takes the concurrence from the sampler's
+spectral pairs.  ``measure_report`` evaluates ``measure_table`` for one validated
 DensityMatrix, and the scalar functions (``concurrence``, ``e_formation``,
 ``e_negative``, ``e_sum``, ``linear_entropy``, ``is_separable``) return its
 fields, so a scalar call equals the corresponding table entry exactly.
@@ -33,7 +37,7 @@ _DOMAIN_SLACK = 1e-12
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y (x) sigma_y is exactly real: the anti-diagonal (-1, 1, 1, -1).
 _FLIP = cmat.kron2(SIGMA_Y, SIGMA_Y).real
-# (sy x sy) M is M with its rows reversed and row i multiplied by _FLIP_SIGNS[i].
+# Row i of (sy x sy) M is _FLIP_SIGNS[i] times row 3 - i of M.
 _FLIP_SIGNS = np.fliplr(_FLIP).diagonal()
 
 
@@ -94,7 +98,7 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     signed row reversal, so B needs one product.  Entries of p in
     [-TOL.psd_clamp, 0) are clipped to zero; anything lower raises NotPSD.
     """
-    root = np.sqrt(cmat._clip_psd(np.asarray(p)))
+    root = np.sqrt(cmat._require_psd(np.asarray(p)))
     u = np.asarray(u)
     flipped = _FLIP_SIGNS[:, None] * np.conj(u[..., ::-1, :])
     b = root[..., :, None] * (np.conj(np.swapaxes(u, -1, -2)) @ flipped) * root[..., None, :]
@@ -155,20 +159,20 @@ def _pt_entangled(pt_w: np.ndarray) -> np.ndarray:
 
 
 def _pt_screen(ms: np.ndarray) -> np.ndarray:
-    """Indices of the states of a (n, 4, 4) stack of density matrices whose
-    PT spectrum can still decide them: those with det(rho^Gamma) <= DET_SCREEN.
+    """Indices of the states of a (n, 4, 4) stack of density matrices that the
+    EPS_SEP rule might call entangled: those with det(rho^Gamma) <= DET_SCREEN.
 
-    The Hermiticity check runs on every PT, screened out or not.  A two-qubit
+    The Hermiticity check covers every PT, screened out or not.  A two-qubit
     PT has at most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58,
-    826 (1998)), so det(rho^Gamma) > 0 means PPT.  The screen is safe at
-    DET_SCREEN: the eigensolver's eigenvalues are exact for a matrix within
-    about 1e-15 of rho^Gamma (whose norm is at most 1), so a state that
-    ``_pt_entangled`` calls entangled has a true smallest eigenvalue below
-    -EPS_SEP + 1e-15 < 0 and a true determinant of at most the rounding of rho
-    itself (about 1e-16); LU rounding moves the computed determinant by at most
-    about 1e-14.  The argument holds for stacks whose Hermiticity defect is at
-    rounding level, as the sampler's (about 1e-16) are: eigvalsh reads one
-    triangle, det the whole matrix.
+    826 (1998)), so det(rho^Gamma) > 0 means PPT.  Rounding cannot defeat the
+    screen: eigvalsh's eigenvalues are exact for a matrix within about 1e-15
+    of rho^Gamma (whose norm is at most 1), so a state that ``_pt_entangled``
+    calls entangled has one eigenvalue below -EPS_SEP + 1e-15 < 0 and three
+    above -1e-15, hence a true determinant below about 1e-15; LU rounding
+    moves the computed determinant by at most about 1e-14, far below
+    DET_SCREEN.  The argument needs a Hermiticity defect at rounding level,
+    as the sampler's stacks have (about 1e-16), because eigvalsh reads one
+    triangle and det the whole matrix.
     """
     pt = cmat.partial_transpose_b(np.asarray(ms))
     cmat._require_hermitian(pt)

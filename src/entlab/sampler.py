@@ -5,7 +5,9 @@ columns at a time rather than by 4x4 matrix products.  Every state consumes
 exactly DRAWS_PER_STATE uniforms in a fixed, documented order (three spectrum
 draws, then the rotation angles pair by pair), so the scalar and batch
 samplers walk the identical stream and two streams with the same seed produce
-identical state sequences.
+identical state sequences.  ``random_spectral_batch`` returns each state with
+the spectrum and unitary it was built from; ``random_density_batch`` returns
+the states alone.
 """
 
 from __future__ import annotations

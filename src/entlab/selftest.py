@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import cmat, experiment, measures, qstate, sampler
+from .errors import EntanglementLabError
 
 
 def _random_hermitian(rng: sampler.RngStream, n: int) -> np.ndarray:
@@ -93,25 +94,41 @@ def check_experiment(n_pairs: int = 256) -> None:
     assert s1.states_kept == 2 * (s1.n_pairs + s1.n_ties_excluded)
 
 
+def check_harness_rows(n: int = 2000) -> None:
+    rhos, probs, u = sampler.random_spectral_batch(sampler.RngStream(109), n)
+    stats = experiment._entangled_state_stats(rhos, probs, u, 0)
+    table = measures.measure_table(rhos)
+    entangled = ~table["separable"]
+    assert np.array_equal(stats[:, 5], np.nonzero(entangled)[0])
+    names = ("concurrence", "e_formation", "e_negative", "e_sum", "linear_entropy")
+    for col, name in enumerate(names):
+        assert np.abs(stats[:, col] - table[name][entangled]).max() <= 1e-12, name
+
+
 SUITES = (
     ("linear algebra invariants", check_linalg),
     ("state constructors", check_states),
     ("measure oracles", check_measures),
     ("sampler determinism and spectra", check_sampler),
     ("experiment determinism and counting", check_experiment),
+    ("harness rows match measure_table", check_harness_rows),
 )
 
 
 def run_selftest(verbose: bool = True) -> bool:
-    """Run every suite; returns True iff all pass."""
+    """Run every suite; returns True iff all pass.
+
+    A suite that fails a check or raises a library error is reported as
+    failed, and the remaining suites still run.
+    """
     ok = True
     for name, fn in SUITES:
         try:
             fn()
-        except AssertionError as exc:
+        except (AssertionError, EntanglementLabError) as exc:
             ok = False
             if verbose:
-                print(f"[FAIL] {name}: {exc}")
+                print(f"[FAIL] {name}: {type(exc).__name__}: {exc}")
         else:
             if verbose:
                 print(f"[PASS] {name}")

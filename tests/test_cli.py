@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import qstate
-from entlab.cli import main
+from entlab import qstate, selftest
+from entlab.cli import MAX_SAMPLE_COUNT, main
+from entlab.errors import NotPSD
 
 
 def run_cli(capsys, *argv):
@@ -240,6 +241,20 @@ class TestSample:
         assert lines[0] == qstate.CSV_HEADER
         assert len(lines) == 3
 
+    def test_count_out_of_range(self, capsys):
+        # refused before any state is drawn: no traceback, nothing on stdout
+        for count in ("1000000000000", str(MAX_SAMPLE_COUNT + 1), "-1"):
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli(capsys, "sample", "--seed", "1", "--count", count)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
+            assert peak < 2**20
+
 
 class TestCompare:
     def test_byte_identical_reruns_and_threads(self, capsys, tmp_path):
@@ -351,6 +366,17 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "[PASS]" in out and "[FAIL]" not in out
+
+
+def test_selftest_reports_library_error_and_goes_on(capsys, monkeypatch):
+    def broken():
+        raise NotPSD("matrix has eigenvalue -1.000e-03 below -1.0e-10")
+
+    monkeypatch.setattr(selftest, "SUITES", (("broken", broken),) + selftest.SUITES[1:2])
+    assert main(["selftest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "[FAIL] broken: NotPSD: matrix has eigenvalue -1.000e-03 below -1.0e-10"
+    assert lines[1] == f"[PASS] {selftest.SUITES[1][0]}"
 
 
 def test_python_m_entlab_from_checkout(tmp_path):
