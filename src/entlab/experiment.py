@@ -186,8 +186,7 @@ def _entangled_state_stats(
     ``measures._pt_entangled`` decides among them.  The concurrence comes
     from the spectral pairs (probs, u), so rho is never diagonalized.
     """
-    screened = measures._pt_screen(rhos)
-    pt_w = measures.pt_eigenvalues(rhos[screened])
+    screened, pt_w = measures._pt_screen(rhos)
     entangled = measures._pt_entangled(pt_w)
     kept = screened[entangled]
     c = measures.concurrence_from_eig(probs[kept], u[kept])

@@ -33,6 +33,8 @@ EPS_SEP = 1e-10
 # separable under the EPS_SEP rule, without its PT spectrum; see _pt_screen.
 DET_SCREEN = 1e-12
 _DOMAIN_SLACK = 1e-12
+# Column pairs of the 2x2 minors in _hermitian_det; pair k's complement is pair 5 - k.
+_LAPLACE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y (x) sigma_y is exactly real: the anti-diagonal (-1, 1, 1, -1).
@@ -158,25 +160,46 @@ def _pt_entangled(pt_w: np.ndarray) -> np.ndarray:
     return pt_w[..., -1] < -EPS_SEP
 
 
-def _pt_screen(ms: np.ndarray) -> np.ndarray:
-    """Indices of the states of a (n, 4, 4) stack of density matrices that the
-    EPS_SEP rule might call entangled: those with det(rho^Gamma) <= DET_SCREEN.
+def _hermitian_det(m: np.ndarray) -> np.ndarray:
+    """Real determinant of each Hermitian matrix of a (..., 4, 4) stack, by
+    Laplace expansion along rows 0-1: the signed sum of the six products of a
+    2x2 minor of rows 0-1 and the complementary minor of rows 2-3."""
+    r0, r1, r2, r3 = (m[..., i, :] for i in range(4))
+    det = 0.0
+    for sign, (j, k), (l, q) in zip((1, -1, 1, 1, -1, 1), _LAPLACE_PAIRS, _LAPLACE_PAIRS[::-1]):
+        top = r0[..., j] * r1[..., k] - r0[..., k] * r1[..., j]
+        bottom = r2[..., l] * r3[..., q] - r2[..., q] * r3[..., l]
+        det = det + sign * (top * bottom).real
+    return det
 
-    The Hermiticity check covers every PT, screened out or not.  A two-qubit
-    PT has at most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58,
-    826 (1998)), so det(rho^Gamma) > 0 means PPT.  Rounding cannot defeat the
+
+def _pt_screen(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, PT eigenvalues) of the states of a (n, 4, 4) stack of density
+    matrices that the EPS_SEP rule might call entangled: those with
+    det(rho^Gamma) <= DET_SCREEN, with their descending PT spectra.
+
+    rho^Gamma is formed and its Hermiticity checked once, for every state;
+    the screened PTs go straight to the eigensolver.  A two-qubit PT has at
+    most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826
+    (1998)), so det(rho^Gamma) > 0 means PPT.  Rounding cannot defeat the
     screen: eigvalsh's eigenvalues are exact for a matrix within about 1e-15
     of rho^Gamma (whose norm is at most 1), so a state that ``_pt_entangled``
     calls entangled has one eigenvalue below -EPS_SEP + 1e-15 < 0 and three
-    above -1e-15, hence a true determinant below about 1e-15; LU rounding
-    moves the computed determinant by at most about 1e-14, far below
-    DET_SCREEN.  The argument needs a Hermiticity defect at rounding level,
-    as the sampler's stacks have (about 1e-16), because eigvalsh reads one
-    triangle and det the whole matrix.
+    above -1e-15, hence a true determinant below about 1e-15.  The computed
+    determinant (``_hermitian_det``) is a sum of 24 signed products of four
+    entries, formed through 2x2 minors in a fixed order; its rounding error
+    is at most about 20 u perm(|rho^Gamma|), with u = 1.1e-16 and a
+    permanent of at most prod_i ||row_i||_1 <= prod_i 2 ||row_i||_2 <= 1,
+    because the rows' squared norms sum to tr(rho^2) <= 1.  So it moves the
+    determinant by at most about 2e-15, far below DET_SCREEN.  The argument
+    needs a Hermiticity defect at rounding level, as the sampler's stacks
+    have (about 1e-16), because eigvalsh reads one triangle and the
+    expansion the whole matrix.
     """
     pt = cmat.partial_transpose_b(np.asarray(ms))
     cmat._require_hermitian(pt)
-    return np.nonzero(np.linalg.det(pt).real <= DET_SCREEN)[0]
+    screened = np.nonzero(_hermitian_det(pt) <= DET_SCREEN)[0]
+    return screened, np.linalg.eigvalsh(pt[screened])[..., ::-1]
 
 
 def _measure_columns(ms: np.ndarray, pt_w: np.ndarray, c: np.ndarray) -> dict[str, np.ndarray]:

@@ -177,6 +177,13 @@ class TestDeterminantScreen:
         assert np.array_equal(screened, unscreened)
         assert screened[:, 5].tolist() == [7.0]
 
+    def test_minors_determinant_matches_lu(self):
+        rhos = sampler.random_density_batch(sampler.RngStream(64), 20_000)
+        pt = cmat.partial_transpose_b(rhos)
+        lu = np.linalg.det(pt).real
+        assert np.abs(measures._hermitian_det(pt) - lu).max() < 1e-15
+        assert np.array_equal(measures._pt_screen(rhos)[0], np.nonzero(lu <= measures.DET_SCREEN)[0])
+
     def test_chunk_without_entangled_states(self):
         rhos = np.stack([np.eye(4, dtype=complex) / 4, werner_state(0.4).matrix])
         assert experiment._entangled_state_stats(rhos, *cmat.psd_eigh(rhos), 0).shape == (0, 6)
