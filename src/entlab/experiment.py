@@ -6,10 +6,13 @@ order.  The decomposition depends only on the configuration, never on the
 thread count, so parallel and serial runs with the same seed are identical
 byte for byte.  Inside a shard, states are drawn in chunks sized from the
 pairs still needed; the stream is sequential, so chunk sizes never change
-an output value either.  ``compare_pair`` and the shards apply one pairing
-and tie rule.  Per state, the shards compute a partial-transpose spectrum
-only where the determinant screen cannot rule out entanglement, and the
-concurrence only for kept states, from the sampler's spectral pairs.
+which states are drawn, kept or paired.  They change C and E_F only by
+rounding: the concurrence kernel depends on the size of the stack of kept
+states (see ``measures.concurrence_from_eig``), and the chunk sizes depend
+only on the configuration.  ``compare_pair`` and the shards apply one
+pairing and tie rule.  Per state, the shards compute a partial-transpose
+spectrum only where the determinant screen cannot rule out entanglement,
+and the concurrence only for kept states, from the sampler's spectral pairs.
 """
 
 from __future__ import annotations

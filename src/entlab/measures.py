@@ -5,10 +5,14 @@ or an array of values: ``pt_eigenvalues``, ``concurrence_from_eig`` (from a
 spectral pair (p, U); ``concurrence_batch`` feeds it one checked
 eigendecomposition of each matrix), ``ef_from_concurrence_batch``,
 ``linear_entropy_batch`` and the column assembler behind ``measure_table``.
-The Monte Carlo harness uses the same cores and the same separability rule
-``_pt_entangled``, but screens states by det(rho^Gamma) (``_pt_screen``)
-before it computes PT spectra, and takes the concurrence from the sampler's
-spectral pairs.  ``measure_report`` evaluates ``measure_table`` for one validated
+The concurrence core's singular values come from a one-sided Jacobi kernel
+for stacks of at least _JACOBI_MIN_STACK matrices and from LAPACK below
+that and for any matrix the kernel cannot certify; the two agree to
+rounding.  The Monte Carlo harness uses the same cores and the same
+separability rule ``_pt_entangled``, but screens states by det(rho^Gamma)
+(``_pt_screen``, which forms each PT once and returns the spectra of the
+states it keeps) and takes the concurrence from the sampler's spectral
+pairs.  ``measure_report`` evaluates ``measure_table`` for one validated
 DensityMatrix, and the scalar functions (``concurrence``, ``e_formation``,
 ``e_negative``, ``e_sum``, ``linear_entropy``, ``is_separable``) return its
 fields, so a scalar call equals the corresponding table entry exactly.
@@ -35,6 +39,20 @@ DET_SCREEN = 1e-12
 _DOMAIN_SLACK = 1e-12
 # Column pairs of the 2x2 minors in _hermitian_det; pair k's complement is pair 5 - k.
 _LAPLACE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# One-sided Jacobi singular values (_jacobi): the smallest stack it is used
+# for, the sweep count and the residual that certifies a matrix.  On 2 cores
+# with OpenBLAS 0.3.31, LAPACK's svd took 0.014 ms for 1 matrix and 1.4 ms
+# for 256, the kernel 0.7 ms and 1.4 ms; at 3000 matrices 16 ms against 8.3.
+_JACOBI_MIN_STACK = 256
+_JACOBI_SWEEPS = 5
+_JACOBI_TOL = 1e-8
+# One sweep: three rounds of two disjoint column pairs, (0, 1) (2, 3), then
+# (0, 2) (1, 3), then (0, 3) (1, 2), as basic slices of the column axis.
+_JACOBI_ROUNDS = (
+    (slice(0, None, 2), slice(1, None, 2)),
+    (slice(0, 2), slice(2, 4)),
+    (slice(0, 2), slice(3, 1, -1)),
+)
 
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 # sigma_y (x) sigma_y is exactly real: the anti-diagonal (-1, 1, 1, -1).
@@ -97,15 +115,97 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     similar to B B^dagger.  Singular values keep full absolute accuracy for
     near-zero R eigenvalues, where squaring and rooting would lose half the
     digits that rank-deficient (pure) states need.  (sy x sy) conj(u) is a
-    signed row reversal, so B needs one product.  Entries of p in
-    [-TOL.psd_clamp, 0) are clipped to zero; anything lower raises NotPSD.
+    signed row reversal, so B needs one product.  The singular values come
+    from one core, ``_singular_values``: a one-sided Jacobi kernel for stacks
+    of at least _JACOBI_MIN_STACK matrices, LAPACK below that and for any
+    matrix the kernel cannot certify, so a state's value depends on the size
+    of the stack it comes in only by rounding.  Entries of p in
+    [-TOL.psd_clamp, 0) are clipped to zero; anything lower, or NaN, raises
+    NotPSD.
     """
+    lam = _r_spectrum(p, u)
+    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+
+
+def _r_spectrum(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Descending R spectrum of u diag(p) u^dagger: the singular values of B."""
     root = np.sqrt(cmat._require_psd(np.asarray(p)))
     u = np.asarray(u)
     flipped = _FLIP_SIGNS[:, None] * np.conj(u[..., ::-1, :])
     b = root[..., :, None] * (np.conj(np.swapaxes(u, -1, -2)) @ flipped) * root[..., None, :]
-    lam = np.linalg.svd(b, compute_uv=False)
-    return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
+    return _singular_values(b)
+
+
+def _singular_values(b: np.ndarray) -> np.ndarray:
+    """Descending singular values of a (..., 4, 4) stack.
+
+    Stacks of at least _JACOBI_MIN_STACK matrices go through ``_jacobi``;
+    the matrices it does not certify, and smaller stacks (where one LAPACK
+    call per stack is faster), go to ``np.linalg.svd``.
+    """
+    lead = b.shape[:-2]
+    if int(np.prod(lead)) < _JACOBI_MIN_STACK:
+        return np.linalg.svd(b, compute_uv=False)
+    b = b.reshape(-1, 4, 4)
+    cols = np.ascontiguousarray(b.transpose(2, 1, 0))  # cols[j, :, k]: column j of matrix k
+    certified = _jacobi(cols)
+    lam = np.sort(np.sqrt(_column_norms_sq(cols)).T, axis=-1)[:, ::-1]
+    failed = np.nonzero(~certified)[0]
+    if len(failed):
+        lam[failed] = np.linalg.svd(b[failed], compute_uv=False)
+    return lam.reshape(lead + (4,))
+
+
+def _column_norms_sq(cols: np.ndarray) -> np.ndarray:
+    """Squared 2-norms (4, n) of the columns of a (4, 4, n) column stack."""
+    f = cols.view(np.float64)  # real and imaginary parts interleaved along the last axis
+    sq = np.einsum("crn,crn->cn", f, f)
+    return sq[:, 0::2] + sq[:, 1::2]
+
+
+def _jacobi(cols: np.ndarray) -> np.ndarray:
+    """One-sided Jacobi (Hestenes, J. SIAM 6, 51 (1958)) on a (4, 4, n)
+    complex column stack, in place; returns the mask of certified matrices.
+
+    Each sweep makes every pair of columns b_j, b_k orthogonal by a complex
+    rotation, which keeps the singular values, so afterwards they are the
+    column norms (in no particular order).  A sweep is three rounds of two
+    disjoint pairs, each round two basic-slice views of the stack, and the
+    norms are recomputed every round.  The kernel runs _JACOBI_SWEEPS sweeps
+    and certifies a matrix when, before each rotation of the last sweep,
+    |b_j^H b_k| <= _JACOBI_TOL ||b_j|| ||b_k|| (never for NaN).  Jacobi
+    computes singular values to high relative accuracy (Demmel & Veselic,
+    SIAM J. Matrix Anal. Appl. 13, 1204 (1992)), and the last sweep leaves
+    an error second order in that residual: on 3.3e5 sampler matrices, rows
+    whose residual before a sweep was up to 1e-4 came out within 1e-15 of
+    LAPACK after it.  Five sweeps certified every one of them; after four,
+    the residual still exceeded 1e-3 on some.
+    """
+    certified = np.ones(cols.shape[-1], dtype=bool)
+    for sweep in range(_JACOBI_SWEEPS):
+        for pick_x, pick_y in _JACOBI_ROUNDS:
+            x, y = cols[pick_x], cols[pick_y]  # (2, 4, n) views: two pairs of columns
+            norms_sq = _column_norms_sq(cols)
+            alpha, beta = norms_sq[pick_x], norms_sq[pick_y]
+            gamma = (np.conj(x) * y).sum(axis=1)
+            g2 = gamma.real**2 + gamma.imag**2
+            if sweep == _JACOBI_SWEEPS - 1:
+                certified &= (g2 <= _JACOBI_TOL**2 * alpha * beta).all(axis=0)
+            # The rotation that diagonalizes the Gram block [[alpha, gamma],
+            # [gamma*, beta]] has tan(theta) = t = sign(delta) 2|gamma| /
+            # (|delta| + hypot(delta, 2|gamma|)); w = t / |gamma|.
+            delta = beta - alpha
+            den = np.sqrt(delta * delta + 4.0 * g2) + np.abs(delta)
+            w = np.divide(np.copysign(2.0, delta), den, out=np.zeros_like(den), where=den > 0.0)
+            c = 1.0 / np.sqrt(1.0 + w * w * g2)
+            a = (c * w * gamma)[:, None, :]  # sin(theta) e^{i arg gamma}
+            c = c[:, None, :]
+            x_part = np.conj(a) * y
+            y *= c
+            y += a * x
+            x *= c
+            x -= x_part
+    return certified
 
 
 def concurrence_batch(ms: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's code paths: the product
 spectrum uses a general (non-Hermitian) eigensolver, Haar matrices come from
-QR orthonormalization, and simplex samples come from sorted-uniform spacings.
+QR orthonormalization, simplex samples come from sorted-uniform spacings, and
+the high-precision concurrence uses mpmath's eigensolver on rho rho~.
 """
 
 import numpy as np
@@ -63,3 +64,14 @@ def entropy_bits(w: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, 1.0)
     terms = np.where(w > 0.0, w * np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
     return -terms.sum(axis=-1)
+
+
+def concurrence_mp(mpmath, p: np.ndarray, u: np.ndarray, dps: int = 40) -> float:
+    """C of u diag(p) u^dagger at dps digits, from the eigenvalues of rho rho~."""
+    with mpmath.workdps(dps):
+        U = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in u])
+        rho = U * mpmath.diag([mpmath.mpf(float(x)) for x in p]) * U.transpose_conj()
+        flip = mpmath.matrix(SY2.tolist())
+        ev = mpmath.eig(rho * (flip * rho.conjugate() * flip), left=False, right=False)
+        lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev), reverse=True)
+        return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))

@@ -277,9 +277,9 @@ class TestCompare:
     # states_kept 6000, 0 ties).  A refactor of the harness must leave these
     # unchanged; a change that alters output bits says so and re-pins them.
     PINNED_SHA256 = {
-        "fig1.csv": "8ab2a132685546f9e705982ad9809013657120c4088a4a6b016a878da143d724",
-        "fig2.csv": "1b1dff2c9b836976d3ef800868f7830ea02e120c57fbfd76375fe175358ae02b",
-        "fig3.csv": "cebb46818fab193653c6b43ea084ca725bef1da0ea789d009b5a014abd45a220",
+        "fig1.csv": "f631dff9bc4abc8a96ca7e78f3caa4b59310eb4ad2c7180d422c55c0c721607e",
+        "fig2.csv": "086c2998234384606927577586f2f316f0d9528dfa9fb66ce198fe03c4650e85",
+        "fig3.csv": "8df3e8e0611cf451aa79dda49bef7811f85d978b816fe8ce34ae7a75ad694a33",
         "fig4.csv": "9c2fd2364b1633c360a94d8ab5edb8630d2f022ddbd43d44b7acab7587abbd83",
         "summary.csv": "ecc8fc07191672407314c051cf8a695903f0d17098d96a030444d9eb8b7f53ad",
     }

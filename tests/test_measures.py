@@ -91,6 +91,71 @@ class TestConcurrenceFromEig:
             measures.concurrence_from_eig(probs, u)
 
 
+@pytest.fixture
+def lapack_only(monkeypatch):
+    """Send every stack to np.linalg.svd."""
+    monkeypatch.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
+
+
+class TestJacobiKernel:
+    """The one-sided Jacobi singular values behind concurrence_from_eig."""
+
+    SPECTRA = {
+        "pure": (1.0, 0.0, 0.0, 0.0),
+        "rank 2": (0.6, 0.4, 0.0, 0.0),
+        "maximally mixed": (0.25, 0.25, 0.25, 0.25),
+        "one large": (0.7, 0.1, 0.1, 0.1),
+        "near pure": (1.0 - 3e-12, 1e-12, 1e-12, 1e-12),
+    }
+
+    def test_mpmath_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        _, probs, u = random_spectral_batch(RngStream(50), 4096)
+        in_stack = measures.concurrence_from_eig(probs, u)
+        idx = np.nonzero(in_stack > 0.0)[0][:60]
+        alone = measures.concurrence_from_eig(probs[idx], u[idx])  # below the threshold
+        assert len(idx) < measures._JACOBI_MIN_STACK <= len(u)
+        reference = np.array([oracles.concurrence_mp(mpmath, probs[i], u[i]) for i in idx])
+        assert np.abs(in_stack[idx] - reference).max() <= 1e-15
+        assert np.abs(alone - reference).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_spectra_against_lapack(self, monkeypatch, name):
+        u = oracles.qr_haar_unitaries(np.random.default_rng(47), 4000)
+        probs = np.tile(self.SPECTRA[name], (4000, 1))
+        assert len(u) >= measures._JACOBI_MIN_STACK
+        lam = measures._r_spectrum(probs, u)
+        with monkeypatch.context() as m:
+            m.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
+            lapack = measures._r_spectrum(probs, u)
+        assert np.abs(lam - lapack).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", SPECTRA)
+    def test_certifies_every_matrix(self, name):
+        u = oracles.qr_haar_unitaries(np.random.default_rng(47), 1000)
+        probs = np.tile(self.SPECTRA[name], (1000, 1))
+        root = np.sqrt(probs)
+        b = root[:, :, None] * (np.conj(u.transpose(0, 2, 1)) @ oracles.SY2 @ np.conj(u)) * root[:, None, :]
+        cols = np.ascontiguousarray(b.transpose(2, 1, 0))
+        assert measures._jacobi(cols).all()
+        lam = np.sort(np.sqrt(measures._column_norms_sq(cols)).T, axis=1)[:, ::-1]
+        assert np.abs(lam - np.linalg.svd(b, compute_uv=False)).max() <= 1e-15
+
+    def test_forced_fallback_is_lapack(self, monkeypatch):
+        _, probs, u = random_spectral_batch(RngStream(51), 2000)
+        with monkeypatch.context() as m:
+            m.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
+            lapack = measures.concurrence_from_eig(probs, u)
+        monkeypatch.setattr(measures, "_JACOBI_SWEEPS", 1)  # one sweep certifies no random matrix
+        assert np.array_equal(measures.concurrence_from_eig(probs, u), lapack)
+
+    def test_single_state_matches_stack(self):
+        _, probs, u = random_spectral_batch(RngStream(49), 4096)
+        in_stack = measures.concurrence_from_eig(probs, u)
+        alone = [measures.concurrence_from_eig(probs[i : i + 1], u[i : i + 1])[0] for i in range(512)]
+        assert np.abs(in_stack[:512] - alone).max() <= 1e-15
+
+
 class TestBinaryEntropy:
     def test_half_is_one(self):
         assert measures.binary_entropy(0.5) == 1.0
