@@ -6,7 +6,6 @@ from .cmat import (
     TOL,
     Tolerances,
     hermitian_eig,
-    kron2,
     partial_transpose_b,
     psd_sqrt,
 )
@@ -17,7 +16,6 @@ from .experiment import (
     SHistogram,
     compare_pair,
     run_experiment,
-    s_histogram_bins,
     write_csvs,
 )
 from .measures import (
@@ -31,7 +29,6 @@ from .measures import (
     is_separable,
     linear_entropy,
     measure_report,
-    spin_flip,
 )
 from .qstate import (
     DensityMatrix,
@@ -74,7 +71,6 @@ __all__ = [
     "elementary_unitary",
     "hermitian_eig",
     "is_separable",
-    "kron2",
     "linear_entropy",
     "measure_report",
     "partial_transpose_b",
@@ -86,9 +82,7 @@ __all__ = [
     "random_simplex",
     "random_spectral_batch",
     "run_experiment",
-    "s_histogram_bins",
     "singlet",
-    "spin_flip",
     "werner_state",
     "write_csvs",
 ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadIndices, NotHermitian, NotPSD
+from .errors import NotHermitian, NotPSD
 
 
 @dataclass(frozen=True)
@@ -44,8 +44,13 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def _require_hermitian(m: np.ndarray, tol: float = TOL.hermiticity) -> None:
-    defect = hermiticity_defect(m)
-    if defect > tol:
+    """Raise NotHermitian unless m is finite with a defect of at most tol."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        defect = hermiticity_defect(m)
+    # any non-finite entry makes its defect entry inf or NaN, and max keeps NaN
+    if not defect <= tol:
+        if not np.isfinite(defect):
+            raise NotHermitian("matrix has non-finite entries", deviation=defect)
         raise NotHermitian(
             f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {tol:.1e})",
             deviation=defect,
@@ -75,12 +80,12 @@ def _require_psd(w: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:
     """Eigenvalues w of a PSD matrix or stack, clipped at zero.
 
     Values in [-clamp, 0) are treated as rounding noise; anything below
-    -clamp raises NotPSD.
+    -clamp, and NaN, raises NotPSD.
     """
-    wmin = float(w.min()) if w.size else 0.0
-    if wmin < -clamp:
+    wmin = float(w.min()) if w.size else 0.0  # min keeps NaN
+    if not wmin >= -clamp:
         raise NotPSD(
-            f"matrix has eigenvalue {wmin:.3e} below -{clamp:.1e}",
+            f"matrix has eigenvalue {wmin:.3e}, not >= -{clamp:.1e}",
             deviation=-wmin,
         )
     return np.clip(w, 0.0, None)
@@ -120,11 +125,3 @@ def partial_transpose_b(m: np.ndarray) -> np.ndarray:
     blocks = m.reshape(lead + (2, 2, 2, 2))
     return blocks.swapaxes(-3, -1).reshape(lead + (4, 4))
 
-
-def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2x2 matrices in the fixed |q_A q_B> ordering."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise BadIndices(f"kron2 expects two 2x2 matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)

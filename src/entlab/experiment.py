@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import measures, sampler
-from .errors import SeparableInput
+from .errors import EntanglementLabError, SeparableInput
 from .measures import MeasureReport
 from .qstate import DensityMatrix
 
@@ -33,6 +33,11 @@ SHARD_PAIRS = 2048  # pairs per RNG substream
 _CHUNK_DRAWS = 8192  # most states drawn per sampling chunk inside a shard
 _P_KEPT = 0.36  # slightly below the ensemble's entangled fraction, so chunks overshoot
 _CHUNK_MARGIN = 32  # extra draws per chunk, so a shard rarely needs one more
+# A shard that has drawn this many times its expected 2 * quota / _P_KEPT
+# states without filling its quota gives up with an error.  On the sampler's
+# ensemble that takes a run of bad luck beyond any chance, so only a broken
+# sampler or a tie_epsilon that makes nearly every pair a tie gets there.
+_MAX_DRAW_FACTOR = 64
 _SHARD_KEY = 1  # substream tag for shards: (seed, (1, shard))
 _SCATTER_KEY = (2, 0)  # substream tag for scatter subsampling
 
@@ -166,18 +171,6 @@ def _histogram_core(
     return SHistogram(edges, centers, pair_counts, violation_counts, rates, empty)
 
 
-def s_histogram_bins(records, n_bins: int, s_range: tuple[float, float] = S_RANGE) -> SHistogram:
-    """Bin PairComparisonRecords by S = S_1 + S_2 over uniform bins.
-
-    Empty bins report a violation rate of 0 and are flagged in ``empty``.
-    """
-    if n_bins < 1:
-        raise ValueError("n_bins must be >= 1")
-    s = np.array([r.s_total for r in records])
-    violation = np.array([r.violation for r in records], dtype=bool)
-    return _histogram_core(s, violation, n_bins, s_range)
-
-
 def _entangled_state_stats(
     rhos: np.ndarray, probs: np.ndarray, u: np.ndarray, first_draw: int
 ) -> np.ndarray:
@@ -206,9 +199,12 @@ def _run_shard(
     excluded.  Chunks are drawn until the quota is met, each sized from the
     pairs still needed, and the shard ends at the draw that completes its
     final usable pair, so the counters reflect exactly the states consumed.
+    A shard draws no new chunk once it has drawn _MAX_DRAW_FACTOR times the
+    expected number of states; it raises EntanglementLabError instead.
     Returns (pairs, states drawn, states kept, ties excluded).
     """
     rng = sampler.RngStream(seed, (_SHARD_KEY, shard_index))
+    max_draws = int(_MAX_DRAW_FACTOR * 2 * quota / _P_KEPT)
     stats, drawn = np.empty((0, 6)), 0
     while True:
         n = len(stats) - len(stats) % 2
@@ -216,6 +212,11 @@ def _run_shard(
         need = quota - int(np.count_nonzero(~tie))
         if need <= 0:
             break
+        if drawn >= max_draws:
+            raise EntanglementLabError(
+                f"shard {shard_index} drew {drawn} states and still lacks {need} of "
+                f"{quota} usable pairs ({len(stats)} entangled, {int(tie.sum())} tie pairs)"
+            )
         size = min(_CHUNK_DRAWS, int(2 * need / _P_KEPT) + _CHUNK_MARGIN)
         rhos, probs, u = sampler.random_spectral_batch(rng, size)
         stats = np.concatenate([stats, _entangled_state_stats(rhos, probs, u, drawn)])

@@ -54,11 +54,10 @@ _JACOBI_ROUNDS = (
     (slice(0, 2), slice(3, 1, -1)),
 )
 
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-# sigma_y (x) sigma_y is exactly real: the anti-diagonal (-1, 1, 1, -1).
-_FLIP = cmat.kron2(SIGMA_Y, SIGMA_Y).real
-# Row i of (sy x sy) M is _FLIP_SIGNS[i] times row 3 - i of M.
-_FLIP_SIGNS = np.fliplr(_FLIP).diagonal()
+# sigma_y (x) sigma_y is the real anti-diagonal matrix with entries
+# (-1, 1, 1, -1) from the top row down, so row i of (sy x sy) M is
+# _FLIP_SIGNS[i] times row 3 - i of M.
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -87,16 +86,6 @@ def report_csv_row(report: MeasureReport) -> str:
     )
     tail = "true" if report.separable else "false"
     return ",".join(f"{v:.17g}" for v in values) + "," + tail
-
-
-def spin_flip(rho: DensityMatrix) -> np.ndarray:
-    """(sigma_y x sigma_y) rho* (sigma_y x sigma_y), conjugation in the computational basis."""
-    return spin_flip_batch(rho.matrix)
-
-
-def spin_flip_batch(ms: np.ndarray) -> np.ndarray:
-    ms = np.asarray(ms)
-    return _FLIP @ np.conj(ms) @ _FLIP
 
 
 def pt_eigenvalues(ms: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from entlab import cmat
-from entlab.errors import BadIndices, NotHermitian, NotPSD
+from entlab.errors import NotHermitian, NotPSD
 from entlab.qstate import singlet, werner_state
 
 RNG = np.random.default_rng(2101)
@@ -76,6 +76,19 @@ class TestPsdSqrt:
             cmat.psd_sqrt(np.diag([1.0, -0.5, 0.2, 0.3]))
         assert err.value.deviation == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, value):
+        m = np.eye(4, dtype=complex) / 4
+        m[2, 3] = value
+        with pytest.raises(NotHermitian):
+            cmat.psd_sqrt(m)
+        with pytest.raises(NotHermitian):
+            cmat.psd_sqrt(np.full((4, 4), value))
+
+    def test_rejects_nan_eigenvalue(self):
+        with pytest.raises(NotPSD):
+            cmat._require_psd(np.array([0.5, np.nan, 0.5, 0.0]))
+
     def test_clamps_rounding_noise(self):
         s = cmat.psd_sqrt(np.diag([1.0, -5e-11, 0.0, 0.0]))
         assert np.allclose(s, np.diag([1.0, 0.0, 0.0, 0.0]), atol=1e-14)
@@ -116,22 +129,3 @@ class TestPartialTranspose:
         w = cmat.eigvalsh_desc(cmat.partial_transpose_b(singlet().matrix))
         assert w[-1] == pytest.approx(-0.5, abs=1e-12)
 
-
-class TestKron2:
-    def test_identity(self):
-        assert np.array_equal(cmat.kron2(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_y_pair(self):
-        sy = np.array([[0, -1j], [1j, 0]])
-        expected = np.array(
-            [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
-        )
-        assert np.allclose(cmat.kron2(sy, sy), expected, atol=0)
-
-    def test_diagonal(self):
-        out = cmat.kron2(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
-        assert np.array_equal(out, np.diag([3.0, 4.0, 6.0, 8.0]))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(BadIndices):
-            cmat.kron2(np.eye(3), np.eye(2))

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from entlab import cmat, experiment, measures, sampler
-from entlab.errors import SeparableInput
-from entlab.experiment import ExperimentConfig, compare_pair, s_histogram_bins
+from entlab.cli import main
+from entlab.errors import EntanglementLabError, SeparableInput
+from entlab.experiment import ExperimentConfig, compare_pair
 from entlab.qstate import pure_schmidt, singlet, werner_state
 
 
@@ -43,30 +44,36 @@ class TestComparePair:
             compare_pair(werner_state(0.3), singlet())
 
 
+def histogram(records, n_bins):
+    s = np.array([r.s_total for r in records])
+    violation = np.array([r.violation for r in records], dtype=bool)
+    return experiment._histogram_core(s, violation, n_bins)
+
+
 class TestSHistogram:
     def test_pure_pairs_fill_first_bin(self):
         records = [
             compare_pair(pure_schmidt(0.3), pure_schmidt(0.8)),
             compare_pair(pure_schmidt(0.5), pure_schmidt(0.9)),
         ]
-        hist = s_histogram_bins(records, n_bins=15)
+        hist = histogram(records, n_bins=15)
         assert hist.pair_counts[0] == 2
         assert hist.pair_counts[1:].sum() == 0
         assert hist.violation_rates[0] == 0.0
 
     def test_single_record_one_bin(self):
-        hist = s_histogram_bins([compare_pair(werner_state(0.9), werner_state(0.7))], 1)
+        hist = histogram([compare_pair(werner_state(0.9), werner_state(0.7))], 1)
         assert hist.pair_counts[0] == 1
         assert hist.edges[0] == 0.0 and hist.edges[-1] == 1.5
 
     def test_empty_bins_flagged(self):
-        hist = s_histogram_bins([compare_pair(werner_state(0.9), werner_state(0.8))], 10)
+        hist = histogram([compare_pair(werner_state(0.9), werner_state(0.8))], 10)
         assert hist.empty.sum() == 9
         assert np.all(hist.violation_rates[hist.empty] == 0.0)
 
     def test_rejects_bad_bins(self):
         with pytest.raises(ValueError):
-            s_histogram_bins([], 0)
+            ExperimentConfig(seed=1, n_pairs=10, s_bins=0)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +157,33 @@ class TestRunExperiment:
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**{"seed": 1, "n_pairs": 10, **bad})
+
+
+class TestDrawCap:
+    """A shard that cannot fill its quota stops after a bounded number of draws."""
+
+    @pytest.fixture
+    def mixed_sampler(self, monkeypatch):
+        draws = []
+
+        def maximally_mixed(rng, n):
+            draws.append(n)
+            u = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4))
+            probs = np.full((n, 4), 0.25)
+            return (u * probs[:, None, :]) @ u, probs, u
+
+        monkeypatch.setattr(sampler, "random_spectral_batch", maximally_mixed)
+        return draws
+
+    def test_run_stops(self, mixed_sampler):
+        with pytest.raises(EntanglementLabError, match="shard 0 drew"):
+            experiment.run_experiment(ExperimentConfig(seed=1, n_pairs=100))
+        cap = experiment._MAX_DRAW_FACTOR * 2 * 100 / experiment._P_KEPT
+        assert cap <= sum(mixed_sampler) <= cap + max(mixed_sampler)
+
+    def test_cli_exit_code(self, mixed_sampler, capsys, tmp_path):
+        assert main(["compare", "--seed", "1", "--pairs", "100", "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: shard 0 drew")
 
 
 class TestDeterminantScreen:

@@ -5,33 +5,49 @@ from hypothesis import strategies as st
 
 import oracles
 from entlab import measures, qstate
-from entlab.errors import DomainError, NotPSD
+from entlab.errors import DomainError, NotHermitian, NotPSD
 from entlab.qstate import pure_schmidt, singlet, werner_state
 from entlab.sampler import RngStream, random_density_batch, random_spectral_batch
 
 MIXED = np.eye(4) / 4
 
 
+def spin_flip(m):
+    """(sy x sy) conj(m) (sy x sy), by the signed reversal the concurrence core applies."""
+    signs = measures._FLIP_SIGNS
+    return signs[:, None] * np.conj(m)[..., ::-1, ::-1] * signs
+
+
 class TestSpinFlip:
+    """The signed row reversal _FLIP_SIGNS that stands for sigma_y (x) sigma_y."""
+
+    def test_flip_signs_are_sigma_y_pair(self):
+        sy = np.array([[0, -1j], [1j, 0]])
+        expected = np.array(
+            [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex
+        )
+        assert np.allclose(np.kron(sy, sy), expected, atol=0)
+        assert np.array_equal(measures._FLIP_SIGNS[:, None] * np.eye(4)[::-1], expected)
+
     def test_singlet_invariant(self):
         m = singlet().matrix
-        assert np.abs(measures.spin_flip(singlet()) - m).max() < 1e-15
+        assert np.abs(spin_flip(m) - m).max() < 1e-15
 
     def test_product_state_flips_both_qubits(self):
         zero = np.zeros((4, 4), dtype=complex)
         zero[0, 0] = 1.0  # |00><00|
-        flipped = measures.spin_flip(qstate.density_from_matrix(zero))
+        flipped = spin_flip(qstate.density_from_matrix(zero).matrix)
         expected = np.zeros((4, 4))
         expected[3, 3] = 1.0  # |11><11|
         assert np.abs(flipped - expected).max() == 0.0
 
     def test_maximally_mixed_invariant(self):
         rho = qstate.density_from_matrix(MIXED)
-        assert np.abs(measures.spin_flip(rho) - MIXED).max() < 1e-16
+        assert np.abs(spin_flip(rho.matrix) - MIXED).max() < 1e-16
 
     def test_result_is_a_state(self):
         for m in random_density_batch(RngStream(31), 20):
-            qstate.density_from_matrix(measures.spin_flip_batch(m))
+            qstate.density_from_matrix(spin_flip(m))
 
 
 class TestConcurrence:
@@ -154,6 +170,27 @@ class TestJacobiKernel:
         in_stack = measures.concurrence_from_eig(probs, u)
         alone = [measures.concurrence_from_eig(probs[i : i + 1], u[i : i + 1])[0] for i in range(512)]
         assert np.abs(in_stack[:512] - alone).max() <= 1e-15
+
+
+class TestNonFiniteInput:
+    """NaN and infinite entries end in a library error, not in LAPACK."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_measure_table(self, value):
+        ms = np.tile(MIXED, (3, 1, 1)).astype(complex)
+        ms[1, 0, 1] = value
+        with pytest.raises(NotHermitian):
+            measures.measure_table(ms)
+
+    def test_all_nan_stack(self):
+        with pytest.raises(NotHermitian):
+            measures.measure_table(np.full((1, 4, 4), np.nan))
+
+    def test_concurrence_from_nan_spectrum(self):
+        _, probs, u = random_spectral_batch(RngStream(42), 3)
+        probs[1, 2] = np.nan
+        with pytest.raises(NotPSD):
+            measures.concurrence_from_eig(probs, u)
 
 
 class TestBinaryEntropy:
