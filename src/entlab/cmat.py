@@ -45,8 +45,7 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 def _require_hermitian(m: np.ndarray, tol: float = TOL.hermiticity) -> None:
     """Raise NotHermitian unless m is finite with a defect of at most tol."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        defect = hermiticity_defect(m)
+    defect = hermiticity_defect(m)
     # any non-finite entry makes its defect entry inf or NaN, and max keeps NaN
     if not defect <= tol:
         if not np.isfinite(defect):

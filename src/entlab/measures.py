@@ -22,6 +22,7 @@ domain and then return the element of the array formula.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,7 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
     call per stack is faster), go to ``np.linalg.svd``.
     """
     lead = b.shape[:-2]
-    if int(np.prod(lead)) < _JACOBI_MIN_STACK:
+    if math.prod(lead) < _JACOBI_MIN_STACK:
         return np.linalg.svd(b, compute_uv=False)
     b = b.reshape(-1, 4, 4)
     cols = np.ascontiguousarray(b.transpose(2, 1, 0))  # cols[j, :, k]: column j of matrix k

@@ -17,7 +17,9 @@ def _validated(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.shape != (4, 4):
         raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
-    cmat._require_hermitian(m)  # also rejects non-finite entries
+    if not np.isfinite(m).all():
+        raise NotHermitian("matrix has non-finite entries")
+    cmat._require_hermitian(m)
     trace_dev = abs(float(np.trace(m).real) - 1.0)
     if trace_dev > cmat.TOL.hermiticity:
         raise TraceNotOne(f"trace deviates from 1 by {trace_dev:.3e}", deviation=trace_dev)

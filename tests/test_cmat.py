@@ -77,6 +77,7 @@ class TestPsdSqrt:
         assert err.value.deviation == pytest.approx(0.5)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in the defect
     def test_rejects_non_finite(self, value):
         m = np.eye(4, dtype=complex) / 4
         m[2, 3] = value

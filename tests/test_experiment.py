@@ -216,7 +216,8 @@ class TestDeterminantScreen:
         pt = cmat.partial_transpose_b(rhos)
         lu = np.linalg.det(pt).real
         assert np.abs(measures._hermitian_det(pt) - lu).max() < 1e-15
-        assert np.array_equal(measures._pt_screen(rhos)[0], np.nonzero(lu <= measures.DET_SCREEN)[0])
+        screened, _ = measures._pt_screen(rhos)
+        assert np.array_equal(screened, np.nonzero(lu <= measures.DET_SCREEN)[0])
 
     def test_chunk_without_entangled_states(self):
         rhos = np.stack([np.eye(4, dtype=complex) / 4, werner_state(0.4).matrix])

@@ -107,12 +107,6 @@ class TestConcurrenceFromEig:
             measures.concurrence_from_eig(probs, u)
 
 
-@pytest.fixture
-def lapack_only(monkeypatch):
-    """Send every stack to np.linalg.svd."""
-    monkeypatch.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
-
-
 class TestJacobiKernel:
     """The one-sided Jacobi singular values behind concurrence_from_eig."""
 
@@ -151,7 +145,8 @@ class TestJacobiKernel:
         u = oracles.qr_haar_unitaries(np.random.default_rng(47), 1000)
         probs = np.tile(self.SPECTRA[name], (1000, 1))
         root = np.sqrt(probs)
-        b = root[:, :, None] * (np.conj(u.transpose(0, 2, 1)) @ oracles.SY2 @ np.conj(u)) * root[:, None, :]
+        m = np.conj(u.transpose(0, 2, 1)) @ oracles.SY2 @ np.conj(u)
+        b = root[:, :, None] * m * root[:, None, :]
         cols = np.ascontiguousarray(b.transpose(2, 1, 0))
         assert measures._jacobi(cols).all()
         lam = np.sort(np.sqrt(measures._column_norms_sq(cols)).T, axis=1)[:, ::-1]
@@ -162,7 +157,10 @@ class TestJacobiKernel:
         with monkeypatch.context() as m:
             m.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
             lapack = measures.concurrence_from_eig(probs, u)
-        monkeypatch.setattr(measures, "_JACOBI_SWEEPS", 1)  # one sweep certifies no random matrix
+        # the kernel's values differ from LAPACK's in the last bits ...
+        assert not np.array_equal(measures.concurrence_from_eig(probs, u), lapack)
+        # ... so equality shows that every matrix fell back: one sweep certifies none
+        monkeypatch.setattr(measures, "_JACOBI_SWEEPS", 1)
         assert np.array_equal(measures.concurrence_from_eig(probs, u), lapack)
 
     def test_single_state_matches_stack(self):
