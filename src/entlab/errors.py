@@ -19,6 +19,11 @@ class NotHermitian(EntanglementLabError):
     """A matrix is not Hermitian, or not a finite 4x4 matrix at all."""
 
 
+class NotConverged(EntanglementLabError):
+    """LAPACK failed to converge on a finite matrix, e.g. one whose entries
+    span hundreds of orders of magnitude."""
+
+
 class TraceNotOne(EntanglementLabError):
     """Density-matrix validation: trace differs from one."""
 

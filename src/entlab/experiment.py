@@ -65,8 +65,9 @@ class ExperimentConfig:
             raise ValueError("s_bins must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        if not self.tie_epsilon >= 0.0:
-            raise ValueError("tie_epsilon must be >= 0")
+        # every relative difference lies in [-1, 1], so 1 or more makes every pair a tie
+        if not 0.0 <= self.tie_epsilon < 1.0:
+            raise ValueError("tie_epsilon must lie in [0, 1)")
         if self.scatter_points < 0:
             raise ValueError("scatter_points must be >= 0")
 
@@ -172,21 +173,24 @@ def _histogram_core(
 
 
 def _entangled_state_stats(
-    rhos: np.ndarray, probs: np.ndarray, u: np.ndarray, first_draw: int
+    rho: np.ndarray, probs: np.ndarray, cols: np.ndarray, first_draw: int
 ) -> np.ndarray:
     """One (C, E_F, E_N, E_sum, S, draw index) row per entangled state of a
-    stack rhos = u diag(probs) u^dagger, in draw order; the stack's first state
-    has draw index first_draw.
+    chunk in the sampler's layout, in draw order: the (4, 4, n) entry stack
+    rho = u diag(probs) u^dagger, the spectra probs (n, 4) and the (4, 4, n)
+    column stack cols of the unitaries u.  The chunk's first state has draw
+    index first_draw.
 
     Only the states that pass the determinant screen get a PT spectrum, and
     ``measures._pt_entangled`` decides among them.  The concurrence comes
-    from the spectral pairs (probs, u), so rho is never diagonalized.
+    from the spectral pairs (probs, u), so rho is never diagonalized; only
+    the kept states' u and rho are gathered into (m, 4, 4) stacks.
     """
-    screened, pt_w = measures._pt_screen(rhos)
+    screened, pt_w = measures._pt_screen(rho)
     entangled = measures._pt_entangled(pt_w)
     kept = screened[entangled]
-    c = measures.concurrence_from_eig(probs[kept], u[kept])
-    columns = measures._measure_columns(rhos[kept], pt_w[entangled], c)
+    c = measures.concurrence_from_eig(probs[kept], cols.transpose(2, 1, 0)[kept])
+    columns = measures._measure_columns(rho.transpose(2, 0, 1)[kept], pt_w[entangled], c)
     return np.column_stack([*columns.values(), kept + first_draw])
 
 
@@ -218,8 +222,8 @@ def _run_shard(
                 f"{quota} usable pairs ({len(stats)} entangled, {int(tie.sum())} tie pairs)"
             )
         size = min(_CHUNK_DRAWS, int(2 * need / _P_KEPT) + _CHUNK_MARGIN)
-        rhos, probs, u = sampler.random_spectral_batch(rng, size)
-        stats = np.concatenate([stats, _entangled_state_stats(rhos, probs, u, drawn)])
+        chunk = sampler._spectral_stacks(rng, size)
+        stats = np.concatenate([stats, _entangled_state_stats(*chunk, drawn)])
         drawn += size
     last = int(np.searchsorted(np.cumsum(~tie), quota))  # the pair that fills the quota
     used = slice(0, last + 1)

@@ -10,9 +10,9 @@ for stacks of at least _JACOBI_MIN_STACK matrices and from LAPACK below
 that and for any matrix the kernel cannot certify; the two agree to
 rounding.  The Monte Carlo harness uses the same cores and the same
 separability rule ``_pt_entangled``, but screens states by det(rho^Gamma)
-(``_pt_screen``, which forms each PT once and returns the spectra of the
-states it keeps) and takes the concurrence from the sampler's spectral
-pairs.  ``measure_report`` evaluates ``measure_table`` for one validated
+(``_pt_screen``, which works on the sampler's (4, 4, n) entry stack, forms
+each PT once and returns the spectra of the states it keeps) and takes the
+concurrence from the sampler's spectral pairs.  ``measure_report`` evaluates ``measure_table`` for one validated
 DensityMatrix, and the scalar functions (``concurrence``, ``e_formation``,
 ``e_negative``, ``e_sum``, ``linear_entropy``, ``is_separable``) return its
 fields, so a scalar call equals the corresponding table entry exactly.
@@ -40,6 +40,8 @@ DET_SCREEN = 1e-12
 _DOMAIN_SLACK = 1e-12
 # Column pairs of the 2x2 minors in _hermitian_det; pair k's complement is pair 5 - k.
 _LAPLACE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Flat entry index of rho for each flat entry of rho^Gamma.
+_PT_ROWS = cmat.partial_transpose_b(np.arange(16).reshape(4, 4)).ravel()
 # One-sided Jacobi singular values (_jacobi): the smallest stack it is used
 # for, the sweep count and the residual that certifies a matrix.  On 2 cores
 # with OpenBLAS 0.3.31, LAPACK's svd took 0.014 ms for 1 matrix and 1.4 ms
@@ -135,14 +137,14 @@ def _singular_values(b: np.ndarray) -> np.ndarray:
     """
     lead = b.shape[:-2]
     if math.prod(lead) < _JACOBI_MIN_STACK:
-        return np.linalg.svd(b, compute_uv=False)
+        return cmat._lapack(np.linalg.svd, b, compute_uv=False)
     b = b.reshape(-1, 4, 4)
     cols = np.ascontiguousarray(b.transpose(2, 1, 0))  # cols[j, :, k]: column j of matrix k
     certified = _jacobi(cols)
     lam = np.sort(np.sqrt(_column_norms_sq(cols)).T, axis=-1)[:, ::-1]
     failed = np.nonzero(~certified)[0]
     if len(failed):
-        lam[failed] = np.linalg.svd(b[failed], compute_uv=False)
+        lam[failed] = cmat._lapack(np.linalg.svd, b[failed], compute_uv=False)
     return lam.reshape(lead + (4,))
 
 
@@ -263,33 +265,37 @@ def _hermitian_det(m: np.ndarray) -> np.ndarray:
     return det
 
 
-def _pt_screen(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, PT eigenvalues) of the states of a (n, 4, 4) stack of density
-    matrices that the EPS_SEP rule might call entangled: those with
+def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, PT eigenvalues) of the states of a (4, 4, n) entry stack of
+    density matrices (``rho[a, b]`` the (n,) row of entry (a, b), the
+    sampler's layout) that the EPS_SEP rule might call entangled: those with
     det(rho^Gamma) <= DET_SCREEN, with their descending PT spectra.
 
-    rho^Gamma is formed and its Hermiticity checked once, for every state;
-    the screened PTs go straight to the eigensolver.  A two-qubit PT has at
-    most one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826
-    (1998)), so det(rho^Gamma) > 0 means PPT.  Rounding cannot defeat the
-    screen: eigvalsh's eigenvalues are exact for a matrix within about 1e-15
-    of rho^Gamma (whose norm is at most 1), so a state that ``_pt_entangled``
-    calls entangled has one eigenvalue below -EPS_SEP + 1e-15 < 0 and three
-    above -1e-15, hence a true determinant below about 1e-15.  The computed
-    determinant (``_hermitian_det``) is a sum of 24 signed products of four
-    entries, formed through 2x2 minors in a fixed order; its rounding error
-    is at most about 20 u perm(|rho^Gamma|), with u = 1.1e-16 and a
-    permanent of at most prod_i ||row_i||_1 <= prod_i 2 ||row_i||_2 <= 1,
-    because the rows' squared norms sum to tr(rho^2) <= 1.  So it moves the
-    determinant by at most about 2e-15, far below DET_SCREEN.  The argument
-    needs a Hermiticity defect at rounding level, as the sampler's stacks
-    have (about 1e-16), because eigvalsh reads one triangle and the
-    expansion the whole matrix.
+    rho^Gamma is formed once, for every state, as a permutation of the 16
+    entry rows, and its Hermiticity checked; ``_hermitian_det`` reads it
+    through a (n, 4, 4) view, so every minor multiplies contiguous rows, and
+    only the screened states are gathered into a (m, 4, 4) stack for the
+    eigensolver.  A two-qubit PT has at most one negative eigenvalue
+    (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so det(rho^Gamma) > 0
+    means PPT.  Rounding cannot defeat the screen: eigvalsh's eigenvalues
+    are exact for a matrix within about 1e-15 of rho^Gamma (whose norm is at
+    most 1), so a state that ``_pt_entangled`` calls entangled has one
+    eigenvalue below -EPS_SEP + 1e-15 < 0 and three above -1e-15, hence a
+    true determinant below about 1e-15.  The computed determinant is a sum
+    of 24 signed products of four entries, formed through 2x2 minors in a
+    fixed order; its rounding error is at most about 20 u perm(|rho^Gamma|),
+    with u = 1.1e-16 and a permanent of at most prod_i ||row_i||_1 <=
+    prod_i 2 ||row_i||_2 <= 1, because the rows' squared norms sum to
+    tr(rho^2) <= 1.  So it moves the determinant by at most about 2e-15, far
+    below DET_SCREEN.  The argument needs rho^Gamma Hermitian, because
+    eigvalsh reads one triangle and the expansion the whole matrix; the
+    sampler's entry stacks are exactly Hermitian by construction.
     """
-    pt = cmat.partial_transpose_b(np.asarray(ms))
+    n = rho.shape[-1]
+    pt = rho.reshape(16, n)[_PT_ROWS].reshape(4, 4, n).transpose(2, 0, 1)
     cmat._require_hermitian(pt)
     screened = np.nonzero(_hermitian_det(pt) <= DET_SCREEN)[0]
-    return screened, np.linalg.eigvalsh(pt[screened])[..., ::-1]
+    return screened, cmat._lapack(np.linalg.eigvalsh, pt[screened])[..., ::-1]
 
 
 def _measure_columns(ms: np.ndarray, pt_w: np.ndarray, c: np.ndarray) -> dict[str, np.ndarray]:
@@ -309,10 +315,16 @@ def _measure_columns(ms: np.ndarray, pt_w: np.ndarray, c: np.ndarray) -> dict[st
 
 
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
-    """All measures for a (n, 4, 4) stack, sharing the eigendecompositions."""
+    """All measures for a (n, 4, 4) stack, sharing the eigendecompositions.
+
+    Hermiticity is checked once, by ``concurrence_batch``: the entries of
+    rho^Gamma - (rho^Gamma)^dagger are a permutation of those of
+    rho - rho^dagger, so both have the same defect.
+    """
     ms = np.asarray(ms)
-    pt_w = pt_eigenvalues(ms)
-    table = _measure_columns(ms, pt_w, concurrence_batch(ms))
+    c = concurrence_batch(ms)
+    pt_w = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(ms))[..., ::-1]
+    table = _measure_columns(ms, pt_w, c)
     table["separable"] = ~_pt_entangled(pt_w)
     return table
 

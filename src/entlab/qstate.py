@@ -23,7 +23,7 @@ def _validated(m: np.ndarray) -> np.ndarray:
     trace_dev = abs(float(np.trace(m).real) - 1.0)
     if trace_dev > cmat.TOL.hermiticity:
         raise TraceNotOne(f"trace deviates from 1 by {trace_dev:.3e}", deviation=trace_dev)
-    wmin = float(np.linalg.eigvalsh(m)[0])
+    wmin = float(cmat._lapack(np.linalg.eigvalsh, m)[0])
     if wmin < -cmat.TOL.psd_clamp:
         raise NotPSD(f"smallest eigenvalue is {wmin:.3e}", deviation=-wmin)
     out = m.copy()

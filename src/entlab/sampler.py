@@ -1,13 +1,23 @@
 """Random two-qubit density matrices: Haar-uniform U(4) rotations of simplex spectra.
 
-Each unitary is a product of six two-level rotations, built by updating two
-columns at a time rather than by 4x4 matrix products.  Every state consumes
-exactly DRAWS_PER_STATE uniforms in a fixed, documented order (three spectrum
-draws, then the rotation angles pair by pair), so the scalar and batch
-samplers walk the identical stream and two streams with the same seed produce
-identical state sequences.  ``random_spectral_batch`` returns each state with
-the spectrum and unitary it was built from; ``random_density_batch`` returns
-the states alone.
+The ensemble is rho = U diag(p) U^dagger with p uniform on the probability
+simplex and U Haar-uniform (Zyczkowski, Horodecki, Sanpera & Lewenstein, PRA
+58, 883 (1998)); U is a product of six two-level rotations (Hurwitz's
+parametrization, Zyczkowski & Kus, J. Phys. A 27, 4235 (1994)).  Every state
+consumes exactly DRAWS_PER_STATE uniforms in a fixed, documented order (three
+spectrum draws, then the rotation angles pair by pair), so the scalar and
+batch samplers walk the identical stream and two streams with the same seed
+produce identical state sequences.
+
+The core works in one layout, states on the last axis: ``_spectral_stacks``
+returns the (4, 4, n) entry stack of rho (``rho[a, b]`` is the (n,) row of
+entry (a, b)), the spectra and the (4, 4, n) column stack of U, and the Monte
+Carlo harness screens that layout directly.  The rotations update two
+columns at a time, one contiguous row per entry; the mixing angle enters
+only through cos^2(phi) = xi^(1/i), so it needs no trigonometric call; and
+rho is assembled from its ten upper entries.  ``random_spectral_batch``
+(the states with the spectra and unitaries they were built from) and
+``random_density_batch`` (the states alone) transpose to (n, 4, 4) stacks.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ _CHI_PAIRS = frozenset({(1, 2), (1, 3), (1, 4)})
 
 # 3 spectrum uniforms + 15 angle uniforms (phi, psi[, chi] per pair).
 DRAWS_PER_STATE = 18
+# i^q for q = 0..3; multiplying by one of them is exact.
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 class RngStream:
@@ -61,48 +73,99 @@ class RngStream:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
 
 
-def _rotate_columns(cols: np.ndarray, a: int, b: int, phi, psi, chi) -> None:
-    """Right-multiply, in place, the stack whose column k is ``cols[k]`` (shape
-    (4, n)) by the two-level rotation on 0-based indices a < b; only columns a
-    and b change."""
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    e_psi, e_chi = np.exp(1j * psi), np.exp(1j * chi)
-    e_aa, e_ab = cos_phi * e_psi, sin_phi * e_chi
-    e_ba, e_bb = -sin_phi * e_chi.conj(), cos_phi * e_psi.conj()
-    col_a, col_b = cols[a], cols[b]
-    cols[a], cols[b] = col_a * e_aa + col_b * e_ba, col_a * e_ab + col_b * e_bb
+def _mixing(x: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cos phi, sin phi) of the mixing angle phi = arccos(x^(1/(2i))) of pair
+    (i, j), i in {1, 2, 3}, without trigonometric calls.
+
+    cos^2 phi = t = x^(1/i), so cos phi = sqrt(t) and sin phi = sqrt(1 - t).
+    For i > 1, 1 - t is taken as (1 - x) / (1 + r + ... + r^(i-1)) with
+    r = x^(1/i), which keeps sin phi to full relative accuracy as x -> 1.
+    """
+    if i == 1:
+        return np.sqrt(x), np.sqrt(1.0 - x)
+    r = np.sqrt(x) if i == 2 else np.cbrt(x)
+    rest = 1.0 + r if i == 2 else 1.0 + r * (1.0 + r)
+    return np.sqrt(r), np.sqrt((1.0 - x) / rest)
+
+
+def _phase(x: np.ndarray) -> np.ndarray:
+    """e^(2 pi i x) for uniforms x, as i^q e^(i (4x - q) pi/2) with q the
+    nearest quarter turn: 4x - q is exact, and cos and sin of an angle in
+    [-pi/4, pi/4] are both faster and more accurate than of one in [0, 2 pi)."""
+    q = np.rint(4.0 * x)
+    angle = (4.0 * x - q) * (0.5 * np.pi)
+    e = np.empty(angle.shape, dtype=complex)
+    e.real, e.imag = np.cos(angle), np.sin(angle)
+    return e * _QUARTER_TURNS[q.astype(np.intp) & 3]
+
+
+def _block(cos_phi, sin_phi, e_psi, e_chi=None) -> tuple:
+    """Entries (E_aa, E_ab, E_ba, E_bb) of the two-level rotation on indices
+    a < b: [[cos phi e^(i psi), sin phi e^(i chi)], [-sin phi e^(-i chi),
+    cos phi e^(-i psi)]], with chi = 0 when e_chi is None."""
+    e_aa = cos_phi * e_psi
+    e_ab = sin_phi * e_chi if e_chi is not None else sin_phi + 0j
+    return e_aa, e_ab, -np.conj(e_ab), np.conj(e_aa)
 
 
 def elementary_unitary(i: int, j: int, phi: float, psi: float, chi: float = 0.0) -> np.ndarray:
     """Two-level rotation on basis indices i < j (1-based), identity elsewhere."""
     if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer)) and 1 <= i < j <= 4):
         raise BadIndices(f"need integer indices 1 <= i < j <= 4, got ({i}, {j})")
-    cols = np.eye(4, dtype=complex)[:, :, None]
-    _rotate_columns(cols, i - 1, j - 1, np.array([phi]), np.array([psi]), np.array([chi]))
-    return cols[:, :, 0].T
+    a, b = i - 1, j - 1
+    u = np.eye(4, dtype=complex)
+    block = _block(np.cos(phi), np.sin(phi), np.exp(1j * psi), np.exp(1j * chi))
+    u[[a, a, b, b], [a, b, a, b]] = block
+    return u
+
+
+_ONE = object()  # an entry of the identity that no rotation has touched yet
+
+
+def _times(v, e):
+    """v * e for a row v that may be the exact 0 (None) or 1 (_ONE)."""
+    return None if v is None else e if v is _ONE else v * e
+
+
+def _plus(v, w):
+    return w if v is None else v if w is None else v + w
+
+
+def _angles_to_columns(draws: np.ndarray) -> np.ndarray:
+    """Compose the six elementary rotations for each row of 15 angle uniforms,
+    as a (4, 4, n) column stack: ``cols[k, r]`` is entry r of column k.
+
+    For pair (i, j) the mixing angle phi is drawn so that cos^2(phi) has
+    density i * t^(i-1) on [0, 1], i.e. cos^2(phi) = xi^(1/i) for a uniform
+    xi (phi = arccos(xi^(1/(2i))), taken algebraically by ``_mixing``);
+    together with the uniform psi/chi phases this makes the product
+    Haar-distributed on U(4) up to a global phase, which conjugation cancels
+    (Zyczkowski & Kus, J. Phys. A 27, 4235 (1994)).  The tests compare
+    against a QR-orthonormalized Gaussian sampler and a 40-digit product of
+    the elementary rotations.  The product is taken left to right over
+    PAIR_SEQUENCE; each factor mixes two columns of the running product, so
+    every entry is a contiguous (n,) row updated on its own, and the rows
+    still exactly 0 or 1 from the identity are skipped.
+    """
+    col = [[_ONE if r == k else None for r in range(4)] for k in range(4)]
+    x = iter(draws.T)  # the uniforms in their documented order
+    for (i, j) in PAIR_SEQUENCE:
+        cos_phi, sin_phi = _mixing(next(x), i)
+        e_psi = _phase(next(x))
+        e_chi = _phase(next(x)) if (i, j) in _CHI_PAIRS else None
+        e_aa, e_ab, e_ba, e_bb = _block(cos_phi, sin_phi, e_psi, e_chi)
+        col_a, col_b = col[i - 1], col[j - 1]
+        for r in range(4):
+            v, w = col_a[r], col_b[r]
+            col_a[r] = _plus(_times(v, e_aa), _times(w, e_ba))
+            col_b[r] = _plus(_times(v, e_ab), _times(w, e_bb))
+    # PAIR_SEQUENCE leaves no entry exactly 0 or 1, so every one is now a row
+    return np.array(col)
 
 
 def _angles_to_unitaries(draws: np.ndarray) -> np.ndarray:
-    """Compose the six elementary rotations for each row of 15 angle uniforms.
-
-    For pair (i, j) the mixing angle phi is drawn so that cos^2(phi) has
-    density i * t^(i-1) on [0, 1] (phi = arccos(xi^(1/(2i)))); together with
-    the uniform psi/chi phases this makes the product Haar-distributed on
-    U(4) up to a global phase, which conjugation cancels.  The tests compare
-    against a QR-orthonormalized Gaussian sampler.  The product is taken left
-    to right over PAIR_SEQUENCE; each factor mixes two columns of the running
-    product, so the stack is held as a (4, 4, n) array of columns, updated two
-    columns at a time and transposed to (n, 4, 4) once at the end.
-    """
-    n = draws.shape[0]
-    cols = np.broadcast_to(np.eye(4, dtype=complex)[:, :, None], (4, 4, n)).copy()
-    x = iter(draws.T)  # the uniforms in their documented order
-    for (i, j) in PAIR_SEQUENCE:
-        phi = np.arccos(next(x) ** (1.0 / (2.0 * i)))
-        psi = next(x) * (2.0 * np.pi)
-        chi = next(x) * (2.0 * np.pi) if (i, j) in _CHI_PAIRS else np.zeros(n)
-        _rotate_columns(cols, i - 1, j - 1, phi, psi, chi)
-    return np.ascontiguousarray(cols.transpose(2, 1, 0))
+    """The unitaries of ``_angles_to_columns`` as a (n, 4, 4) stack."""
+    return np.ascontiguousarray(_angles_to_columns(draws).transpose(2, 1, 0))
 
 
 def random_cue_unitary(rng: RngStream) -> np.ndarray:
@@ -125,6 +188,39 @@ def random_simplex(rng: RngStream) -> np.ndarray:
     return _uniforms_to_simplex(rng.uniforms(1, 3))[0]
 
 
+def _assemble_entries(probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rho = u diag(probs) u^dagger as a (4, 4, n) entry stack, ``rho[a, b]``
+    the (n,) row of entry (a, b), from probs (n, 4) and the column stack of u.
+
+    Each upper entry is rho_ab = sum_k (p_k u_ak) conj(u_bk), a sum of four
+    products of contiguous rows in a fixed order, so a state's bits do not
+    depend on n; the lower entries are their conjugates and the diagonal's
+    imaginary part is 0, so rho is exactly Hermitian.
+    """
+    weighted = cols * np.ascontiguousarray(probs.T)[:, None, :]
+    conj = np.conj(cols)
+    rho = np.empty_like(cols)
+    for a in range(4):
+        for b in range(a, 4):
+            w, c = weighted[:, a], conj[:, b]
+            rho[a, b] = w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3]
+            if a == b:
+                rho[a, a].imag = 0.0
+            else:
+                np.conj(rho[a, b], out=rho[b, a])
+    return rho
+
+
+def _spectral_stacks(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n random density matrices in the sampler's layout, as (rho, probs, cols):
+    the (4, 4, n) entry stack of ``_assemble_entries``, the spectra (n, 4)
+    and the (4, 4, n) column stack of the unitaries."""
+    draws = rng.uniforms(n, DRAWS_PER_STATE)
+    probs = _uniforms_to_simplex(draws[:, :3])
+    cols = _angles_to_columns(draws[:, 3:])
+    return _assemble_entries(probs, cols), probs, cols
+
+
 def random_spectral_batch(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n random density matrices with their spectral pairs, as (rhos, probs, u).
 
@@ -133,17 +229,15 @@ def random_spectral_batch(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarra
     satisfy the DensityMatrix invariants by construction; probs (n, 4) and
     u (n, 4, 4) are the eigenvalues and eigenvectors the stack was built from.
     """
-    draws = rng.uniforms(n, DRAWS_PER_STATE)
-    probs = _uniforms_to_simplex(draws[:, :3])
-    u = _angles_to_unitaries(draws[:, 3:])
-    rhos = (u * probs[:, None, :]) @ np.conj(u.transpose(0, 2, 1))
-    return rhos, probs, u
+    rho, probs, cols = _spectral_stacks(rng, n)
+    u = np.ascontiguousarray(cols.transpose(2, 1, 0))
+    return np.ascontiguousarray(rho.transpose(2, 0, 1)), probs, u
 
 
 def random_density_batch(rng: RngStream, n: int) -> np.ndarray:
     """Stack of n random density matrices as a raw (n, 4, 4) complex array,
     the rhos of ``random_spectral_batch``."""
-    return random_spectral_batch(rng, n)[0]
+    return np.ascontiguousarray(_spectral_stacks(rng, n)[0].transpose(2, 0, 1))
 
 
 def random_density(rng: RngStream) -> DensityMatrix:

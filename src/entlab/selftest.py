@@ -95,9 +95,9 @@ def check_experiment(n_pairs: int = 256) -> None:
 
 
 def check_harness_rows(n: int = 2000) -> None:
-    rhos, probs, u = sampler.random_spectral_batch(sampler.RngStream(109), n)
-    stats = experiment._entangled_state_stats(rhos, probs, u, 0)
-    table = measures.measure_table(rhos)
+    chunk = sampler._spectral_stacks(sampler.RngStream(109), n)
+    stats = experiment._entangled_state_stats(*chunk, 0)
+    table = measures.measure_table(chunk[0].transpose(2, 0, 1))
     entangled = ~table["separable"]
     assert np.array_equal(stats[:, 5], np.nonzero(entangled)[0])
     names = ("concurrence", "e_formation", "e_negative", "e_sum", "linear_entropy")

@@ -277,9 +277,9 @@ class TestCompare:
     # states_kept 6000, 0 ties).  A refactor of the harness must leave these
     # unchanged; a change that alters output bits says so and re-pins them.
     PINNED_SHA256 = {
-        "fig1.csv": "f631dff9bc4abc8a96ca7e78f3caa4b59310eb4ad2c7180d422c55c0c721607e",
-        "fig2.csv": "086c2998234384606927577586f2f316f0d9528dfa9fb66ce198fe03c4650e85",
-        "fig3.csv": "8df3e8e0611cf451aa79dda49bef7811f85d978b816fe8ce34ae7a75ad694a33",
+        "fig1.csv": "98f76a4e22f955c3e89846ec93451b2bce51d4553ff14eeefd23b538a8e6bfde",
+        "fig2.csv": "e4033cd2b41304290eb6e18955cbb61cb0363eda1662ce11ff7f844d9c95f261",
+        "fig3.csv": "1ca70c569f7fca172483fbcf278136b98501d31d077dc2537b099ab279866c8f",
         "fig4.csv": "9c2fd2364b1633c360a94d8ab5edb8630d2f022ddbd43d44b7acab7587abbd83",
         "summary.csv": "ecc8fc07191672407314c051cf8a695903f0d17098d96a030444d9eb8b7f53ad",
     }

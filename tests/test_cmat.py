@@ -130,3 +130,36 @@ class TestPartialTranspose:
         w = cmat.eigvalsh_desc(cmat.partial_transpose_b(singlet().matrix))
         assert w[-1] == pytest.approx(-0.5, abs=1e-12)
 
+
+
+class TestHermiticityDefect:
+    """The upper-triangle defect equals the largest entry of |m - m^dagger|, bit for bit."""
+
+    @staticmethod
+    def full_defect(m):
+        return float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
+
+    def test_equals_full_difference(self):
+        shape = (4096, 4, 4)
+        noise = RNG.standard_normal(shape) + 1j * RNG.standard_normal(shape)
+        noisy = random_psd_unit_trace(4096) + 1e-13 * noise
+        assert cmat.hermiticity_defect(noisy) == self.full_defect(noisy) > 0.0
+        for m in noisy[:64]:
+            assert cmat.hermiticity_defect(m) == self.full_defect(m)
+
+    def test_partial_transpose_has_the_same_defect(self):
+        noisy = random_hermitian(4096) + 1e-13 * RNG.standard_normal((4096, 4, 4))
+        pt = cmat.partial_transpose_b(noisy)
+        assert cmat.hermiticity_defect(pt) == cmat.hermiticity_defect(noisy)
+
+    def test_diagonal_counts(self):
+        diagonal_only = random_hermitian(64) + 1e-13j * np.eye(4)
+        assert cmat.hermiticity_defect(diagonal_only) == cmat.hermiticity_defect(diagonal_only[0]) > 0.0
+
+    def test_strided_view_and_other_sizes(self):
+        noisy = random_hermitian(512) + 1e-13j * RNG.standard_normal((512, 4, 4))
+        view = np.ascontiguousarray(noisy.transpose(1, 2, 0)).transpose(2, 0, 1)
+        assert cmat.hermiticity_defect(view) == self.full_defect(noisy)
+        for m3 in (noisy[:, :3, :3], noisy[0, :3, :3]):
+            assert cmat.hermiticity_defect(m3) == self.full_defect(m3)
+        assert cmat.hermiticity_defect(np.zeros((0, 4, 4))) == 0.0

@@ -8,6 +8,13 @@ from entlab.experiment import ExperimentConfig, compare_pair
 from entlab.qstate import pure_schmidt, singlet, werner_state
 
 
+def sampler_layout(rhos, probs, u):
+    """A chunk (rho, probs, cols) in the sampler's layout, from (n, 4, 4) stacks
+    rhos = u diag(probs) u^dagger."""
+    cols = np.ascontiguousarray(u.transpose(2, 1, 0))
+    return np.ascontiguousarray(rhos.transpose(1, 2, 0)), probs, cols
+
+
 class TestComparePair:
     def test_werner_pair_consistent(self):
         record = compare_pair(werner_state(0.9), werner_state(0.7))
@@ -158,6 +165,16 @@ class TestRunExperiment:
             with pytest.raises(ValueError):
                 ExperimentConfig(**{"seed": 1, "n_pairs": 10, **bad})
 
+    @pytest.mark.parametrize("tie_epsilon", [1.0, 2.0, float("inf")])
+    def test_tie_epsilon_of_one_or_more_rejected(self, tie_epsilon):
+        # every relative difference lies in [-1, 1], so every pair would be a tie
+        with pytest.raises(ValueError, match="tie_epsilon"):
+            ExperimentConfig(seed=1, n_pairs=10, tie_epsilon=tie_epsilon)
+
+    def test_tie_epsilon_just_below_one_accepted(self):
+        below_one = np.nextafter(1.0, 0.0)
+        assert ExperimentConfig(seed=1, n_pairs=10, tie_epsilon=below_one).tie_epsilon == below_one
+
 
 class TestDrawCap:
     """A shard that cannot fill its quota stops after a bounded number of draws."""
@@ -170,9 +187,9 @@ class TestDrawCap:
             draws.append(n)
             u = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4))
             probs = np.full((n, 4), 0.25)
-            return (u * probs[:, None, :]) @ u, probs, u
+            return sampler_layout((u * probs[:, None, :]) @ u, probs, u)
 
-        monkeypatch.setattr(sampler, "random_spectral_batch", maximally_mixed)
+        monkeypatch.setattr(sampler, "_spectral_stacks", maximally_mixed)
         return draws
 
     def test_run_stops(self, mixed_sampler):
@@ -190,16 +207,16 @@ class TestDeterminantScreen:
     """The det(rho^Gamma) screen drops only states the EPS_SEP rule calls separable."""
 
     @staticmethod
-    def rows_with_and_without_screen(monkeypatch, rhos, probs, u):
-        screened = experiment._entangled_state_stats(rhos, probs, u, 7)
+    def rows_with_and_without_screen(monkeypatch, rho, probs, cols):
+        screened = experiment._entangled_state_stats(rho, probs, cols, 7)
         with monkeypatch.context() as m:
             m.setattr(measures, "DET_SCREEN", np.inf)  # every state gets its PT spectrum
-            unscreened = experiment._entangled_state_stats(rhos, probs, u, 7)
+            unscreened = experiment._entangled_state_stats(rho, probs, cols, 7)
         return screened, unscreened
 
     def test_sampler_states(self, monkeypatch):
-        spectral = sampler.random_spectral_batch(sampler.RngStream(63), 20_000)
-        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, *spectral)
+        chunk = sampler._spectral_stacks(sampler.RngStream(63), 20_000)
+        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, *chunk)
         assert 7000 < len(screened) < 8000
         assert np.array_equal(screened, unscreened)
 
@@ -207,7 +224,8 @@ class TestDeterminantScreen:
         # E_N = F - 1/2 lies just above, just below and far below EPS_SEP
         fs = (0.5 + 1e-10 * (1 + 1e-3), 0.5 + 1e-10 * (1 - 1e-3), 0.5)
         rhos = np.stack([werner_state(f).matrix for f in fs])
-        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, rhos, *cmat.psd_eigh(rhos))
+        chunk = sampler_layout(rhos, *cmat.psd_eigh(rhos))
+        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, *chunk)
         assert np.array_equal(screened, unscreened)
         assert screened[:, 5].tolist() == [7.0]
 
@@ -216,12 +234,34 @@ class TestDeterminantScreen:
         pt = cmat.partial_transpose_b(rhos)
         lu = np.linalg.det(pt).real
         assert np.abs(measures._hermitian_det(pt) - lu).max() < 1e-15
-        screened, _ = measures._pt_screen(rhos)
+        screened, _ = measures._pt_screen(np.ascontiguousarray(rhos.transpose(1, 2, 0)))
         assert np.array_equal(screened, np.nonzero(lu <= measures.DET_SCREEN)[0])
+
+    @staticmethod
+    def stack_screen(rhos):
+        """The screen on a C-contiguous (n, 4, 4) stack: PT, minors determinant,
+        eigvalsh of the screened PTs."""
+        pt = cmat.partial_transpose_b(rhos)
+        screened = np.nonzero(measures._hermitian_det(pt) <= measures.DET_SCREEN)[0]
+        return screened, np.linalg.eigvalsh(pt[screened])[..., ::-1]
+
+    def test_entry_layout_matches_stack_route(self):
+        fs = (0.5 + 1e-10 * (1 + 1e-3), 0.5 + 1e-10 * (1 - 1e-3), 0.5, 0.3, 0.9)
+        werner = np.stack([werner_state(f).matrix for f in fs])
+        chunks = (
+            sampler._spectral_stacks(sampler.RngStream(65), 20_000)[0],
+            np.ascontiguousarray(werner.transpose(1, 2, 0)),
+        )
+        for rho in chunks:
+            screened, pt_w = measures._pt_screen(rho)
+            ref_screened, ref_w = self.stack_screen(np.ascontiguousarray(rho.transpose(2, 0, 1)))
+            assert np.array_equal(screened, ref_screened)
+            assert np.array_equal(pt_w, ref_w)
 
     def test_chunk_without_entangled_states(self):
         rhos = np.stack([np.eye(4, dtype=complex) / 4, werner_state(0.4).matrix])
-        assert experiment._entangled_state_stats(rhos, *cmat.psd_eigh(rhos), 0).shape == (0, 6)
+        chunk = sampler_layout(rhos, *cmat.psd_eigh(rhos))
+        assert experiment._entangled_state_stats(*chunk, 0).shape == (0, 6)
 
 
 class TestCsvEmission:

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
-from entlab import measures, qstate
-from entlab.errors import DomainError, NotHermitian, NotPSD
+from entlab import cmat, measures, qstate
+from entlab.errors import DomainError, EntanglementLabError, NotConverged, NotHermitian, NotPSD
 from entlab.qstate import pure_schmidt, singlet, werner_state
 from entlab.sampler import RngStream, random_density_batch, random_spectral_batch
 
@@ -189,6 +190,52 @@ class TestNonFiniteInput:
         probs[1, 2] = np.nan
         with pytest.raises(NotPSD):
             measures.concurrence_from_eig(probs, u)
+
+
+_ENTRIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.25, 1.0, -1.0, 1e150, 1e300, -1e300]),
+)
+
+
+@st.composite
+def raw_stacks(draw):
+    """(n, 4, 4) complex stacks: raw, their Hermitian part, or a Gram matrix a a^dagger,
+    so that the checks pass and the eigensolvers and the SVD see extreme input too."""
+    n = draw(st.integers(0, 3))
+    parts = [draw(hnp.arrays(np.float64, (n, 4, 4), elements=_ENTRIES)) for _ in range(2)]
+    with np.errstate(all="ignore"):
+        a = parts[0] + 1j * parts[1]
+        form = draw(st.sampled_from(["raw", "hermitian", "gram"]))
+        if form == "hermitian":
+            return 0.5 * (a + np.conj(a.transpose(0, 2, 1)))
+        if form == "gram":
+            return a @ np.conj(a.transpose(0, 2, 1))
+        return a
+
+
+class TestRawStacks:
+    """The stack entry points return a value or raise a library error, never a
+    numpy LinAlgError, whatever (n, 4, 4) complex stack they get."""
+
+    @given(raw_stacks())
+    @settings(max_examples=400, deadline=None)
+    def test_value_or_library_error(self, ms):
+        for fn in (measures.measure_table, measures.pt_eigenvalues, measures.concurrence_batch, cmat.psd_sqrt):
+            try:
+                with np.errstate(all="ignore"):
+                    fn(ms)
+            except EntanglementLabError:
+                pass
+
+    def test_eigensolver_failure_is_a_library_error(self):
+        # finite and Hermitian, but LAPACK's eigh does not converge on it
+        ms = np.zeros((1, 4, 4), dtype=complex)
+        ms[0, 0, 1], ms[0, 1, 2], ms[0, 2, 3] = 5e299j, 1j, 1j
+        ms += np.conj(ms.transpose(0, 2, 1))
+        for fn in (measures.measure_table, measures.concurrence_batch, cmat.psd_sqrt):
+            with pytest.raises(NotConverged):
+                fn(ms)
 
 
 class TestBinaryEntropy:

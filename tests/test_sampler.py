@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -166,7 +167,10 @@ class TestRandomDensity:
     def test_spectrum_equals_drawn_simplex(self):
         rhos, probs, u = sampler.random_spectral_batch(RngStream(53), 2000)
         assert np.array_equal(rhos, sampler.random_density_batch(RngStream(53), 2000))
-        assert np.array_equal(rhos, (u * probs[:, None, :]) @ np.conj(u.transpose(0, 2, 1)))
+        cols = np.ascontiguousarray(u.transpose(2, 1, 0))
+        assert np.array_equal(rhos, sampler._assemble_entries(probs, cols).transpose(2, 0, 1))
+        assert np.abs(rhos - (u * probs[:, None, :]) @ np.conj(u.transpose(0, 2, 1))).max() <= 1e-15
+        assert np.array_equal(rhos, np.conj(rhos.transpose(0, 2, 1)))
         w = cmat.eigvalsh_desc(rhos)
         assert np.abs(w - np.sort(probs, axis=1)[:, ::-1]).max() < 1e-10
 
@@ -174,3 +178,81 @@ class TestRandomDensity:
         rhos = sampler.random_density_batch(RngStream(54), 100_000)
         frac = float((measures.pt_eigenvalues(rhos)[:, -1] < -measures.EPS_SEP).mean())
         assert 0.355 <= frac <= 0.375
+
+
+# Positions of the mixing-angle uniforms among a state's 15 angle uniforms.
+_MIXING = [0, 3, 5, 8, 10, 12]
+
+
+def _mp_unitary(row) -> np.ndarray:
+    """40-digit product of the elementary rotations for one row of 15 angle
+    uniforms, with phi = arccos(xi^(1/(2i))) taken in mpmath."""
+    with mpmath.workdps(40):
+        x = iter(mpmath.mpf(float(v)) for v in row)
+        u = mpmath.eye(4)
+        for (i, j) in sampler.PAIR_SEQUENCE:
+            phi = mpmath.acos(next(x) ** (mpmath.mpf(1) / (2 * i)))
+            e_psi = mpmath.expjpi(2 * next(x))
+            e_chi = mpmath.expjpi(2 * next(x)) if (i, j) in sampler._CHI_PAIRS else mpmath.mpf(1)
+            block = (
+                mpmath.cos(phi) * e_psi,
+                mpmath.sin(phi) * e_chi,
+                -mpmath.sin(phi) * mpmath.conj(e_chi),
+                mpmath.cos(phi) * mpmath.conj(e_psi),
+            )
+            a, b = i - 1, j - 1
+            for r in range(4):
+                ua, ub = u[r, a], u[r, b]
+                u[r, a] = ua * block[0] + ub * block[2]
+                u[r, b] = ua * block[1] + ub * block[3]
+        return np.array([[complex(u[r, c]) for c in range(4)] for r in range(4)])
+
+
+def _arccos_route(row) -> np.ndarray:
+    """The same product in double precision with phi = arccos(xi^(1/(2i)))."""
+    x = iter(row)
+    ref = np.eye(4, dtype=complex)
+    for (i, j) in sampler.PAIR_SEQUENCE:
+        phi = np.arccos(next(x) ** (1.0 / (2.0 * i)))
+        psi = 2.0 * np.pi * next(x)
+        chi = 2.0 * np.pi * next(x) if (i, j) in sampler._CHI_PAIRS else 0.0
+        ref = ref @ sampler.elementary_unitary(i, j, phi, psi, chi)
+    return ref
+
+
+class TestSamplerKernels:
+    def test_unitaries_against_mpmath(self):
+        draws = RngStream(55).uniforms(300, 15)
+        edge = (0.0, 1.0, 1.0 - 2.0**-40, 2.0**-40)
+        for k, value in enumerate(edge):
+            draws[k, _MIXING] = value  # every mixing uniform at the edge
+            draws[len(edge) + k :: 25, _MIXING[k % 6]] = value  # one of them, in many rows
+        us = sampler._angles_to_unitaries(draws)
+        ours = max(np.abs(u - _mp_unitary(row)).max() for u, row in zip(us, draws))
+        arccos = max(np.abs(_arccos_route(row) - _mp_unitary(row)).max() for row in draws)
+        assert ours <= 2e-15
+        assert ours <= arccos
+
+    def test_mixing_keeps_relative_accuracy(self):
+        xi = np.array([0.0, 2.0**-40, 0.3, 0.5, 0.9, 1.0 - 2.0**-40, 1.0])
+        for i in (1, 2, 3):
+            cos_phi, sin_phi = sampler._mixing(xi, i)
+            with mpmath.workdps(40):
+                for x, c, s in zip(xi, cos_phi, sin_phi):
+                    t = mpmath.mpf(float(x)) ** (mpmath.mpf(1) / i)
+                    assert abs(c - float(mpmath.sqrt(t))) <= 2.3e-16 * c
+                    assert abs(s - float(mpmath.sqrt(1 - t))) <= 4.5e-16 * s
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_entry_assembly_bits_do_not_depend_on_n(self, n):
+        rho, probs, cols = sampler._spectral_stacks(RngStream(56), n)
+        big_rho, big_probs, big_cols = sampler._spectral_stacks(RngStream(56), 8192)
+        assert np.array_equal(probs, big_probs[:n])
+        assert np.array_equal(cols, big_cols[:, :, :n])
+        assert np.array_equal(rho, big_rho[:, :, :n])
+
+    def test_entries_exactly_hermitian(self):
+        rho, _, _ = sampler._spectral_stacks(RngStream(57), 8192)
+        assert np.array_equal(rho, np.conj(rho.transpose(1, 0, 2)))
+        assert not np.einsum("aan->an", rho).imag.any()
+        assert cmat.hermiticity_defect(rho.transpose(2, 0, 1)) == 0.0
