@@ -56,7 +56,7 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--count must lie in [0, {MAX_SAMPLE_COUNT}], got {args.count}")
     rng = sampler.RngStream(args.seed)
     rhos = sampler.random_density_batch(rng, args.count)
-    states = [qstate.density_from_matrix(m) for m in rhos]
+    states = [qstate.DensityMatrix(m) for m in rhos]
     if args.out is None:
         print(qstate.CSV_HEADER)
         for rho in states:

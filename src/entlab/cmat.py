@@ -1,9 +1,10 @@
 """Dense 4x4 complex linear algebra for two-qubit state calculations.
 
-All operations accept a single (4, 4) matrix; where noted they also accept a
-stack of shape (..., 4, 4) and operate on every matrix in the stack.  The
-basis ordering is fixed throughout: |00>, |01>, |10>, |11>, with the first
-qubit labelled A and the second B.
+Every operation accepts a single (4, 4) matrix or a stack of shape
+(..., 4, 4) and operates on every matrix in the stack.  ``hermitian_eig`` is
+the one checked eigendecomposition; ``psd_sqrt`` and the measures build on
+it.  The basis ordering is fixed throughout: |00>, |01>, |10>, |11>, with
+the first qubit labelled A and the second B.
 """
 
 from __future__ import annotations
@@ -25,14 +26,6 @@ class Tolerances:
 
 
 TOL = Tolerances()
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in descending order with matching orthonormal columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 # Row and column indices of the upper triangle of a 4x4 matrix, diagonal included.
@@ -57,15 +50,15 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.abs(m[..., rows, cols] - np.conj(m[..., cols, rows])).max())
 
 
-def _require_hermitian(m: np.ndarray, tol: float = TOL.hermiticity) -> None:
-    """Raise NotHermitian unless m is finite with a defect of at most tol."""
+def _require_hermitian(m: np.ndarray) -> None:
+    """Raise NotHermitian unless m is finite with a defect of at most TOL.hermiticity."""
     defect = hermiticity_defect(m)
     # any non-finite entry makes its defect entry inf or NaN, and max keeps NaN
-    if not defect <= tol:
+    if not defect <= TOL.hermiticity:
         if not np.isfinite(defect):
             raise NotHermitian("matrix has non-finite entries", deviation=defect)
         raise NotHermitian(
-            f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {tol:.1e})",
+            f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {TOL.hermiticity:.1e})",
             deviation=defect,
         )
 
@@ -79,60 +72,41 @@ def _lapack(fn, m: np.ndarray, **kwargs):
         raise NotConverged(f"{fn.__name__} did not converge: {exc}") from exc
 
 
-def eigvalsh_desc(m: np.ndarray) -> np.ndarray:
-    """Descending real eigenvalues of a Hermitian matrix or (..., 4, 4) stack."""
-    m = np.asarray(m)
-    _require_hermitian(m)
-    return _lapack(np.linalg.eigvalsh, m)[..., ::-1]
+def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix
+    or (..., 4, 4) stack, after the Hermiticity check.
 
-
-def hermitian_eig(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a single Hermitian matrix, eigenvalues descending.
-
-    The returned eigenvector matrix U is unitary with U diag(w) U^dagger
-    reconstructing the input; both hold to Tolerances.reconstruction.
+    Each eigenvector matrix U is unitary with U diag(w) U^dagger reconstructing
+    its input; both hold to Tolerances.reconstruction.
     """
     m = np.asarray(m)
     _require_hermitian(m)
-    w, v = _lapack(np.linalg.eigh, m)
-    return EigenDecomposition(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
+    return _lapack(np.linalg.eigh, m)
 
 
-def _require_psd(w: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:
+def _require_psd(w: np.ndarray) -> np.ndarray:
     """Eigenvalues w of a PSD matrix or stack, clipped at zero.
 
-    Values in [-clamp, 0) are treated as rounding noise; anything below
-    -clamp, and NaN, raises NotPSD.
+    Values in [-TOL.psd_clamp, 0) are treated as rounding noise; anything
+    lower, and NaN, raises NotPSD.
     """
     wmin = float(w.min()) if w.size else 0.0  # min keeps NaN
-    if not wmin >= -clamp:
+    if not wmin >= -TOL.psd_clamp:
         raise NotPSD(
-            f"matrix has eigenvalue {wmin:.3e}, not >= -{clamp:.1e}",
+            f"matrix has eigenvalue {wmin:.3e}, not >= -{TOL.psd_clamp:.1e}",
             deviation=-wmin,
         )
     return np.clip(w, 0.0, None)
 
 
-def psd_eigh(m: np.ndarray, clamp: float = TOL.psd_clamp) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, clipped at zero) and eigenvectors (columns) of a
-    Hermitian PSD matrix or (..., 4, 4) stack.
-
-    Raises NotHermitian, or NotPSD for an eigenvalue below -clamp.
-    """
-    m = np.asarray(m)
-    _require_hermitian(m)
-    w, v = _lapack(np.linalg.eigh, m)
-    return _require_psd(w, clamp), v
-
-
-def psd_sqrt(m: np.ndarray, clamp: float = TOL.psd_clamp) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix or (..., 4, 4) stack.
 
-    Eigenvalues in [-clamp, 0) are treated as rounding noise and clamped to
-    zero before the square root; anything below -clamp raises NotPSD.
+    Eigenvalues in [-TOL.psd_clamp, 0) are treated as rounding noise and
+    clamped to zero before the square root; anything lower raises NotPSD.
     """
-    w, v = psd_eigh(m, clamp)
-    s = (v * np.sqrt(w)[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    w, v = hermitian_eig(m)
+    s = (v * np.sqrt(_require_psd(w))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return 0.5 * (s + np.conj(np.swapaxes(s, -1, -2)))
 
 

@@ -36,10 +36,6 @@ class ParameterOutOfRange(EntanglementLabError):
     """A state-family parameter lies outside its admissible interval."""
 
 
-class DomainError(EntanglementLabError):
-    """A scalar function argument lies outside its domain."""
-
-
 class BadIndices(EntanglementLabError):
     """Invalid (i, j) index pair for an elementary rotation."""
 

@@ -1,23 +1,24 @@
 """Entanglement measures for two-qubit states.
 
 Each quantity has one numerical core that works on a raw (..., 4, 4) stack
-or an array of values: ``pt_eigenvalues``, ``concurrence_from_eig`` (from a
-spectral pair (p, U); ``concurrence_batch`` feeds it one checked
-eigendecomposition of each matrix), ``ef_from_concurrence_batch``,
-``linear_entropy_batch`` and the column assembler behind ``measure_table``.
-The concurrence core's singular values come from a one-sided Jacobi kernel
-for stacks of at least _JACOBI_MIN_STACK matrices and from LAPACK below
-that and for any matrix the kernel cannot certify; the two agree to
-rounding.  The Monte Carlo harness uses the same cores and the same
-separability rule ``_pt_entangled``, but screens states by det(rho^Gamma)
-(``_pt_screen``, which works on the sampler's (4, 4, n) entry stack, forms
-each PT once and returns the spectra of the states it keeps) and takes the
-concurrence from the sampler's spectral pairs.  ``measure_report`` evaluates ``measure_table`` for one validated
-DensityMatrix, and the scalar functions (``concurrence``, ``e_formation``,
-``e_negative``, ``e_sum``, ``linear_entropy``, ``is_separable``) return its
-fields, so a scalar call equals the corresponding table entry exactly.
-``binary_entropy`` and ``ef_from_concurrence`` check their argument's
-domain and then return the element of the array formula.
+or an array of values: ``concurrence_from_eig`` (from a spectral pair
+(p, U); ``concurrence_batch`` feeds it one checked eigendecomposition of
+each matrix), ``ef_from_concurrence_batch``, ``linear_entropy_batch`` and
+the column assembler behind ``measure_table``, which also forms the
+partial-transpose (PT) spectra.  The concurrence core's singular values
+come from a one-sided Jacobi kernel for stacks of at least
+_JACOBI_MIN_STACK matrices and from LAPACK below that and for any matrix
+the kernel cannot certify; the two agree to rounding.  The Monte Carlo
+harness uses the same cores and the same separability rule
+``_pt_entangled``, but screens states by det(rho^Gamma) (``_pt_screen``,
+which works on the sampler's (4, 4, n) entry stack, forms each PT once and
+returns the spectra of the states it keeps) and takes the concurrence from
+the sampler's spectral pairs.  ``measure_report`` evaluates the body of
+``measure_table`` for one DensityMatrix, whose construction already checked
+its Hermiticity, and the scalar functions (``concurrence``,
+``e_formation``, ``e_negative``, ``e_sum``, ``linear_entropy``,
+``is_separable``) return its fields, so a scalar call equals the
+corresponding table entry exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmat
-from .errors import DomainError
 from .qstate import DensityMatrix
 
 # PT eigenvalues above -EPS_SEP count as separable; the Monte Carlo harness
@@ -37,7 +37,6 @@ EPS_SEP = 1e-10
 # det(rho^Gamma) above DET_SCREEN certifies that a density matrix is
 # separable under the EPS_SEP rule, without its PT spectrum; see _pt_screen.
 DET_SCREEN = 1e-12
-_DOMAIN_SLACK = 1e-12
 # Column pairs of the 2x2 minors in _hermitian_det; pair k's complement is pair 5 - k.
 _LAPLACE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # Flat entry index of rho for each flat entry of rho^Gamma.
@@ -89,11 +88,6 @@ def report_csv_row(report: MeasureReport) -> str:
     )
     tail = "true" if report.separable else "false"
     return ",".join(f"{v:.17g}" for v in values) + "," + tail
-
-
-def pt_eigenvalues(ms: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of the partial transpose, for a (..., 4, 4) stack."""
-    return cmat.eigvalsh_desc(cmat.partial_transpose_b(np.asarray(ms)))
 
 
 def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -203,26 +197,12 @@ def _jacobi(cols: np.ndarray) -> np.ndarray:
 def concurrence_batch(ms: np.ndarray) -> np.ndarray:
     """max{0, l1 - l2 - l3 - l4} over the descending R spectrum of each state
     of a (..., 4, 4) stack, from one checked eigendecomposition."""
-    return concurrence_from_eig(*cmat.psd_eigh(ms))
-
-
-def _clamped_unit(x: float, what: str) -> float:
-    if not -_DOMAIN_SLACK <= x <= 1.0 + _DOMAIN_SLACK:
-        raise DomainError(f"{what} must lie in [0, 1], got {x!r}")
-    return min(max(x, 0.0), 1.0)
-
-
-def binary_entropy(x: float) -> float:
-    """-x log2 x - (1 - x) log2(1 - x), with the 0 log 0 = 0 convention.
-
-    Arguments within 1e-12 of the interval are clamped; anything further
-    out raises DomainError.
-    """
-    x = _clamped_unit(float(x), "binary_entropy argument")
-    return float(_binary_entropy_arr(np.array([x]))[0])
+    return concurrence_from_eig(*cmat.hermitian_eig(ms))
 
 
 def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
+    """-x log2 x - (1 - x) log2(1 - x) elementwise, for x clipped to [0, 1],
+    with the 0 log 0 = 0 convention."""
     x = np.clip(x, 0.0, 1.0)
     out = np.zeros_like(x)
     inner = (x > 0.0) & (x < 1.0)
@@ -231,13 +211,9 @@ def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ef_from_concurrence(c: float) -> float:
-    """Formation measure as a strictly increasing function of the concurrence."""
-    c = _clamped_unit(float(c), "concurrence")
-    return float(ef_from_concurrence_batch(np.array([c]))[0])
-
-
 def ef_from_concurrence_batch(c: np.ndarray) -> np.ndarray:
+    """Formation measure, a strictly increasing function of the concurrence
+    c (clipped to [0, 1]), elementwise."""
     c = np.clip(np.asarray(c), 0.0, 1.0)
     return _binary_entropy_arr((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
@@ -317,12 +293,18 @@ def _measure_columns(ms: np.ndarray, pt_w: np.ndarray, c: np.ndarray) -> dict[st
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
     """All measures for a (n, 4, 4) stack, sharing the eigendecompositions.
 
-    Hermiticity is checked once, by ``concurrence_batch``: the entries of
-    rho^Gamma - (rho^Gamma)^dagger are a permutation of those of
-    rho - rho^dagger, so both have the same defect.
+    Hermiticity is checked once, here: the entries of rho^Gamma -
+    (rho^Gamma)^dagger are a permutation of those of rho - rho^dagger, so
+    both have the same defect.
     """
     ms = np.asarray(ms)
-    c = concurrence_batch(ms)
+    cmat._require_hermitian(ms)
+    return _table_of_hermitian(ms)
+
+
+def _table_of_hermitian(ms: np.ndarray) -> dict[str, np.ndarray]:
+    """``measure_table`` for a stack already known to be Hermitian."""
+    c = concurrence_from_eig(*cmat._lapack(np.linalg.eigh, ms))
     pt_w = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(ms))[..., ::-1]
     table = _measure_columns(ms, pt_w, c)
     table["separable"] = ~_pt_entangled(pt_w)
@@ -330,8 +312,11 @@ def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def measure_report(rho: DensityMatrix) -> MeasureReport:
-    """Evaluate every measure once for a single state."""
-    table = measure_table(rho.matrix[None])
+    """Evaluate every measure once for a single state.
+
+    A DensityMatrix is Hermitian by construction, so the table skips the check.
+    """
+    table = _table_of_hermitian(rho.matrix[None])
     return MeasureReport(**{name: column[0].item() for name, column in table.items()})
 
 

@@ -45,14 +45,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", _validated(self.matrix))
 
 
-def density_from_matrix(m: np.ndarray) -> DensityMatrix:
-    """Validate a raw 4x4 matrix as a two-qubit density matrix.
-
-    Raises NotHermitian, TraceNotOne or NotPSD with the measured deviation.
-    """
-    return DensityMatrix(m)
-
-
 def pure_schmidt(alpha: float) -> DensityMatrix:
     """Projector onto alpha|00> + sqrt(1 - alpha^2)|11>."""
     if not 0.0 <= alpha <= 1.0:
@@ -98,7 +90,7 @@ def from_csv_row(line: str) -> DensityMatrix:
         raise NotHermitian(f"expected 32 CSV fields, got {len(values)}")
     with np.errstate(invalid="ignore"):  # validation rejects non-finite entries
         flat = np.array(values[0::2]) + 1j * np.array(values[1::2])
-    return density_from_matrix(flat.reshape(4, 4))
+    return DensityMatrix(flat.reshape(4, 4))
 
 
 def save_states(path, states) -> None:

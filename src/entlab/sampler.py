@@ -5,9 +5,9 @@ simplex and U Haar-uniform (Zyczkowski, Horodecki, Sanpera & Lewenstein, PRA
 58, 883 (1998)); U is a product of six two-level rotations (Hurwitz's
 parametrization, Zyczkowski & Kus, J. Phys. A 27, 4235 (1994)).  Every state
 consumes exactly DRAWS_PER_STATE uniforms in a fixed, documented order (three
-spectrum draws, then the rotation angles pair by pair), so the scalar and
-batch samplers walk the identical stream and two streams with the same seed
-produce identical state sequences.
+spectrum draws, then the rotation angles pair by pair), so n calls for one
+state each walk the same stream as one call for n states, and two streams
+with the same seed produce identical state sequences.
 
 The core works in one layout, states on the last axis: ``_spectral_stacks``
 returns the (4, 4, n) entry stack of rho (``rho[a, b]`` is the (n,) row of
@@ -15,9 +15,8 @@ entry (a, b)), the spectra and the (4, 4, n) column stack of U, and the Monte
 Carlo harness screens that layout directly.  The rotations update two
 columns at a time, one contiguous row per entry; the mixing angle enters
 only through cos^2(phi) = xi^(1/i), so it needs no trigonometric call; and
-rho is assembled from its ten upper entries.  ``random_spectral_batch``
-(the states with the spectra and unitaries they were built from) and
-``random_density_batch`` (the states alone) transpose to (n, 4, 4) stacks.
+rho is assembled from its ten upper entries.  ``random_density_batch``
+transposes the states to a raw (n, 4, 4) stack.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadIndices
-from .qstate import DensityMatrix
 
 # Rotation pairs in composition order; the product is taken left to right.
 PAIR_SEQUENCE = ((1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 4))
@@ -163,16 +161,6 @@ def _angles_to_columns(draws: np.ndarray) -> np.ndarray:
     return np.array(col)
 
 
-def _angles_to_unitaries(draws: np.ndarray) -> np.ndarray:
-    """The unitaries of ``_angles_to_columns`` as a (n, 4, 4) stack."""
-    return np.ascontiguousarray(_angles_to_columns(draws).transpose(2, 1, 0))
-
-
-def random_cue_unitary(rng: RngStream) -> np.ndarray:
-    """One Haar-uniform 4x4 unitary (up to a global phase)."""
-    return _angles_to_unitaries(rng.uniforms(1, 15))[0]
-
-
 def _uniforms_to_simplex(x: np.ndarray) -> np.ndarray:
     """Map rows of 3 uniforms onto the probability simplex, uniformly."""
     p = np.empty((x.shape[0], 4))
@@ -181,11 +169,6 @@ def _uniforms_to_simplex(x: np.ndarray) -> np.ndarray:
     p[:, 2] = (1.0 - x[:, 2]) * (1.0 - p[:, 0] - p[:, 1])
     p[:, 3] = 1.0 - p[:, 0] - p[:, 1] - p[:, 2]
     return p
-
-
-def random_simplex(rng: RngStream) -> np.ndarray:
-    """One point (p1, p2, p3, p4), uniform on the probability simplex."""
-    return _uniforms_to_simplex(rng.uniforms(1, 3))[0]
 
 
 def _assemble_entries(probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -221,25 +204,11 @@ def _spectral_stacks(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray, np
     return _assemble_entries(probs, cols), probs, cols
 
 
-def random_spectral_batch(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n random density matrices with their spectral pairs, as (rhos, probs, u).
-
-    rhos is the raw (n, 4, 4) stack u diag(probs) u^dagger, with each probs
-    row uniform on the simplex and each u Haar-uniform, so the results
-    satisfy the DensityMatrix invariants by construction; probs (n, 4) and
-    u (n, 4, 4) are the eigenvalues and eigenvectors the stack was built from.
-    """
-    rho, probs, cols = _spectral_stacks(rng, n)
-    u = np.ascontiguousarray(cols.transpose(2, 1, 0))
-    return np.ascontiguousarray(rho.transpose(2, 0, 1)), probs, u
-
-
 def random_density_batch(rng: RngStream, n: int) -> np.ndarray:
-    """Stack of n random density matrices as a raw (n, 4, 4) complex array,
-    the rhos of ``random_spectral_batch``."""
+    """Stack of n random density matrices as a raw (n, 4, 4) complex array.
+
+    Each is u diag(probs) u^dagger with probs uniform on the simplex and u
+    Haar-uniform, so it satisfies the DensityMatrix invariants by
+    construction.
+    """
     return np.ascontiguousarray(_spectral_stacks(rng, n)[0].transpose(2, 0, 1))
-
-
-def random_density(rng: RngStream) -> DensityMatrix:
-    """One validated random density matrix."""
-    return DensityMatrix(random_density_batch(rng, 1)[0])

@@ -22,13 +22,11 @@ def _random_hermitian(rng: sampler.RngStream, n: int) -> np.ndarray:
 def check_linalg(n: int = 2000) -> None:
     rng = sampler.RngStream(101)
     herm = _random_hermitian(rng, n)
-    for m in herm[:200]:
-        dec = cmat.hermitian_eig(m)
-        u, w = dec.eigenvectors, dec.eigenvalues
-        assert np.all(np.diff(w) <= 0)
-        assert np.abs(u @ np.conj(u.T) - np.eye(4)).max() < 1e-10
-        assert np.abs((u * w) @ np.conj(u.T) - m).max() < cmat.TOL.reconstruction
-    w = cmat.eigvalsh_desc(herm)
+    w, u = cmat.hermitian_eig(herm)
+    u_dag = np.conj(u.transpose(0, 2, 1))
+    assert np.all(np.diff(w, axis=1) >= 0)
+    assert np.abs(u @ u_dag - np.eye(4)).max() < 1e-10
+    assert np.abs((u * w[:, None, :]) @ u_dag - herm).max() < cmat.TOL.reconstruction
     traces = np.einsum("nii->n", herm).real
     assert np.abs(w.sum(axis=1) - traces).max() < 1e-10
     pt = cmat.partial_transpose_b(herm)
@@ -44,8 +42,8 @@ def check_linalg(n: int = 2000) -> None:
 def check_states(n_grid: int = 26) -> None:
     for f in np.linspace(0.25, 1.0, n_grid):
         rho = qstate.werner_state(float(f))
-        w = cmat.eigvalsh_desc(rho.matrix)
-        expect = np.sort([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3])[::-1]
+        w, _ = cmat.hermitian_eig(rho.matrix)
+        expect = np.sort([f, (1 - f) / 3, (1 - f) / 3, (1 - f) / 3])
         assert np.abs(w - expect).max() < 1e-12
     for alpha in np.linspace(0.0, 1.0, n_grid):
         rho = qstate.pure_schmidt(float(alpha))
@@ -75,11 +73,11 @@ def check_sampler(n: int = 2000) -> None:
     a = sampler.random_density_batch(sampler.RngStream(105), n)
     b = sampler.random_density_batch(sampler.RngStream(105), n)
     assert np.array_equal(a, b)
-    rhos, probs, _ = sampler.random_spectral_batch(sampler.RngStream(106), n)
-    u = sampler.random_cue_unitary(sampler.RngStream(107))
-    assert np.abs(u @ np.conj(u.T) - np.eye(4)).max() < 1e-12
-    w = cmat.eigvalsh_desc(rhos)
-    assert np.abs(w - np.sort(probs, axis=1)[:, ::-1]).max() < 1e-10
+    rho, probs, cols = sampler._spectral_stacks(sampler.RngStream(106), n)
+    u = cols.transpose(2, 1, 0)
+    assert np.abs(u @ np.conj(u.transpose(0, 2, 1)) - np.eye(4)).max() < 1e-12
+    w, _ = cmat.hermitian_eig(rho.transpose(2, 0, 1))
+    assert np.abs(w - np.sort(probs, axis=1)).max() < 1e-10
 
 
 def check_experiment(n_pairs: int = 256) -> None:

@@ -21,20 +21,20 @@ def random_psd_unit_trace(n):
 
 class TestHermitianEig:
     def test_identity(self):
-        dec = cmat.hermitian_eig(np.eye(4))
-        assert np.allclose(dec.eigenvalues, [1, 1, 1, 1], atol=1e-14)
+        w, _ = cmat.hermitian_eig(np.eye(4))
+        assert np.allclose(w, [1, 1, 1, 1], atol=1e-14)
 
     def test_diagonal_descending(self):
-        dec = cmat.hermitian_eig(np.diag([4.0, 3.0, 2.0, 1.0]))
-        assert np.allclose(dec.eigenvalues, [4, 3, 2, 1], atol=1e-14)
-        # standard basis vectors up to phase
-        assert np.allclose(np.abs(dec.eigenvectors), np.eye(4)[:, [0, 1, 2, 3]], atol=1e-14)
+        w, v = cmat.hermitian_eig(np.diag([4.0, 3.0, 2.0, 1.0]))
+        assert np.allclose(w, [1, 2, 3, 4], atol=1e-14)  # LAPACK's ascending order
+        # standard basis vectors up to phase, in the same order
+        assert np.allclose(np.abs(v), np.eye(4)[:, [3, 2, 1, 0]], atol=1e-14)
 
     def test_singlet_partial_transpose_spectrum(self):
         # hand-diagonalized: block {1/2, 1/2} plus the 2x2 [[0,-1/2],[-1/2,0]]
         pt = cmat.partial_transpose_b(singlet().matrix)
-        dec = cmat.hermitian_eig(pt)
-        assert np.allclose(dec.eigenvalues, [0.5, 0.5, 0.5, -0.5], atol=1e-12)
+        w, _ = cmat.hermitian_eig(pt)
+        assert np.allclose(w, [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex)
@@ -44,16 +44,19 @@ class TestHermitianEig:
         assert err.value.deviation == pytest.approx(1e-6)
 
     def test_reconstruction_and_orthonormality_bulk(self):
-        for m in random_hermitian(10_000):
-            dec = cmat.hermitian_eig(m)
-            u, w = dec.eigenvectors, dec.eigenvalues
-            assert np.all(np.diff(w) <= 0)
-            assert np.abs(np.conj(u.T) @ u - np.eye(4)).max() < 1e-10
-            assert np.abs((u * w) @ np.conj(u.T) - m).max() < 1e-10
+        herm = random_hermitian(10_000)
+        w, u = cmat.hermitian_eig(herm)
+        u_dag = np.conj(u.transpose(0, 2, 1))
+        assert np.all(np.diff(w, axis=1) >= 0)
+        assert np.abs(u_dag @ u - np.eye(4)).max() < 1e-10
+        assert np.abs((u * w[:, None, :]) @ u_dag - herm).max() < 1e-10
+        for m, wk, uk in zip(herm[:100], w, u):  # a single matrix gets its stack entry
+            w1, u1 = cmat.hermitian_eig(m)
+            assert np.array_equal(w1, wk) and np.array_equal(u1, uk)
 
     def test_eigenvalue_sum_is_trace(self):
         herm = random_hermitian(10_000)
-        w = cmat.eigvalsh_desc(herm)
+        w, _ = cmat.hermitian_eig(herm)
         traces = np.einsum("nii->n", herm).real
         assert np.abs(w.sum(axis=1) - traces).max() < 1e-10
 
@@ -127,8 +130,8 @@ class TestPartialTranspose:
         assert cmat.hermiticity_defect(pt) == 0.0
 
     def test_singlet_negative_eigenvalue(self):
-        w = cmat.eigvalsh_desc(cmat.partial_transpose_b(singlet().matrix))
-        assert w[-1] == pytest.approx(-0.5, abs=1e-12)
+        w, _ = cmat.hermitian_eig(cmat.partial_transpose_b(singlet().matrix))
+        assert w[0] == pytest.approx(-0.5, abs=1e-12)
 
 
 

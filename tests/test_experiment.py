@@ -224,7 +224,7 @@ class TestDeterminantScreen:
         # E_N = F - 1/2 lies just above, just below and far below EPS_SEP
         fs = (0.5 + 1e-10 * (1 + 1e-3), 0.5 + 1e-10 * (1 - 1e-3), 0.5)
         rhos = np.stack([werner_state(f).matrix for f in fs])
-        chunk = sampler_layout(rhos, *cmat.psd_eigh(rhos))
+        chunk = sampler_layout(rhos, *cmat.hermitian_eig(rhos))
         screened, unscreened = self.rows_with_and_without_screen(monkeypatch, *chunk)
         assert np.array_equal(screened, unscreened)
         assert screened[:, 5].tolist() == [7.0]
@@ -260,7 +260,7 @@ class TestDeterminantScreen:
 
     def test_chunk_without_entangled_states(self):
         rhos = np.stack([np.eye(4, dtype=complex) / 4, werner_state(0.4).matrix])
-        chunk = sampler_layout(rhos, *cmat.psd_eigh(rhos))
+        chunk = sampler_layout(rhos, *cmat.hermitian_eig(rhos))
         assert experiment._entangled_state_stats(*chunk, 0).shape == (0, 6)
 
 

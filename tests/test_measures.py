@@ -5,12 +5,23 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from entlab import cmat, measures, qstate
-from entlab.errors import DomainError, EntanglementLabError, NotConverged, NotHermitian, NotPSD
+from entlab import cmat, measures, qstate, sampler
+from entlab.errors import EntanglementLabError, NotConverged, NotHermitian, NotPSD
 from entlab.qstate import pure_schmidt, singlet, werner_state
-from entlab.sampler import RngStream, random_density_batch, random_spectral_batch
+from entlab.sampler import RngStream, random_density_batch
 
 MIXED = np.eye(4) / 4
+
+
+def spectral_batch(seed, n):
+    """n sampler states as (rhos, probs, u): (n, 4, 4) stacks rhos = u diag(probs)
+    u^dagger, with the spectra and unitaries they were built from."""
+    rho, probs, cols = sampler._spectral_stacks(RngStream(seed), n)
+    return (
+        np.ascontiguousarray(rho.transpose(2, 0, 1)),
+        probs,
+        np.ascontiguousarray(cols.transpose(2, 1, 0)),
+    )
 
 
 def spin_flip(m):
@@ -37,18 +48,18 @@ class TestSpinFlip:
     def test_product_state_flips_both_qubits(self):
         zero = np.zeros((4, 4), dtype=complex)
         zero[0, 0] = 1.0  # |00><00|
-        flipped = spin_flip(qstate.density_from_matrix(zero).matrix)
+        flipped = spin_flip(qstate.DensityMatrix(zero).matrix)
         expected = np.zeros((4, 4))
         expected[3, 3] = 1.0  # |11><11|
         assert np.abs(flipped - expected).max() == 0.0
 
     def test_maximally_mixed_invariant(self):
-        rho = qstate.density_from_matrix(MIXED)
+        rho = qstate.DensityMatrix(MIXED)
         assert np.abs(spin_flip(rho.matrix) - MIXED).max() < 1e-16
 
     def test_result_is_a_state(self):
         for m in random_density_batch(RngStream(31), 20):
-            qstate.density_from_matrix(spin_flip(m))
+            qstate.DensityMatrix(spin_flip(m))
 
 
 class TestConcurrence:
@@ -66,7 +77,7 @@ class TestConcurrence:
         )
 
     def test_maximally_mixed(self):
-        assert measures.concurrence(qstate.density_from_matrix(MIXED)) == 0.0
+        assert measures.concurrence(qstate.DensityMatrix(MIXED)) == 0.0
 
     def test_matches_product_spectrum_route(self):
         rhos = random_density_batch(RngStream(32), 3000)
@@ -79,7 +90,7 @@ class TestConcurrenceFromEig:
     """The spectral core: concurrence of u diag(p) u^dagger from (p, u)."""
 
     def test_matches_product_spectrum_route(self):
-        rhos, probs, u = random_spectral_batch(RngStream(38), 10_000)
+        rhos, probs, u = spectral_batch(38, 10_000)
         ours = measures.concurrence_from_eig(probs, u)
         assert np.abs(ours - oracles.concurrence_product_route(rhos)).max() < 1e-8
         assert np.abs(ours - measures.concurrence_batch(rhos)).max() < 1e-13
@@ -87,7 +98,7 @@ class TestConcurrenceFromEig:
     @pytest.mark.parametrize("k", range(4))
     def test_pure_spectrum(self, k):
         # p = e_k is the pure state u[:, k], whose concurrence is |psi^T (sy x sy) psi|
-        _, _, u = random_spectral_batch(RngStream(39), 500)
+        _, _, u = spectral_batch(39, 500)
         probs = np.zeros((500, 4))
         probs[:, k] = 1.0
         psi = u[:, :, k]
@@ -95,14 +106,14 @@ class TestConcurrenceFromEig:
         assert np.abs(measures.concurrence_from_eig(probs, u) - expected).max() < 1e-14
 
     def test_clips_rounding_noise(self):
-        _, _, u = random_spectral_batch(RngStream(40), 50)
+        _, _, u = spectral_batch(40, 50)
         clean = np.tile([0.6, 0.4, 0.0, 0.0], (50, 1))
         noisy = clean.copy()
         noisy[:, 3] = -1e-17
         assert np.array_equal(measures.concurrence_from_eig(noisy, u), measures.concurrence_from_eig(clean, u))
 
     def test_rejects_negative_spectrum(self):
-        _, _, u = random_spectral_batch(RngStream(41), 3)
+        _, _, u = spectral_batch(41, 3)
         probs = np.tile([0.6, 0.4, 1e-9, -1e-9], (3, 1))
         with pytest.raises(NotPSD):
             measures.concurrence_from_eig(probs, u)
@@ -121,7 +132,7 @@ class TestJacobiKernel:
 
     def test_mpmath_reference(self):
         mpmath = pytest.importorskip("mpmath")
-        _, probs, u = random_spectral_batch(RngStream(50), 4096)
+        _, probs, u = spectral_batch(50, 4096)
         in_stack = measures.concurrence_from_eig(probs, u)
         idx = np.nonzero(in_stack > 0.0)[0][:60]
         alone = measures.concurrence_from_eig(probs[idx], u[idx])  # below the threshold
@@ -154,7 +165,7 @@ class TestJacobiKernel:
         assert np.abs(lam - np.linalg.svd(b, compute_uv=False)).max() <= 1e-15
 
     def test_forced_fallback_is_lapack(self, monkeypatch):
-        _, probs, u = random_spectral_batch(RngStream(51), 2000)
+        _, probs, u = spectral_batch(51, 2000)
         with monkeypatch.context() as m:
             m.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
             lapack = measures.concurrence_from_eig(probs, u)
@@ -165,7 +176,7 @@ class TestJacobiKernel:
         assert np.array_equal(measures.concurrence_from_eig(probs, u), lapack)
 
     def test_single_state_matches_stack(self):
-        _, probs, u = random_spectral_batch(RngStream(49), 4096)
+        _, probs, u = spectral_batch(49, 4096)
         in_stack = measures.concurrence_from_eig(probs, u)
         alone = [measures.concurrence_from_eig(probs[i : i + 1], u[i : i + 1])[0] for i in range(512)]
         assert np.abs(in_stack[:512] - alone).max() <= 1e-15
@@ -186,7 +197,7 @@ class TestNonFiniteInput:
             measures.measure_table(np.full((1, 4, 4), np.nan))
 
     def test_concurrence_from_nan_spectrum(self):
-        _, probs, u = random_spectral_batch(RngStream(42), 3)
+        _, probs, u = spectral_batch(42, 3)
         probs[1, 2] = np.nan
         with pytest.raises(NotPSD):
             measures.concurrence_from_eig(probs, u)
@@ -221,7 +232,7 @@ class TestRawStacks:
     @given(raw_stacks())
     @settings(max_examples=400, deadline=None)
     def test_value_or_library_error(self, ms):
-        for fn in (measures.measure_table, measures.pt_eigenvalues, measures.concurrence_batch, cmat.psd_sqrt):
+        for fn in (measures.measure_table, measures.concurrence_batch, cmat.psd_sqrt):
             try:
                 with np.errstate(all="ignore"):
                     fn(ms)
@@ -240,68 +251,63 @@ class TestRawStacks:
 
 class TestBinaryEntropy:
     def test_half_is_one(self):
-        assert measures.binary_entropy(0.5) == 1.0
+        assert measures._binary_entropy_arr(np.array([0.5]))[0] == 1.0
 
     @pytest.mark.parametrize("x", [0.0, 1.0])
     def test_endpoints(self, x):
-        assert measures.binary_entropy(x) == 0.0
+        assert measures._binary_entropy_arr(np.array([x]))[0] == 0.0
 
     def test_reference_value(self):
         # frozen from a 40-digit evaluation of the defining formula
-        assert measures.binary_entropy(0.933013) == pytest.approx(
+        assert measures._binary_entropy_arr(np.array([0.933013]))[0] == pytest.approx(
             0.3545777698733827, abs=1e-12
         )
 
     def test_clamps_within_slack(self):
-        assert measures.binary_entropy(-1e-13) == 0.0
-        assert measures.binary_entropy(1 + 1e-13) == 0.0
-
-    @pytest.mark.parametrize("x", [-1e-9, 1 + 1e-9, 2.0, -1.0])
-    def test_domain_error(self, x):
-        with pytest.raises(DomainError):
-            measures.binary_entropy(x)
+        h = measures._binary_entropy_arr(np.array([-1e-13, 1 + 1e-13]))
+        assert np.array_equal(h, [0.0, 0.0])
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200)
     def test_symmetric_and_bounded(self, x):
-        h = measures.binary_entropy(x)
+        h, h_mirror = measures._binary_entropy_arr(np.array([x, 1.0 - x]))
         assert 0.0 <= h <= 1.0
-        assert h == pytest.approx(measures.binary_entropy(1.0 - x), abs=1e-12)
+        assert h == pytest.approx(h_mirror, abs=1e-12)
 
 
 class TestFormationFromConcurrence:
     def test_endpoints(self):
-        assert measures.ef_from_concurrence(0.0) == 0.0
-        assert measures.ef_from_concurrence(1.0) == 1.0
+        ef = measures.ef_from_concurrence_batch(np.array([0.0, 1.0]))
+        assert np.array_equal(ef, [0.0, 1.0])
 
     def test_half_concurrence(self):
         # equals the Werner F = 3/4 value h(1/2 + sqrt(3)/4)
-        assert measures.ef_from_concurrence(0.5) == pytest.approx(
+        assert measures.ef_from_concurrence_batch(np.array([0.5]))[0] == pytest.approx(
             0.35457890266526988, abs=1e-14
         )
 
     def test_strictly_increasing(self):
-        grid = np.linspace(0.0, 1.0, 401)
-        values = [measures.ef_from_concurrence(float(c)) for c in grid]
+        values = measures.ef_from_concurrence_batch(np.linspace(0.0, 1.0, 401))
         assert np.all(np.diff(values) > 0)
-
-    @pytest.mark.parametrize("c", [-1e-6, 1.1])
-    def test_domain_error(self, c):
-        with pytest.raises(DomainError):
-            measures.ef_from_concurrence(c)
 
 
 class TestScalarMatchesArrayFormula:
+    """A one-element call returns the element of the whole-grid call, bit for bit."""
+
     GRID = np.linspace(0.0, 1.0, 10_000)
+
+    @staticmethod
+    def one_at_a_time(fn, grid):
+        return np.array([fn(np.array([x]))[0] for x in grid])
 
     def test_formation_from_concurrence(self):
         batch = measures.ef_from_concurrence_batch(self.GRID)
-        scalar = np.array([measures.ef_from_concurrence(c) for c in self.GRID])
+        scalar = self.one_at_a_time(measures.ef_from_concurrence_batch, self.GRID)
         assert np.array_equal(scalar, batch)
 
     def test_binary_entropy(self):
         batch = measures._binary_entropy_arr(self.GRID)
-        scalar = np.array([measures.binary_entropy(x) for x in self.GRID])
+        scalar = self.one_at_a_time(measures._binary_entropy_arr, self.GRID)
         assert np.array_equal(scalar, batch)
 
 
@@ -343,7 +349,7 @@ class TestNegativity:
         )
 
     def test_maximally_mixed(self):
-        assert measures.e_negative(qstate.density_from_matrix(MIXED)) == 0.0
+        assert measures.e_negative(qstate.DensityMatrix(MIXED)) == 0.0
 
 
 class TestSumMeasure:
@@ -354,7 +360,7 @@ class TestSumMeasure:
     def test_product_state(self):
         m = np.zeros((4, 4))
         m[1, 1] = 1.0  # |01><01|
-        assert measures.e_sum(qstate.density_from_matrix(m)) == 0.0
+        assert measures.e_sum(qstate.DensityMatrix(m)) == 0.0
 
     def test_singlet(self):
         # PT spectrum {1/2, 1/2, 1/2, -1/2} gives 3/2 + 1/2 - 1 = 1
@@ -368,8 +374,8 @@ class TestSumMeasure:
     def test_single_negative_pt_eigenvalue_on_random_states(self):
         # at most one PT eigenvalue can be negative, so e_sum = 2 e_negative
         rhos = random_density_batch(RngStream(33), 5000)
-        pt_w = measures.pt_eigenvalues(rhos)
-        assert np.all(pt_w[:, -2] > 0)
+        pt_w, _ = cmat.hermitian_eig(cmat.partial_transpose_b(rhos))
+        assert np.all(pt_w[:, 1] > 0)
         table = measures.measure_table(rhos)
         assert np.abs(table["e_sum"] - 2 * table["e_negative"]).max() < 1e-12
 
@@ -382,7 +388,7 @@ class TestLinearEntropy:
         )
 
     def test_maximally_mixed(self):
-        assert measures.linear_entropy(qstate.density_from_matrix(MIXED)) == pytest.approx(
+        assert measures.linear_entropy(qstate.DensityMatrix(MIXED)) == pytest.approx(
             0.75, abs=1e-15
         )
 
@@ -404,7 +410,7 @@ class TestSeparability:
     def test_product_state_separable(self):
         m = np.zeros((4, 4))
         m[1, 1] = 1.0
-        assert measures.is_separable(qstate.density_from_matrix(m))
+        assert measures.is_separable(qstate.DensityMatrix(m))
 
     def test_three_way_consistency_on_random_states(self):
         table = measures.measure_table(random_density_batch(RngStream(34), 10_000))
@@ -424,7 +430,7 @@ class TestMeasureReport:
         assert not r.separable
 
     def test_maximally_mixed(self):
-        r = measures.measure_report(qstate.density_from_matrix(MIXED))
+        r = measures.measure_report(qstate.DensityMatrix(MIXED))
         assert r.concurrence == 0.0
         assert r.e_formation == 0.0
         assert r.e_negative == 0.0
@@ -444,7 +450,7 @@ class TestMeasureReport:
         # np.log2 value in the last bit
         draws = random_density_batch(RngStream(35), 6378)
         for m in [*draws[:10], draws[6377]]:
-            rho = qstate.density_from_matrix(m)
+            rho = qstate.DensityMatrix(m)
             r = measures.measure_report(rho)
             assert r.concurrence == measures.concurrence(rho)
             assert r.e_formation == measures.e_formation(rho)
@@ -453,8 +459,21 @@ class TestMeasureReport:
             assert r.linear_entropy == measures.linear_entropy(rho)
             assert r.separable == measures.is_separable(rho)
 
+    def test_equals_its_table_row(self, monkeypatch):
+        # measure_report skips the Hermiticity check that measure_table makes;
+        # with LAPACK for every stack size, each report is a table row bit for bit
+        fs = (0.25, 0.5, 0.5 + 1e-10, 0.75, 1.0)
+        alphas = (0.0, 0.6, 1 / np.sqrt(2))
+        states = [qstate.DensityMatrix(m) for m in random_density_batch(RngStream(39), 500)]
+        states += [werner_state(f) for f in fs] + [pure_schmidt(a) for a in alphas] + [singlet()]
+        monkeypatch.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
+        table = measures.measure_table(np.stack([rho.matrix for rho in states]))
+        for k, rho in enumerate(states):
+            row = measures.MeasureReport(**{name: col[k].item() for name, col in table.items()})
+            assert measures.report_csv_row(measures.measure_report(rho)) == measures.report_csv_row(row)
+
     def test_csv_row(self):
-        r = measures.measure_report(qstate.density_from_matrix(MIXED))
+        r = measures.measure_report(qstate.DensityMatrix(MIXED))
         row = measures.report_csv_row(r)
         fields = row.split(",")
         assert len(fields) == 6

@@ -66,15 +66,20 @@ class TestElementaryUnitary:
         assert np.abs(u @ np.conj(u.T) - np.eye(4)).max() < 1e-12
 
 
+def unitaries(draws):
+    """The unitaries of ``_angles_to_columns`` as a (n, 4, 4) stack."""
+    return sampler._angles_to_columns(draws).transpose(2, 1, 0)
+
+
 class TestCueUnitary:
     def test_every_draw_unitary(self):
-        us = sampler._angles_to_unitaries(RngStream(40).uniforms(1000, 15))
+        us = unitaries(RngStream(40).uniforms(1000, 15))
         defect = np.abs(us @ np.conj(us.transpose(0, 2, 1)) - np.eye(4)).max()
         assert defect < 1e-12
 
     def test_forced_draws_give_identity(self):
         # xi -> 1 puts every rotation angle at zero and every phase at 2*pi
-        u = sampler._angles_to_unitaries(np.ones((1, 15)))[0]
+        u = unitaries(np.ones((1, 15)))[0]
         assert np.abs(u - np.eye(4)).max() < 1e-12
 
     def test_matches_elementary_product(self):
@@ -82,7 +87,7 @@ class TestCueUnitary:
         # phi = arccos(xi^(1/(2i))), psi = 2*pi*x, chi = 2*pi*x on _CHI_PAIRS
         # (else 0), and multiply the elementary rotations left to right
         draws = np.vstack([RngStream(46).uniforms(1000, 15), np.zeros(15), np.ones(15)])
-        us = sampler._angles_to_unitaries(draws)
+        us = unitaries(draws)
         for row, u in zip(draws, us):
             x = iter(row)
             ref = np.eye(4, dtype=complex)
@@ -94,12 +99,13 @@ class TestCueUnitary:
             assert np.abs(u - ref).max() < 1e-14
 
     def test_scalar_form(self):
-        u = sampler.random_cue_unitary(RngStream(41))
-        v = sampler._angles_to_unitaries(RngStream(41).uniforms(1, 15))[0]
+        # one state's draws give the unitary the same draws give in a stack
+        u = unitaries(RngStream(41).uniforms(1, 15))[0]
+        v = unitaries(RngStream(41).uniforms(64, 15))[0]
         assert np.array_equal(u, v)
 
     def test_eigenphase_repulsion_matches_haar(self):
-        us = sampler._angles_to_unitaries(RngStream(42).uniforms(10_000, 15))
+        us = unitaries(RngStream(42).uniforms(10_000, 15))
         frac = oracles.spacing_fraction_below(us)
         frac_ref = oracles.spacing_fraction_below(
             oracles.qr_haar_unitaries(np.random.default_rng(43), 10_000)
@@ -109,7 +115,7 @@ class TestCueUnitary:
 
     def test_element_magnitudes_uniform(self):
         # every |u_kl|^2 has mean 1/4 under the invariant measure
-        us = sampler._angles_to_unitaries(RngStream(44).uniforms(10_000, 15))
+        us = unitaries(RngStream(44).uniforms(10_000, 15))
         means = (np.abs(us) ** 2).mean(axis=0)
         assert np.abs(means - 0.25).max() < 0.01
 
@@ -139,8 +145,9 @@ class TestSimplex:
         assert np.abs(ours.mean(axis=0) - ref.mean(axis=0)).max() < 0.005
 
     def test_scalar_form(self):
-        p = sampler.random_simplex(RngStream(49))
-        q = sampler._uniforms_to_simplex(RngStream(49).uniforms(1, 3))[0]
+        # one state's draws give the point the same draws give in a stack
+        p = sampler._uniforms_to_simplex(RngStream(49).uniforms(1, 3))[0]
+        q = sampler._uniforms_to_simplex(RngStream(49).uniforms(64, 3))[0]
         assert np.array_equal(p, q)
 
 
@@ -152,7 +159,7 @@ class TestRandomDensity:
 
     def test_scalar_walks_same_stream(self):
         stream = RngStream(51)
-        singles = np.stack([sampler.random_density(stream).matrix for _ in range(20)])
+        singles = np.concatenate([sampler.random_density_batch(stream, 1) for _ in range(20)])
         batch = sampler.random_density_batch(RngStream(51), 20)
         assert np.array_equal(singles, batch)
 
@@ -162,21 +169,20 @@ class TestRandomDensity:
         assert np.abs(np.einsum("nii->n", rhos).real - 1.0).max() <= 1e-10
         assert np.linalg.eigvalsh(rhos)[:, 0].min() >= -1e-10
         for m in rhos[:100]:
-            qstate.density_from_matrix(m)
+            qstate.DensityMatrix(m)
 
     def test_spectrum_equals_drawn_simplex(self):
-        rhos, probs, u = sampler.random_spectral_batch(RngStream(53), 2000)
+        rho, probs, cols = sampler._spectral_stacks(RngStream(53), 2000)
+        rhos, u = rho.transpose(2, 0, 1), cols.transpose(2, 1, 0)
         assert np.array_equal(rhos, sampler.random_density_batch(RngStream(53), 2000))
-        cols = np.ascontiguousarray(u.transpose(2, 1, 0))
-        assert np.array_equal(rhos, sampler._assemble_entries(probs, cols).transpose(2, 0, 1))
         assert np.abs(rhos - (u * probs[:, None, :]) @ np.conj(u.transpose(0, 2, 1))).max() <= 1e-15
         assert np.array_equal(rhos, np.conj(rhos.transpose(0, 2, 1)))
-        w = cmat.eigvalsh_desc(rhos)
-        assert np.abs(w - np.sort(probs, axis=1)[:, ::-1]).max() < 1e-10
+        w, _ = cmat.hermitian_eig(rhos)
+        assert np.abs(w - np.sort(probs, axis=1)).max() < 1e-10
 
     def test_entangled_fraction(self):
         rhos = sampler.random_density_batch(RngStream(54), 100_000)
-        frac = float((measures.pt_eigenvalues(rhos)[:, -1] < -measures.EPS_SEP).mean())
+        frac = float((~measures.measure_table(rhos)["separable"]).mean())
         assert 0.355 <= frac <= 0.375
 
 
@@ -227,7 +233,7 @@ class TestSamplerKernels:
         for k, value in enumerate(edge):
             draws[k, _MIXING] = value  # every mixing uniform at the edge
             draws[len(edge) + k :: 25, _MIXING[k % 6]] = value  # one of them, in many rows
-        us = sampler._angles_to_unitaries(draws)
+        us = unitaries(draws)
         ours = max(np.abs(u - _mp_unitary(row)).max() for u, row in zip(us, draws))
         arccos = max(np.abs(_arccos_route(row) - _mp_unitary(row)).max() for row in draws)
         assert ours <= 2e-15
