@@ -39,15 +39,18 @@ def hermiticity_defect(m: np.ndarray) -> float:
     the upper triangle, diagonal included, holds every value of the defect.
     A stack compares that triangle with the lower one, half the work of the
     whole difference; for one matrix the whole difference is faster, because
-    it takes fewer numpy calls than the two gathers.
+    it takes fewer numpy calls than the two gathers.  A non-finite entry
+    makes the defect NaN (inf - inf) or inf, and so does a difference beyond
+    the float range; neither raises a numpy warning.
     """
     m = np.asarray(m)
     if m.size == 0:
         return 0.0
-    if m.size <= 16:
-        return float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
-    rows, cols = _UPPER if m.shape[-1] == 4 else np.triu_indices(m.shape[-1])
-    return float(np.abs(m[..., rows, cols] - np.conj(m[..., cols, rows])).max())
+    with np.errstate(invalid="ignore", over="ignore"):
+        if m.size <= 16:
+            return float(np.abs(m - m.swapaxes(-1, -2).conj()).max())
+        rows, cols = _UPPER if m.shape[-1] == 4 else np.triu_indices(m.shape[-1])
+        return float(np.abs(m[..., rows, cols] - np.conj(m[..., cols, rows])).max())
 
 
 def _require_hermitian(m: np.ndarray) -> None:
@@ -55,7 +58,7 @@ def _require_hermitian(m: np.ndarray) -> None:
     defect = hermiticity_defect(m)
     # any non-finite entry makes its defect entry inf or NaN, and max keeps NaN
     if not defect <= TOL.hermiticity:
-        if not np.isfinite(defect):
+        if not np.isfinite(m).all():
             raise NotHermitian("matrix has non-finite entries", deviation=defect)
         raise NotHermitian(
             f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {TOL.hermiticity:.1e})",

@@ -6,13 +6,15 @@ order.  The decomposition depends only on the configuration, never on the
 thread count, so parallel and serial runs with the same seed are identical
 byte for byte.  Inside a shard, states are drawn in chunks sized from the
 pairs still needed; the stream is sequential, so chunk sizes never change
-which states are drawn, kept or paired.  They change C and E_F only by
-rounding: the concurrence kernel depends on the size of the stack of kept
-states (see ``measures.concurrence_from_eig``), and the chunk sizes depend
-only on the configuration.  ``compare_pair`` and the shards apply one
-pairing and tie rule.  Per state, the shards compute a partial-transpose
-spectrum only where the determinant screen cannot rule out entanglement,
-and the concurrence only for kept states, from the sampler's spectral pairs.
+which states are drawn, kept or paired.  They change C, E_F and E_N only
+by rounding: the concurrence and PT kernels depend on the size of the stack
+of kept or screened states (see ``measures.concurrence_from_eig`` and
+``measures._pt_min``), and the chunk sizes depend only on the
+configuration.  ``compare_pair`` and the shards apply one
+pairing and tie rule.  Per state, the shards compute the smallest
+partial-transpose eigenvalue only where the determinant screen cannot rule
+out entanglement, and the concurrence only for kept states, from the
+sampler's spectral pairs.
 """
 
 from __future__ import annotations
@@ -181,16 +183,16 @@ def _entangled_state_stats(
     column stack cols of the unitaries u.  The chunk's first state has draw
     index first_draw.
 
-    Only the states that pass the determinant screen get a PT spectrum, and
-    ``measures._pt_entangled`` decides among them.  The concurrence comes
+    Only the states that pass the determinant screen get their smallest PT
+    eigenvalue, and ``measures._pt_entangled`` decides among them.  The concurrence comes
     from the spectral pairs (probs, u), so rho is never diagonalized; only
     the kept states' u and rho are gathered into (m, 4, 4) stacks.
     """
-    screened, pt_w = measures._pt_screen(rho)
-    entangled = measures._pt_entangled(pt_w)
+    screened, pt_min = measures._pt_screen(rho)
+    entangled = measures._pt_entangled(pt_min)
     kept = screened[entangled]
     c = measures.concurrence_from_eig(probs[kept], cols.transpose(2, 1, 0)[kept])
-    columns = measures._measure_columns(rho.transpose(2, 0, 1)[kept], pt_w[entangled], c)
+    columns = measures._measure_columns(rho.transpose(2, 0, 1)[kept], pt_min[entangled], c)
     return np.column_stack([*columns.values(), kept + first_draw])
 
 

@@ -3,22 +3,25 @@
 Each quantity has one numerical core that works on a raw (..., 4, 4) stack
 or an array of values: ``concurrence_from_eig`` (from a spectral pair
 (p, U); ``concurrence_batch`` feeds it one checked eigendecomposition of
-each matrix), ``ef_from_concurrence_batch``, ``linear_entropy_batch`` and
-the column assembler behind ``measure_table``, which also forms the
-partial-transpose (PT) spectra.  The concurrence core's singular values
-come from a one-sided Jacobi kernel for stacks of at least
-_JACOBI_MIN_STACK matrices and from LAPACK below that and for any matrix
-the kernel cannot certify; the two agree to rounding.  The Monte Carlo
-harness uses the same cores and the same separability rule
-``_pt_entangled``, but screens states by det(rho^Gamma) (``_pt_screen``,
-which works on the sampler's (4, 4, n) entry stack, forms each PT once and
-returns the spectra of the states it keeps) and takes the concurrence from
-the sampler's spectral pairs.  ``measure_report`` evaluates the body of
-``measure_table`` for one DensityMatrix, whose construction already checked
-its Hermiticity, and the scalar functions (``concurrence``,
-``e_formation``, ``e_negative``, ``e_sum``, ``linear_entropy``,
-``is_separable``) return its fields, so a scalar call equals the
-corresponding table entry exactly.
+each matrix), ``ef_from_concurrence_batch``, ``linear_entropy_batch``,
+``_pt_min`` (the smallest partial-transpose (PT) eigenvalue, which alone
+fixes E_N, E_sum = 2 E_N and separability, because a two-qubit PT has at
+most one negative eigenvalue) and the column assembler behind
+``measure_table``.  The concurrence core's singular values come from a
+one-sided Jacobi kernel, and the smallest PT eigenvalue from Laguerre steps
+on each PT's characteristic polynomial, for stacks of at least
+_JACOBI_MIN_STACK and _PT_MIN_STACK matrices; LAPACK takes smaller stacks
+and any matrix a kernel cannot certify, and the two routes agree to
+rounding.  The Monte Carlo harness uses the same cores and the same
+separability rule ``_pt_entangled``, but screens states by det(rho^Gamma)
+(``_pt_screen``, which works on the sampler's (4, 4, n) entry stack, forms
+each PT once and passes the states it keeps, with their determinants, to
+``_pt_min``) and takes the concurrence from the sampler's spectral pairs.
+``measure_report`` evaluates the body of ``measure_table`` for one
+DensityMatrix, whose construction already checked its Hermiticity, and the
+scalar functions (``concurrence``, ``e_formation``, ``e_negative``,
+``e_sum``, ``linear_entropy``, ``is_separable``) return its fields, so a
+scalar call equals the corresponding table entry exactly.
 """
 
 from __future__ import annotations
@@ -55,6 +58,24 @@ _JACOBI_ROUNDS = (
     (slice(0, 2), slice(2, 4)),
     (slice(0, 2), slice(3, 1, -1)),
 )
+
+# Smallest PT eigenvalue by its characteristic polynomial (_pt_min): the
+# smallest stack the kernel is used for, its Laguerre step count, the error
+# bound that certifies a matrix and the largest row 1-norm it accepts (a
+# density matrix's PT has row 1-norms of at most 2).  On 2 cores with
+# OpenBLAS 0.3.31, LAPACK's eigvalsh took 0.007 ms for 1 matrix and 0.49 ms
+# for 256, the kernel 0.26 ms and 0.39 ms; at 3000 matrices 1.6 ms against 6.0.
+_PT_MIN_STACK = 256
+_PT_LAGUERRE_STEPS = 6
+_PT_TOL = 1e-15
+_PT_MAX_ROW = 4.0
+# Indices, into the upper off-diagonal entries in _LAPLACE_PAIRS order, of the
+# three in each row (or column) of the matrix and of the (ij, jk, ik) entries
+# of each principal 3x3 minor.
+_OFF_OF_ROW = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
+_TRIANGLES = ((0, 3, 1), (0, 4, 2), (1, 5, 2), (3, 5, 4))
+# Unit roundoff of float64.
+_U = 2.0**-53
 
 # sigma_y (x) sigma_y is the real anti-diagonal matrix with entries
 # (-1, 1, 1, -1) from the top row down, so row i of (sy x sy) M is
@@ -223,69 +244,195 @@ def linear_entropy_batch(ms: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - np.einsum("...ij,...ji->...", ms, ms).real)
 
 
-def _pt_entangled(pt_w: np.ndarray) -> np.ndarray:
+def _pt_entangled(pt_min: np.ndarray) -> np.ndarray:
     """True where the smallest PT eigenvalue lies below -EPS_SEP (entangled)."""
-    return pt_w[..., -1] < -EPS_SEP
+    return pt_min < -EPS_SEP
+
+
+def _laplace_minors(m: np.ndarray):
+    """The Laplace expansion of det(m) along rows 0-1, for a (..., 4, 4) stack:
+    six (sign, (j, k), (l, q), top, bottom), top the minor of rows 0-1 and
+    columns j, k, bottom the complementary minor of rows 2-3 and columns l, q."""
+    r0, r1, r2, r3 = (m[..., i, :] for i in range(4))
+    for sign, (j, k), (l, q) in zip((1, -1, 1, 1, -1, 1), _LAPLACE_PAIRS, _LAPLACE_PAIRS[::-1]):
+        top = r0[..., j] * r1[..., k] - r0[..., k] * r1[..., j]
+        bottom = r2[..., l] * r3[..., q] - r2[..., q] * r3[..., l]
+        yield sign, (j, k), (l, q), top, bottom
 
 
 def _hermitian_det(m: np.ndarray) -> np.ndarray:
     """Real determinant of each Hermitian matrix of a (..., 4, 4) stack, by
     Laplace expansion along rows 0-1: the signed sum of the six products of a
     2x2 minor of rows 0-1 and the complementary minor of rows 2-3."""
-    r0, r1, r2, r3 = (m[..., i, :] for i in range(4))
     det = 0.0
-    for sign, (j, k), (l, q) in zip((1, -1, 1, 1, -1, 1), _LAPLACE_PAIRS, _LAPLACE_PAIRS[::-1]):
-        top = r0[..., j] * r1[..., k] - r0[..., k] * r1[..., j]
-        bottom = r2[..., l] * r3[..., q] - r2[..., q] * r3[..., l]
+    for sign, _, _, top, bottom in _laplace_minors(m):
         det = det + sign * (top * bottom).real
     return det
 
 
+def _det_with_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_hermitian_det`` of a (..., 4, 4) stack with a running bound on its
+    rounding error (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., sec. 3.3), taken from the magnitudes met on the way.
+
+    A complex product errs by at most sqrt(2) gamma_2 < 3u times the product
+    of the moduli and the real part of one by 2u, so a minor errs by at most
+    u (3 |a||b| + 3 |c||d| + |minor|), a product of minors by its factors'
+    errors times the other factor plus 2u |top| |bottom|, and each addition
+    by u times the partial sum.  Second-order terms are dropped; the added
+    1e-300 covers underflow for entries of modulus at most _PT_MAX_ROW.
+    """
+    a = np.abs(m.real) + np.abs(m.imag)  # at least the moduli
+    det, err = 0.0, 1e-300 / _U
+    for sign, (j, k), (l, q), top, bottom in _laplace_minors(m):
+        t, b = np.abs(top), np.abs(bottom)
+        t_err = 3.0 * (a[..., 0, j] * a[..., 1, k] + a[..., 0, k] * a[..., 1, j]) + t
+        b_err = 3.0 * (a[..., 2, l] * a[..., 3, q] + a[..., 2, q] * a[..., 3, l]) + b
+        det = det + sign * (top * bottom).real
+        err = err + t * b_err + b * t_err + 2.0 * t * b + np.abs(det)
+    return det, _U * err
+
+
+def _char_poly(x, e1, e2, e3, e4):
+    """p, p' and p'' at x of p(x) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4, by Horner."""
+    p = (((x - e1) * x + e2) * x - e3) * x + e4
+    dp = ((4.0 * x - 3.0 * e1) * x + 2.0 * e2) * x - e3
+    ddp = (12.0 * x - 6.0 * e1) * x + 2.0 * e2
+    return p, dp, ddp
+
+
+def _pt_min(pt: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+    """Smallest eigenvalue of each Hermitian matrix of a (4, 4, m) entry stack
+    (``pt[a, b]`` the (m,) row of entry (a, b)), given its determinants det
+    if the caller has them.
+
+    Stacks of at least _PT_MIN_STACK matrices go through ``_laguerre_min``;
+    the matrices it does not certify, and smaller stacks (where one LAPACK
+    call per stack is faster), go to ``np.linalg.eigvalsh``.
+    """
+    if pt.shape[-1] < _PT_MIN_STACK:
+        return cmat._lapack(np.linalg.eigvalsh, pt.transpose(2, 0, 1))[:, 0]
+    with np.errstate(all="ignore"):  # overflow and NaN leave a matrix uncertified
+        if det is None:
+            det = _hermitian_det(pt.transpose(2, 0, 1))
+        lam, certified = _laguerre_min(pt, det)
+    failed = np.nonzero(~certified)[0]
+    if len(failed):
+        lam[failed] = cmat._lapack(np.linalg.eigvalsh, pt[:, :, failed].transpose(2, 0, 1))[:, 0]
+    return lam
+
+
+def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of each matrix of a (4, 4, m) Hermitian entry stack
+    with determinants det, from its characteristic polynomial, and the mask of
+    certified matrices.
+
+    The coefficients e1..e3 of p(x) = det(x I - A) are the sums of the
+    principal 1x1, 2x2 and 3x3 minors, formed from the diagonal d and the six
+    upper off-diagonal rows a_ij; e4 = det.  All roots of p are real, and
+    Laguerre's method started below all of them climbs monotonically to the
+    smallest (Parlett, Math. Comp. 18, 464 (1964)), with cubic convergence;
+    the start is Gershgorin's bound min_i (d_i - sum_j |a_ij|).  After
+    _PT_LAGUERRE_STEPS steps, a final Newton step takes p(x) as det(A - x I)
+    from ``_det_with_bound``, straight from the entries, so that its error
+    bound E does not carry the coefficients' rounding.
+
+    A matrix is certified when its row 1-norms are at most _PT_MAX_ROW
+    (nothing overflows), the result is finite, the Newton step s is at most
+    _PT_TOL (the iteration has converged) and
+    (E + |p''| s^2) / |p'| + u max_i |d_i - x| <= _PT_TOL.  The first term
+    bounds the distance to the root to first order, Newton's remainder
+    included; the second bounds the rounding of the shifted diagonal, a
+    Hermitian perturbation of at most that norm (Weyl).  On 2.9e5 screened
+    sampler states, 5 steps already left every certified value within 6e-16
+    of LAPACK's; 6 keep one step in reserve.  The certificate refused 0.55%
+    of those states.  It refuses pure states of Schmidt coefficient
+    alpha <= 0.01 in a generic product basis, where three PT eigenvalues lie
+    within alpha of zero and the kernel's value can be off by 3e-4.
+    """
+    rows, cols = zip(*_LAPLACE_PAIRS)
+    d = pt[range(4), range(4)].real
+    off = pt[rows, cols]
+    q = off.real * off.real + off.imag * off.imag
+    r = np.sqrt(q)[_OFF_OF_ROW, :].sum(axis=1)  # off-diagonal row sums of |A|
+    in_range = (np.abs(d) + r).max(axis=0) <= _PT_MAX_ROW
+    x = (d - r).min(axis=0)
+    dd, ds = d[rows, :] * d[cols, :], d[rows, :] + d[cols, :]
+    ij, jk, ik = (off[list(t), :] for t in zip(*_TRIANGLES))
+    e1 = d.sum(axis=0)
+    e2 = (dd - q).sum(axis=0)
+    # pair k's complementary pair is 5 - k, so ds[::-1] sums the other two diagonal entries
+    e3 = dd[0] * ds[5] + dd[5] * ds[0] - (q * ds[::-1]).sum(axis=0)
+    e3 = e3 + 2.0 * (ij * jk * np.conj(ik)).real.sum(axis=0)
+    for _ in range(_PT_LAGUERRE_STEPS):
+        p, dp, ddp = _char_poly(x, e1, e2, e3, det)
+        # below the smallest root p > 0 > p'; the denominator is Laguerre's
+        # p' -/+ sqrt(...) of larger modulus, so x moves up towards that root
+        x = x - 4.0 * p / (dp - np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * p * ddp, 0.0)))
+    _, dp, ddp = _char_poly(x, e1, e2, e3, det)
+    shifted = pt.copy()
+    for i in range(4):
+        shifted[i, i] -= x
+    p, bound = _det_with_bound(shifted.transpose(2, 0, 1))
+    step = p / dp
+    lam = x - step
+    bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)
+    certified = in_range & np.isfinite(lam) & (np.abs(step) <= _PT_TOL) & (bound <= _PT_TOL)
+    return lam, certified
+
+
 def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, PT eigenvalues) of the states of a (4, 4, n) entry stack of
-    density matrices (``rho[a, b]`` the (n,) row of entry (a, b), the
+    """(indices, smallest PT eigenvalues) of the states of a (4, 4, n) entry
+    stack of density matrices (``rho[a, b]`` the (n,) row of entry (a, b), the
     sampler's layout) that the EPS_SEP rule might call entangled: those with
-    det(rho^Gamma) <= DET_SCREEN, with their descending PT spectra.
+    det(rho^Gamma) <= DET_SCREEN, with lambda_min(rho^Gamma) from ``_pt_min``.
 
     rho^Gamma is formed once, for every state, as a permutation of the 16
     entry rows, and its Hermiticity checked; ``_hermitian_det`` reads it
     through a (n, 4, 4) view, so every minor multiplies contiguous rows, and
-    only the screened states are gathered into a (m, 4, 4) stack for the
-    eigensolver.  A two-qubit PT has at most one negative eigenvalue
-    (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so det(rho^Gamma) > 0
-    means PPT.  Rounding cannot defeat the screen: eigvalsh's eigenvalues
-    are exact for a matrix within about 1e-15 of rho^Gamma (whose norm is at
-    most 1), so a state that ``_pt_entangled`` calls entangled has one
-    eigenvalue below -EPS_SEP + 1e-15 < 0 and three above -1e-15, hence a
-    true determinant below about 1e-15.  The computed determinant is a sum
-    of 24 signed products of four entries, formed through 2x2 minors in a
-    fixed order; its rounding error is at most about 20 u perm(|rho^Gamma|),
-    with u = 1.1e-16 and a permanent of at most prod_i ||row_i||_1 <=
-    prod_i 2 ||row_i||_2 <= 1, because the rows' squared norms sum to
-    tr(rho^2) <= 1.  So it moves the determinant by at most about 2e-15, far
-    below DET_SCREEN.  The argument needs rho^Gamma Hermitian, because
-    eigvalsh reads one triangle and the expansion the whole matrix; the
+    only the screened states are gathered, as a (4, 4, m) entry stack that
+    ``_pt_min`` takes with their determinants.  A two-qubit PT has at most
+    one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)),
+    so det(rho^Gamma) > 0 means PPT.  Rounding cannot defeat the screen: a
+    certified lambda_min lies within 1e-15 of the exact one by its error
+    bound, and an eigvalsh value is exact for a matrix within about 1e-15 of
+    rho^Gamma (whose norm is at most 1), which moves no eigenvalue by more
+    than 1e-15 (Weyl).  So a state that ``_pt_entangled`` calls entangled
+    has one eigenvalue below -EPS_SEP + 1e-15 < 0 and, being a PT up to
+    rounding, three above about -1e-15, hence a true determinant below about
+    1e-15.  The computed determinant is a sum of 24 signed products of four
+    entries, formed through 2x2 minors in a fixed order; its rounding error
+    is at most about 20 u perm(|rho^Gamma|), with u = 1.1e-16 and a permanent
+    of at most prod_i ||row_i||_1 <= prod_i 2 ||row_i||_2 <= 1, because the
+    rows' squared norms sum to tr(rho^2) <= 1.  So it moves the determinant
+    by at most about 2e-15, far below DET_SCREEN.  The argument needs
+    rho^Gamma Hermitian, because eigvalsh reads one triangle, the kernel's
+    coefficients the upper one and the expansion the whole matrix; the
     sampler's entry stacks are exactly Hermitian by construction.
     """
     n = rho.shape[-1]
-    pt = rho.reshape(16, n)[_PT_ROWS].reshape(4, 4, n).transpose(2, 0, 1)
-    cmat._require_hermitian(pt)
-    screened = np.nonzero(_hermitian_det(pt) <= DET_SCREEN)[0]
-    return screened, cmat._lapack(np.linalg.eigvalsh, pt[screened])[..., ::-1]
+    pt = rho.reshape(16, n)[_PT_ROWS].reshape(4, 4, n)
+    cmat._require_hermitian(pt.transpose(2, 0, 1))
+    det = _hermitian_det(pt.transpose(2, 0, 1))
+    screened = np.nonzero(det <= DET_SCREEN)[0]
+    return screened, _pt_min(pt[:, :, screened], det[screened])
 
 
-def _measure_columns(ms: np.ndarray, pt_w: np.ndarray, c: np.ndarray) -> dict[str, np.ndarray]:
-    """C, E_F, E_N, E_sum and S for a (n, 4, 4) stack with PT eigenvalues pt_w
-    and concurrences c.
+def _measure_columns(ms: np.ndarray, pt_min: np.ndarray, c: np.ndarray) -> dict[str, np.ndarray]:
+    """C, E_F, E_N, E_sum and S for a (n, 4, 4) stack with smallest PT
+    eigenvalues pt_min and concurrences c.
 
-    The Monte Carlo harness passes only the entangled states of a chunk, with
-    concurrences from the sampler's spectral pairs.
+    The PT of a two-qubit density matrix has unit trace and at most one
+    negative eigenvalue, so the sum of its absolute eigenvalues minus one is
+    -2 pt_min when pt_min < 0: E_sum = 2 E_N, exactly in floating point.
+    The Monte Carlo harness passes only the entangled states of a chunk,
+    with concurrences from the sampler's spectral pairs.
     """
     return {
         "concurrence": c,
         "e_formation": ef_from_concurrence_batch(c),
-        "e_negative": np.maximum(0.0, -pt_w[..., -1]),
-        "e_sum": np.maximum(0.0, np.abs(pt_w).sum(axis=-1) - 1.0),
+        "e_negative": np.maximum(0.0, -pt_min),
+        "e_sum": np.maximum(0.0, -2.0 * pt_min),
         "linear_entropy": linear_entropy_batch(ms),
     }
 
@@ -305,9 +452,9 @@ def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
 def _table_of_hermitian(ms: np.ndarray) -> dict[str, np.ndarray]:
     """``measure_table`` for a stack already known to be Hermitian."""
     c = concurrence_from_eig(*cmat._lapack(np.linalg.eigh, ms))
-    pt_w = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(ms))[..., ::-1]
-    table = _measure_columns(ms, pt_w, c)
-    table["separable"] = ~_pt_entangled(pt_w)
+    pt_min = _pt_min(np.ascontiguousarray(cmat.partial_transpose_b(ms).transpose(1, 2, 0)))
+    table = _measure_columns(ms, pt_min, c)
+    table["separable"] = ~_pt_entangled(pt_min)
     return table
 
 

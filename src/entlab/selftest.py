@@ -94,6 +94,10 @@ def check_experiment(n_pairs: int = 256) -> None:
 
 def check_harness_rows(n: int = 2000) -> None:
     chunk = sampler._spectral_stacks(sampler.RngStream(109), n)
+    screened, pt_min = measures._pt_screen(chunk[0])
+    assert len(screened) >= measures._PT_MIN_STACK  # so the screened stack takes the kernel
+    pts = cmat.partial_transpose_b(chunk[0].transpose(2, 0, 1)[screened])
+    assert np.abs(pt_min - cmat._lapack(np.linalg.eigvalsh, pts)[:, 0]).max() <= 1e-15
     stats = experiment._entangled_state_stats(*chunk, 0)
     table = measures.measure_table(chunk[0].transpose(2, 0, 1))
     entangled = ~table["separable"]

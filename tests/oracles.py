@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's code paths: the product
 spectrum uses a general (non-Hermitian) eigensolver, Haar matrices come from
 QR orthonormalization, simplex samples come from sorted-uniform spacings, and
-the high-precision concurrence uses mpmath's eigensolver on rho rho~.
+the high-precision concurrence uses mpmath's eigensolver on rho rho~ and the
+high-precision smallest eigenvalue its Hermitian eigensolver.
 """
 
 import numpy as np
@@ -75,3 +76,10 @@ def concurrence_mp(mpmath, p: np.ndarray, u: np.ndarray, dps: int = 40) -> float
         ev = mpmath.eig(rho * (flip * rho.conjugate() * flip), left=False, right=False)
         lam = sorted((mpmath.sqrt(max(mpmath.re(e), 0)) for e in ev), reverse=True)
         return float(max(lam[0] - lam[1] - lam[2] - lam[3], 0))
+
+
+def eigvalsh_min_mp(mpmath, m: np.ndarray, dps: int = 40) -> float:
+    """Smallest eigenvalue of the Hermitian matrix m at dps digits."""
+    with mpmath.workdps(dps):
+        a = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in m])
+        return float(min(mpmath.re(e) for e in mpmath.eigh(a, eigvals_only=True)))

@@ -277,9 +277,9 @@ class TestCompare:
     # states_kept 6000, 0 ties).  A refactor of the harness must leave these
     # unchanged; a change that alters output bits says so and re-pins them.
     PINNED_SHA256 = {
-        "fig1.csv": "98f76a4e22f955c3e89846ec93451b2bce51d4553ff14eeefd23b538a8e6bfde",
-        "fig2.csv": "e4033cd2b41304290eb6e18955cbb61cb0363eda1662ce11ff7f844d9c95f261",
-        "fig3.csv": "1ca70c569f7fca172483fbcf278136b98501d31d077dc2537b099ab279866c8f",
+        "fig1.csv": "e08a870bbe16502afba9f6c0f971e072761655f732cdbc4e9c9c949239545ce4",
+        "fig2.csv": "888ed921870ec96ddedb97b357ccf5f77cafe3917f1b5ce80be2e712b8a0de32",
+        "fig3.csv": "fcb27c20c7816d6c5ff24a5dcfd06e18e42c6c772d8003cf51ab4f6869463509",
         "fig4.csv": "9c2fd2364b1633c360a94d8ab5edb8630d2f022ddbd43d44b7acab7587abbd83",
         "summary.csv": "ecc8fc07191672407314c051cf8a695903f0d17098d96a030444d9eb8b7f53ad",
     }

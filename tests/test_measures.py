@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,84 @@ class TestJacobiKernel:
         assert np.abs(in_stack[:512] - alone).max() <= 1e-15
 
 
+def pt_entry_stack(ms):
+    """The partial transposes of a (n, 4, 4) stack as the (4, 4, n) entry stack
+    that _pt_min takes."""
+    return np.ascontiguousarray(cmat.partial_transpose_b(ms).transpose(1, 2, 0))
+
+
+def lapack_pt_min(ms):
+    return np.linalg.eigvalsh(cmat.partial_transpose_b(ms))[:, 0]
+
+
+class TestPtMinKernel:
+    """The characteristic-polynomial kernel behind the smallest PT eigenvalue."""
+
+    @staticmethod
+    def special_states():
+        """Pure states of Schmidt coefficient 1e-1 .. 1e-6 in random product
+        bases, Werner states on either side of the EPS_SEP boundary, the singlet."""
+        rng = np.random.default_rng(52)
+        ua, ub = (oracles.qr_haar_unitaries(rng, 6, 2) for _ in range(2))
+        states = []
+        for k, (a, b) in enumerate(zip(ua, ub), start=1):
+            alpha = 10.0**-k
+            psi = np.kron(a, b) @ np.array([alpha, 0.0, 0.0, np.sqrt(1.0 - alpha**2)])
+            states.append(np.outer(psi, np.conj(psi)))
+        fs = (0.5 + 1e-10 * (1 + 1e-3), 0.5 + 1e-10 * (1 - 1e-3))
+        states += [werner_state(f).matrix for f in fs] + [singlet().matrix]
+        return np.stack(states)
+
+    def test_mpmath_reference(self):
+        mpmath = pytest.importorskip("mpmath")
+        rhos = random_density_batch(RngStream(53), 4096)
+        special = self.special_states()
+        ms = np.concatenate([rhos, special])
+        pt = pt_entry_stack(ms)
+        entangled = np.nonzero(lapack_pt_min(rhos) < -measures.EPS_SEP)[0][:60]
+        idx = np.concatenate([entangled, len(rhos) + np.arange(len(special))])
+        in_stack = measures._pt_min(pt)
+        alone = measures._pt_min(np.ascontiguousarray(pt[:, :, idx]))  # below the threshold
+        assert len(idx) < measures._PT_MIN_STACK <= pt.shape[-1]
+        reference = np.array(
+            [oracles.eigvalsh_min_mp(mpmath, cmat.partial_transpose_b(ms[i])) for i in idx]
+        )
+        assert np.abs(in_stack[idx] - reference).max() <= 1e-15
+        assert np.abs(alone - reference).max() <= 1e-15
+        # Schmidt coefficients <= 1e-2 put three PT eigenvalues within alpha of
+        # zero, so |p'| is tiny and the certificate must refuse them; it accepts
+        # the Werner states and the singlet, whose root is Gershgorin's bound
+        _, certified = measures._laguerre_min(pt, measures._hermitian_det(pt.transpose(2, 0, 1)))
+        assert certified[entangled].all()
+        assert not certified[len(rhos) + 1 : len(rhos) + 6].any()
+        assert certified[len(rhos) + 6 :].all()
+        assert in_stack[-1] == reference[-1] == -0.5
+
+    def test_against_lapack(self):
+        worst = 0.0
+        for seed in range(54, 58):
+            rhos = random_density_batch(RngStream(seed), 50_000)
+            diff = measures._pt_min(pt_entry_stack(rhos)) - lapack_pt_min(rhos)
+            worst = max(worst, float(np.abs(diff).max()))
+        assert worst <= 1e-15
+
+    def test_forced_fallback_is_lapack(self, monkeypatch):
+        rhos = random_density_batch(RngStream(58), 2000)
+        pt = pt_entry_stack(rhos)
+        lapack = lapack_pt_min(rhos)
+        # the kernel's values differ from LAPACK's in the last bits ...
+        assert not np.array_equal(measures._pt_min(pt), lapack)
+        # ... so equality shows that every matrix fell back: a zero tolerance certifies none
+        monkeypatch.setattr(measures, "_PT_TOL", 0.0)
+        assert np.array_equal(measures._pt_min(pt), lapack)
+
+    def test_single_state_matches_stack(self):
+        pt = pt_entry_stack(random_density_batch(RngStream(59), 4096))
+        in_stack = measures._pt_min(pt)
+        alone = [measures._pt_min(pt[:, :, i : i + 1])[0] for i in range(512)]
+        assert np.abs(in_stack[:512] - alone).max() <= 1e-15
+
+
 class TestNonFiniteInput:
     """NaN and infinite entries end in a library error, not in LAPACK."""
 
@@ -210,18 +290,22 @@ _ENTRIES = st.one_of(
 
 
 @st.composite
-def raw_stacks(draw):
-    """(n, 4, 4) complex stacks: raw, their Hermitian part, or a Gram matrix a a^dagger,
-    so that the checks pass and the eigensolvers and the SVD see extreme input too."""
-    n = draw(st.integers(0, 3))
+def raw_stacks(draw, sizes=st.integers(0, 3), forms=("raw", "hermitian", "gram")):
+    """(n, 4, 4) complex stacks: raw, their Hermitian part, or a Gram matrix a a^dagger
+    (optionally divided by its trace, "state"), so that the checks pass and the
+    eigensolvers and the SVD see extreme input too."""
+    n = draw(sizes)
     parts = [draw(hnp.arrays(np.float64, (n, 4, 4), elements=_ENTRIES)) for _ in range(2)]
     with np.errstate(all="ignore"):
         a = parts[0] + 1j * parts[1]
-        form = draw(st.sampled_from(["raw", "hermitian", "gram"]))
+        form = draw(st.sampled_from(forms))
         if form == "hermitian":
             return 0.5 * (a + np.conj(a.transpose(0, 2, 1)))
-        if form == "gram":
-            return a @ np.conj(a.transpose(0, 2, 1))
+        if form in ("gram", "state"):
+            gram = a @ np.conj(a.transpose(0, 2, 1))
+            if form == "state":
+                return gram / np.einsum("nii->n", gram).real[:, None, None]
+            return gram
         return a
 
 
@@ -229,15 +313,40 @@ class TestRawStacks:
     """The stack entry points return a value or raise a library error, never a
     numpy LinAlgError, whatever (n, 4, 4) complex stack they get."""
 
-    @given(raw_stacks())
-    @settings(max_examples=400, deadline=None)
-    def test_value_or_library_error(self, ms):
+    @staticmethod
+    def value_or_library_error(ms):
         for fn in (measures.measure_table, measures.concurrence_batch, cmat.psd_sqrt):
             try:
                 with np.errstate(all="ignore"):
                     fn(ms)
             except EntanglementLabError:
                 pass
+
+    @given(raw_stacks())
+    @settings(max_examples=400, deadline=None)
+    def test_value_or_library_error(self, ms):
+        self.value_or_library_error(ms)
+
+    @given(raw_stacks())
+    @settings(max_examples=400, deadline=None)
+    def test_value_or_library_error_through_the_kernel(self, ms):
+        # with the size threshold at 1 every stack takes the polynomial kernel,
+        # which must certify no wrong value and, unlike the LAPACK routines
+        # above, runs without a numpy error state around it
+        with mock.patch.object(measures, "_PT_MIN_STACK", 1):
+            self.value_or_library_error(ms)
+            try:
+                cmat._require_hermitian(ms)
+                lam = measures._pt_min(pt_entry_stack(ms))
+                reference = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(ms))[:, 0]
+            except EntanglementLabError:
+                return
+        # a certified value is within 1e-15 of the exact one, LAPACK's within a
+        # few u ||rho^Gamma||; any other matrix fell back to LAPACK
+        with np.errstate(all="ignore"):
+            scale = np.abs(ms).sum(axis=-1).max(axis=-1) if len(ms) else 0.0
+            close = np.abs(lam - reference) <= 1e-15 + 1e-15 * scale
+        assert np.all(close | (lam == reference) | (np.isnan(lam) & np.isnan(reference)))
 
     def test_eigensolver_failure_is_a_library_error(self):
         # finite and Hermitian, but LAPACK's eigh does not converge on it
@@ -467,6 +576,7 @@ class TestMeasureReport:
         states = [qstate.DensityMatrix(m) for m in random_density_batch(RngStream(39), 500)]
         states += [werner_state(f) for f in fs] + [pure_schmidt(a) for a in alphas] + [singlet()]
         monkeypatch.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
+        monkeypatch.setattr(measures, "_PT_MIN_STACK", np.inf)
         table = measures.measure_table(np.stack([rho.matrix for rho in states]))
         for k, rho in enumerate(states):
             row = measures.MeasureReport(**{name: col[k].item() for name, col in table.items()})

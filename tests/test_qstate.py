@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entlab import cmat, measures, qstate
-from entlab.errors import NotHermitian, NotPSD, ParameterOutOfRange, TraceNotOne
+from entlab.errors import (
+    EntanglementLabError,
+    NotHermitian,
+    NotPSD,
+    ParameterOutOfRange,
+    TraceNotOne,
+)
 from entlab.sampler import RngStream, random_density_batch
+from test_measures import raw_stacks
 
 
 class TestValidation:
@@ -34,6 +43,23 @@ class TestValidation:
         m[0, 1] = np.nan
         with pytest.raises(NotHermitian):
             qstate.DensityMatrix(m)
+
+    @given(raw_stacks(sizes=st.just(1), forms=("raw", "hermitian", "gram", "state")))
+    @example(np.array([[[0.25, 1.7e308, 0, 0], [-1.7e308, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]]]))
+    @settings(max_examples=400, deadline=None)
+    def test_raw_input_is_a_state_or_library_error(self, ms):
+        # NaN, inf, 1e+-300 and subnormal entries, and a defect beyond the float
+        # range; pytest turns any numpy warning into an error, so the check
+        # must stay silent as well
+        try:
+            rho = qstate.DensityMatrix(ms[0])
+        except EntanglementLabError:
+            return
+        m = rho.matrix
+        assert np.isfinite(m).all()
+        assert cmat.hermiticity_defect(m) <= cmat.TOL.hermiticity
+        assert abs(np.trace(m).real - 1.0) <= cmat.TOL.hermiticity
+        assert np.linalg.eigvalsh(m)[0] >= -cmat.TOL.psd_clamp
 
     def test_matrix_is_read_only(self):
         rho = qstate.singlet()
