@@ -327,9 +327,14 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     with determinants det, from its characteristic polynomial, and the mask of
     certified matrices.
 
-    The coefficients e1..e3 of p(x) = det(x I - A) are the sums of the
-    principal 1x1, 2x2 and 3x3 minors, formed from the diagonal d and the six
-    upper off-diagonal rows a_ij; e4 = det.  All roots of p are real, and
+    A is the Hermitian matrix that the real diagonal d and the lower
+    triangle define, the one eigvalsh reads, so a stack that is Hermitian
+    only within TOL.hermiticity gets the same value from either route.  The
+    coefficients e1..e3 of p(x) = det(x I - A) are the sums of its principal
+    1x1, 2x2 and 3x3 minors, formed from d and the six off-diagonal rows
+    a_ij (i < j); e4 = det, which the caller formed from the whole matrix
+    (where that is not A, the Newton step below corrects the difference or
+    leaves the matrix uncertified).  All roots of p are real, and
     Laguerre's method started below all of them climbs monotonically to the
     smallest (Parlett, Math. Comp. 18, 464 (1964)), with cubic convergence;
     the start is Gershgorin's bound min_i (d_i - sum_j |a_ij|).  After
@@ -352,7 +357,7 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """
     rows, cols = zip(*_LAPLACE_PAIRS)
     d = pt[range(4), range(4)].real
-    off = pt[rows, cols]
+    off = np.conj(pt[cols, rows])  # the lower triangle, which eigvalsh reads
     q = off.real * off.real + off.imag * off.imag
     r = np.sqrt(q)[_OFF_OF_ROW, :].sum(axis=1)  # off-diagonal row sums of |A|
     in_range = (np.abs(d) + r).max(axis=0) <= _PT_MAX_ROW
@@ -371,8 +376,8 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
         x = x - 4.0 * p / (dp - np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * p * ddp, 0.0)))
     _, dp, ddp = _char_poly(x, e1, e2, e3, det)
     shifted = pt.copy()
-    for i in range(4):
-        shifted[i, i] -= x
+    shifted[rows, cols] = off
+    shifted[range(4), range(4)] = d - x
     p, bound = _det_with_bound(shifted.transpose(2, 0, 1))
     step = p / dp
     lam = x - step
@@ -406,9 +411,9 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     of at most prod_i ||row_i||_1 <= prod_i 2 ||row_i||_2 <= 1, because the
     rows' squared norms sum to tr(rho^2) <= 1.  So it moves the determinant
     by at most about 2e-15, far below DET_SCREEN.  The argument needs
-    rho^Gamma Hermitian, because eigvalsh reads one triangle, the kernel's
-    coefficients the upper one and the expansion the whole matrix; the
-    sampler's entry stacks are exactly Hermitian by construction.
+    rho^Gamma Hermitian, because eigvalsh and the kernel read one triangle
+    and the expansion the whole matrix; the sampler's entry stacks are
+    exactly Hermitian by construction.
     """
     n = rho.shape[-1]
     pt = rho.reshape(16, n)[_PT_ROWS].reshape(4, 4, n)

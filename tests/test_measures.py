@@ -255,6 +255,19 @@ class TestPtMinKernel:
         monkeypatch.setattr(measures, "_PT_TOL", 0.0)
         assert np.array_equal(measures._pt_min(pt), lapack)
 
+    @pytest.mark.parametrize("triangle", [np.triu, np.tril])
+    def test_hermitian_within_tolerance(self, triangle):
+        # noise on one triangle leaves a defect just inside TOL.hermiticity;
+        # the kernel reads the lower triangle, as eigvalsh does
+        rng = np.random.default_rng(60)
+        rhos = random_density_batch(RngStream(60), 4000)
+        noise = 1e-11 * (rng.standard_normal(rhos.shape) + 1j * rng.standard_normal(rhos.shape))
+        offset = 1 if triangle is np.triu else -1
+        noisy = rhos + triangle(noise.transpose(1, 2, 0), offset).transpose(2, 0, 1)
+        assert 1e-11 < cmat.hermiticity_defect(noisy) <= cmat.TOL.hermiticity
+        diff = measures._pt_min(pt_entry_stack(noisy)) - lapack_pt_min(noisy)
+        assert np.abs(diff).max() <= 1e-15
+
     def test_single_state_matches_stack(self):
         pt = pt_entry_stack(random_density_batch(RngStream(59), 4096))
         in_stack = measures._pt_min(pt)
