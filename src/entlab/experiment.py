@@ -14,7 +14,7 @@ configuration.  ``compare_pair`` and the shards apply one
 pairing and tie rule.  Per state, the shards compute the smallest
 partial-transpose eigenvalue only where the determinant screen cannot rule
 out entanglement, and the concurrence only for kept states, from the
-sampler's spectral pairs.
+sampler's spectral pairs in its column layout.
 """
 
 from __future__ import annotations
@@ -184,14 +184,16 @@ def _entangled_state_stats(
     index first_draw.
 
     Only the states that pass the determinant screen get their smallest PT
-    eigenvalue, and ``measures._pt_entangled`` decides among them.  The concurrence comes
-    from the spectral pairs (probs, u), so rho is never diagonalized; only
-    the kept states' u and rho are gathered into (m, 4, 4) stacks.
+    eigenvalue, and ``measures._pt_entangled`` decides among them.  The
+    concurrence comes from the spectral pairs (probs, u), so rho is never
+    diagonalized: the kept states' columns are gathered into a (4, 4, m)
+    column stack, passed as a transposed view that the concurrence kernel
+    works on without a copy, and only their rho into a (m, 4, 4) stack.
     """
     screened, pt_min = measures._pt_screen(rho)
     entangled = measures._pt_entangled(pt_min)
     kept = screened[entangled]
-    c = measures.concurrence_from_eig(probs[kept], cols.transpose(2, 1, 0)[kept])
+    c = measures.concurrence_from_eig(probs[kept], np.take(cols, kept, axis=2).transpose(2, 1, 0))
     columns = measures._measure_columns(rho.transpose(2, 0, 1)[kept], pt_min[entangled], c)
     return np.column_stack([*columns.values(), kept + first_draw])
 

@@ -16,7 +16,7 @@ rounding.  The Monte Carlo harness uses the same cores and the same
 separability rule ``_pt_entangled``, but screens states by det(rho^Gamma)
 (``_pt_screen``, which works on the sampler's (4, 4, n) entry stack, forms
 each PT once and passes the states it keeps, with their determinants, to
-``_pt_min``) and takes the concurrence from the sampler's spectral pairs.
+``_pt_min``) and takes the concurrence from the sampler's column stacks.
 ``measure_report`` evaluates the body of ``measure_table`` for one
 DensityMatrix, whose construction already checked its Hermiticity, and the
 scalar functions (``concurrence``, ``e_formation``, ``e_negative``,
@@ -45,9 +45,10 @@ _LAPLACE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # Flat entry index of rho for each flat entry of rho^Gamma.
 _PT_ROWS = cmat.partial_transpose_b(np.arange(16).reshape(4, 4)).ravel()
 # One-sided Jacobi singular values (_jacobi): the smallest stack it is used
-# for, the sweep count and the residual that certifies a matrix.  On 2 cores
-# with OpenBLAS 0.3.31, LAPACK's svd took 0.014 ms for 1 matrix and 1.4 ms
-# for 256, the kernel 0.7 ms and 1.4 ms; at 3000 matrices 16 ms against 8.3.
+# for, the most sweeps a matrix gets and the residual that certifies it.  On
+# 2 cores with OpenBLAS 0.3.31, the LAPACK route of _r_spectrum took 0.03 ms
+# for 1 matrix, 1.1-1.9 ms for 256 and 18 ms for 3000, the kernel route
+# 0.6-0.8, 1.1-2.0 and 8.4 ms; LAPACK won at 192, the kernel at 512.
 _JACOBI_MIN_STACK = 256
 _JACOBI_SWEEPS = 5
 _JACOBI_TOL = 1e-8
@@ -121,46 +122,64 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     the unitaries u and u^T taken off its two sides, and R^2 is unitarily
     similar to B B^dagger.  Singular values keep full absolute accuracy for
     near-zero R eigenvalues, where squaring and rooting would lose half the
-    digits that rank-deficient (pure) states need.  (sy x sy) conj(u) is a
-    signed row reversal, so B needs one product.  The singular values come
-    from one core, ``_singular_values``: a one-sided Jacobi kernel for stacks
-    of at least _JACOBI_MIN_STACK matrices, LAPACK below that and for any
-    matrix the kernel cannot certify, so a state's value depends on the size
-    of the stack it comes in only by rounding.  Entries of p in
-    [-TOL.psd_clamp, 0) are clipped to zero; anything lower, or NaN, raises
-    NotPSD.
+    digits that rank-deficient (pure) states need.  They come from one core,
+    ``_r_spectrum``, so a state's value depends on the size of the stack it
+    comes in only by rounding.  Entries of p in [-TOL.psd_clamp, 0) are
+    clipped to zero; anything lower, or NaN, raises NotPSD.
     """
     lam = _r_spectrum(p, u)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
 def _r_spectrum(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Descending R spectrum of u diag(p) u^dagger: the singular values of B."""
+    """Descending R spectrum of u diag(p) u^dagger: the singular values of B.
+
+    Stacks under _JACOBI_MIN_STACK go to ``_lapack_r_spectrum``.  Larger
+    ones go through ``_jacobi`` on the column stack ``_conj_b`` forms (no
+    copy of u when it is a transposed column stack, as the Monte Carlo
+    harness passes it), and the matrices it does not certify go to
+    ``_lapack_r_spectrum``, which gives them the bits a small stack would.
+    """
     root = np.sqrt(cmat._require_psd(np.asarray(p)))
     u = np.asarray(u)
-    flipped = _FLIP_SIGNS[:, None] * np.conj(u[..., ::-1, :])
-    b = root[..., :, None] * (np.conj(np.swapaxes(u, -1, -2)) @ flipped) * root[..., None, :]
-    return _singular_values(b)
-
-
-def _singular_values(b: np.ndarray) -> np.ndarray:
-    """Descending singular values of a (..., 4, 4) stack.
-
-    Stacks of at least _JACOBI_MIN_STACK matrices go through ``_jacobi``;
-    the matrices it does not certify, and smaller stacks (where one LAPACK
-    call per stack is faster), go to ``np.linalg.svd``.
-    """
-    lead = b.shape[:-2]
+    lead = u.shape[:-2]
     if math.prod(lead) < _JACOBI_MIN_STACK:
-        return cmat._lapack(np.linalg.svd, b, compute_uv=False)
-    b = b.reshape(-1, 4, 4)
-    cols = np.ascontiguousarray(b.transpose(2, 1, 0))  # cols[j, :, k]: column j of matrix k
-    certified = _jacobi(cols)
-    lam = np.sort(np.sqrt(_column_norms_sq(cols)).T, axis=-1)[:, ::-1]
+        return _lapack_r_spectrum(root, u)
+    root, u = root.reshape(-1, 4), u.reshape(-1, 4, 4)
+    norms_sq, certified = _jacobi(_conj_b(root, u))
+    lam = np.sort(np.sqrt(norms_sq).T, axis=-1)[:, ::-1]
     failed = np.nonzero(~certified)[0]
     if len(failed):
-        lam[failed] = cmat._lapack(np.linalg.svd, b[failed], compute_uv=False)
+        lam[failed] = _lapack_r_spectrum(root[failed], u[failed])
     return lam.reshape(lead + (4,))
+
+
+def _lapack_r_spectrum(root: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Singular values of B = root u^dagger (sy x sy) conj(u) root, for root
+    the square roots of the spectra: one batched product and LAPACK's SVD.
+    (sy x sy) conj(u) is a signed row reversal."""
+    flipped = _FLIP_SIGNS[:, None] * np.conj(u[..., ::-1, :])
+    b = root[..., :, None] * (np.conj(np.swapaxes(u, -1, -2)) @ flipped) * root[..., None, :]
+    return cmat._lapack(np.linalg.svd, b, compute_uv=False)
+
+
+def _conj_b(root: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """conj(B), which has B's singular values, for root (m, 4) and u
+    (m, 4, 4), as a (4, 4, m) column stack: ``b[l, k]`` is the (m,) row of
+    entry k of column l.
+
+    B is complex symmetric, so only its ten upper entries are formed: with
+    v_k = sqrt(p_k) times column k of u, entry (k, l) of conj(B) is
+    v_1k v_2l + v_2k v_1l - v_0k v_3l - v_3k v_0l, four products of
+    contiguous rows in a fixed order, so a state's bits do not depend on m.
+    """
+    v = np.ascontiguousarray(u.transpose(2, 1, 0)) * np.ascontiguousarray(root.T)[:, None, :]
+    b = np.empty_like(v)
+    for k in range(4):
+        for l in range(k, 4):
+            x, y = v[k], v[l]
+            b[k, l] = b[l, k] = x[1] * y[2] + x[2] * y[1] - x[0] * y[3] - x[3] * y[0]
+    return b
 
 
 def _column_norms_sq(cols: np.ndarray) -> np.ndarray:
@@ -170,34 +189,35 @@ def _column_norms_sq(cols: np.ndarray) -> np.ndarray:
     return sq[:, 0::2] + sq[:, 1::2]
 
 
-def _jacobi(cols: np.ndarray) -> np.ndarray:
+def _jacobi(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One-sided Jacobi (Hestenes, J. SIAM 6, 51 (1958)) on a (4, 4, n)
-    complex column stack, in place; returns the mask of certified matrices.
+    complex column stack, which it overwrites; returns the squared column
+    norms (4, n) it ends with and the mask of certified matrices.
 
     Each sweep makes every pair of columns b_j, b_k orthogonal by a complex
     rotation, which keeps the singular values, so afterwards they are the
     column norms (in no particular order).  A sweep is three rounds of two
     disjoint pairs, each round two basic-slice views of the stack, and the
-    norms are recomputed every round.  The kernel runs _JACOBI_SWEEPS sweeps
-    and certifies a matrix when, before each rotation of the last sweep,
-    |b_j^H b_k| <= _JACOBI_TOL ||b_j|| ||b_k|| (never for NaN).  Jacobi
-    computes singular values to high relative accuracy (Demmel & Veselic,
-    SIAM J. Matrix Anal. Appl. 13, 1204 (1992)), and the last sweep leaves
-    an error second order in that residual: on 3.3e5 sampler matrices, rows
-    whose residual before a sweep was up to 1e-4 came out within 1e-15 of
-    LAPACK after it.  Five sweeps certified every one of them; after four,
-    the residual still exceeded 1e-3 on some.
+    norms are recomputed every round.  A matrix passes a sweep when, before
+    each of its rotations, |b_j^H b_k| <= _JACOBI_TOL ||b_j|| ||b_k|| (never
+    for NaN); it is certified after that sweep if its norms are finite, and
+    leaves the stack; one that passes none of _JACOBI_SWEEPS sweeps is not.
+    Jacobi computes singular values to high relative accuracy (Demmel &
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)), and a sweep that
+    starts from that residual leaves an error second order in it.  Of the
+    acceptance run's kept states, 0.3% pass sweep 3, 89% sweep 4, the rest 5.
     """
-    certified = np.ones(cols.shape[-1], dtype=bool)
+    norms, certified = np.empty((4, cols.shape[-1])), np.zeros(cols.shape[-1], dtype=bool)
+    live = np.arange(cols.shape[-1])  # the matrices still sweeping, in stack order
     for sweep in range(_JACOBI_SWEEPS):
+        passed = np.ones(len(live), dtype=bool)
         for pick_x, pick_y in _JACOBI_ROUNDS:
             x, y = cols[pick_x], cols[pick_y]  # (2, 4, n) views: two pairs of columns
             norms_sq = _column_norms_sq(cols)
             alpha, beta = norms_sq[pick_x], norms_sq[pick_y]
             gamma = (np.conj(x) * y).sum(axis=1)
             g2 = gamma.real**2 + gamma.imag**2
-            if sweep == _JACOBI_SWEEPS - 1:
-                certified &= (g2 <= _JACOBI_TOL**2 * alpha * beta).all(axis=0)
+            passed &= (g2 <= _JACOBI_TOL**2 * alpha * beta).all(axis=0)
             # The rotation that diagonalizes the Gram block [[alpha, gamma],
             # [gamma*, beta]] has tan(theta) = t = sign(delta) 2|gamma| /
             # (|delta| + hypot(delta, 2|gamma|)); w = t / |gamma|.
@@ -212,7 +232,16 @@ def _jacobi(cols: np.ndarray) -> np.ndarray:
             y += a * x
             x *= c
             x -= x_part
-    return certified
+        leave = passed if sweep < _JACOBI_SWEEPS - 1 else np.ones_like(passed)
+        if leave.any():
+            done = live[leave]
+            norms[:, done] = _column_norms_sq(cols)[:, leave]
+            certified[done] = passed[leave] & np.isfinite(norms[:, done]).all(axis=0)
+            stay = np.nonzero(~leave)[0]
+            if not len(stay):
+                break
+            live, cols = live[stay], np.take(cols, stay, axis=2)
+    return norms, certified
 
 
 def concurrence_batch(ms: np.ndarray) -> np.ndarray:
@@ -249,47 +278,63 @@ def _pt_entangled(pt_min: np.ndarray) -> np.ndarray:
     return pt_min < -EPS_SEP
 
 
-def _laplace_minors(m: np.ndarray):
-    """The Laplace expansion of det(m) along rows 0-1, for a (..., 4, 4) stack:
-    six (sign, (j, k), (l, q), top, bottom), top the minor of rows 0-1 and
-    columns j, k, bottom the complementary minor of rows 2-3 and columns l, q."""
-    r0, r1, r2, r3 = (m[..., i, :] for i in range(4))
-    for sign, (j, k), (l, q) in zip((1, -1, 1, 1, -1, 1), _LAPLACE_PAIRS, _LAPLACE_PAIRS[::-1]):
-        top = r0[..., j] * r1[..., k] - r0[..., k] * r1[..., j]
-        bottom = r2[..., l] * r3[..., q] - r2[..., q] * r3[..., l]
-        yield sign, (j, k), (l, q), top, bottom
-
-
 def _hermitian_det(m: np.ndarray) -> np.ndarray:
     """Real determinant of each Hermitian matrix of a (..., 4, 4) stack, by
     Laplace expansion along rows 0-1: the signed sum of the six products of a
     2x2 minor of rows 0-1 and the complementary minor of rows 2-3."""
+    r0, r1, r2, r3 = (m[..., i, :] for i in range(4))
     det = 0.0
-    for sign, _, _, top, bottom in _laplace_minors(m):
+    for sign, (j, k), (l, q) in zip((1, -1, 1, 1, -1, 1), _LAPLACE_PAIRS, _LAPLACE_PAIRS[::-1]):
+        top = r0[..., j] * r1[..., k] - r0[..., k] * r1[..., j]
+        bottom = r2[..., l] * r3[..., q] - r2[..., q] * r3[..., l]
         det = det + sign * (top * bottom).real
     return det
 
 
-def _det_with_bound(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_hermitian_det`` of a (..., 4, 4) stack with a running bound on its
-    rounding error (Higham, Accuracy and Stability of Numerical Algorithms,
-    2nd ed., sec. 3.3), taken from the magnitudes met on the way.
+def _det_with_bound(
+    d: np.ndarray, off: np.ndarray, q: np.ndarray, mod: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Determinant of each Hermitian matrix A of a stack, with a running bound
+    on its rounding error (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.3) taken from the magnitudes met on the way.
+    A is given by the rows of its real diagonal d (4, m) and of its upper
+    off-diagonal entries off (6, m), in _LAPLACE_PAIRS order, with their
+    squared moduli q and moduli mod.
 
-    A complex product errs by at most sqrt(2) gamma_2 < 3u times the product
-    of the moduli and the real part of one by 2u, so a minor errs by at most
-    u (3 |a||b| + 3 |c||d| + |minor|), a product of minors by its factors'
-    errors times the other factor plus 2u |top| |bottom|, and each addition
-    by u times the partial sum.  Second-order terms are dropped; the added
-    1e-300 covers underflow for entries of modulus at most _PT_MAX_ROW.
+    This is the expansion of ``_hermitian_det``, with the minors of columns
+    01 (rows 0-1) and 23 (rows 2-3) real, d_0 d_1 - |a_01|^2 and
+    d_2 d_3 - |a_23|^2, and the 23 term |top_23|^2, as A is Hermitian.  A
+    product of two complex numbers errs by at most sqrt(2) gamma_2 < 3u
+    times the product of the moduli, one with a real factor by u and |a|^2
+    by 2u |a|^2, so a minor errs by at most u (3 P + |minor|), for P the sum
+    of the moduli of its two products; a term by its factors' errors times
+    the other factor plus 2u |top| |bottom|, and each addition by u times
+    the partial sum.  Second-order terms are dropped (the rounding of mod
+    among them); the added 1e-300 covers underflow for entries of modulus
+    at most _PT_MAX_ROW.
     """
-    a = np.abs(m.real) + np.abs(m.imag)  # at least the moduli
+    d0, d1, d2, d3 = d
+    e0, e1, e2, e3 = d.astype(complex)  # complex products are faster than mixed ones
+    a01, a02, a03, a12, a13, a23 = off
+    c01, c02, c03, c12, c13, c23 = np.conj(off)
+    s01, s02, s03, s12, s13, s23 = mod
+    m0, m1, m2, m3 = np.abs(d)
+    top23 = a02 * a13 - a03 * a12
+    top23_sum = s02 * s13 + s03 * s12
     det, err = 0.0, 1e-300 / _U
-    for sign, (j, k), (l, q), top, bottom in _laplace_minors(m):
+    # (sign, minor of rows 0-1, the sum P of its products' moduli, the same of
+    # the complementary minor of rows 2-3) for columns 01, 02, 03, 12, 13, 23
+    for sign, top, t_sum, bottom, b_sum in (
+        (1, d0 * d1 - q[0], m0 * m1 + q[0], d2 * d3 - q[5], m2 * m3 + q[5]),
+        (-1, e0 * a12 - a02 * c01, m0 * s12 + s02 * s01, c12 * e3 - a23 * c13, s12 * m3 + s23 * s13),
+        (1, e0 * a13 - a03 * c01, m0 * s13 + s03 * s01, c12 * c23 - e2 * c13, s12 * s23 + m2 * s13),
+        (1, a01 * a12 - a02 * e1, s01 * s12 + s02 * m1, c02 * e3 - a23 * c03, s02 * m3 + s23 * s03),
+        (-1, a01 * a13 - a03 * e1, s01 * s13 + s03 * m1, c02 * c23 - e2 * c03, s02 * s23 + m2 * s03),
+        (1, top23, top23_sum, np.conj(top23), top23_sum),
+    ):
         t, b = np.abs(top), np.abs(bottom)
-        t_err = 3.0 * (a[..., 0, j] * a[..., 1, k] + a[..., 0, k] * a[..., 1, j]) + t
-        b_err = 3.0 * (a[..., 2, l] * a[..., 3, q] + a[..., 2, q] * a[..., 3, l]) + b
         det = det + sign * (top * bottom).real
-        err = err + t * b_err + b * t_err + 2.0 * t * b + np.abs(det)
+        err = err + t * (3.0 * b_sum + b) + b * (3.0 * t_sum + t) + 2.0 * t * b + np.abs(det)
     return det, _U * err
 
 
@@ -350,7 +395,7 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     included; the second bounds the rounding of the shifted diagonal, a
     Hermitian perturbation of at most that norm (Weyl).  On 2.9e5 screened
     sampler states, 5 steps already left every certified value within 6e-16
-    of LAPACK's; 6 keep one step in reserve.  The certificate refused 0.55%
+    of LAPACK's; 6 keep one step in reserve.  The certificate refused 0.23%
     of those states.  It refuses pure states of Schmidt coefficient
     alpha <= 0.01 in a generic product basis, where three PT eigenvalues lie
     within alpha of zero and the kernel's value can be off by 3e-4.
@@ -359,7 +404,8 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     d = pt[range(4), range(4)].real
     off = np.conj(pt[cols, rows])  # the lower triangle, which eigvalsh reads
     q = off.real * off.real + off.imag * off.imag
-    r = np.sqrt(q)[_OFF_OF_ROW, :].sum(axis=1)  # off-diagonal row sums of |A|
+    mod = np.sqrt(q)
+    r = mod[_OFF_OF_ROW, :].sum(axis=1)  # off-diagonal row sums of |A|
     in_range = (np.abs(d) + r).max(axis=0) <= _PT_MAX_ROW
     x = (d - r).min(axis=0)
     dd, ds = d[rows, :] * d[cols, :], d[rows, :] + d[cols, :]
@@ -375,10 +421,7 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # p' -/+ sqrt(...) of larger modulus, so x moves up towards that root
         x = x - 4.0 * p / (dp - np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * p * ddp, 0.0)))
     _, dp, ddp = _char_poly(x, e1, e2, e3, det)
-    shifted = pt.copy()
-    shifted[rows, cols] = off
-    shifted[range(4), range(4)] = d - x
-    p, bound = _det_with_bound(shifted.transpose(2, 0, 1))
+    p, bound = _det_with_bound(d - x, off, q, mod)
     step = p / dp
     lam = x - step
     bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)

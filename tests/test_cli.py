@@ -277,9 +277,9 @@ class TestCompare:
     # states_kept 6000, 0 ties).  A refactor of the harness must leave these
     # unchanged; a change that alters output bits says so and re-pins them.
     PINNED_SHA256 = {
-        "fig1.csv": "e08a870bbe16502afba9f6c0f971e072761655f732cdbc4e9c9c949239545ce4",
-        "fig2.csv": "888ed921870ec96ddedb97b357ccf5f77cafe3917f1b5ce80be2e712b8a0de32",
-        "fig3.csv": "fcb27c20c7816d6c5ff24a5dcfd06e18e42c6c772d8003cf51ab4f6869463509",
+        "fig1.csv": "53375eac9f3b7a2574d6e72f3e101a7074bef5497a8ae2a0a13d563110d4327e",
+        "fig2.csv": "4fdbe1a5480503117815b1841dd54a1bdbb22d0bb9f9a1d1c5f83614526d7fc1",
+        "fig3.csv": "5bbb23e77659dedf6ba1205a8b834cafa869dca620927740c4871b386fac87cd",
         "fig4.csv": "9c2fd2364b1633c360a94d8ab5edb8630d2f022ddbd43d44b7acab7587abbd83",
         "summary.csv": "ecc8fc07191672407314c051cf8a695903f0d17098d96a030444d9eb8b7f53ad",
     }

@@ -162,8 +162,9 @@ class TestJacobiKernel:
         m = np.conj(u.transpose(0, 2, 1)) @ oracles.SY2 @ np.conj(u)
         b = root[:, :, None] * m * root[:, None, :]
         cols = np.ascontiguousarray(b.transpose(2, 1, 0))
-        assert measures._jacobi(cols).all()
-        lam = np.sort(np.sqrt(measures._column_norms_sq(cols)).T, axis=1)[:, ::-1]
+        norms_sq, certified = measures._jacobi(cols)
+        assert certified.all()
+        lam = np.sort(np.sqrt(norms_sq).T, axis=1)[:, ::-1]
         assert np.abs(lam - np.linalg.svd(b, compute_uv=False)).max() <= 1e-15
 
     def test_forced_fallback_is_lapack(self, monkeypatch):
