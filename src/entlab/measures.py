@@ -200,8 +200,8 @@ def _jacobi(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     disjoint pairs, each round two basic-slice views of the stack, and the
     norms are recomputed every round.  A matrix passes a sweep when, before
     each of its rotations, |b_j^H b_k| <= _JACOBI_TOL ||b_j|| ||b_k|| (never
-    for NaN); it is certified after that sweep if its norms are finite, and
-    leaves the stack; one that passes none of _JACOBI_SWEEPS sweeps is not.
+    for NaN); it is certified after that sweep and leaves the stack, and one
+    that passes none of _JACOBI_SWEEPS sweeps is not certified.
     Jacobi computes singular values to high relative accuracy (Demmel &
     Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)), and a sweep that
     starts from that residual leaves an error second order in it.  Of the
@@ -236,7 +236,7 @@ def _jacobi(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if leave.any():
             done = live[leave]
             norms[:, done] = _column_norms_sq(cols)[:, leave]
-            certified[done] = passed[leave] & np.isfinite(norms[:, done]).all(axis=0)
+            certified[done] = passed[leave]
             stay = np.nonzero(~leave)[0]
             if not len(stay):
                 break

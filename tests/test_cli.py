@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from entlab import qstate, selftest
 from entlab.cli import MAX_SAMPLE_COUNT, main
 from entlab.errors import NotPSD
+from strategies import raw_stacks
 
 
 def run_cli(capsys, *argv):
@@ -126,12 +127,9 @@ def _csv_rows(draw):
     return ",".join(fields)
 
 
-@given(header=st.booleans(), rows=st.lists(_csv_rows(), max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_measure_input_exit_contract(header, rows):
-    """Any CSV text yields exit 0, 1 or 2 and never a traceback; exit 0 prints
-    one row per data line."""
-    lines = ([qstate.CSV_HEADER] if header else []) + rows
+def assert_measure_input_contract(lines, n_states):
+    """`measure --input` over these lines exits 0 with one output row per
+    state, or 1 or 2 with an `error: ` message, and never with a traceback."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "states.csv")
@@ -142,10 +140,27 @@ def test_measure_input_exit_contract(header, rows):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     if code == 0:
-        data_lines = [row for row in rows if row.strip()]
-        assert len(out.getvalue().splitlines()) == 1 + len(data_lines)
+        assert len(out.getvalue().splitlines()) == 1 + n_states
     else:
         assert err.getvalue().startswith("error: ")
+
+
+@given(header=st.booleans(), rows=st.lists(_csv_rows(), max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_measure_input_exit_contract(header, rows):
+    """Any CSV text yields exit 0, 1 or 2 and never a traceback; exit 0 prints
+    one row per data line."""
+    lines = ([qstate.CSV_HEADER] if header else []) + rows
+    assert_measure_input_contract(lines, len([row for row in rows if row.strip()]))
+
+
+@given(raw_stacks(sizes=st.just(1), forms=("raw", "hermitian", "gram", "state")))
+@settings(max_examples=300, deadline=None)
+def test_measure_input_raw_matrix_contract(ms):
+    """A raw 4x4 complex matrix (NaN, inf, 1e+-300 and subnormal entries
+    included), written as a 32-field row, gets the same contract."""
+    row = ",".join(f"{v:.17g}" for z in ms[0].ravel() for v in (z.real, z.imag))
+    assert_measure_input_contract([row], 1)
 
 
 def _not_an_int(text):

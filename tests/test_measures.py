@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 import oracles
+from strategies import raw_stacks
 from entlab import cmat, measures, qstate, sampler
 from entlab.errors import EntanglementLabError, NotConverged, NotHermitian, NotPSD
 from entlab.qstate import pure_schmidt, singlet, werner_state
@@ -154,18 +154,52 @@ class TestJacobiKernel:
             lapack = measures._r_spectrum(probs, u)
         assert np.abs(lam - lapack).max() <= 1e-15
 
+    @staticmethod
+    def batched_b(probs, u):
+        """B = sqrt(p) u^dagger (sy x sy) conj(u) sqrt(p) by batched matrix products."""
+        root = np.sqrt(probs)
+        m = np.conj(u.transpose(0, 2, 1)) @ oracles.SY2 @ np.conj(u)
+        return root[:, :, None] * m * root[:, None, :]
+
     @pytest.mark.parametrize("name", SPECTRA)
     def test_certifies_every_matrix(self, name):
         u = oracles.qr_haar_unitaries(np.random.default_rng(47), 1000)
         probs = np.tile(self.SPECTRA[name], (1000, 1))
-        root = np.sqrt(probs)
-        m = np.conj(u.transpose(0, 2, 1)) @ oracles.SY2 @ np.conj(u)
-        b = root[:, :, None] * m * root[:, None, :]
+        b = self.batched_b(probs, u)
         cols = np.ascontiguousarray(b.transpose(2, 1, 0))
         norms_sq, certified = measures._jacobi(cols)
         assert certified.all()
         lam = np.sort(np.sqrt(norms_sq).T, axis=1)[:, ::-1]
         assert np.abs(lam - np.linalg.svd(b, compute_uv=False)).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", [*SPECTRA, "sampler"])
+    def test_row_products_match_batched_product(self, name):
+        if name == "sampler":
+            _, probs, u = spectral_batch(45, 20_000)
+        else:
+            u = oracles.qr_haar_unitaries(np.random.default_rng(47), 1000)
+            probs = np.tile(self.SPECTRA[name], (1000, 1))
+        rows = np.conj(measures._conj_b(np.sqrt(probs), u)).transpose(2, 1, 0)
+        assert np.abs(rows - self.batched_b(probs, u)).max() <= 4e-16
+
+    def test_early_exit_against_lapack(self, monkeypatch):
+        # 2e5 sampler states: every one is certified, within 1e-15 of LAPACK on the same B
+        worst = 0.0
+        for seed in range(60, 64):
+            _, probs, u = spectral_batch(seed, 50_000)
+            b = measures._conj_b(np.sqrt(probs), u)
+            lapack = np.linalg.svd(b.transpose(2, 1, 0), compute_uv=False)
+            norms_sq, certified = measures._jacobi(b.copy())
+            assert certified.all()
+            lam = np.sort(np.sqrt(norms_sq).T, axis=1)[:, ::-1]
+            worst = max(worst, float(np.abs(lam - lapack).max()))
+        assert worst <= 1e-15
+        # a matrix certified by four sweeps left the stack there: a fifth
+        # sweep would have moved its norms' last bits
+        monkeypatch.setattr(measures, "_JACOBI_SWEEPS", 4)
+        four, early = measures._jacobi(b)
+        assert 0.5 < early.mean() < 1.0
+        assert np.array_equal(four[:, early], norms_sq[:, early])
 
     def test_forced_fallback_is_lapack(self, monkeypatch):
         _, probs, u = spectral_batch(51, 2000)
@@ -295,32 +329,6 @@ class TestNonFiniteInput:
         probs[1, 2] = np.nan
         with pytest.raises(NotPSD):
             measures.concurrence_from_eig(probs, u)
-
-
-_ENTRIES = st.one_of(
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 0.25, 1.0, -1.0, 1e150, 1e300, -1e300]),
-)
-
-
-@st.composite
-def raw_stacks(draw, sizes=st.integers(0, 3), forms=("raw", "hermitian", "gram")):
-    """(n, 4, 4) complex stacks: raw, their Hermitian part, or a Gram matrix a a^dagger
-    (optionally divided by its trace, "state"), so that the checks pass and the
-    eigensolvers and the SVD see extreme input too."""
-    n = draw(sizes)
-    parts = [draw(hnp.arrays(np.float64, (n, 4, 4), elements=_ENTRIES)) for _ in range(2)]
-    with np.errstate(all="ignore"):
-        a = parts[0] + 1j * parts[1]
-        form = draw(st.sampled_from(forms))
-        if form == "hermitian":
-            return 0.5 * (a + np.conj(a.transpose(0, 2, 1)))
-        if form in ("gram", "state"):
-            gram = a @ np.conj(a.transpose(0, 2, 1))
-            if form == "state":
-                return gram / np.einsum("nii->n", gram).real[:, None, None]
-            return gram
-        return a
 
 
 class TestRawStacks:
