@@ -35,7 +35,6 @@ from .qstate import (
 )
 from .sampler import (
     RngStream,
-    elementary_unitary,
     random_density_batch,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "e_formation",
     "e_negative",
     "e_sum",
-    "elementary_unitary",
     "hermitian_eig",
     "is_separable",
     "linear_entropy",

@@ -15,6 +15,9 @@ from .selftest import run_selftest
 MAX_GRID_POINTS = 10**6
 # Most states `sample` draws, checked before any is drawn.
 MAX_SAMPLE_COUNT = 10**6
+# Points `werner-table` builds and measures at a time, so that memory stays
+# bounded for any grid; a fixed size keeps the output deterministic.
+WERNER_BLOCK = 4096
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -31,23 +34,25 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.minimum(start + step * np.arange(int(count) + 1), stop)
 
 
-def _state_from_args(args) -> list[qstate.DensityMatrix]:
-    if args.input is not None:
-        return qstate.load_states(args.input)
+def _family_state(args) -> qstate.DensityMatrix:
     if args.family == "singlet":
-        return [qstate.singlet()]
+        return qstate.singlet()
     if args.param is None:
         raise ParameterOutOfRange(f"--family {args.family} requires --param")
     if args.family == "werner":
-        return [qstate.werner_state(args.param)]
-    return [qstate.pure_schmidt(args.param)]
+        return qstate.werner_state(args.param)
+    return qstate.pure_schmidt(args.param)
 
 
 def _cmd_measure(args) -> int:
-    states = _state_from_args(args)
-    print(measures.REPORT_CSV_HEADER)
-    for rho in states:
-        print(measures.report_csv_row(measures.measure_report(rho)))
+    if args.input is not None:
+        with open(args.input, "r", encoding="ascii") as fh:
+            ms = qstate.read_stack(fh)
+    else:
+        ms = _family_state(args).matrix[None]
+    table = measures.measure_table(ms)
+    # every row first, so a failure prints nothing
+    print("\n".join([measures.REPORT_CSV_HEADER, *measures.table_csv_rows(table)]))
     return 0
 
 
@@ -55,15 +60,13 @@ def _cmd_sample(args) -> int:
     if not 0 <= args.count <= MAX_SAMPLE_COUNT:
         raise ValueError(f"--count must lie in [0, {MAX_SAMPLE_COUNT}], got {args.count}")
     rng = sampler.RngStream(args.seed)
-    rhos = sampler.random_density_batch(rng, args.count)
-    states = [qstate.DensityMatrix(m) for m in rhos]
+    ms = qstate.validate_stack(sampler.random_density_batch(rng, args.count))
     if args.out is None:
-        print(qstate.CSV_HEADER)
-        for rho in states:
-            print(qstate.to_csv_row(rho))
+        qstate.write_stack(sys.stdout, ms)
     else:
-        qstate.save_states(args.out, states)
-        print(f"wrote {len(states)} states to {args.out}")
+        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+            qstate.write_stack(fh, ms)
+        print(f"wrote {len(ms)} states to {args.out}")
     return 0
 
 
@@ -87,12 +90,15 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_werner_table(args) -> int:
+    fs = qstate.check_werner_range(_parse_grid(args.grid))
     lines = ["f,concurrence,e_formation,e_negative,e_sum"]
-    for f in _parse_grid(args.grid):  # every row first, so a bad point prints nothing
-        report = measures.measure_report(qstate.werner_state(float(f)))
-        row = (f, report.concurrence, report.e_formation, report.e_negative, report.e_sum)
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    print("\n".join(lines))
+    names = ("concurrence", "e_formation", "e_negative", "e_sum")
+    for start in range(0, len(fs), WERNER_BLOCK):
+        block = fs[start : start + WERNER_BLOCK]
+        table = measures.measure_table(qstate.validate_stack(qstate.werner_stack(block)))
+        for row in zip(block.tolist(), *(table[name].tolist() for name in names)):
+            lines.append(",".join(f"{v:.17g}" for v in row))
+    print("\n".join(lines))  # every row first, so a failure prints nothing
     return 0
 
 

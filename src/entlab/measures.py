@@ -17,11 +17,15 @@ separability rule ``_pt_entangled``, but screens states by det(rho^Gamma)
 (``_pt_screen``, which works on the sampler's (4, 4, n) entry stack, forms
 each PT once and passes the states it keeps, with their determinants, to
 ``_pt_min``) and takes the concurrence from the sampler's column stacks.
-``measure_report`` evaluates the body of ``measure_table`` for one
-DensityMatrix, whose construction already checked its Hermiticity, and the
+Every command of the CLI that handles states measures them as one stack
+through ``measure_table`` (``qstate`` validates the stack first), so a file
+of at least 256 states takes the kernels.  ``measure_report`` evaluates the
+body of ``measure_table`` for one DensityMatrix, whose construction already
+checked its Hermiticity; it serves ``experiment.compare_pair`` and the
 scalar functions (``concurrence``, ``e_formation``, ``e_negative``,
-``e_sum``, ``linear_entropy``, ``is_separable``) return its fields, so a
-scalar call equals the corresponding table entry exactly.
+``e_sum``, ``linear_entropy``, ``is_separable``), which return its fields,
+so a scalar call equals the corresponding entry of a 1-stack table exactly
+and of a larger table to rounding.
 """
 
 from __future__ import annotations
@@ -97,19 +101,16 @@ class MeasureReport:
 
 
 REPORT_CSV_HEADER = "concurrence,e_formation,e_negative,e_sum,linear_entropy,separable"
+# One CSV row of a measure table: five values to 17 significant digits, then the flag.
+_REPORT_ROW = ",".join(["{:.17g}"] * 5) + ",{}"
 
 
-def report_csv_row(report: MeasureReport) -> str:
-    """One CSV row per MeasureReport, 17 significant digits."""
-    values = (
-        report.concurrence,
-        report.e_formation,
-        report.e_negative,
-        report.e_sum,
-        report.linear_entropy,
-    )
-    tail = "true" if report.separable else "false"
-    return ",".join(f"{v:.17g}" for v in values) + "," + tail
+def table_csv_rows(table: dict[str, np.ndarray]) -> list[str]:
+    """One CSV row per state of a ``measure_table`` result, in the column
+    order of REPORT_CSV_HEADER."""
+    columns = [table[name].tolist() for name in REPORT_CSV_HEADER.split(",")[:-1]]
+    flags = ["true" if s else "false" for s in table["separable"].tolist()]
+    return [_REPORT_ROW.format(*row) for row in zip(*columns, flags)]
 
 
 def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -172,8 +173,10 @@ def _conj_b(root: np.ndarray, u: np.ndarray) -> np.ndarray:
     v_k = sqrt(p_k) times column k of u, entry (k, l) of conj(B) is
     v_1k v_2l + v_2k v_1l - v_0k v_3l - v_3k v_0l, four products of
     contiguous rows in a fixed order, so a state's bits do not depend on m.
+    A real u (from a real stack) is made complex, as ``_jacobi`` needs.
     """
-    v = np.ascontiguousarray(u.transpose(2, 1, 0)) * np.ascontiguousarray(root.T)[:, None, :]
+    u = np.ascontiguousarray(u.transpose(2, 1, 0), dtype=complex)
+    v = u * np.ascontiguousarray(root.T)[:, None, :]
     b = np.empty_like(v)
     for k in range(4):
         for l in range(k, 4):
@@ -479,8 +482,9 @@ def _measure_columns(ms: np.ndarray, pt_min: np.ndarray, c: np.ndarray) -> dict[
     return {
         "concurrence": c,
         "e_formation": ef_from_concurrence_batch(c),
-        "e_negative": np.maximum(0.0, -pt_min),
-        "e_sum": np.maximum(0.0, -2.0 * pt_min),
+        # + 0.0 turns the -0.0 that np.maximum returns for pt_min == 0.0 into 0.0
+        "e_negative": np.maximum(0.0, -pt_min) + 0.0,
+        "e_sum": np.maximum(0.0, -2.0 * pt_min) + 0.0,
         "linear_entropy": linear_entropy_batch(ms),
     }
 
@@ -509,7 +513,10 @@ def _table_of_hermitian(ms: np.ndarray) -> dict[str, np.ndarray]:
 def measure_report(rho: DensityMatrix) -> MeasureReport:
     """Evaluate every measure once for a single state.
 
-    A DensityMatrix is Hermitian by construction, so the table skips the check.
+    A DensityMatrix is Hermitian by construction, so the table skips the
+    check.  A single state always takes the LAPACK route: routing it through
+    the kernels was measured about twelve times slower.  Stacks of states,
+    as the CLI reads them, go to ``measure_table`` in one call instead.
     """
     table = _table_of_hermitian(rho.matrix[None])
     return MeasureReport(**{name: column[0].item() for name, column in table.items()})

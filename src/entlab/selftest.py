@@ -107,6 +107,29 @@ def check_harness_rows(n: int = 2000) -> None:
         assert np.abs(stats[:, col] - table[name][entangled]).max() <= 1e-12, name
 
 
+def cn_region_excess(table: dict[str, np.ndarray]) -> float:
+    """How far the (C, N) points of a measure table, N = 2 E_N, lie outside
+    the region two-qubit states fill, sqrt((1 - C)^2 + C^2) - (1 - C) <= N <= C
+    (Verstraete, Audenaert, Dehaene & De Moor, J. Phys. A 34, 10327 (2001));
+    0.0 for points inside it."""
+    c, n = table["concurrence"], 2.0 * table["e_negative"]
+    lower = np.sqrt((1.0 - c) ** 2 + c * c) - (1.0 - c)
+    return float(max(0.0, (lower - n).max(initial=0.0), (n - c).max(initial=0.0)))
+
+
+def check_cn_region(n: int = 2000) -> None:
+    rhos = sampler.random_density_batch(sampler.RngStream(110), n)
+    rng = sampler.RngStream(111)
+    kets = rng.uniforms(n, 4) - 0.5 + 1j * (rng.uniforms(n, 4) - 0.5)
+    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    eps = np.logspace(-12, -2, n)[:, None, None]
+    near_pure = (1.0 - eps) * (kets[:, :, None] * np.conj(kets[:, None, :])) + eps * rhos
+    werner = qstate.werner_stack(np.linspace(0.25, 1.0, max(n // 4, measures._JACOBI_MIN_STACK)))
+    for name, ms in (("sampler", rhos), ("near-pure", near_pure), ("Werner", werner)):
+        excess = cn_region_excess(measures.measure_table(ms))
+        assert excess <= 1e-12, f"{name} states leave the (C, N) region by {excess:.3e}"
+
+
 SUITES = (
     ("linear algebra invariants", check_linalg),
     ("state constructors", check_states),
@@ -114,6 +137,7 @@ SUITES = (
     ("sampler determinism and spectra", check_sampler),
     ("experiment determinism and counting", check_experiment),
     ("harness rows match measure_table", check_harness_rows),
+    ("(C, N) within the two-qubit region", check_cn_region),
 )
 
 

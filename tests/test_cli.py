@@ -12,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entlab import qstate, selftest
+import numpy as np
+
+from entlab import measures, qstate, selftest
 from entlab.cli import MAX_SAMPLE_COUNT, main
-from entlab.errors import NotPSD
+from entlab.errors import NotConverged, NotPSD
+from entlab.sampler import RngStream, random_density_batch
 from strategies import raw_stacks
 
 
@@ -22,6 +25,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_states(path, rhos):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        qstate.write_stack(fh, np.stack([rho.matrix for rho in rhos]))
 
 
 def parse_measure_output(out):
@@ -60,7 +68,7 @@ class TestMeasure:
 
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "states.csv"
-        qstate.save_states(path, [qstate.werner_state(0.75), qstate.singlet()])
+        write_states(path, [qstate.werner_state(0.75), qstate.singlet()])
         code, out, _ = run_cli(capsys, "measure", "--input", str(path))
         assert code == 0
         rows = parse_measure_output(out)
@@ -74,7 +82,7 @@ class TestMeasure:
 
     def test_family_and_input_conflict(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
-        qstate.save_states(path, [qstate.singlet()])
+        write_states(path, [qstate.singlet()])
         with pytest.raises(SystemExit) as exc:
             main(["measure", "--family", "singlet", "--input", str(path)])
         assert exc.value.code == 2
@@ -102,11 +110,94 @@ class TestMeasure:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("alpha", ["1.0", "0.0"])
+    def test_pure_endpoints_print_no_negative_zero(self, capsys, alpha):
+        # lambda_min of the PT is exactly 0.0 at both product-state endpoints
+        code, out, _ = run_cli(capsys, "measure", "--family", "pure", "--param", alpha)
+        assert code == 0
+        assert out.splitlines()[1] == "0,0,0,0,0,true"
 
-_VALID_ROWS = [
-    qstate.to_csv_row(rho)
-    for rho in (qstate.singlet(), qstate.werner_state(0.75), qstate.werner_state(0.3))
-]
+    @pytest.mark.parametrize("text", ["", qstate.CSV_HEADER + "\n", "\n"])
+    def test_empty_input_prints_header_only(self, capsys, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "measure", "--input", str(path))
+        assert (code, out, err) == (0, measures.REPORT_CSV_HEADER + "\n", "")
+
+    def test_bad_row_names_its_line(self, capsys, tmp_path):
+        rows = _csv_rows_of([qstate.singlet()] * 5)
+        for bad, code_expected, message in (
+            (",".join(["0.25"] * 31), 1, "error: line 4: expected 32 CSV fields, got 31\n"),
+            (rows[0].replace("0.5", "x", 1), 2, "error: line 4: could not convert string to float: 'x'\n"),
+            (rows[0].replace("0.5", "0.75", 1), 1, "error: line 4: trace deviates from 1 by 2.500e-01\n"),
+        ):
+            path = tmp_path / "bad.csv"
+            path.write_text("\n".join([qstate.CSV_HEADER, *rows[:2], bad, *rows[2:]]) + "\n")
+            code, out, err = run_cli(capsys, "measure", "--input", str(path))
+            assert (code, out, err) == (code_expected, "", message)
+
+    def test_measure_failure_prints_nothing(self, capsys, tmp_path, monkeypatch):
+        def fail(_ms):
+            raise NotConverged("eigh did not converge")
+
+        path = tmp_path / "states.csv"
+        write_states(path, [qstate.singlet()] * 3)
+        monkeypatch.setattr(measures, "measure_table", fail)
+        code, out, err = run_cli(capsys, "measure", "--input", str(path))
+        assert (code, out, err) == (1, "", "error: eigh did not converge\n")
+
+    def test_kernel_sized_file_matches_measure_report(self, capsys, tmp_path):
+        # a file of at least 256 rows takes the kernels, a single report
+        # LAPACK: each row agrees to rounding, every flag exactly
+        path = tmp_path / "states.csv"
+        assert run_cli(capsys, "sample", "--seed", "5", "--count", "600", "--out", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, "measure", "--input", str(path))
+        assert code == 0
+        rows = out.splitlines()[1:]
+        names = measures.REPORT_CSV_HEADER.split(",")[:-1]
+        ms = random_density_batch(RngStream(5), 600)
+        assert len(rows) == len(ms)
+        for row, m in zip(rows, ms):
+            report = measures.measure_report(qstate.DensityMatrix(m))
+            fields = row.split(",")
+            assert fields[-1] == ("true" if report.separable else "false")
+            for name, field in zip(names, fields):
+                assert abs(float(field) - getattr(report, name)) <= 1.5e-15, name
+
+    def test_sampled_file_within_cn_region(self, capsys, tmp_path):
+        # the stack route of `measure --input` keeps every (C, N = 2 E_N)
+        # point inside the two-qubit region
+        path = tmp_path / "states.csv"
+        assert run_cli(capsys, "sample", "--seed", "6", "--count", "3000", "--out", str(path))[0] == 0
+        code, out, _ = run_cli(capsys, "measure", "--input", str(path))
+        assert code == 0
+        rows = parse_measure_output(out)
+        table = {name: np.array([float(row[name]) for row in rows]) for name in ("concurrence", "e_negative")}
+        assert len(rows) == 3000 and selftest.cn_region_excess(table) <= 1e-12
+
+    # SHA-256 of `sample --seed 3 --count 255 --out F` and of `measure
+    # --input F`, as the per-row CLI wrote them (numpy 2.4.6, OpenBLAS
+    # 0.3.31, Python 3.11.7).  Under 256 rows every route is LAPACK, so the
+    # stack route gives the same bytes.
+    PINNED_SAMPLE_SHA256 = "5b9b707f4564eaffb9c829e8c2bf4dcf0cc89b3459774bb2a64bb398b5fcec66"
+    PINNED_MEASURE_SHA256 = "e28f9bdbf2d6dcf3c4cad737b59ee5a9dbb60ce2daa9a98509c7b5f3bd758a66"
+
+    def test_pinned_sample_and_measure_digests(self, capsys, tmp_path):
+        path = tmp_path / "states.csv"
+        assert run_cli(capsys, "sample", "--seed", "3", "--count", "255", "--out", str(path))[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SAMPLE_SHA256
+        code, out, _ = run_cli(capsys, "measure", "--input", str(path))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_MEASURE_SHA256
+
+
+def _csv_rows_of(rhos):
+    buf = io.StringIO()
+    qstate.write_stack(buf, np.stack([rho.matrix for rho in rhos]))
+    return buf.getvalue().splitlines()[1:]
+
+
+_VALID_ROWS = _csv_rows_of((qstate.singlet(), qstate.werner_state(0.75), qstate.werner_state(0.3)))
 _FIELDS = st.one_of(
     st.sampled_from(["0", "0.25", "-0.5", "nan", "inf", "-inf", "1e999", "", "abc", "1e308"]),
     st.floats().map(repr),
@@ -246,8 +337,8 @@ class TestSample:
         assert run_cli(capsys, "sample", "--seed", "3", "--count", "25", "--out", str(out1))[0] == 0
         assert run_cli(capsys, "sample", "--seed", "3", "--count", "25", "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
-        states = qstate.load_states(out1)
-        assert len(states) == 25
+        with open(out1, encoding="ascii") as fh:
+            assert qstate.read_stack(fh).shape == (25, 4, 4)
 
     def test_stdout_mode(self, capsys):
         code, out, _ = run_cli(capsys, "sample", "--seed", "3", "--count", "2")

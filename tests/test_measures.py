@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import raw_stacks
-from entlab import cmat, measures, qstate, sampler
+from entlab import cmat, measures, qstate, sampler, selftest
 from entlab.errors import EntanglementLabError, NotConverged, NotHermitian, NotPSD
 from entlab.qstate import pure_schmidt, singlet, werner_state
 from entlab.sampler import RngStream, random_density_batch
@@ -602,15 +602,29 @@ class TestMeasureReport:
         table = measures.measure_table(np.stack([rho.matrix for rho in states]))
         for k, rho in enumerate(states):
             row = measures.MeasureReport(**{name: col[k].item() for name, col in table.items()})
-            assert measures.report_csv_row(measures.measure_report(rho)) == measures.report_csv_row(row)
+            assert repr(measures.measure_report(rho)) == repr(row)  # repr tells -0.0 from 0.0
 
     def test_csv_row(self):
-        r = measures.measure_report(qstate.DensityMatrix(MIXED))
-        row = measures.report_csv_row(r)
+        (row,) = measures.table_csv_rows(measures.measure_table(MIXED[None]))
         fields = row.split(",")
         assert len(fields) == 6
         assert fields[-1] == "true"
         assert float(fields[4]) == pytest.approx(0.75)
+        table = measures.measure_table(np.stack([singlet().matrix, MIXED]))
+        names = measures.REPORT_CSV_HEADER.split(",")[:-1]
+        for k, row in enumerate(measures.table_csv_rows(table)):
+            assert row.split(",") == [f"{table[name][k]:.17g}" for name in names] + ["false", "true"][k:k + 1]
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_product_state_has_no_negative_zero(self, n):
+        # lambda_min of the PT of |00><00| is exactly 0.0, on the LAPACK
+        # route (1 state) and the kernel route (300)
+        m = np.zeros((n, 4, 4))
+        m[:, 0, 0] = 1.0
+        table = measures.measure_table(m)
+        for name in ("concurrence", "e_formation", "e_negative", "e_sum", "linear_entropy"):
+            assert not np.signbit(table[name]).any(), name
+        assert set(measures.table_csv_rows(table)) == {"0,0,0,0,0,true"}
 
 
 class TestPureStateConnection:
@@ -626,3 +640,32 @@ class TestOrderingBound:
         rhos = random_density_batch(RngStream(37), 10_000)
         table = measures.measure_table(rhos)
         assert np.all(table["concurrence"] >= 2 * table["e_negative"] - 1e-9)
+
+
+class TestConcurrenceNegativityRegion:
+    """sqrt((1 - C)^2 + C^2) - (1 - C) <= N <= C with N = 2 E_N, within 1e-12,
+    on stacks that take the kernels."""
+
+    def test_sampler_stack(self):
+        table = measures.measure_table(random_density_batch(RngStream(61), 20_000))
+        assert selftest.cn_region_excess(table) <= 1e-12
+
+    def test_near_pure_states(self):
+        rng = np.random.default_rng(62)
+        n = 4000
+        pures = oracles.projectors(oracles.haar_kets(rng, n))
+        eps = np.logspace(-15, -1, n)[:, None, None]
+        for ms in (pures, (1.0 - eps) * pures + eps * random_density_batch(RngStream(63), n)):
+            table = measures.measure_table(ms)
+            assert selftest.cn_region_excess(table) <= 1e-12
+
+    def test_werner_line(self):
+        table = measures.measure_table(qstate.werner_stack(np.linspace(0.25, 1.0, 3001)))
+        assert selftest.cn_region_excess(table) <= 1e-12
+
+    def test_excess_measures_both_bounds(self):
+        # (C, N) = (0.5, 0.6) lies above N <= C, (0.5, 0.2) below the lower
+        # bound sqrt(0.5) - 0.5 = 0.2071...
+        for c, e_n, excess in ((0.5, 0.3, 0.1), (0.5, 0.1, np.sqrt(0.5) - 0.7), (0.5, 0.15, 0.0)):
+            table = {"concurrence": np.array([c]), "e_negative": np.array([e_n])}
+            assert selftest.cn_region_excess(table) == pytest.approx(excess, abs=1e-15)

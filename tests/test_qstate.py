@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -123,26 +125,117 @@ class TestWerner:
         assert np.abs(w - expected).max() < 1e-12
 
 
+def write_text(ms) -> str:
+    buf = io.StringIO()
+    qstate.write_stack(buf, ms)
+    return buf.getvalue()
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self):
-        rhos = random_density_batch(RngStream(7), 50)
-        for m in rhos:
-            rho = qstate.DensityMatrix(m)
-            again = qstate.from_csv_row(qstate.to_csv_row(rho))
-            assert np.array_equal(again.matrix, rho.matrix)
+        ms = random_density_batch(RngStream(7), 50)
+        again = qstate.read_stack(io.StringIO(write_text(ms)))
+        assert again.shape == ms.shape and np.array_equal(again, ms)
 
     def test_file_round_trip(self, tmp_path):
-        states = [qstate.DensityMatrix(m) for m in random_density_batch(RngStream(8), 10)]
+        ms = random_density_batch(RngStream(8), 10)
         path = tmp_path / "states.csv"
-        qstate.save_states(path, states)
-        loaded = qstate.load_states(path)
-        assert len(loaded) == len(states)
-        for a, b in zip(loaded, states):
-            assert np.array_equal(a.matrix, b.matrix)
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            qstate.write_stack(fh, ms)
+        with open(path, "r", encoding="ascii") as fh:
+            loaded = qstate.read_stack(fh)
+        assert np.array_equal(loaded, ms)
+
+    def test_rows_match_field_by_field_format(self):
+        # the writer's row format against the plain per-entry formatting,
+        # signed zeros included
+        ms = np.concatenate([random_density_batch(RngStream(9), 5), np.full((1, 4, 4), complex(-0.0, -0.0))])
+        header, *rows = write_text(ms).splitlines()
+        assert header == qstate.CSV_HEADER
+        for m, row in zip(ms, rows):
+            assert row == ",".join(f"{v:.17g}" for z in m.ravel() for v in (z.real, z.imag))
+        assert rows[-1] == ",".join(["-0"] * 32)
+
+    def test_empty_and_header_only(self):
+        assert write_text(np.zeros((0, 4, 4))) == qstate.CSV_HEADER + "\n"
+        for text in ("", qstate.CSV_HEADER + "\n", "\n\n"):
+            assert qstate.read_stack(io.StringIO(text)).shape == (0, 4, 4)
 
     def test_header_fields(self):
         assert len(qstate.CSV_HEADER.split(",")) == 32
 
     def test_rejects_wrong_width(self):
-        with pytest.raises(NotHermitian):
-            qstate.from_csv_row(",".join(["0.0"] * 31))
+        with pytest.raises(NotHermitian, match="^line 1: expected 32 CSV fields, got 31$"):
+            qstate.read_stack(io.StringIO(",".join(["0.0"] * 31)))
+
+    def test_parse_faults_in_file_order(self):
+        # a token that is no float is found before the row's field count,
+        # and the first faulty row in the file is reported
+        rows = write_text(np.eye(4)[None] / 4).splitlines()
+        short_bad = ",".join(["abc"] + ["0"] * 30)
+        with pytest.raises(ValueError, match="^line 3: could not convert string to float: 'abc'$"):
+            qstate.read_stack(io.StringIO("\n".join(rows + [short_bad, ",".join(["0"] * 31)])))
+        with pytest.raises(NotHermitian, match="^line 3: "):
+            qstate.read_stack(io.StringIO("\n".join(rows + [",".join(["0"] * 31), short_bad])))
+
+    def test_stack_fault_names_lowest_line(self):
+        # line 1 is the header, line 3 blank: the rows are on lines 2, 4, 5, 6
+        ms = np.stack([np.eye(4) / 4] * 4).astype(complex)
+        ms[2] = np.diag([1.5, -0.5, 0.0, 0.0])  # not PSD
+        ms[3] = np.eye(4) / 2  # trace 2
+        header, *rows = write_text(ms).splitlines()
+        text = "\n".join([header, rows[0], "", *rows[1:]])
+        with pytest.raises(TraceNotOne, match="^line 6: trace deviates from 1 by 1.000e[+]00$") as err:
+            qstate.read_stack(io.StringIO(text))
+        assert err.value.deviation == 1.0
+        ms[3] = np.eye(4) / 4
+        with pytest.raises(NotPSD, match="^line 5: smallest eigenvalue is -5.000e-01$"):
+            qstate.read_stack(io.StringIO("\n".join([header, rows[0], "", *write_text(ms).splitlines()[2:]])))
+
+
+class TestValidateStack:
+    @staticmethod
+    def faulty_matrices():
+        nan = np.eye(4, dtype=complex) / 4
+        nan[0, 1] = np.nan
+        skew = np.eye(4, dtype=complex) / 4
+        skew[0, 1] = 0.5j
+        huge = np.eye(4, dtype=complex) / 4
+        huge[0, 1], huge[1, 0] = 1.7e308, -1.7e308
+        return [nan, skew, huge, np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0])]
+
+    def test_error_of_a_matrix_is_its_density_matrix_error(self):
+        # in a stack of valid states, each fault raises the class, message
+        # and deviation a DensityMatrix of that one matrix raises
+        for m in self.faulty_matrices():
+            ms = np.concatenate([random_density_batch(RngStream(10), 300), m[None]])
+            with pytest.raises(EntanglementLabError) as in_stack:
+                qstate.validate_stack(ms)
+            with pytest.raises(EntanglementLabError) as alone:
+                qstate.DensityMatrix(m)
+            assert type(in_stack.value) is type(alone.value)
+            assert str(in_stack.value) == str(alone.value)
+            assert in_stack.value.deviation == alone.value.deviation or (
+                np.isnan(in_stack.value.deviation) and np.isnan(alone.value.deviation)
+            )
+
+    def test_lowest_index_of_the_first_failing_check(self):
+        nan, skew, _, trace, psd = self.faulty_matrices()
+        ms = np.stack([np.eye(4) / 4, psd, skew, trace, nan]).astype(complex)
+        # Hermiticity is checked first: index 2 (0.5 defect) before the NaN at 4
+        with pytest.raises(NotHermitian, match="deviates from Hermiticity by 5.000e-01"):
+            qstate.validate_stack(ms)
+        with pytest.raises(TraceNotOne):
+            qstate.validate_stack(ms[[0, 1, 3]])
+        with pytest.raises(NotPSD):
+            qstate.validate_stack(ms[[0, 1]])
+
+    def test_valid_stack_passes_unchanged(self):
+        ms = random_density_batch(RngStream(11), 500)
+        assert np.array_equal(qstate.validate_stack(ms), ms)
+        assert qstate.validate_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (2, 4, 4, 1)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(NotHermitian, match="expected a"):
+            qstate.validate_stack(np.zeros(shape))
