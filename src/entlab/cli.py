@@ -46,7 +46,9 @@ def _family_state(args) -> qstate.DensityMatrix:
 
 def _cmd_measure(args) -> int:
     if args.input is not None:
-        with open(args.input, "r", encoding="ascii") as fh:
+        # a byte outside ASCII reaches the reader as a lone surrogate, which
+        # no float parses, so its error names the line
+        with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
             ms = qstate.read_stack(fh)
     else:
         ms = _family_state(args).matrix[None]

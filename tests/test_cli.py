@@ -27,9 +27,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _csv_rows_of(rhos):
+    buf = io.StringIO()
+    qstate.write_stack(buf, np.stack([rho.matrix for rho in rhos]))
+    return buf.getvalue().splitlines()[1:]
+
+
 def write_states(path, rhos):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        qstate.write_stack(fh, np.stack([rho.matrix for rho in rhos]))
+    path.write_text("\n".join([qstate.CSV_HEADER, *_csv_rows_of(rhos)]) + "\n")
 
 
 def parse_measure_output(out):
@@ -136,6 +141,13 @@ class TestMeasure:
             code, out, err = run_cli(capsys, "measure", "--input", str(path))
             assert (code, out, err) == (code_expected, "", message)
 
+    def test_non_ascii_byte_names_its_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\n".join([qstate.CSV_HEADER.encode(), b"0.25,\xc3\xa9", b""]))
+        code, out, err = run_cli(capsys, "measure", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: line 2: could not convert string to float: ")
+
     def test_measure_failure_prints_nothing(self, capsys, tmp_path, monkeypatch):
         def fail(_ms):
             raise NotConverged("eigh did not converge")
@@ -189,12 +201,6 @@ class TestMeasure:
         code, out, _ = run_cli(capsys, "measure", "--input", str(path))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_MEASURE_SHA256
-
-
-def _csv_rows_of(rhos):
-    buf = io.StringIO()
-    qstate.write_stack(buf, np.stack([rho.matrix for rho in rhos]))
-    return buf.getvalue().splitlines()[1:]
 
 
 _VALID_ROWS = _csv_rows_of((qstate.singlet(), qstate.werner_state(0.75), qstate.werner_state(0.3)))

@@ -183,14 +183,17 @@ class TestCsvRoundTrip:
         ms = np.stack([np.eye(4) / 4] * 4).astype(complex)
         ms[2] = np.diag([1.5, -0.5, 0.0, 0.0])  # not PSD
         ms[3] = np.eye(4) / 2  # trace 2
-        header, *rows = write_text(ms).splitlines()
-        text = "\n".join([header, rows[0], "", *rows[1:]])
+
+        def with_blank_line(ms):
+            header, first, *rest = write_text(ms).splitlines()
+            return io.StringIO("\n".join([header, first, "", *rest]))
+
         with pytest.raises(TraceNotOne, match="^line 6: trace deviates from 1 by 1.000e[+]00$") as err:
-            qstate.read_stack(io.StringIO(text))
+            qstate.read_stack(with_blank_line(ms))
         assert err.value.deviation == 1.0
         ms[3] = np.eye(4) / 4
         with pytest.raises(NotPSD, match="^line 5: smallest eigenvalue is -5.000e-01$"):
-            qstate.read_stack(io.StringIO("\n".join([header, rows[0], "", *write_text(ms).splitlines()[2:]])))
+            qstate.read_stack(with_blank_line(ms))
 
 
 class TestValidateStack:
