@@ -93,14 +93,17 @@ def _cmd_compare(args) -> int:
 
 def _cmd_werner_table(args) -> int:
     fs = qstate.check_werner_range(_parse_grid(args.grid))
-    lines = ["f,concurrence,e_formation,e_negative,e_sum"]
     names = ("concurrence", "e_formation", "e_negative", "e_sum")
+    blocks = []
     for start in range(0, len(fs), WERNER_BLOCK):
         block = fs[start : start + WERNER_BLOCK]
         table = measures.measure_table(qstate.validate_stack(qstate.werner_stack(block)))
-        for row in zip(block.tolist(), *(table[name].tolist() for name in names)):
-            lines.append(",".join(f"{v:.17g}" for v in row))
-    print("\n".join(lines))  # every row first, so a failure prints nothing
+        blocks.append(np.column_stack([block, *(table[name] for name in names)]))
+    # every block measured first, so a failure prints nothing; then each is
+    # rendered and written on its own
+    print("f,concurrence,e_formation,e_negative,e_sum")
+    for values in blocks:
+        print("\n".join(",".join(f"{v:.17g}" for v in row) for row in values.tolist()))
     return 0
 
 

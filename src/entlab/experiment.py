@@ -11,10 +11,16 @@ by rounding: the concurrence and PT kernels depend on the size of the stack
 of kept or screened states (see ``measures.concurrence_from_eig`` and
 ``measures._pt_min``), and the chunk sizes depend only on the
 configuration.  ``compare_pair`` and the shards apply one
-pairing and tie rule.  Per state, the shards compute the smallest
-partial-transpose eigenvalue only where the determinant screen cannot rule
-out entanglement, and the concurrence only for kept states, from the
-sampler's spectral pairs in its column layout.
+pairing and tie rule.  A chunk first draws its spectra and angle uniforms
+(``sampler._draw_spectra``) and builds U and rho only for the draws whose
+spectrum does not prove every state of its unitary orbit separable
+(``_separable_orbit``, after Verstraete, Audenaert & De Moor, PRA 64, 012316
+(2001)); about a third are skipped, and the margin of that test makes the
+determinant screen drop each of them too, so skipping changes no output
+bit.  Per built state, the shards compute the smallest partial-transpose
+eigenvalue only where the determinant screen cannot rule out entanglement,
+and the concurrence only for kept states, from the sampler's spectral pairs
+in its column layout.
 """
 
 from __future__ import annotations
@@ -40,6 +46,10 @@ _CHUNK_MARGIN = 32  # extra draws per chunk, so a shard rarely needs one more
 # ensemble that takes a run of bad luck beyond any chance, so only a broken
 # sampler or a tie_epsilon that makes nearly every pair a tie gets there.
 _MAX_DRAW_FACTOR = 64
+# Smallest lower bound on lambda_min(rho^Gamma) over a spectrum's unitary
+# orbit at which a draw is skipped unbuilt: (2e-4)^3 (1 - 6e-4) = 8.0e-12
+# exceeds measures.DET_SCREEN, so the screen would drop it; see _separable_orbit.
+_ORBIT_MARGIN = 2e-4
 _SHARD_KEY = 1  # substream tag for shards: (seed, (1, shard))
 _SCATTER_KEY = (2, 0)  # substream tag for scatter subsampling
 
@@ -174,14 +184,51 @@ def _histogram_core(
     return SHistogram(edges, centers, pair_counts, violation_counts, rates, empty)
 
 
+def _separable_orbit(probs: np.ndarray) -> np.ndarray:
+    """True for each spectrum of probs (n, 4) whose whole unitary orbit the
+    determinant screen of ``_entangled_state_stats`` drops, so that its draw
+    need not be built.
+
+    Over the orbit of rho = U diag(l) U^dagger, l1 >= l2 >= l3 >= l4, the
+    smallest eigenvalue of rho^Gamma is at least
+    b = (l2 + l4 - hypot(l1 - l3, l2 - l4)) / 2, and equals it when U takes
+    l1..l4 to the eigenvectors (|00> + |11>)/sqrt(2), |01>,
+    (|00> - |11>)/sqrt(2) and |10> (Verstraete, Audenaert & De Moor, PRA
+    64, 012316 (2001)); so l1 - l3 <= 2 sqrt(l2 l4), i.e. b >= 0, makes every
+    state of the orbit separable.  A draw is skipped when b >= _ORBIT_MARGIN.
+    The sampler's rho is exactly Hermitian and within about 1e-14 of a state
+    with spectrum probs, and b is computed within about 1e-15, so every
+    eigenvalue of rho^Gamma exceeds m = _ORBIT_MARGIN - 1e-13 (Weyl), and
+    they sum to tr rho = 1 up to rounding.  Their product, the true
+    det(rho^Gamma), is then at least m^3 (1 - 3m) = 8.0e-12 (the product's
+    logarithm is concave, so its minimum lies at a vertex, three eigenvalues
+    at m), and the screen computes it within about 2e-15 (see
+    ``measures._pt_screen``), above DET_SCREEN = 1e-12.  So the screen drops
+    every skipped state too: the screened and kept states, and with them
+    every kernel's input and the route it takes, are those of the whole
+    chunk, bit for bit.  In particular no state the EPS_SEP rule calls
+    entangled is skipped.  On the sampler's ensemble b >= 0 holds for 32.7%
+    of draws, b >= _ORBIT_MARGIN for 32.6%.  The spectra are put in
+    descending order by a five-comparator network of minima and maxima on
+    their (n,) columns.
+    """
+    l1, l2, l3, l4 = probs.T
+    l1, l2 = np.maximum(l1, l2), np.minimum(l1, l2)
+    l3, l4 = np.maximum(l3, l4), np.minimum(l3, l4)
+    l1, l3 = np.maximum(l1, l3), np.minimum(l1, l3)
+    l2, l4 = np.maximum(l2, l4), np.minimum(l2, l4)
+    l2, l3 = np.maximum(l2, l3), np.minimum(l2, l3)
+    return l2 + l4 - np.hypot(l1 - l3, l2 - l4) >= 2.0 * _ORBIT_MARGIN
+
+
 def _entangled_state_stats(
-    rho: np.ndarray, probs: np.ndarray, cols: np.ndarray, first_draw: int
+    rho: np.ndarray, probs: np.ndarray, cols: np.ndarray, draw_index: np.ndarray
 ) -> np.ndarray:
     """One (C, E_F, E_N, E_sum, S, draw index) row per entangled state of a
     chunk in the sampler's layout, in draw order: the (4, 4, n) entry stack
-    rho = u diag(probs) u^dagger, the spectra probs (n, 4) and the (4, 4, n)
-    column stack cols of the unitaries u.  The chunk's first state has draw
-    index first_draw.
+    rho = u diag(probs) u^dagger, the spectra probs (n, 4), the (4, 4, n)
+    column stack cols of the unitaries u and the (n,) draw indices of the
+    states.
 
     Only the states that pass the determinant screen get their smallest PT
     eigenvalue, and ``measures._pt_entangled`` decides among them.  The
@@ -195,7 +242,18 @@ def _entangled_state_stats(
     kept = screened[entangled]
     c = measures.concurrence_from_eig(probs[kept], np.take(cols, kept, axis=2).transpose(2, 1, 0))
     columns = measures._measure_columns(rho.transpose(2, 0, 1)[kept], pt_min[entangled], c)
-    return np.column_stack([*columns.values(), kept + first_draw])
+    return np.column_stack([*columns.values(), draw_index[kept]])
+
+
+def _chunk_stats(rng: sampler.RngStream, n: int, first_draw: int) -> np.ndarray:
+    """``_entangled_state_stats`` rows of the next n draws of rng, the first
+    of which has draw index first_draw.  Every draw consumes its uniforms,
+    but only those that ``_separable_orbit`` cannot rule out are built and
+    screened, and the chunk's uniforms are dropped before the build."""
+    probs, angles = sampler._draw_spectra(rng, n)
+    rows = np.nonzero(~_separable_orbit(probs))[0]
+    probs, angles = probs[rows], angles[rows]
+    return _entangled_state_stats(*sampler._build_stacks(probs, angles), rows + first_draw)
 
 
 def _run_shard(
@@ -226,8 +284,7 @@ def _run_shard(
                 f"{quota} usable pairs ({len(stats)} entangled, {int(tie.sum())} tie pairs)"
             )
         size = min(_CHUNK_DRAWS, int(2 * need / _P_KEPT) + _CHUNK_MARGIN)
-        chunk = sampler._spectral_stacks(rng, size)
-        stats = np.concatenate([stats, _entangled_state_stats(*chunk, drawn)])
+        stats = np.concatenate([stats, _chunk_stats(rng, size, drawn)])
         drawn += size
     last = int(np.searchsorted(np.cumsum(~tie), quota))  # the pair that fills the quota
     used = slice(0, last + 1)

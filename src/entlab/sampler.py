@@ -12,10 +12,13 @@ with the same seed produce identical state sequences.
 The core works in one layout, states on the last axis: ``_spectral_stacks``
 returns the (4, 4, n) entry stack of rho (``rho[a, b]`` is the (n,) row of
 entry (a, b)), the spectra and the (4, 4, n) column stack of U, and the Monte
-Carlo harness screens that layout directly.  The rotations update two
-columns at a time, one contiguous row per entry; the mixing angle enters
-only through cos^2(phi) = xi^(1/i), so it needs no trigonometric call; and
-rho is assembled from its ten upper entries.  ``random_density_batch``
+Carlo harness screens that layout directly.  It is the composition of a
+draw step, ``_draw_spectra`` (the uniforms, as spectra and rows of angle
+uniforms), and a build step, ``_build_stacks``, which the harness applies
+only to the draws whose spectrum leaves their separability open.  The
+rotations update two columns at a time, one contiguous row per entry; the
+mixing angle enters only through cos^2(phi) = xi^(1/i), so it needs no
+trigonometric call; and rho is assembled from its ten upper entries.  ``random_density_batch``
 transposes the states to a raw (n, 4, 4) stack.
 """
 
@@ -194,14 +197,27 @@ def _assemble_entries(probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return rho
 
 
+def _draw_spectra(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The draw step of n states: their spectra (n, 4) and their (n, 15) rows
+    of angle uniforms, a view into the chunk's uniforms."""
+    draws = rng.uniforms(n, DRAWS_PER_STATE)
+    return _uniforms_to_simplex(draws[:, :3]), draws[:, 3:]
+
+
+def _build_stacks(probs: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The build step: the states of spectra probs (m, 4) and angle rows
+    angles (m, 15) in the sampler's layout, as (rho, probs, cols).  Every
+    kernel works state by state, so the rows of any selection of a draw
+    step's states build to the same bits as in the whole chunk."""
+    cols = _angles_to_columns(angles)
+    return _assemble_entries(probs, cols), probs, cols
+
+
 def _spectral_stacks(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n random density matrices in the sampler's layout, as (rho, probs, cols):
     the (4, 4, n) entry stack of ``_assemble_entries``, the spectra (n, 4)
     and the (4, 4, n) column stack of the unitaries."""
-    draws = rng.uniforms(n, DRAWS_PER_STATE)
-    probs = _uniforms_to_simplex(draws[:, :3])
-    cols = _angles_to_columns(draws[:, 3:])
-    return _assemble_entries(probs, cols), probs, cols
+    return _build_stacks(*_draw_spectra(rng, n))
 
 
 def random_density_batch(rng: RngStream, n: int) -> np.ndarray:

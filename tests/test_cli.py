@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from entlab import measures, qstate, selftest
+from entlab import cli, measures, qstate, selftest
 from entlab.cli import MAX_SAMPLE_COUNT, main
 from entlab.errors import NotConverged, NotPSD
 from entlab.sampler import RngStream, random_density_batch
@@ -442,6 +442,27 @@ class TestWernerTable:
             assert (code, err) == (0, "")
             assert len(f) == n_rows and f[0] == 0.5 and f[-1] == pytest.approx(last)
             assert max(f) <= 1.0
+
+    def test_blocks_write_one_table(self, capsys, monkeypatch):
+        # 7501 points span two blocks; one block gives the same bytes
+        code, out, _ = run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")
+        monkeypatch.setattr(cli, "WERNER_BLOCK", 10**6)
+        assert (code, out) == (0, run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")[1])
+        assert out.endswith("\n") and out.count("\n") == 1 + 7501
+
+    def test_failure_in_a_later_block_prints_nothing(self, capsys, monkeypatch):
+        measure_table, calls = measures.measure_table, []
+
+        def fail_second(ms):
+            calls.append(len(ms))
+            if len(calls) == 2:
+                raise NotConverged("eigh did not converge")
+            return measure_table(ms)
+
+        monkeypatch.setattr(measures, "measure_table", fail_second)
+        code, out, err = run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")
+        assert (code, out, err) == (1, "", "error: eigh did not converge\n")
+        assert calls == [cli.WERNER_BLOCK, 7501 - cli.WERNER_BLOCK]
 
     def test_bad_grid(self, capsys):
         # "0.9:1.5:0.1" and "0.1:0.5:0.1" hold points outside [1/4, 1]: no

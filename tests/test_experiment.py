@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from entlab import cmat, experiment, measures, sampler
+import oracles
+from entlab import cmat, experiment, measures, sampler, selftest
 from entlab.cli import main
 from entlab.errors import EntanglementLabError, SeparableInput
 from entlab.experiment import ExperimentConfig, compare_pair
@@ -185,11 +188,9 @@ class TestDrawCap:
 
         def maximally_mixed(rng, n):
             draws.append(n)
-            u = np.broadcast_to(np.eye(4, dtype=complex), (n, 4, 4))
-            probs = np.full((n, 4), 0.25)
-            return sampler_layout((u * probs[:, None, :]) @ u, probs, u)
+            return np.full((n, 4), 0.25), np.zeros((n, sampler.DRAWS_PER_STATE - 3))
 
-        monkeypatch.setattr(sampler, "_spectral_stacks", maximally_mixed)
+        monkeypatch.setattr(sampler, "_draw_spectra", maximally_mixed)
         return draws
 
     def test_run_stops(self, mixed_sampler):
@@ -208,10 +209,11 @@ class TestDeterminantScreen:
 
     @staticmethod
     def rows_with_and_without_screen(monkeypatch, rho, probs, cols):
-        screened = experiment._entangled_state_stats(rho, probs, cols, 7)
+        draw_index = np.arange(rho.shape[-1]) + 7
+        screened = experiment._entangled_state_stats(rho, probs, cols, draw_index)
         with monkeypatch.context() as m:
             m.setattr(measures, "DET_SCREEN", np.inf)  # every state gets its PT spectrum
-            unscreened = experiment._entangled_state_stats(rho, probs, cols, 7)
+            unscreened = experiment._entangled_state_stats(rho, probs, cols, draw_index)
         return screened, unscreened
 
     def test_sampler_states(self, monkeypatch):
@@ -261,7 +263,92 @@ class TestDeterminantScreen:
     def test_chunk_without_entangled_states(self):
         rhos = np.stack([np.eye(4, dtype=complex) / 4, werner_state(0.4).matrix])
         chunk = sampler_layout(rhos, *cmat.hermitian_eig(rhos))
-        assert experiment._entangled_state_stats(*chunk, 0).shape == (0, 6)
+        assert experiment._entangled_state_stats(*chunk, np.arange(2)).shape == (0, 6)
+
+
+def orbit_bound(lam):
+    """Smallest lambda_min(rho^Gamma) over the unitary orbit of spectra lam
+    (n, 4) in descending order."""
+    l1, l2, l3, l4 = lam.T
+    return (l2 + l4 - np.hypot(l1 - l3, l2 - l4)) / 2
+
+
+def scaled_spectra(rng, n, scale):
+    """n descending spectra with l1 - l3 = scale * 2 sqrt(l2 l4): on the
+    boundary of separability for every rotation at scale 1, inside it below."""
+    l2, l3, l4 = -np.sort(-rng.random((4 * n, 3)), axis=1).T
+    l1 = l3 + scale * 2.0 * np.sqrt(l2 * l4)
+    lam = np.column_stack([l1, l2, l3, l4])[l1 >= l2][:n]
+    assert len(lam) == n
+    return lam / lam.sum(axis=1, keepdims=True)
+
+
+def near_identity_unitaries(rng, n):
+    """Unitaries within about 1e-9..1e-1 of the identity, from QR of I + eps G."""
+    eps = np.logspace(-9, -1, n)[:, None, None]
+    g = rng.standard_normal((n, 4, 4)) + 1j * rng.standard_normal((n, 4, 4))
+    q, r = np.linalg.qr(np.eye(4) + eps * g)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+# Eigenvectors (|00> + |11>)/sqrt(2), |01>, (|00> - |11>)/sqrt(2), |10> as
+# columns, in the order of descending eigenvalues: the orbit's worst rotation.
+_H = np.sqrt(0.5)
+EXTREMAL_BASIS = np.array(
+    [[_H, 0, _H, 0], [0, 1, 0, 0], [0, 0, 0, 1], [_H, 0, -_H, 0]], dtype=complex
+)
+
+
+def pt_min_lapack(u, lam):
+    rho = (u * lam[..., None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    return np.linalg.eigvalsh(cmat.partial_transpose_b(rho))[..., 0]
+
+
+class TestSpectrumSkip:
+    """Draws whose spectrum alone proves them separable are never built, and
+    the harness rows are those of the unskipped path, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1.0 - 1e-6])
+    def test_orbit_bound_is_a_lower_bound(self, scale):
+        rng = np.random.default_rng(71)
+        for lam in scaled_spectra(rng, 4, scale):
+            haar = oracles.qr_haar_unitaries(rng, 10_000)
+            near_worst = near_identity_unitaries(rng, 10_000) @ EXTREMAL_BASIS
+            for u in (haar, near_worst):
+                worst = pt_min_lapack(u, lam).min()
+                assert worst >= -1e-15
+                assert worst >= orbit_bound(lam[None])[0] - 1e-15
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0 - 1e-3, 1.0, 1.0 + 1e-3, 2.0])
+    def test_orbit_bound_is_attained(self, scale):
+        lam = scaled_spectra(np.random.default_rng(72), 2000, scale)
+        attained = pt_min_lapack(EXTREMAL_BASIS, lam)
+        assert np.abs(attained - orbit_bound(lam)).max() <= 1e-15
+
+    def test_sorting_network_in_every_order(self):
+        probs = sampler._draw_spectra(sampler.RngStream(73), 20_000)[0]
+        expect = orbit_bound(-np.sort(-probs, axis=1)) >= experiment._ORBIT_MARGIN
+        assert 0.3 < expect.mean() < 0.35
+        for order in itertools.permutations(range(4)):
+            assert np.array_equal(experiment._separable_orbit(probs[:, order]), expect)
+
+    @pytest.mark.parametrize("seed,n", [(63, 20_000), (66, 37), (67, 300), (67, 700)])
+    def test_chunk_rows_match_the_unskipped_path(self, seed, n):
+        # 700 draws of seed 67 screen 257 states, one above _PT_MIN_STACK, so
+        # a single skipped state that the screen would keep changes the route
+        rows = experiment._chunk_stats(sampler.RngStream(seed), n, 11)
+        chunk = sampler._spectral_stacks(sampler.RngStream(seed), n)
+        assert experiment._separable_orbit(chunk[1]).any()
+        assert np.array_equal(rows, experiment._entangled_state_stats(*chunk, np.arange(n) + 11))
+
+    def test_harness_rows_within_cn_region(self):
+        pairs = experiment.run_experiment(ExperimentConfig(seed=31415, n_pairs=3000)).pairs
+        table = {
+            "concurrence": np.concatenate([pairs["c1"], pairs["c2"]]),
+            "e_negative": np.concatenate([pairs["en1"], pairs["en2"]]),
+        }
+        assert selftest.cn_region_excess(table) <= 1e-12
 
 
 class TestCsvEmission:
