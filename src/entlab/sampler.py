@@ -18,8 +18,8 @@ uniforms), and a build step, ``_build_stacks``, which the harness applies
 only to the draws whose spectrum leaves their separability open.  The
 rotations update two columns at a time, one contiguous row per entry; the
 mixing angle enters only through cos^2(phi) = xi^(1/i), so it needs no
-trigonometric call; and rho is assembled from its ten upper entries.  ``random_density_batch``
-transposes the states to a raw (n, 4, 4) stack.
+trigonometric call; and rho is assembled from its ten upper entries.
+``random_density_batch`` transposes the states to a raw (n, 4, 4) stack.
 """
 
 from __future__ import annotations

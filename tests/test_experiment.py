@@ -336,7 +336,7 @@ class TestSpectrumSkip:
     @pytest.mark.parametrize("seed,n", [(63, 20_000), (66, 37), (67, 300), (67, 700)])
     def test_chunk_rows_match_the_unskipped_path(self, seed, n):
         # 700 draws of seed 67 screen 257 states, one above _PT_MIN_STACK, so
-        # a single skipped state that the screen would keep changes the route
+        # a single skipped state that the screen would keep would change the route
         rows = experiment._chunk_stats(sampler.RngStream(seed), n, 11)
         chunk = sampler._spectral_stacks(sampler.RngStream(seed), n)
         assert experiment._separable_orbit(chunk[1]).any()
