@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import experiment, measures, qstate, sampler
-from .errors import BadIndices, EntanglementLabError, ParameterOutOfRange
+from .errors import EntanglementLabError, ParameterOutOfRange
 from .selftest import run_selftest
 
 # Largest grid `werner-table` accepts, counted before any point is built.
@@ -150,11 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "measure" and (args.input is None) == (args.family is None):
-        parser.error("measure requires exactly one of --family or --input")
+    if args.command == "measure":
+        if (args.input is None) == (args.family is None):
+            parser.error("measure requires exactly one of --family or --input")
+        if args.param is not None and args.family in (None, "singlet"):
+            parser.error("--param applies only to --family werner or pure")
     try:
         return args.fn(args)
-    except (ParameterOutOfRange, BadIndices, ValueError, OSError) as exc:
+    except (ParameterOutOfRange, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EntanglementLabError as exc:

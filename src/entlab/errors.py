@@ -36,9 +36,5 @@ class ParameterOutOfRange(EntanglementLabError):
     """A state-family parameter lies outside its admissible interval."""
 
 
-class BadIndices(EntanglementLabError):
-    """Invalid (i, j) index pair for an elementary rotation."""
-
-
 class SeparableInput(EntanglementLabError):
     """A pair comparison was requested for a separable state."""

@@ -10,17 +10,18 @@ which states are drawn, kept or paired.  They change C, E_F and E_N only
 by rounding: the concurrence and PT kernels depend on the size of the stack
 of kept or screened states (see ``measures.concurrence_from_eig`` and
 ``measures._pt_min``), and the chunk sizes depend only on the
-configuration.  ``compare_pair`` and the shards apply one
-pairing and tie rule.  A chunk first draws its spectra and angle uniforms
-(``sampler._draw_spectra``) and builds U and rho only for the draws whose
-spectrum does not prove every state of its unitary orbit separable
-(``_separable_orbit``, after Verstraete, Audenaert & De Moor, PRA 64, 012316
-(2001)); about a third are skipped, and the margin of that test makes the
-determinant screen drop each of them too, so skipping changes no output
-bit.  Per built state, the shards compute the smallest partial-transpose
-eigenvalue only where the determinant screen cannot rule out entanglement,
-and the concurrence only for kept states, from the sampler's spectral pairs
-in its column layout.
+configuration.  ``compare_pair`` and the shards apply one pairing and tie
+rule, ``_pair_rows`` with the fixed threshold TIE_EPSILON; it and the
+scatter size SCATTER_POINTS are echoed in ``summary.csv``.  A chunk first
+draws its spectra and angle uniforms (``sampler._draw_spectra``) and builds
+U and rho only for the draws whose spectrum does not prove every state of
+its unitary orbit separable (``_separable_orbit``, after Verstraete,
+Audenaert & De Moor, PRA 64, 012316 (2001)); about a third are skipped, and
+the margin of that test makes the determinant screen drop each of them too,
+so skipping changes no output bit.  Per built state, the shards compute the
+smallest partial-transpose eigenvalue only where the determinant screen
+cannot rule out entanglement, and the concurrence only for kept states, from
+the sampler's spectral pairs in its column layout.
 """
 
 from __future__ import annotations
@@ -37,6 +38,9 @@ from .measures import MeasureReport
 from .qstate import DensityMatrix
 
 S_RANGE = (0.0, 1.5)  # attainable range of S_1 + S_2 for a pair
+# A pair is a tie when either relative difference lies within TIE_EPSILON of zero.
+TIE_EPSILON = 1e-12
+SCATTER_POINTS = 10_000  # most points per scatter CSV
 SHARD_PAIRS = 2048  # pairs per RNG substream
 _CHUNK_DRAWS = 8192  # most states drawn per sampling chunk inside a shard
 _P_KEPT = 0.36  # slightly below the ensemble's entangled fraction, so chunks overshoot
@@ -44,7 +48,7 @@ _CHUNK_MARGIN = 32  # extra draws per chunk, so a shard rarely needs one more
 # A shard that has drawn this many times its expected 2 * quota / _P_KEPT
 # states without filling its quota gives up with an error.  On the sampler's
 # ensemble that takes a run of bad luck beyond any chance, so only a broken
-# sampler or a tie_epsilon that makes nearly every pair a tie gets there.
+# sampler gets there.
 _MAX_DRAW_FACTOR = 64
 # Smallest lower bound on lambda_min(rho^Gamma) over a spectrum's unitary
 # orbit at which a draw is skipped unbuilt: (2e-4)^3 (1 - 6e-4) = 8.0e-12
@@ -66,8 +70,6 @@ class ExperimentConfig:
     seed: int
     n_pairs: int
     s_bins: int = 30
-    tie_epsilon: float = 1e-12
-    scatter_points: int = 10_000
     threads: int = 1
 
     def __post_init__(self):
@@ -77,11 +79,6 @@ class ExperimentConfig:
             raise ValueError("s_bins must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        # every relative difference lies in [-1, 1], so 1 or more makes every pair a tie
-        if not 0.0 <= self.tie_epsilon < 1.0:
-            raise ValueError("tie_epsilon must lie in [0, 1)")
-        if self.scatter_points < 0:
-            raise ValueError("scatter_points must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -130,14 +127,12 @@ class ExperimentSummary:
     s_histogram: SHistogram
 
 
-def _pair_rows(
-    first: np.ndarray, second: np.ndarray, tie_epsilon: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _pair_rows(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """PAIR_DTYPE rows and tie mask for pairs of per-state (C, E_F, E_N, E_sum, S) rows.
 
     A relative difference (a - b) / (a + b) with a zero denominator (both
     values zero) is 0.  A pair is a tie when either difference is within
-    tie_epsilon of zero, and a violation when it is no tie and the two
+    TIE_EPSILON of zero, and a violation when it is no tie and the two
     differences have strictly opposite signs.
     """
     rows = np.empty(len(first), dtype=PAIR_DTYPE)
@@ -145,21 +140,19 @@ def _pair_rows(
         rows[f"{name}1"], rows[f"{name}2"] = first[:, col], second[:, col]
     den = first[:, 1:3] + second[:, 1:3]
     d = np.divide(first[:, 1:3] - second[:, 1:3], den, out=np.zeros_like(den), where=den > 0.0)
-    tie = (np.abs(d) <= tie_epsilon).any(axis=1)
+    tie = (np.abs(d) <= TIE_EPSILON).any(axis=1)
     rows["d_ef"], rows["d_en"] = d.T
     rows["s_total"] = first[:, 4] + second[:, 4]
     rows["violation"] = ~tie & (d[:, 0] * d[:, 1] < 0.0)
     return rows, tie
 
 
-def compare_pair(
-    rho1: DensityMatrix, rho2: DensityMatrix, tie_epsilon: float = 1e-12
-) -> PairComparisonRecord:
+def compare_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> PairComparisonRecord:
     """Compare the ordering the two measures assign to a pair of entangled states.
 
     Applies the Monte Carlo harness's rule: a pair counts as a violation
     when the relative differences have strictly opposite signs; pairs where
-    either difference is within tie_epsilon of zero, or is undefined because
+    either difference is within TIE_EPSILON of zero, or is undefined because
     both values are zero, are flagged as ties and never count.
     """
     report1 = measures.measure_report(rho1)
@@ -167,15 +160,13 @@ def compare_pair(
     if report1.separable or report2.separable:
         raise SeparableInput("compare_pair requires two entangled states")
     stats = np.array([astuple(report1)[:5], astuple(report2)[:5]])
-    rows, tie = _pair_rows(stats[:1], stats[1:], tie_epsilon)
+    rows, tie = _pair_rows(stats[:1], stats[1:])
     d_ef, d_en, violation, s_total = rows[0][["d_ef", "d_en", "violation", "s_total"]].item()
     return PairComparisonRecord(report1, report2, d_ef, d_en, violation, bool(tie[0]), s_total)
 
 
-def _histogram_core(
-    s: np.ndarray, violation: np.ndarray, n_bins: int, s_range: tuple[float, float] = S_RANGE
-) -> SHistogram:
-    edges = np.linspace(s_range[0], s_range[1], n_bins + 1)
+def _histogram_core(s: np.ndarray, violation: np.ndarray, n_bins: int) -> SHistogram:
+    edges = np.linspace(*S_RANGE, n_bins + 1)
     pair_counts, _ = np.histogram(s, bins=edges)
     violation_counts, _ = np.histogram(s[violation], bins=edges)
     empty = pair_counts == 0
@@ -256,9 +247,7 @@ def _chunk_stats(rng: sampler.RngStream, n: int, first_draw: int) -> np.ndarray:
     return _entangled_state_stats(*sampler._build_stacks(probs, angles), rows + first_draw)
 
 
-def _run_shard(
-    seed: int, shard_index: int, quota: int, tie_epsilon: float
-) -> tuple[np.ndarray, int, int, int]:
+def _run_shard(seed: int, shard_index: int, quota: int) -> tuple[np.ndarray, int, int, int]:
     """Accumulate ``quota`` usable pairs on the shard's own RNG substream.
 
     Entangled states pair up consecutively in draw order and tie pairs are
@@ -274,7 +263,7 @@ def _run_shard(
     stats, drawn = np.empty((0, 6)), 0
     while True:
         n = len(stats) - len(stats) % 2
-        rows, tie = _pair_rows(stats[0:n:2], stats[1:n:2], tie_epsilon)
+        rows, tie = _pair_rows(stats[0:n:2], stats[1:n:2])
         need = quota - int(np.count_nonzero(~tie))
         if need <= 0:
             break
@@ -301,7 +290,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     quotas = [min(SHARD_PAIRS, cfg.n_pairs - i) for i in range(0, cfg.n_pairs, SHARD_PAIRS)]
 
     def shard(index):
-        return _run_shard(cfg.seed, index, quotas[index], cfg.tie_epsilon)
+        return _run_shard(cfg.seed, index, quotas[index])
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -318,12 +307,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     p_vio = float(pairs["violation"].sum()) / n_pairs
 
     scatter_rng = sampler.RngStream(cfg.seed, _SCATTER_KEY)
-    k_pairs = min(cfg.scatter_points, n_pairs)
+    k_pairs = min(SCATTER_POINTS, n_pairs)
     idx = scatter_rng.subsample_indices(n_pairs, k_pairs)
     scatter_def_den = np.column_stack([pairs["d_ef"][idx], pairs["d_en"][idx]])
 
     # Per-state scatters: states of each pair interleaved, preserving run order.
-    k_states = min(cfg.scatter_points, 2 * n_pairs)
+    k_states = min(SCATTER_POINTS, 2 * n_pairs)
     idx_s = scatter_rng.subsample_indices(2 * n_pairs, k_states)
     c, ef, en = (
         np.column_stack([pairs[f"{name}1"], pairs[f"{name}2"]]).ravel()[idx_s]
@@ -396,8 +385,8 @@ def write_csvs(summary: ExperimentSummary, outdir) -> dict[str, str]:
         "n_ties_excluded": str(summary.n_ties_excluded),
         "seed": str(cfg.seed),
         "s_bins": str(cfg.s_bins),
-        "tie_epsilon": _fmt(cfg.tie_epsilon),
-        "scatter_points": str(cfg.scatter_points),
+        "tie_epsilon": _fmt(TIE_EPSILON),
+        "scatter_points": str(SCATTER_POINTS),
     }
     emit("summary.csv", ",".join(fields), [fields.values()])
     return paths

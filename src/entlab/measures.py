@@ -2,8 +2,8 @@
 
 Each quantity has one numerical core that works on a raw (..., 4, 4) stack
 or an array of values: ``concurrence_from_eig`` (from a spectral pair
-(p, U); ``concurrence_batch`` feeds it one checked eigendecomposition of
-each matrix), ``ef_from_concurrence_batch``, ``linear_entropy_batch``,
+(p, U), which ``measure_table`` takes from one checked eigendecomposition
+of each matrix), ``ef_from_concurrence_batch``, ``linear_entropy_batch``,
 ``_pt_min`` (the smallest partial-transpose (PT) eigenvalue, which alone
 fixes E_N, E_sum = 2 E_N and separability, because a two-qubit PT has at
 most one negative eigenvalue) and the column assembler behind
@@ -245,12 +245,6 @@ def _jacobi(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 break
             live, cols = live[stay], np.take(cols, stay, axis=2)
     return norms, certified
-
-
-def concurrence_batch(ms: np.ndarray) -> np.ndarray:
-    """max{0, l1 - l2 - l3 - l4} over the descending R spectrum of each state
-    of a (..., 4, 4) stack, from one checked eigendecomposition."""
-    return concurrence_from_eig(*cmat.hermitian_eig(ms))
 
 
 def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadIndices
-
 # Rotation pairs in composition order; the product is taken left to right.
 PAIR_SEQUENCE = ((1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 4))
 # Pairs whose rotation carries the extra chi phase.
@@ -40,12 +38,12 @@ _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
 
 class RngStream:
-    """Seeded counter-based uniform stream with reproducible substreams.
+    """Seeded counter-based uniform stream.
 
     Backed by the Philox bit generator (period > 2^128; uniforms use the top
     53 bits of each 64-bit word).  Equal (seed, spawn_key) always reproduce
-    the identical sequence of uniform [0, 1) draws; ``substream`` derives an
-    independent stream for e.g. a worker shard.
+    the identical sequence of uniform [0, 1) draws, and distinct spawn keys
+    give independent streams, e.g. one per Monte Carlo shard.
     """
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
@@ -54,10 +52,6 @@ class RngStream:
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.Philox(seq))
 
-    def uniform(self) -> float:
-        """Next uniform [0, 1) draw."""
-        return float(self._gen.random())
-
     def uniforms(self, *shape: int) -> np.ndarray:
         """Next draws, filling the array in row-major order."""
         return self._gen.random(shape)
@@ -65,10 +59,6 @@ class RngStream:
     def subsample_indices(self, n: int, k: int) -> np.ndarray:
         """k distinct indices out of range(n), in increasing order."""
         return np.sort(self._gen.choice(n, size=k, replace=False))
-
-    def substream(self, *key: int) -> "RngStream":
-        """Independent stream addressed by (seed, spawn_key + key)."""
-        return RngStream(self.seed, self.spawn_key + key)
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, spawn_key={self.spawn_key})"
@@ -107,17 +97,6 @@ def _block(cos_phi, sin_phi, e_psi, e_chi=None) -> tuple:
     e_aa = cos_phi * e_psi
     e_ab = sin_phi * e_chi if e_chi is not None else sin_phi + 0j
     return e_aa, e_ab, -np.conj(e_ab), np.conj(e_aa)
-
-
-def elementary_unitary(i: int, j: int, phi: float, psi: float, chi: float = 0.0) -> np.ndarray:
-    """Two-level rotation on basis indices i < j (1-based), identity elsewhere."""
-    if not (isinstance(i, (int, np.integer)) and isinstance(j, (int, np.integer)) and 1 <= i < j <= 4):
-        raise BadIndices(f"need integer indices 1 <= i < j <= 4, got ({i}, {j})")
-    a, b = i - 1, j - 1
-    u = np.eye(4, dtype=complex)
-    block = _block(np.cos(phi), np.sin(phi), np.exp(1j * psi), np.exp(1j * chi))
-    u[[a, a, b, b], [a, b, a, b]] = block
-    return u
 
 
 _ONE = object()  # an entry of the identity that no rotation has touched yet

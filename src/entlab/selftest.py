@@ -19,6 +19,11 @@ def _random_hermitian(rng: sampler.RngStream, n: int) -> np.ndarray:
     return a + np.conj(a.transpose(0, 2, 1))
 
 
+def _random_kets(rng: sampler.RngStream, n: int, dim: int = 4) -> np.ndarray:
+    kets = rng.uniforms(n, dim) - 0.5 + 1j * (rng.uniforms(n, dim) - 0.5)
+    return kets / np.linalg.norm(kets, axis=1)[:, None]
+
+
 def check_linalg(n: int = 2000) -> None:
     rng = sampler.RngStream(101)
     herm = _random_hermitian(rng, n)
@@ -56,17 +61,37 @@ def check_measures(n: int = 2000) -> None:
         rho = qstate.werner_state(float(f))
         assert abs(measures.concurrence(rho) - (2 * f - 1)) < 1e-10
         assert abs(measures.e_negative(rho) - (f - 0.5)) < 1e-10
-    rng = sampler.RngStream(103)
-    kets = rng.uniforms(n, 4) - 0.5 + 1j * (rng.uniforms(n, 4) - 0.5)
-    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    kets = _random_kets(sampler.RngStream(103), n)
     pures = kets[:, :, None] * np.conj(kets[:, None, :])
-    pure_table = measures.measure_table(pures)
-    assert np.abs(pure_table["concurrence"] - 2 * pure_table["e_negative"]).max() < 1e-9
+    # the whole stack takes the Jacobi kernel, a slice below _JACOBI_MIN_STACK
+    # LAPACK's route, whose (sy x sy) signs no Werner state can see
+    for ms in (pures, pures[: measures._JACOBI_MIN_STACK // 4]):
+        pure_table = measures.measure_table(ms)
+        assert np.abs(pure_table["concurrence"] - 2 * pure_table["e_negative"]).max() < 1e-9
     rhos = sampler.random_density_batch(sampler.RngStream(104), n)
     table = measures.measure_table(rhos)
     assert np.all(table["concurrence"] >= 2 * table["e_negative"] - 1e-9)
     sep = table["separable"]
     assert np.array_equal(sep, table["e_negative"] <= measures.EPS_SEP)
+
+
+def check_near_product_pt(n: int = 512) -> None:
+    """lambda_min(rho^Gamma) of pure states alpha|ab> + sqrt(1 - alpha^2)|a'b'>
+    of Schmidt coefficient alpha <= 0.01 in random product bases, where three
+    PT eigenvalues lie within alpha of zero: the PT kernel must refuse what it
+    cannot certify, so the stack matches eigvalsh."""
+    rng = sampler.RngStream(107)
+    a, b = _random_kets(rng, n, 2), _random_kets(rng, n, 2)
+    a_perp = np.column_stack([-np.conj(a[:, 1]), np.conj(a[:, 0])])
+    b_perp = np.column_stack([-np.conj(b[:, 1]), np.conj(b[:, 0])])
+    alpha = np.linspace(0.0, 0.01, n)[:, None]
+    kets = alpha * np.einsum("ni,nj->nij", a, b).reshape(n, 4)
+    kets += np.sqrt(1.0 - alpha**2) * np.einsum("ni,nj->nij", a_perp, b_perp).reshape(n, 4)
+    pures = kets[:, :, None] * np.conj(kets[:, None, :])
+    assert n >= measures._PT_MIN_STACK  # so the stack takes the kernel
+    lam = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(pures))[:, 0]
+    e_negative = measures.measure_table(pures)["e_negative"]
+    assert np.abs(e_negative - np.maximum(0.0, -lam)).max() <= 1e-14
 
 
 def check_sampler(n: int = 2000) -> None:
@@ -120,9 +145,7 @@ def cn_region_excess(table: dict[str, np.ndarray]) -> float:
 
 def check_cn_region(n: int = 2000) -> None:
     rhos = sampler.random_density_batch(sampler.RngStream(110), n)
-    rng = sampler.RngStream(111)
-    kets = rng.uniforms(n, 4) - 0.5 + 1j * (rng.uniforms(n, 4) - 0.5)
-    kets /= np.linalg.norm(kets, axis=1)[:, None]
+    kets = _random_kets(sampler.RngStream(111), n)
     eps = np.logspace(-12, -2, n)[:, None, None]
     near_pure = (1.0 - eps) * (kets[:, :, None] * np.conj(kets[:, None, :])) + eps * rhos
     werner = qstate.werner_stack(np.linspace(0.25, 1.0, max(n // 4, measures._JACOBI_MIN_STACK)))
@@ -135,6 +158,7 @@ SUITES = (
     ("linear algebra invariants", check_linalg),
     ("state constructors", check_states),
     ("measure oracles", check_measures),
+    ("PT kernel on near-product pure states", check_near_product_pt),
     ("sampler determinism and spectra", check_sampler),
     ("experiment determinism and counting", check_experiment),
     ("harness rows match measure_table", check_harness_rows),

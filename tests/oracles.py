@@ -1,8 +1,9 @@
 """Independent reference routes used only by the tests.
 
-Everything here deliberately avoids the library's code paths: the product
-spectrum uses a general (non-Hermitian) eigensolver, Haar matrices come from
-QR orthonormalization, simplex samples come from sorted-uniform spacings, and
+Everything here deliberately avoids the library's code paths: the two-level
+rotations are written out from cos, sin and exp, the product spectrum uses a
+general (non-Hermitian) eigensolver, Haar matrices come from QR
+orthonormalization, simplex samples come from sorted-uniform spacings, and
 the high-precision concurrence uses mpmath's eigensolver on rho rho~ and the
 high-precision smallest eigenvalue its Hermitian eigensolver.
 """
@@ -12,6 +13,19 @@ import numpy as np
 SY2 = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float
 )
+
+
+def elementary_unitary(i: int, j: int, phi: float, psi: float, chi: float = 0.0) -> np.ndarray:
+    """Two-level rotation on basis indices i < j (1-based), identity elsewhere:
+    [[cos phi e^(i psi), sin phi e^(i chi)], [-sin phi e^(-i chi), cos phi e^(-i psi)]]
+    on rows and columns i, j."""
+    a, b = i - 1, j - 1
+    u = np.eye(4, dtype=complex)
+    u[a, a] = np.cos(phi) * np.exp(1j * psi)
+    u[a, b] = np.sin(phi) * np.exp(1j * chi)
+    u[b, a] = -np.sin(phi) * np.exp(-1j * chi)
+    u[b, b] = np.cos(phi) * np.exp(-1j * psi)
+    return u
 
 
 def concurrence_product_route(ms: np.ndarray) -> np.ndarray:

@@ -92,6 +92,22 @@ class TestMeasure:
             main(["measure", "--family", "singlet", "--input", str(path)])
         assert exc.value.code == 2
 
+    def test_param_with_singlet_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--family", "singlet", "--param", "0.3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--param" in captured.err
+
+    def test_param_with_input_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "s.csv"
+        write_states(path, [qstate.singlet()])
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--input", str(path), "--param", "0.3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--param" in captured.err
+
     def test_invalid_state_file_is_numerical_error(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
         bad = ["0.5"] + ["0.0"] * 31

@@ -161,22 +161,10 @@ class TestRunExperiment:
             {"n_pairs": 0},
             {"s_bins": 0},
             {"threads": 0},
-            {"tie_epsilon": -1e-12},
-            {"tie_epsilon": float("nan")},
-            {"scatter_points": -5},
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**{"seed": 1, "n_pairs": 10, **bad})
 
-    @pytest.mark.parametrize("tie_epsilon", [1.0, 2.0, float("inf")])
-    def test_tie_epsilon_of_one_or_more_rejected(self, tie_epsilon):
-        # every relative difference lies in [-1, 1], so every pair would be a tie
-        with pytest.raises(ValueError, match="tie_epsilon"):
-            ExperimentConfig(seed=1, n_pairs=10, tie_epsilon=tie_epsilon)
-
-    def test_tie_epsilon_just_below_one_accepted(self):
-        below_one = np.nextafter(1.0, 0.0)
-        assert ExperimentConfig(seed=1, n_pairs=10, tie_epsilon=below_one).tie_epsilon == below_one
 
 
 class TestDrawCap:

@@ -15,6 +15,12 @@ from entlab.sampler import RngStream, random_density_batch
 MIXED = np.eye(4) / 4
 
 
+def concurrence_of(ms):
+    """Concurrence of each matrix of a (..., 4, 4) stack, from one checked
+    eigendecomposition."""
+    return measures.concurrence_from_eig(*cmat.hermitian_eig(ms))
+
+
 def spectral_batch(seed, n):
     """n sampler states as (rhos, probs, u): (n, 4, 4) stacks rhos = u diag(probs)
     u^dagger, with the spectra and unitaries they were built from."""
@@ -83,7 +89,7 @@ class TestConcurrence:
 
     def test_matches_product_spectrum_route(self):
         rhos = random_density_batch(RngStream(32), 3000)
-        ours = measures.concurrence_batch(rhos)
+        ours = concurrence_of(rhos)
         reference = oracles.concurrence_product_route(rhos)
         assert np.abs(ours - reference).max() < 1e-8
 
@@ -95,7 +101,7 @@ class TestConcurrenceFromEig:
         rhos, probs, u = spectral_batch(38, 10_000)
         ours = measures.concurrence_from_eig(probs, u)
         assert np.abs(ours - oracles.concurrence_product_route(rhos)).max() < 1e-8
-        assert np.abs(ours - measures.concurrence_batch(rhos)).max() < 1e-13
+        assert np.abs(ours - concurrence_of(rhos)).max() < 1e-13
 
     @pytest.mark.parametrize("k", range(4))
     def test_pure_spectrum(self, k):
@@ -337,7 +343,7 @@ class TestRawStacks:
 
     @staticmethod
     def value_or_library_error(ms):
-        for fn in (measures.measure_table, measures.concurrence_batch, cmat.psd_sqrt):
+        for fn in (measures.measure_table, concurrence_of, cmat.psd_sqrt):
             try:
                 with np.errstate(all="ignore"):
                     fn(ms)
@@ -375,7 +381,7 @@ class TestRawStacks:
         ms = np.zeros((1, 4, 4), dtype=complex)
         ms[0, 0, 1], ms[0, 1, 2], ms[0, 2, 3] = 5e299j, 1j, 1j
         ms += np.conj(ms.transpose(0, 2, 1))
-        for fn in (measures.measure_table, measures.concurrence_batch, cmat.psd_sqrt):
+        for fn in (measures.measure_table, concurrence_of, cmat.psd_sqrt):
             with pytest.raises(NotConverged):
                 fn(ms)
 
@@ -662,6 +668,28 @@ class TestConcurrenceNegativityRegion:
     def test_werner_line(self):
         table = measures.measure_table(qstate.werner_stack(np.linspace(0.25, 1.0, 3001)))
         assert selftest.cn_region_excess(table) <= 1e-12
+
+    @staticmethod
+    def excess_if_valid(ms):
+        """Region excess of a stack that validates as states, else 0.0."""
+        try:
+            ms = qstate.validate_stack(ms)
+        except EntanglementLabError:
+            return 0.0
+        return selftest.cn_region_excess(measures.measure_table(ms))
+
+    @given(raw_stacks(forms=("state",)))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_states(self, ms):
+        # extreme Gram matrices over their trace, on the LAPACK routes
+        assert self.excess_if_valid(ms) <= 1e-12
+
+    @given(raw_stacks(forms=("state",)))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_states_through_the_kernel(self, ms):
+        # with the size threshold at 1 the PT kernel takes every stack
+        with mock.patch.object(measures, "_PT_MIN_STACK", 1):
+            assert self.excess_if_valid(ms) <= 1e-12
 
     def test_excess_measures_both_bounds(self):
         # (C, N) = (0.5, 0.6) lies above N <= C, (0.5, 0.2) below the lower
