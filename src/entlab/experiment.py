@@ -252,32 +252,42 @@ def _run_shard(seed: int, shard_index: int, quota: int) -> tuple[np.ndarray, int
 
     Entangled states pair up consecutively in draw order and tie pairs are
     excluded.  Chunks are drawn until the quota is met, each sized from the
-    pairs still needed, and the shard ends at the draw that completes its
-    final usable pair, so the counters reflect exactly the states consumed.
-    A shard draws no new chunk once it has drawn _MAX_DRAW_FACTOR times the
-    expected number of states; it raises EntanglementLabError instead.
-    Returns (pairs, states drawn, states kept, ties excluded).
+    pairs still needed; each chunk's states are paired as they arrive, an odd
+    state left over waiting for the first of the next chunk, and the shard
+    ends at the draw that completes its final usable pair, so the counters
+    reflect exactly the states consumed.  A shard draws no new chunk once it
+    has drawn _MAX_DRAW_FACTOR times the expected number of states; it raises
+    EntanglementLabError instead.  Returns (pairs, states drawn, states kept,
+    ties excluded).
     """
     rng = sampler.RngStream(seed, (_SHARD_KEY, shard_index))
     max_draws = int(_MAX_DRAW_FACTOR * 2 * quota / _P_KEPT)
-    stats, drawn = np.empty((0, 6)), 0
-    while True:
-        n = len(stats) - len(stats) % 2
-        rows, tie = _pair_rows(stats[0:n:2], stats[1:n:2])
-        need = quota - int(np.count_nonzero(~tie))
-        if need <= 0:
-            break
+    # per chunk: pair rows, tie mask and the draw index of each pair's second state
+    rows, ties, second_draws = [], [], []
+    leftover, drawn, usable, n_ties = np.empty((0, 6)), 0, 0, 0
+    while usable < quota:
+        need = quota - usable
         if drawn >= max_draws:
+            entangled = 2 * (usable + n_ties) + len(leftover)
             raise EntanglementLabError(
                 f"shard {shard_index} drew {drawn} states and still lacks {need} of "
-                f"{quota} usable pairs ({len(stats)} entangled, {int(tie.sum())} tie pairs)"
+                f"{quota} usable pairs ({entangled} entangled, {n_ties} tie pairs)"
             )
         size = min(_CHUNK_DRAWS, int(2 * need / _P_KEPT) + _CHUNK_MARGIN)
-        stats = np.concatenate([stats, _chunk_stats(rng, size, drawn)])
+        stats = np.concatenate([leftover, _chunk_stats(rng, size, drawn)])
         drawn += size
+        n = len(stats) - len(stats) % 2
+        chunk_rows, tie = _pair_rows(stats[0:n:2], stats[1:n:2])
+        rows.append(chunk_rows)
+        ties.append(tie)
+        second_draws.append(stats[1:n:2, 5])
+        leftover = stats[n:]
+        n_ties += int(tie.sum())
+        usable += len(tie) - int(tie.sum())
+    rows, tie = np.concatenate(rows), np.concatenate(ties)
     last = int(np.searchsorted(np.cumsum(~tie), quota))  # the pair that fills the quota
     used = slice(0, last + 1)
-    states_drawn = int(stats[2 * last + 1, 5]) + 1  # through that pair's second state
+    states_drawn = int(np.concatenate(second_draws)[last]) + 1  # through that pair's second state
     return rows[used][~tie[used]], states_drawn, 2 * last + 2, int(tie[used].sum())
 
 

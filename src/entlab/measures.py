@@ -7,16 +7,18 @@ of each matrix), ``ef_from_concurrence_batch``, ``linear_entropy_batch``,
 ``_pt_min`` (the smallest partial-transpose (PT) eigenvalue, which alone
 fixes E_N, E_sum = 2 E_N and separability, because a two-qubit PT has at
 most one negative eigenvalue) and the column assembler behind
-``measure_table``.  The concurrence core's singular values come from a
-one-sided Jacobi kernel, and the smallest PT eigenvalue from Laguerre steps
-on each PT's characteristic polynomial, for stacks of at least
-_JACOBI_MIN_STACK and _PT_MIN_STACK matrices; LAPACK takes smaller stacks
-and any matrix a kernel cannot certify, and the two routes agree to
-rounding.  The Monte Carlo harness uses the same cores and the same
-separability rule ``_pt_entangled``, but screens states by det(rho^Gamma)
-(``_pt_screen``, which works on the sampler's (4, 4, n) entry stack, forms
-each PT once and passes the states it keeps, with their determinants, to
-``_pt_min``) and takes the concurrence from the sampler's column stacks.
+``measure_table``.  Both kernels work on characteristic polynomials: the
+concurrence on that of B^H B, whose largest root and the sum of the square
+roots of the other three give C without the singular values themselves,
+and the smallest PT eigenvalue on that of each PT, each by Laguerre steps
+and a certified Newton step, for stacks of at least _C_MIN_STACK and
+_PT_MIN_STACK matrices; LAPACK takes smaller stacks and any matrix a kernel
+cannot certify, and the two routes agree to rounding.  The Monte Carlo
+harness uses the same cores and the same separability rule
+``_pt_entangled``, but screens states by det(rho^Gamma) (``_pt_screen``,
+which works on the sampler's (4, 4, n) entry stack, forms each PT once and
+passes the states it keeps, with their determinants, to ``_pt_min``) and
+takes the concurrence from the sampler's column stacks.
 Every command of the CLI that handles states measures them as one stack
 through ``measure_table`` (``qstate`` validates the stack first), so a file
 of at least 256 states takes the kernels.  ``measure_report`` evaluates the
@@ -48,20 +50,25 @@ DET_SCREEN = 1e-12
 _LAPLACE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # Flat entry index of rho for each flat entry of rho^Gamma.
 _PT_ROWS = cmat.partial_transpose_b(np.arange(16).reshape(4, 4)).ravel()
-# One-sided Jacobi singular values (_jacobi): the smallest stack it is used
-# for, the most sweeps a matrix gets and the residual that certifies it.  On
-# 2 cores with OpenBLAS 0.3.31, the LAPACK route of _r_spectrum took 0.03 ms
-# for 1 matrix, 1.1-1.9 ms for 256 and 18 ms for 3000, the kernel route
-# 0.6-0.8, 1.1-2.0 and 8.4 ms; LAPACK won at 192, the kernel at 512.
-_JACOBI_MIN_STACK = 256
-_JACOBI_SWEEPS = 5
-_JACOBI_TOL = 1e-8
-# One sweep: three rounds of two disjoint column pairs, (0, 1) (2, 3), then
-# (0, 2) (1, 3), then (0, 3) (1, 2), as basic slices of the column axis.
-_JACOBI_ROUNDS = (
-    (slice(0, None, 2), slice(1, None, 2)),
-    (slice(0, 2), slice(2, 4)),
-    (slice(0, 2), slice(3, 1, -1)),
+# Concurrence by the characteristic polynomial of B^H B (_laguerre_concurrence):
+# the smallest stack it is used for, its Laguerre step count, the largest
+# final Newton step and error bound, relative to mu1 and sqrt(mu1), that
+# certify a value, and the largest cancellation factor allowed in e2.  On 2
+# cores with OpenBLAS 0.3.31, LAPACK's route took 0.05 ms for 1 matrix,
+# 1.4 ms for 192 and 1.9 ms for 256, the kernel 1.0, 1.4 and 1.4 ms; at 3000
+# matrices 4.3 ms against 22 ms.
+_C_MIN_STACK = 256
+_C_LAGUERRE_STEPS = 5
+_C_STEP = 1e-13
+_C_TOL = 2.5e-16
+_C_CANCEL = 8.0
+# The entry rows (i, j, l, n) of the 2x2 minors b_il b_jn - b_in b_jl of B
+# behind e2: rows I = (i, j) and columns J = (l, n) among _LAPLACE_PAIRS,
+# first the six with I = J, then the 15 with I < J, each of which stands
+# also for (J, I), as B is symmetric.
+_MINOR_ENTRIES = tuple(
+    _LAPLACE_PAIRS[i] + _LAPLACE_PAIRS[j]
+    for i, j in [(i, i) for i in range(6)] + [(i, j) for i in range(6) for j in range(i + 1, 6)]
 )
 
 # Smallest PT eigenvalue by its characteristic polynomial (_pt_min): the
@@ -79,6 +86,9 @@ _PT_MAX_ROW = 4.0
 # of each principal 3x3 minor.
 _OFF_OF_ROW = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 _TRIANGLES = ((0, 3, 1), (0, 4, 2), (1, 5, 2), (3, 5, 4))
+# Largest |p'' s / p'| for a final Newton step s at which a kernel trusts its
+# first-order error bound (see _laguerre_min).
+_NEWTON_H = 0.01
 # Unit roundoff of float64.
 _U = 2.0**-53
 
@@ -121,130 +131,161 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     set of singular values of B = sqrt(p) u^dagger (sy x sy) conj(u) sqrt(p)
     (Wootters, PRL 80, 2245 (1998)): B is sqrt(rho) (sy x sy) sqrt(rho)^T with
     the unitaries u and u^T taken off its two sides, and R^2 is unitarily
-    similar to B B^dagger.  Singular values keep full absolute accuracy for
-    near-zero R eigenvalues, where squaring and rooting would lose half the
-    digits that rank-deficient (pure) states need.  They come from one core,
-    ``_r_spectrum``, so a state's value depends on the size of the stack it
-    comes in only by rounding.  Entries of p in [-TOL.psd_clamp, 0) are
-    clipped to zero; anything lower, or NaN, raises NotPSD.
+    similar to B B^dagger, so C = max(0, l1 - l2 - l3 - l4) for the singular
+    values l1 >= ... >= l4 of B.  Stacks under _C_MIN_STACK go to
+    ``_lapack_concurrence``.  Larger ones go through
+    ``_laguerre_concurrence`` on the entry stack ``_conj_w`` forms, and the
+    matrices it does not certify go to ``_lapack_concurrence``, which gives
+    them the bits a small stack would; the two routes agree to rounding.
+    Entries of p in [-TOL.psd_clamp, 0) are clipped to zero; anything lower,
+    or NaN, raises NotPSD.
     """
-    lam = _r_spectrum(p, u)
+    p = cmat._require_psd(np.asarray(p))
+    u = np.asarray(u)
+    lead = u.shape[:-2]
+    if math.prod(lead) < _C_MIN_STACK:
+        return _lapack_concurrence(p, u)
+    p, u = p.reshape(-1, 4), u.reshape(-1, 4, 4)
+    with np.errstate(all="ignore"):  # overflow and NaN leave a matrix uncertified
+        c, certified = _laguerre_concurrence(np.ascontiguousarray(p.T), _conj_w(u))
+    failed = np.nonzero(~certified)[0]
+    if len(failed):
+        c[failed] = _lapack_concurrence(p[failed], u[failed])
+    return c.reshape(lead)
+
+
+def _lapack_concurrence(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Concurrence from LAPACK's singular values of B = sqrt(p) u^dagger
+    (sy x sy) conj(u) sqrt(p): one batched product and one SVD.  Singular
+    values keep full absolute accuracy for near-zero R eigenvalues, where
+    squaring and rooting would lose half the digits that rank-deficient
+    (pure) states need.  (sy x sy) conj(u) is a signed row reversal."""
+    root = np.sqrt(p)
+    flipped = _FLIP_SIGNS[:, None] * np.conj(u[..., ::-1, :])
+    b = root[..., :, None] * (np.conj(np.swapaxes(u, -1, -2)) @ flipped) * root[..., None, :]
+    lam = cmat._lapack(np.linalg.svd, b, compute_uv=False)
     return np.maximum(0.0, lam[..., 0] - lam[..., 1] - lam[..., 2] - lam[..., 3])
 
 
-def _r_spectrum(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Descending R spectrum of u diag(p) u^dagger: the singular values of B.
+def _conj_w(u: np.ndarray) -> np.ndarray:
+    """conj(W) for the symmetric unitary W = u^dagger (sy x sy) conj(u), with
+    B = sqrt(p) W sqrt(p), for u (m, 4, 4), as a (4, 4, m) entry stack:
+    ``w[k, l]`` is the (m,) row of entry (k, l).
 
-    Stacks under _JACOBI_MIN_STACK go to ``_lapack_r_spectrum``.  Larger
-    ones go through ``_jacobi`` on the column stack ``_conj_b`` forms (no
-    copy of u when it is a transposed column stack, as the Monte Carlo
-    harness passes it), and the matrices it does not certify go to
-    ``_lapack_r_spectrum``, which gives them the bits a small stack would.
-    """
-    root = np.sqrt(cmat._require_psd(np.asarray(p)))
-    u = np.asarray(u)
-    lead = u.shape[:-2]
-    if math.prod(lead) < _JACOBI_MIN_STACK:
-        return _lapack_r_spectrum(root, u)
-    root, u = root.reshape(-1, 4), u.reshape(-1, 4, 4)
-    norms_sq, certified = _jacobi(_conj_b(root, u))
-    lam = np.sort(np.sqrt(norms_sq).T, axis=-1)[:, ::-1]
-    failed = np.nonzero(~certified)[0]
-    if len(failed):
-        lam[failed] = _lapack_r_spectrum(root[failed], u[failed])
-    return lam.reshape(lead + (4,))
-
-
-def _lapack_r_spectrum(root: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Singular values of B = root u^dagger (sy x sy) conj(u) root, for root
-    the square roots of the spectra: one batched product and LAPACK's SVD.
-    (sy x sy) conj(u) is a signed row reversal."""
-    flipped = _FLIP_SIGNS[:, None] * np.conj(u[..., ::-1, :])
-    b = root[..., :, None] * (np.conj(np.swapaxes(u, -1, -2)) @ flipped) * root[..., None, :]
-    return cmat._lapack(np.linalg.svd, b, compute_uv=False)
-
-
-def _conj_b(root: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """conj(B), which has B's singular values, for root (m, 4) and u
-    (m, 4, 4), as a (4, 4, m) column stack: ``b[l, k]`` is the (m,) row of
-    entry k of column l.
-
-    B is complex symmetric, so only its ten upper entries are formed: with
-    v_k = sqrt(p_k) times column k of u, entry (k, l) of conj(B) is
-    v_1k v_2l + v_2k v_1l - v_0k v_3l - v_3k v_0l, four products of
-    contiguous rows in a fixed order, so a state's bits do not depend on m.
-    A real u (from a real stack) is made complex, as ``_jacobi`` needs.
+    Only the ten upper entries are formed: entry (k, l) is
+    u_1k u_2l + u_2k u_1l - u_0k u_3l - u_3k u_0l, four products of
+    contiguous rows of the column stack in a fixed order, so a state's bits
+    do not depend on m.  A transposed column stack, as the Monte Carlo
+    harness passes it, is read without a copy; a real u (from a real stack)
+    is made complex.
     """
     u = np.ascontiguousarray(u.transpose(2, 1, 0), dtype=complex)
-    v = u * np.ascontiguousarray(root.T)[:, None, :]
-    b = np.empty_like(v)
+    w = np.empty_like(u)
     for k in range(4):
         for l in range(k, 4):
-            x, y = v[k], v[l]
-            b[k, l] = b[l, k] = x[1] * y[2] + x[2] * y[1] - x[0] * y[3] - x[3] * y[0]
-    return b
+            x, y = u[k], u[l]
+            w[k, l] = w[l, k] = x[1] * y[2] + x[2] * y[1] - x[0] * y[3] - x[3] * y[0]
+    return w
 
 
-def _column_norms_sq(cols: np.ndarray) -> np.ndarray:
-    """Squared 2-norms (4, n) of the columns of a (4, 4, n) column stack."""
-    f = cols.view(np.float64)  # real and imaginary parts interleaved along the last axis
-    sq = np.einsum("crn,crn->cn", f, f)
-    return sq[:, 0::2] + sq[:, 1::2]
+def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concurrence of each state of a stack given by its spectra p (4, m) and
+    the conj(W) entry stack w (4, 4, m) of ``_conj_w``, from the
+    characteristic polynomial of G = B^H B, and the mask of certified values.
 
+    Cauchy-Binet gives each coefficient e_k of
+    det(x I - G) = x^4 - e1 x^3 + e2 x^2 - e3 x + e4 as the sum of
+    |det B[I, J]|^2 = p_I p_J |det W[I, J]|^2 over the k-subsets I, J, with
+    B = D W D, D = diag(sqrt(p)) and p_I the product of p over I: e1 from
+    the entries of B; e2 from its 21 distinct 2x2 minors (B is symmetric);
+    e3 from the entries of W with weights q_k q_l, q_k the product of the
+    other three p, since a unitary's 3x3 minors have the moduli of the
+    complementary entries; and e4 = (p0 p1 p2 p3)^2.  Every term is
+    nonnegative, so the small roots keep their relative accuracy unless the
+    2x2 minors cancel: a matrix whose minors' products
+    sum (|B_il B_jn|^2 + |B_in B_jl|^2) exceed _C_CANCEL e2 is not certified.
 
-def _jacobi(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One-sided Jacobi (Hestenes, J. SIAM 6, 51 (1958)) on a (4, 4, n)
-    complex column stack, which it overwrites; returns the squared column
-    norms (4, n) it ends with and the mask of certified matrices.
+    The largest root mu1 = l1^2 comes from Laguerre's method started at
+    e1 >= mu1, which descends monotonically to it (Parlett, Math. Comp. 18,
+    464 (1964)), and a final Newton step on det(G - x I) from
+    ``_det_with_bound``, with G_kl = sum_j conj(B_jk) B_jl formed from the
+    entries of B, so that its error bound E does not carry the coefficients'
+    rounding.  The other three roots are never found: deflating p(x) by
+    x - mu1 gives their elementary symmetric functions f3 = e4 / mu1,
+    f2 = (e3 - f3) / mu1 and f1 = (e2 - f2) / mu1, each subtraction losing
+    at most a factor 2, as f3 <= mu1 f2 and f2 <= mu1 f1; and
+    s = l2 + l3 + l4 solves s = sqrt(f1 + 2 t) with
+    t = sqrt(f2 + 2 sqrt(f3) s), a map of slope at most 1/9 (AM-GM), so four
+    Newton steps from sqrt(f1 + 2 sqrt(f2)) <= s converge.  Then C = l1 - s.
+    For pure and exactly rank-2 states f2 = f3 = 0, the Newton steps divide
+    0 by 0 and the value is not finite.
 
-    Each sweep makes every pair of columns b_j, b_k orthogonal by a complex
-    rotation, which keeps the singular values, so afterwards they are the
-    column norms (in no particular order).  A sweep is three rounds of two
-    disjoint pairs, each round two basic-slice views of the stack, and the
-    norms are recomputed every round.  A matrix passes a sweep when, before
-    each of its rotations, |b_j^H b_k| <= _JACOBI_TOL ||b_j|| ||b_k|| (never
-    for NaN); it is certified after that sweep and leaves the stack, and one
-    that passes none of _JACOBI_SWEEPS sweeps is not certified.
-    Jacobi computes singular values to high relative accuracy (Demmel &
-    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)), and a sweep that
-    starts from that residual leaves an error second order in it.  Of the
-    acceptance run's kept states, 0.3% pass sweep 3, 89% sweep 4, the rest 5.
+    A value is certified when it is finite, passes the cancellation test
+    and either the Newton step is at most _C_STEP mu1 and _NEWTON_H |p'/p''|
+    and the first-order bound (E + |p''| step^2) / |p'| + u max_i |G_ii - x|
+    on mu1 (as in ``_laguerre_min``), halved by sqrt(mu1), is at most
+    _C_TOL; or sqrt(mu1 + |step| + that bound) lies below s by a relative
+    margin of 1e-12, far above the rounding of s, which proves C = 0.  The
+    Newton step is about the difference between the coefficients' rounding
+    and the entries', below 7e-14 mu1 for 99% of the sampler's states.  Of
+    2e5 sampler states, every certified value lay within 7e-16 of LAPACK's
+    SVD, and 2 of the 73578 entangled ones were refused.
     """
-    norms, certified = np.empty((4, cols.shape[-1])), np.zeros(cols.shape[-1], dtype=bool)
-    live = np.arange(cols.shape[-1])  # the matrices still sweeping, in stack order
-    for sweep in range(_JACOBI_SWEEPS):
-        passed = np.ones(len(live), dtype=bool)
-        for pick_x, pick_y in _JACOBI_ROUNDS:
-            x, y = cols[pick_x], cols[pick_y]  # (2, 4, n) views: two pairs of columns
-            norms_sq = _column_norms_sq(cols)
-            alpha, beta = norms_sq[pick_x], norms_sq[pick_y]
-            gamma = (np.conj(x) * y).sum(axis=1)
-            g2 = gamma.real**2 + gamma.imag**2
-            passed &= (g2 <= _JACOBI_TOL**2 * alpha * beta).all(axis=0)
-            # The rotation that diagonalizes the Gram block [[alpha, gamma],
-            # [gamma*, beta]] has tan(theta) = t = sign(delta) 2|gamma| /
-            # (|delta| + hypot(delta, 2|gamma|)); w = t / |gamma|.
-            delta = beta - alpha
-            den = np.sqrt(delta * delta + 4.0 * g2) + np.abs(delta)
-            w = np.divide(np.copysign(2.0, delta), den, out=np.zeros_like(den), where=den > 0.0)
-            c = 1.0 / np.sqrt(1.0 + w * w * g2)
-            a = (c * w * gamma)[:, None, :]  # sin(theta) e^{i arg gamma}
-            c = c[:, None, :]
-            x_part = np.conj(a) * y
-            y *= c
-            y += a * x
-            x *= c
-            x -= x_part
-        leave = passed if sweep < _JACOBI_SWEEPS - 1 else np.ones_like(passed)
-        if leave.any():
-            done = live[leave]
-            norms[:, done] = _column_norms_sq(cols)[:, leave]
-            certified[done] = passed[leave]
-            stay = np.nonzero(~leave)[0]
-            if not len(stay):
-                break
-            live, cols = live[stay], np.take(cols, stay, axis=2)
-    return norms, certified
+    # conj(B), |W|^2 and |B|^2 entry by entry: (m,) rows keep every
+    # temporary small, where (4, 4, m) ones cost more in page faults than in
+    # arithmetic
+    root = np.sqrt(p)
+    b, w2, b2 = {}, {}, {}
+    for k in range(4):
+        for l in range(k, 4):
+            entry = w[k, l]
+            w2[k, l] = w2[l, k] = entry.real * entry.real + entry.imag * entry.imag
+            b[k, l] = b[l, k] = entry * (root[k] * root[l])
+            b2[k, l] = b2[l, k] = w2[k, l] * (p[k] * p[l])
+    d = np.array([b2[0, k] + b2[1, k] + b2[2, k] + b2[3, k] for k in range(4)])  # the diagonal of G
+    e1 = d.sum(axis=0)
+    p01, p23 = p[0] * p[1], p[2] * p[3]
+    q = (p[1] * p23, p[0] * p23, p01 * p[3], p01 * p[2])
+    e3 = sum(q[k] * (q[k] * w2[k, k] + 2.0 * sum(q[l] * w2[k, l] for l in range(k + 1, 4))) for k in range(4))
+    e4 = (p01 * p23) ** 2
+    # the minors with I = J count once, the others twice, for (I, J) and (J, I)
+    minors_sq, products = [0.0, 0.0], [0.0, 0.0]
+    for k, (i, j, l, n) in enumerate(_MINOR_ENTRIES):
+        minor = b[i, l] * b[j, n] - b[i, n] * b[j, l]
+        twice = int(k >= 6)
+        minors_sq[twice] += minor.real * minor.real + minor.imag * minor.imag
+        products[twice] += b2[i, l] * b2[j, n] + b2[i, n] * b2[j, l]
+    e2 = minors_sq[0] + 2.0 * minors_sq[1]
+    products = products[0] + 2.0 * products[1]
+    off = np.array([sum(b[r, i] * np.conj(b[r, j]) for r in range(4)) for i, j in _LAPLACE_PAIRS])
+    off_sq = off.real * off.real + off.imag * off.imag
+    x = e1
+    for _ in range(_C_LAGUERRE_STEPS):
+        poly, dp, ddp = _char_poly(x, e1, e2, e3, e4)
+        # above the largest root p > 0 < p'; the denominator is Laguerre's
+        # p' +/- sqrt(...) of larger modulus, so x moves down towards that root
+        x = x - 4.0 * poly / (dp + np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * poly * ddp, 0.0)))
+    _, dp, ddp = _char_poly(x, e1, e2, e3, e4)
+    poly, bound = _det_with_bound(d - x, off, off_sq, np.sqrt(off_sq))
+    step = poly / dp
+    mu1 = x - step
+    bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)
+    f3 = e4 / mu1
+    f2 = (e3 - f3) / mu1
+    f1 = (e2 - f2) / mu1
+    r3 = np.sqrt(f3)
+    s = np.sqrt(f1 + 2.0 * np.sqrt(f2))
+    for _ in range(4):
+        t = np.sqrt(f2 + 2.0 * r3 * s)
+        phi = np.sqrt(f1 + 2.0 * t)
+        s = s - (s - phi) / (1.0 - r3 / (t * phi))
+    l1 = np.sqrt(mu1)
+    conc = l1 - s
+    converged = (np.abs(step) <= _C_STEP * mu1) & (np.abs(ddp * step) <= _NEWTON_H * np.abs(dp))
+    sharp = converged & (bound <= 2.0 * _C_TOL * l1)
+    zero = np.sqrt(mu1 + np.abs(step) + bound) < (1.0 - 1e-12) * s
+    certified = np.isfinite(conc) & (products <= _C_CANCEL * e2) & (sharp | zero)
+    return np.maximum(0.0, conc), certified
 
 
 def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
@@ -386,11 +427,15 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     A matrix is certified when its row 1-norms are at most _PT_MAX_ROW
     (nothing overflows), the result is finite, the Newton step s is at most
-    _PT_TOL (the iteration has converged) and
-    (E + |p''| s^2) / |p'| + u max_i |d_i - x| <= _PT_TOL.  The first term
-    bounds the distance to the root to first order, Newton's remainder
+    _PT_TOL (the iteration has converged) and at most _NEWTON_H |p' / p''|,
+    and (E + |p''| s^2) / |p'| + u max_i |d_i - x| <= _PT_TOL.  The first
+    term bounds the distance to the root to first order, Newton's remainder
     included; the second bounds the rounding of the shifted diagonal, a
-    Hermitian perturbation of at most that norm (Weyl).  On 2.9e5 screened
+    Hermitian perturbation of at most that norm (Weyl).  The first order is
+    enough only where |p'' s / p'|, the quantity of Kantorovich's theorem, is
+    small: next to a root of multiplicity k it is about (k - 1) / k, and a
+    rank-1 stack of equal entries 1e-12, whose PT has a triple eigenvalue 0,
+    was certified at -1.2e-15 with a first-order bound of 4e-16.  On 2.9e5 screened
     sampler states, 5 steps already left every certified value within 6e-16
     of LAPACK's; 6 keep one step in reserve.  The certificate refused 0.23%
     of those states.  It refuses pure states of Schmidt coefficient
@@ -422,7 +467,8 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     step = p / dp
     lam = x - step
     bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)
-    certified = in_range & np.isfinite(lam) & (np.abs(step) <= _PT_TOL) & (bound <= _PT_TOL)
+    converged = (np.abs(step) <= _PT_TOL) & (np.abs(ddp * step) <= _NEWTON_H * np.abs(dp))
+    certified = in_range & np.isfinite(lam) & converged & (bound <= _PT_TOL)
     return lam, certified
 
 

@@ -63,9 +63,9 @@ def check_measures(n: int = 2000) -> None:
         assert abs(measures.e_negative(rho) - (f - 0.5)) < 1e-10
     kets = _random_kets(sampler.RngStream(103), n)
     pures = kets[:, :, None] * np.conj(kets[:, None, :])
-    # the whole stack takes the Jacobi kernel, a slice below _JACOBI_MIN_STACK
+    # the whole stack takes the concurrence kernel, a slice below _C_MIN_STACK
     # LAPACK's route, whose (sy x sy) signs no Werner state can see
-    for ms in (pures, pures[: measures._JACOBI_MIN_STACK // 4]):
+    for ms in (pures, pures[: measures._C_MIN_STACK // 4]):
         pure_table = measures.measure_table(ms)
         assert np.abs(pure_table["concurrence"] - 2 * pure_table["e_negative"]).max() < 1e-9
     rhos = sampler.random_density_batch(sampler.RngStream(104), n)
@@ -92,6 +92,31 @@ def check_near_product_pt(n: int = 512) -> None:
     lam = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(pures))[:, 0]
     e_negative = measures.measure_table(pures)["e_negative"]
     assert np.abs(e_negative - np.maximum(0.0, -lam)).max() <= 1e-14
+
+
+def check_cancelling_minors(n: int = 512) -> None:
+    """Concurrence of near-rank-2 states with spectrum (0.6, 0.4 - 2e-9,
+    1e-9, 1e-9) whose first two eigenvectors span the Bell state
+    (|00> + |11>)/sqrt(2) and |01>, rotated into each other and into random
+    local bases: W's 2x2 block on that span is singular, so the minors behind
+    e2 cancel and the concurrence kernel must refuse every state, which then
+    gets LAPACK's bits."""
+    rng = sampler.RngStream(112)
+    a, b = _random_kets(rng, n, 2), _random_kets(rng, n, 2)
+    su2 = [np.stack([k, np.column_stack([-np.conj(k[:, 1]), np.conj(k[:, 0])])], axis=1) for k in (a, b)]
+    local = np.einsum("nij,nkl->nikjl", *su2).reshape(n, 4, 4)
+    theta = 0.2 + 1.17 * rng.uniforms(n)
+    basis = np.zeros((n, 4, 4))
+    basis[:, 0, 0] = basis[:, 3, 0] = np.cos(theta) / np.sqrt(2.0)
+    basis[:, 1, 0] = np.sin(theta)
+    basis[:, 0, 1] = basis[:, 3, 1] = -np.sin(theta) / np.sqrt(2.0)
+    basis[:, 1, 1] = np.cos(theta)
+    basis[:, 2, 2] = 1.0
+    basis[:, 0, 3], basis[:, 3, 3] = np.sqrt(0.5), -np.sqrt(0.5)
+    u = local @ basis
+    probs = np.tile([0.6, 0.4 - 2e-9, 1e-9, 1e-9], (n, 1))
+    assert n >= measures._C_MIN_STACK  # so the stack takes the kernel
+    assert np.array_equal(measures.concurrence_from_eig(probs, u), measures._lapack_concurrence(probs, u))
 
 
 def check_sampler(n: int = 2000) -> None:
@@ -148,7 +173,7 @@ def check_cn_region(n: int = 2000) -> None:
     kets = _random_kets(sampler.RngStream(111), n)
     eps = np.logspace(-12, -2, n)[:, None, None]
     near_pure = (1.0 - eps) * (kets[:, :, None] * np.conj(kets[:, None, :])) + eps * rhos
-    werner = qstate.werner_stack(np.linspace(0.25, 1.0, max(n // 4, measures._JACOBI_MIN_STACK)))
+    werner = qstate.werner_stack(np.linspace(0.25, 1.0, max(n // 4, measures._C_MIN_STACK)))
     for name, ms in (("sampler", rhos), ("near-pure", near_pure), ("Werner", werner)):
         excess = cn_region_excess(measures.measure_table(ms))
         assert excess <= 1e-12, f"{name} states leave the (C, N) region by {excess:.3e}"
@@ -159,6 +184,7 @@ SUITES = (
     ("state constructors", check_states),
     ("measure oracles", check_measures),
     ("PT kernel on near-product pure states", check_near_product_pt),
+    ("concurrence kernel on cancelling minors", check_cancelling_minors),
     ("sampler determinism and spectra", check_sampler),
     ("experiment determinism and counting", check_experiment),
     ("harness rows match measure_table", check_harness_rows),

@@ -405,9 +405,9 @@ class TestCompare:
     # states_kept 6000, 0 ties).  A refactor of the harness must leave these
     # unchanged; a change that alters output bits says so and re-pins them.
     PINNED_SHA256 = {
-        "fig1.csv": "53375eac9f3b7a2574d6e72f3e101a7074bef5497a8ae2a0a13d563110d4327e",
-        "fig2.csv": "4fdbe1a5480503117815b1841dd54a1bdbb22d0bb9f9a1d1c5f83614526d7fc1",
-        "fig3.csv": "5bbb23e77659dedf6ba1205a8b834cafa869dca620927740c4871b386fac87cd",
+        "fig1.csv": "14197cc4b6f4203445e6dec98853b2230c8c9b7d07d4c8bbe9876a4c21a9ec82",
+        "fig2.csv": "04b92200a8045704ed716b83fa3541cf8f3d3ea4c8e081332ed5bdda41bd6f15",
+        "fig3.csv": "efbdb871f948d809a7f3b0104408aa458ae2e53a42fa97f5cc7b0aab1394c759",
         "fig4.csv": "9c2fd2364b1633c360a94d8ab5edb8630d2f022ddbd43d44b7acab7587abbd83",
         "summary.csv": "ecc8fc07191672407314c051cf8a695903f0d17098d96a030444d9eb8b7f53ad",
     }

@@ -167,6 +167,50 @@ class TestRunExperiment:
 
 
 
+class TestShardPairing:
+    """Pairing each chunk's states as they arrive gives what re-pairing every
+    state gathered so far before each chunk gives, bit for bit."""
+
+    @staticmethod
+    def repairing_shard(seed, shard_index, quota):
+        """_run_shard as it paired all of its states before every chunk."""
+        rng = sampler.RngStream(seed, (experiment._SHARD_KEY, shard_index))
+        stats, drawn = np.empty((0, 6)), 0
+        while True:
+            n = len(stats) - len(stats) % 2
+            rows, tie = experiment._pair_rows(stats[0:n:2], stats[1:n:2])
+            need = quota - int(np.count_nonzero(~tie))
+            if need <= 0:
+                break
+            size = min(experiment._CHUNK_DRAWS, int(2 * need / experiment._P_KEPT) + experiment._CHUNK_MARGIN)
+            stats = np.concatenate([stats, experiment._chunk_stats(rng, size, drawn)])
+            drawn += size
+        last = int(np.searchsorted(np.cumsum(~tie), quota))
+        used = slice(0, last + 1)
+        return rows[used][~tie[used]], int(stats[2 * last + 1, 5]) + 1, 2 * last + 2, int(tie[used].sum())
+
+    @pytest.mark.parametrize("tie_epsilon", [experiment.TIE_EPSILON, 0.02])
+    def test_matches_repairing_every_chunk(self, monkeypatch, tie_epsilon):
+        # a wide tie threshold makes some pairs ties; the acceptance run has none
+        monkeypatch.setattr(experiment, "TIE_EPSILON", tie_epsilon)
+        monkeypatch.setattr(experiment, "_CHUNK_DRAWS", 700)
+        chunk_sizes = []
+        chunk_stats = experiment._chunk_stats
+
+        def counted(rng, n, first_draw):
+            stats = chunk_stats(rng, n, first_draw)
+            chunk_sizes.append(len(stats))
+            return stats
+
+        monkeypatch.setattr(experiment, "_chunk_stats", counted)
+        rows, drawn, kept, ties = experiment._run_shard(65, 3, 700)
+        assert len(chunk_sizes) >= 3 and any(size % 2 for size in chunk_sizes)
+        assert (ties > 0) == (tie_epsilon == 0.02)
+        ref_rows, ref_drawn, ref_kept, ref_ties = self.repairing_shard(65, 3, 700)
+        assert rows.tobytes() == ref_rows.tobytes()
+        assert (drawn, kept, ties) == (ref_drawn, ref_kept, ref_ties)
+
+
 class TestDrawCap:
     """A shard that cannot fill its quota stops after a bounded number of draws."""
 

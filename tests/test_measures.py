@@ -128,7 +128,8 @@ class TestConcurrenceFromEig:
 
 
 class TestJacobiKernel:
-    """The one-sided Jacobi singular values behind concurrence_from_eig."""
+    """The characteristic-polynomial kernel behind concurrence_from_eig, which
+    replaced a one-sided Jacobi kernel whose name the class keeps."""
 
     SPECTRA = {
         "pure": (1.0, 0.0, 0.0, 0.0),
@@ -138,13 +139,19 @@ class TestJacobiKernel:
         "near pure": (1.0 - 3e-12, 1e-12, 1e-12, 1e-12),
     }
 
+    @staticmethod
+    def kernel(probs, u):
+        """(concurrences, certified mask) of the kernel alone."""
+        with np.errstate(all="ignore"):
+            return measures._laguerre_concurrence(np.ascontiguousarray(probs.T), measures._conj_w(u))
+
     def test_mpmath_reference(self):
         mpmath = pytest.importorskip("mpmath")
         _, probs, u = spectral_batch(50, 4096)
         in_stack = measures.concurrence_from_eig(probs, u)
         idx = np.nonzero(in_stack > 0.0)[0][:60]
         alone = measures.concurrence_from_eig(probs[idx], u[idx])  # below the threshold
-        assert len(idx) < measures._JACOBI_MIN_STACK <= len(u)
+        assert len(idx) < measures._C_MIN_STACK <= len(u)
         reference = np.array([oracles.concurrence_mp(mpmath, probs[i], u[i]) for i in idx])
         assert np.abs(in_stack[idx] - reference).max() <= 1e-15
         assert np.abs(alone - reference).max() <= 1e-15
@@ -153,12 +160,12 @@ class TestJacobiKernel:
     def test_spectra_against_lapack(self, monkeypatch, name):
         u = oracles.qr_haar_unitaries(np.random.default_rng(47), 4000)
         probs = np.tile(self.SPECTRA[name], (4000, 1))
-        assert len(u) >= measures._JACOBI_MIN_STACK
-        lam = measures._r_spectrum(probs, u)
+        assert len(u) >= measures._C_MIN_STACK
+        c = measures.concurrence_from_eig(probs, u)
         with monkeypatch.context() as m:
-            m.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
-            lapack = measures._r_spectrum(probs, u)
-        assert np.abs(lam - lapack).max() <= 1e-15
+            m.setattr(measures, "_C_MIN_STACK", np.inf)
+            lapack = measures.concurrence_from_eig(probs, u)
+        assert np.abs(c - lapack).max() <= 1e-15
 
     @staticmethod
     def batched_b(probs, u):
@@ -168,15 +175,16 @@ class TestJacobiKernel:
         return root[:, :, None] * m * root[:, None, :]
 
     @pytest.mark.parametrize("name", SPECTRA)
-    def test_certifies_every_matrix(self, name):
+    def test_certified_values_match_svd(self, name):
+        # pure and rank-2 states fail the cancellation test, so the kernel
+        # refuses them all; what it certifies is within 1e-15 of LAPACK's SVD
         u = oracles.qr_haar_unitaries(np.random.default_rng(47), 1000)
         probs = np.tile(self.SPECTRA[name], (1000, 1))
-        b = self.batched_b(probs, u)
-        cols = np.ascontiguousarray(b.transpose(2, 1, 0))
-        norms_sq, certified = measures._jacobi(cols)
-        assert certified.all()
-        lam = np.sort(np.sqrt(norms_sq).T, axis=1)[:, ::-1]
-        assert np.abs(lam - np.linalg.svd(b, compute_uv=False)).max() <= 1e-15
+        c, certified = self.kernel(probs, u)
+        assert certified.any() != (name in ("pure", "rank 2"))
+        lam = np.linalg.svd(self.batched_b(probs, u), compute_uv=False)
+        svd = np.maximum(0.0, lam[:, 0] - lam[:, 1:].sum(axis=1))
+        assert np.abs(c - svd)[certified].max(initial=0.0) <= 1e-15
 
     @pytest.mark.parametrize("name", [*SPECTRA, "sampler"])
     def test_row_products_match_batched_product(self, name):
@@ -185,38 +193,48 @@ class TestJacobiKernel:
         else:
             u = oracles.qr_haar_unitaries(np.random.default_rng(47), 1000)
             probs = np.tile(self.SPECTRA[name], (1000, 1))
-        rows = np.conj(measures._conj_b(np.sqrt(probs), u)).transpose(2, 1, 0)
+        root = np.sqrt(probs)
+        rows = root[:, :, None] * np.conj(measures._conj_w(u)).transpose(2, 0, 1) * root[:, None, :]
         assert np.abs(rows - self.batched_b(probs, u)).max() <= 4e-16
 
-    def test_early_exit_against_lapack(self, monkeypatch):
-        # 2e5 sampler states: every one is certified, within 1e-15 of LAPACK on the same B
-        worst = 0.0
+    def test_refusal_rate_against_lapack(self):
+        # 2e5 sampler states: at least 99% of the entangled ones certified,
+        # every certified value within 1e-15 of LAPACK's SVD
+        worst, entangled, refused = 0.0, 0, 0
         for seed in range(60, 64):
             _, probs, u = spectral_batch(seed, 50_000)
-            b = measures._conj_b(np.sqrt(probs), u)
-            lapack = np.linalg.svd(b.transpose(2, 1, 0), compute_uv=False)
-            norms_sq, certified = measures._jacobi(b.copy())
-            assert certified.all()
-            lam = np.sort(np.sqrt(norms_sq).T, axis=1)[:, ::-1]
-            worst = max(worst, float(np.abs(lam - lapack).max()))
+            c, certified = self.kernel(probs, u)
+            lapack = measures._lapack_concurrence(probs, u)
+            worst = max(worst, float(np.abs(c - lapack)[certified].max()))
+            entangled += int(np.count_nonzero(lapack > 0.0))
+            refused += int(np.count_nonzero((lapack > 0.0) & ~certified))
         assert worst <= 1e-15
-        # a matrix certified by four sweeps left the stack there: a fifth
-        # sweep would have moved its norms' last bits
-        monkeypatch.setattr(measures, "_JACOBI_SWEEPS", 4)
-        four, early = measures._jacobi(b)
-        assert 0.5 < early.mean() < 1.0
-        assert np.array_equal(four[:, early], norms_sq[:, early])
+        assert refused <= 0.01 * entangled
 
     def test_forced_fallback_is_lapack(self, monkeypatch):
         _, probs, u = spectral_batch(51, 2000)
         with monkeypatch.context() as m:
-            m.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
+            m.setattr(measures, "_C_MIN_STACK", np.inf)
             lapack = measures.concurrence_from_eig(probs, u)
         # the kernel's values differ from LAPACK's in the last bits ...
         assert not np.array_equal(measures.concurrence_from_eig(probs, u), lapack)
-        # ... so equality shows that every matrix fell back: one sweep certifies none
-        monkeypatch.setattr(measures, "_JACOBI_SWEEPS", 1)
+        # ... so equality shows that every matrix fell back: a zero
+        # cancellation factor certifies none
+        monkeypatch.setattr(measures, "_C_CANCEL", 0.0)
         assert np.array_equal(measures.concurrence_from_eig(probs, u), lapack)
+
+    @pytest.mark.parametrize("entry", [(0, 2), (0, 3)])
+    def test_tiny_off_diagonal_state_through_the_kernel(self, monkeypatch, entry):
+        # a valid rank-deficient state with off-diagonal entries of 5e-88 (on
+        # which the Jacobi kernel overflowed) among 299 sampler states: no
+        # RuntimeWarning, and the kernel route stays within 1e-15 of LAPACK's
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        rho[entry] = rho[entry[::-1]] = 5e-88
+        ms = qstate.validate_stack(np.concatenate([random_density_batch(RngStream(5), 299), rho[None]]))
+        monkeypatch.setattr(measures, "_C_MIN_STACK", 1)
+        c = measures.measure_table(ms)["concurrence"]
+        monkeypatch.setattr(measures, "_C_MIN_STACK", np.inf)
+        assert np.abs(c - measures.measure_table(ms)["concurrence"]).max() <= 1e-15
 
     def test_single_state_matches_stack(self):
         _, probs, u = spectral_batch(49, 4096)
@@ -285,6 +303,13 @@ class TestPtMinKernel:
             diff = measures._pt_min(pt_entry_stack(rhos)) - lapack_pt_min(rhos)
             worst = max(worst, float(np.abs(diff).max()))
         assert worst <= 1e-15
+
+    def test_refuses_a_triple_root(self):
+        # every entry 1e-12: the PT is the matrix itself, with eigenvalues
+        # 4e-12, 0, 0, 0, where Newton's first-order bound does not hold
+        pt = np.full((4, 4, 1), 1e-12 + 0j)
+        _, certified = measures._laguerre_min(pt, measures._hermitian_det(pt.transpose(2, 0, 1)))
+        assert not certified.any()
 
     def test_forced_fallback_is_lapack(self, monkeypatch):
         rhos = random_density_batch(RngStream(58), 2000)
@@ -603,7 +628,7 @@ class TestMeasureReport:
         alphas = (0.0, 0.6, 1 / np.sqrt(2))
         states = [qstate.DensityMatrix(m) for m in random_density_batch(RngStream(39), 500)]
         states += [werner_state(f) for f in fs] + [pure_schmidt(a) for a in alphas] + [singlet()]
-        monkeypatch.setattr(measures, "_JACOBI_MIN_STACK", np.inf)
+        monkeypatch.setattr(measures, "_C_MIN_STACK", np.inf)
         monkeypatch.setattr(measures, "_PT_MIN_STACK", np.inf)
         table = measures.measure_table(np.stack([rho.matrix for rho in states]))
         for k, rho in enumerate(states):
@@ -687,8 +712,8 @@ class TestConcurrenceNegativityRegion:
     @given(raw_stacks(forms=("state",)))
     @settings(max_examples=300, deadline=None)
     def test_hypothesis_states_through_the_kernel(self, ms):
-        # with the size threshold at 1 the PT kernel takes every stack
-        with mock.patch.object(measures, "_PT_MIN_STACK", 1):
+        # with the size thresholds at 1 the PT and concurrence kernels take every stack
+        with mock.patch.object(measures, "_PT_MIN_STACK", 1), mock.patch.object(measures, "_C_MIN_STACK", 1):
             assert self.excess_if_valid(ms) <= 1e-12
 
     def test_excess_measures_both_bounds(self):
