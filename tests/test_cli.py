@@ -466,6 +466,16 @@ class TestWernerTable:
         assert (code, out) == (0, run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")[1])
         assert out.endswith("\n") and out.count("\n") == 1 + 7501
 
+    # SHA-256 of `werner-table --grid 0.25:1:1e-4` (7501 rows across two
+    # WERNER_BLOCK blocks), measured with numpy 2.4.6, OpenBLAS 0.3.31,
+    # Python 3.11.7.  A change of the table's writer must leave it unchanged.
+    PINNED_SHA256 = "3045b2b7a99a351ead978f721f0dc565c5afdfc08159b687c18c80e3be5f4c55"
+
+    def test_pinned_digest(self, capsys):
+        code, out, err = run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_SHA256
+
     def test_failure_in_a_later_block_prints_nothing(self, capsys, monkeypatch):
         measure_table, calls = measures.measure_table, []
 
