@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 
 import numpy as np
@@ -53,8 +54,12 @@ def _cmd_measure(args) -> int:
     else:
         ms = _family_state(args).matrix[None]
     table = measures.measure_table(ms)
-    # every row first, so a failure prints nothing
-    print("\n".join([measures.REPORT_CSV_HEADER, *measures.table_csv_rows(table)]))
+    header = measures.REPORT_CSV_HEADER  # five floats, then the separable flag
+    flags = np.where(table["separable"], "true", "false")
+    columns = [table[name] for name in header.split(",")[:-1]] + [flags]
+    text = io.StringIO()  # every row first, so a failure prints nothing
+    qstate.write_csv(text, header, columns, ",".join([qstate.CSV_FLOAT] * 5 + ["%s"]))
+    sys.stdout.write(text.getvalue())
     return 0
 
 
@@ -94,16 +99,14 @@ def _cmd_compare(args) -> int:
 def _cmd_werner_table(args) -> int:
     fs = qstate.check_werner_range(_parse_grid(args.grid))
     names = ("concurrence", "e_formation", "e_negative", "e_sum")
-    blocks = []
+    columns = np.empty((1 + len(names), len(fs)))
+    columns[0] = fs
     for start in range(0, len(fs), WERNER_BLOCK):
-        block = fs[start : start + WERNER_BLOCK]
-        table = measures.measure_table(qstate.validate_stack(qstate.werner_stack(block)))
-        blocks.append(np.column_stack([block, *(table[name] for name in names)]))
-    # every block measured first, so a failure prints nothing; then each is
-    # rendered and written on its own
-    print("f,concurrence,e_formation,e_negative,e_sum")
-    for values in blocks:
-        print("\n".join(",".join(f"{v:.17g}" for v in row) for row in values.tolist()))
+        block = slice(start, start + WERNER_BLOCK)
+        table = measures.measure_table(qstate.validate_stack(qstate.werner_stack(fs[block])))
+        columns[1:, block] = [table[name] for name in names]
+    # every block measured first, so a failure prints nothing
+    qstate.write_csv(sys.stdout, ",".join(["f", *names]), columns)
     return 0
 
 

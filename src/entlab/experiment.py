@@ -21,7 +21,8 @@ the margin of that test makes the determinant screen drop each of them too,
 so skipping changes no output bit.  Per built state, the shards compute the
 smallest partial-transpose eigenvalue only where the determinant screen
 cannot rule out entanglement, and the concurrence only for kept states, from
-the sampler's spectral pairs in its column layout.
+the sampler's spectral pairs in its column layout.  ``write_csvs`` writes
+the run's five CSV files through ``qstate.write_csv``.
 """
 
 from __future__ import annotations
@@ -35,13 +36,18 @@ import numpy as np
 from . import measures, sampler
 from .errors import EntanglementLabError, SeparableInput
 from .measures import MeasureReport
-from .qstate import DensityMatrix
+from .qstate import CSV_FLOAT, DensityMatrix, write_csv
 
 S_RANGE = (0.0, 1.5)  # attainable range of S_1 + S_2 for a pair
 # A pair is a tie when either relative difference lies within TIE_EPSILON of zero.
 TIE_EPSILON = 1e-12
 SCATTER_POINTS = 10_000  # most points per scatter CSV
 SHARD_PAIRS = 2048  # pairs per RNG substream
+# Most pairs, bins and threads a run accepts: 10^6 pairs hold about 100 MB
+# of pair rows, and a run starts up to min(threads, shards) threads.
+MAX_PAIRS = 10**6
+MAX_BINS = 10**6
+MAX_THREADS = 64
 _CHUNK_DRAWS = 8192  # most states drawn per sampling chunk inside a shard
 _P_KEPT = 0.36  # slightly below the ensemble's entangled fraction, so chunks overshoot
 _CHUNK_MARGIN = 32  # extra draws per chunk, so a shard rarely needs one more
@@ -73,12 +79,10 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
-        if self.s_bins < 1:
-            raise ValueError("s_bins must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        for name, most in (("n_pairs", MAX_PAIRS), ("s_bins", MAX_BINS), ("threads", MAX_THREADS)):
+            value = getattr(self, name)
+            if not 1 <= value <= most:
+                raise ValueError(f"{name} must lie in [1, {most}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -348,55 +352,41 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     )
 
 
-def _fmt(x) -> str:
-    return f"{x:.17g}"
-
-
 def write_csvs(summary: ExperimentSummary, outdir) -> dict[str, str]:
     """Write fig1..fig4.csv and summary.csv into outdir; returns the paths."""
     os.makedirs(outdir, exist_ok=True)
-    paths = {}
-
-    def emit(name: str, header: str, rows) -> None:
-        path = os.path.join(outdir, name)
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        paths[name] = path
-
-    for name, header, xy in (
-        ("fig1.csv", "d_en,d_ef", summary.scatter_def_den[:, ::-1]),
-        ("fig2.csv", "e_formation,e_negative", summary.scatter_ef_en),
-        ("fig3.csv", "concurrence,e_negative", summary.scatter_c_en),
-    ):
-        emit(name, header, ((_fmt(x), _fmt(y)) for x, y in xy))
-    hist = summary.s_histogram
-    emit(
-        "fig4.csv",
-        "bin_center,pair_count,violation_count,violation_rate,empty",
-        (
-            (_fmt(center), str(n), str(n_vio), _fmt(rate), "true" if empty else "false")
-            for center, n, n_vio, rate, empty in zip(
-                hist.centers, hist.pair_counts, hist.violation_counts, hist.violation_rates, hist.empty
-            )
-        ),
-    )
-    cfg = summary.config
-    fields = {
-        "p_entangled": _fmt(summary.p_entangled),
-        "se_p_entangled": _fmt(summary.se_entangled),
-        "p_violation": _fmt(summary.p_violation),
-        "se_p_violation": _fmt(summary.se_violation),
-        "states_drawn": str(summary.states_drawn),
-        "states_kept": str(summary.states_kept),
-        "states_discarded": str(summary.states_discarded),
-        "n_pairs": str(summary.n_pairs),
-        "n_ties_excluded": str(summary.n_ties_excluded),
-        "seed": str(cfg.seed),
-        "s_bins": str(cfg.s_bins),
-        "tie_epsilon": _fmt(TIE_EPSILON),
-        "scatter_points": str(SCATTER_POINTS),
+    hist, cfg = summary.s_histogram, summary.config
+    fields = {  # summary.csv: the format and value of each field
+        "p_entangled": (CSV_FLOAT, summary.p_entangled),
+        "se_p_entangled": (CSV_FLOAT, summary.se_entangled),
+        "p_violation": (CSV_FLOAT, summary.p_violation),
+        "se_p_violation": (CSV_FLOAT, summary.se_violation),
+        "states_drawn": ("%d", summary.states_drawn),
+        "states_kept": ("%d", summary.states_kept),
+        "states_discarded": ("%d", summary.states_discarded),
+        "n_pairs": ("%d", summary.n_pairs),
+        "n_ties_excluded": ("%d", summary.n_ties_excluded),
+        "seed": ("%d", cfg.seed),
+        "s_bins": ("%d", cfg.s_bins),
+        "tie_epsilon": (CSV_FLOAT, TIE_EPSILON),
+        "scatter_points": ("%d", SCATTER_POINTS),
     }
-    emit("summary.csv", ",".join(fields), [fields.values()])
+    specs, values = zip(*fields.values())
+    hist_columns = [hist.centers, hist.pair_counts, hist.violation_counts, hist.violation_rates]
+    tables = {
+        "fig1.csv": ("d_en,d_ef", summary.scatter_def_den[:, ::-1].T, None),
+        "fig2.csv": ("e_formation,e_negative", summary.scatter_ef_en.T, None),
+        "fig3.csv": ("concurrence,e_negative", summary.scatter_c_en.T, None),
+        "fig4.csv": (
+            "bin_center,pair_count,violation_count,violation_rate,empty",
+            hist_columns + [np.where(hist.empty, "true", "false")],
+            f"{CSV_FLOAT},%d,%d,{CSV_FLOAT},%s",
+        ),
+        "summary.csv": (",".join(fields), [[value] for value in values], ",".join(specs)),
+    }
+    paths = {}
+    for name, (header, columns, template) in tables.items():
+        paths[name] = os.path.join(outdir, name)
+        with open(paths[name], "w", encoding="ascii", newline="\n") as fh:
+            write_csv(fh, header, columns, template)
     return paths

@@ -111,16 +111,6 @@ class MeasureReport:
 
 
 REPORT_CSV_HEADER = "concurrence,e_formation,e_negative,e_sum,linear_entropy,separable"
-# One CSV row of a measure table: five values to 17 significant digits, then the flag.
-_REPORT_ROW = ",".join(["{:.17g}"] * 5) + ",{}"
-
-
-def table_csv_rows(table: dict[str, np.ndarray]) -> list[str]:
-    """One CSV row per state of a ``measure_table`` result, in the column
-    order of REPORT_CSV_HEADER."""
-    columns = [table[name].tolist() for name in REPORT_CSV_HEADER.split(",")[:-1]]
-    flags = ["true" if s else "false" for s in table["separable"].tolist()]
-    return [_REPORT_ROW.format(*row) for row in zip(*columns, flags)]
 
 
 def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:

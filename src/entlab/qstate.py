@@ -1,5 +1,5 @@
-"""Validated two-qubit density matrices, the named state families and the
-CSV format of a state stack.
+"""Validated two-qubit density matrices, the named state families, the
+CSV format of a state stack and the package's one CSV writer.
 
 Every check runs on a (n, 4, 4) stack: ``validate_stack`` checks the whole
 stack for Hermiticity and non-finite entries in one ``cmat`` call, its
@@ -8,7 +8,8 @@ traces in one einsum and positive semidefiniteness in one batched
 ``DensityMatrix`` is one matrix validated as a 1-stack.  ``write_stack``
 and ``read_stack`` stream a stack to and from a text file, one 32-field row
 per matrix; the reader validates what it read and names the file line of
-any fault.
+any fault.  ``write_csv`` writes every CSV file and table of the package,
+each float in the one format CSV_FLOAT.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import array
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,8 +25,8 @@ from . import cmat
 from .errors import EntanglementLabError, NotHermitian, NotPSD, ParameterOutOfRange, TraceNotOne
 
 CSV_HEADER = ",".join(f"m{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im"))
-# One CSV row: the 16 entries row-major, real and imaginary parts interleaved.
-_CSV_ROW = ",".join(["{:.17g}"] * 32) + "\n"
+CSV_FLOAT = "%.17g"  # every float in a CSV: 17 significant digits read back as the same float64
+_CSV_BLOCK = 4096  # rows write_csv formats with one %, so its text stays within a few MB
 
 
 def _stack_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
@@ -135,14 +137,23 @@ def werner_state(f: float) -> DensityMatrix:
     return DensityMatrix(werner_stack([f])[0])
 
 
+def write_csv(fh, header: str, columns, template: str | None = None) -> None:
+    """Write the header line to the text stream fh, then for each index of
+    the equal-length columns (1-d arrays or lists) the line template % row,
+    template being CSV_FLOAT per column unless given; one % per _CSV_BLOCK rows."""
+    line = (template or ",".join([CSV_FLOAT] * len(columns))) + "\n"
+    fh.write(header + "\n")
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        parts = [np.asarray(col[start : start + _CSV_BLOCK]).tolist() for col in columns]
+        fh.write(line * len(parts[0]) % tuple(chain.from_iterable(zip(*parts))))
+
+
 def write_stack(fh, ms: np.ndarray) -> None:
-    """Write a header line, then one row of 32 floats (17 significant
-    digits, row-major, real and imaginary parts interleaved) per matrix of
-    a (n, 4, 4) stack, to the text stream fh, one row at a time."""
+    """Write a header line, then one row of 32 floats (row-major, real and
+    imaginary parts interleaved) per matrix of a (n, 4, 4) stack, to the
+    text stream fh."""
     flat = np.ascontiguousarray(ms, dtype=complex).view(np.float64).reshape(len(ms), 32)
-    fh.write(CSV_HEADER + "\n")
-    for row in flat:
-        fh.write(_CSV_ROW.format(*row.tolist()))
+    write_csv(fh, CSV_HEADER, flat.T)
 
 
 def read_stack(fh) -> np.ndarray:

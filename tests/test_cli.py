@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from entlab import cli, measures, qstate, selftest
+from entlab import cli, experiment, measures, qstate, selftest
 from entlab.cli import MAX_SAMPLE_COUNT, main
 from entlab.errors import NotConverged, NotPSD
 from entlab.sampler import RngStream, random_density_batch
@@ -137,6 +137,32 @@ class TestMeasure:
         code, out, _ = run_cli(capsys, "measure", "--family", "pure", "--param", alpha)
         assert code == 0
         assert out.splitlines()[1] == "0,0,0,0,0,true"
+
+    def test_rows_match_field_by_field_format(self, capsys, tmp_path):
+        # each row is the five table values to 17 significant digits, then
+        # the separable flag
+        rhos = [qstate.singlet(), qstate.DensityMatrix(np.eye(4) / 4)]
+        path = tmp_path / "states.csv"
+        write_states(path, rhos)
+        code, out, _ = run_cli(capsys, "measure", "--input", str(path))
+        assert code == 0
+        header, *rows = out.splitlines()
+        assert header == measures.REPORT_CSV_HEADER
+        table = measures.measure_table(np.stack([rho.matrix for rho in rhos]))
+        names = header.split(",")[:-1]
+        for k, flag in enumerate(["false", "true"]):
+            assert rows[k] == ",".join([f"{table[name][k]:.17g}" for name in names] + [flag])
+        assert float(rows[1].split(",")[4]) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("n", [1, 300])
+    def test_product_states_print_no_negative_zero(self, capsys, tmp_path, n):
+        # lambda_min of the PT of |00><00| is exactly 0.0, on the LAPACK
+        # route (1 state) and the kernel route (300)
+        path = tmp_path / "states.csv"
+        write_states(path, [qstate.pure_schmidt(1.0)] * n)
+        code, out, _ = run_cli(capsys, "measure", "--input", str(path))
+        assert code == 0
+        assert out.splitlines()[1:] == ["0,0,0,0,0,true"] * n
 
     @pytest.mark.parametrize("text", ["", qstate.CSV_HEADER + "\n", "\n"])
     def test_empty_input_prints_header_only(self, capsys, tmp_path, text):
@@ -425,6 +451,22 @@ class TestCompare:
             for name in self.PINNED_SHA256
         }
         assert digests == self.PINNED_SHA256
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--pairs", experiment.MAX_PAIRS + 1),
+            ("--bins", experiment.MAX_BINS + 1),
+            ("--threads", experiment.MAX_THREADS + 1),
+        ],
+    )
+    def test_input_over_its_bound_is_usage_error(self, capsys, tmp_path, flag, value):
+        # refused before any state is drawn: no traceback, no output files
+        argv = {"--seed": "1", "--pairs": "1", "--out": str(tmp_path / "out"), flag: str(value)}
+        code, out, err = run_cli(capsys, "compare", *(tok for item in argv.items() for tok in item))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_summary_contents(self, capsys, tmp_path):
         run_cli(capsys, "compare", "--seed", "9", "--pairs", "200", "--out", str(tmp_path))

@@ -161,6 +161,9 @@ class TestRunExperiment:
             {"n_pairs": 0},
             {"s_bins": 0},
             {"threads": 0},
+            {"n_pairs": experiment.MAX_PAIRS + 1},
+            {"s_bins": experiment.MAX_BINS + 1},
+            {"threads": experiment.MAX_THREADS + 1},
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**{"seed": 1, "n_pairs": 10, **bad})

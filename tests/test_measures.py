@@ -635,17 +635,6 @@ class TestMeasureReport:
             row = measures.MeasureReport(**{name: col[k].item() for name, col in table.items()})
             assert repr(measures.measure_report(rho)) == repr(row)  # repr tells -0.0 from 0.0
 
-    def test_csv_row(self):
-        (row,) = measures.table_csv_rows(measures.measure_table(MIXED[None]))
-        fields = row.split(",")
-        assert len(fields) == 6
-        assert fields[-1] == "true"
-        assert float(fields[4]) == pytest.approx(0.75)
-        table = measures.measure_table(np.stack([singlet().matrix, MIXED]))
-        names = measures.REPORT_CSV_HEADER.split(",")[:-1]
-        for k, row in enumerate(measures.table_csv_rows(table)):
-            assert row.split(",") == [f"{table[name][k]:.17g}" for name in names] + ["false", "true"][k:k + 1]
-
     @pytest.mark.parametrize("n", [1, 300])
     def test_product_state_has_no_negative_zero(self, n):
         # lambda_min of the PT of |00><00| is exactly 0.0, on the LAPACK
@@ -655,7 +644,6 @@ class TestMeasureReport:
         table = measures.measure_table(m)
         for name in ("concurrence", "e_formation", "e_negative", "e_sum", "linear_entropy"):
             assert not np.signbit(table[name]).any(), name
-        assert set(measures.table_csv_rows(table)) == {"0,0,0,0,0,true"}
 
 
 class TestPureStateConnection:

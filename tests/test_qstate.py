@@ -131,6 +131,55 @@ def write_text(ms) -> str:
     return buf.getvalue()
 
 
+def csv_text(columns, template=None) -> str:
+    buf = io.StringIO()
+    qstate.write_csv(buf, "h", columns, template)
+    return buf.getvalue()
+
+
+def per_value_rows(columns) -> list[str]:
+    """The rows as formatting each value on its own writes them."""
+    return [",".join(format(x, ".17g") for x in row) for row in zip(*columns)]
+
+
+_CSV_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]),
+)
+# 0 to 12 rows of 1 to 4 float64 values each
+_CSV_ROWS = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(_CSV_VALUES, min_size=k, max_size=k), max_size=12)
+)
+
+
+class TestCsvWriter:
+    @given(_CSV_ROWS)
+    @example([[np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]])
+    @settings(max_examples=200, deadline=None)
+    def test_floats_match_per_value_format(self, rows):
+        width = len(rows[0]) if rows else 2
+        columns = np.array(rows, dtype=np.float64).reshape(len(rows), width).T
+        assert csv_text(columns).splitlines() == ["h", *per_value_rows(columns)]
+
+    def test_int_and_flag_columns(self):
+        # numpy int64 counts and flags as in fig4, Python scalars as in summary.csv
+        counts = np.array([0, 7, -3, 2**62], dtype=np.int64)
+        flags = np.where(counts > 0, "true", "false")
+        text = csv_text([np.full(4, 0.1), counts, flags], f"{qstate.CSV_FLOAT},%d,%s")
+        assert text.splitlines()[1:] == [
+            f"{x:.17g},{n},{f}" for x, n, f in zip([0.1] * 4, counts.tolist(), flags.tolist())
+        ]
+        assert csv_text([[0.5], [2**70]], f"{qstate.CSV_FLOAT},%d") == f"h\n0.5,{2**70}\n"
+
+    @pytest.mark.parametrize("n", [0, 1, qstate._CSV_BLOCK - 1, qstate._CSV_BLOCK, qstate._CSV_BLOCK + 1])
+    def test_rows_across_blocks(self, n):
+        scales = np.array([1e-100, 1.0, 1e100])[:, None]
+        columns = np.random.default_rng(n).standard_normal((3, n)) * scales
+        text = csv_text(columns)
+        assert text.endswith("\n") and text.count("\n") == 1 + n
+        assert text.splitlines() == ["h", *per_value_rows(columns)]
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self):
         ms = random_density_batch(RngStream(7), 50)

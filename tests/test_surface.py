@@ -80,3 +80,9 @@ def test_readme_python_example_runs():
     assert lines[0].startswith("MeasureReport(")
     p_entangled, p_violation = map(float, lines[1].split())
     assert 0.3 < p_entangled < 0.45 and 0.0 < p_violation < 0.1
+
+
+def test_one_module_spells_the_float_format():
+    # every CSV float goes through qstate.write_csv and its CSV_FLOAT
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert [path.name for path in paths if ".17g" in path.read_text(encoding="utf-8")] == ["qstate.py"]
