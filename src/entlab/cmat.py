@@ -28,20 +28,17 @@ class Tolerances:
 TOL = Tolerances()
 
 
-# Row and column indices of the upper triangle of a 4x4 matrix, diagonal included.
-_UPPER = np.triu_indices(4)
-
-
 def hermiticity_defect(m: np.ndarray) -> float:
     """Largest absolute entry of m - m^dagger (max over a stack).
 
     Entry (j, i) of m - m^dagger is minus the conjugate of entry (i, j), so
     the upper triangle, diagonal included, holds every value of the defect.
-    A stack compares that triangle with the lower one, half the work of the
-    whole difference; for one matrix the whole difference is faster, because
-    it takes fewer numpy calls than the two gathers.  A non-finite entry
-    makes the defect NaN (inf - inf) or inf, and so does a difference beyond
-    the float range; neither raises a numpy warning.
+    A stack takes it entry by entry, |m[..., i, j] - conj(m[..., j, i])| for
+    i <= j, half the work of the whole difference and no gather; for one
+    matrix the whole difference is faster, because it takes fewer numpy
+    calls.  A non-finite entry makes the defect NaN (inf - inf) or inf, and
+    so does a difference beyond the float range; neither raises a numpy
+    warning.
     """
     m = np.asarray(m)
     if m.size == 0:
@@ -49,8 +46,11 @@ def hermiticity_defect(m: np.ndarray) -> float:
     with np.errstate(invalid="ignore", over="ignore"):
         if m.size <= 16:
             return float(np.abs(m - m.swapaxes(-1, -2).conj()).max())
-        rows, cols = _UPPER if m.shape[-1] == 4 else np.triu_indices(m.shape[-1])
-        return float(np.abs(m[..., rows, cols] - np.conj(m[..., cols, rows])).max())
+        n = m.shape[-1]
+        entries = [(i, j) for i in range(n) for j in range(i, n)]
+        # np.max, unlike max, keeps a NaN wherever it stands
+        defects = [np.abs(m[..., i, j] - np.conj(m[..., j, i])).max() for i, j in entries]
+        return float(np.max(defects))
 
 
 def _require_hermitian(m: np.ndarray) -> None:

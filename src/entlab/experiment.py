@@ -4,15 +4,18 @@ The run is decomposed into fixed-size shards of pairs, each fed by its own
 RNG substream (seed, shard index), and shard results are merged in shard
 order.  The decomposition depends only on the configuration, never on the
 thread count, so parallel and serial runs with the same seed are identical
-byte for byte.  Inside a shard, states are drawn in chunks sized from the
-pairs still needed; the stream is sequential, so chunk sizes never change
-which states are drawn, kept or paired.  They change C, E_F and E_N only
-by rounding: the concurrence and PT kernels depend on the size of the stack
-of kept or screened states (see ``measures.concurrence_from_eig`` and
-``measures._pt_min``), and the chunk sizes depend only on the
-configuration.  ``compare_pair`` and the shards apply one pairing and tie
-rule, ``_pair_rows`` with the fixed threshold TIE_EPSILON; it and the
-scatter size SCATTER_POINTS are echoed in ``summary.csv``.  A chunk first
+byte for byte.  Inside a shard, states are drawn in chunks sized only from
+the pairs still needed, so the first chunk covers the whole quota with a
+small margin and a shard usually draws one chunk (47 of the 49 shards of
+the 10^5-pair acceptance run); the stream is sequential, so chunk sizes
+never change which states are drawn, kept or paired.  They change C, E_F
+and E_N only by rounding: the concurrence and PT kernels depend on the size
+of the stack of kept or screened states (see
+``measures.concurrence_from_eig`` and ``measures._pt_min``), and the chunk
+sizes depend only on the configuration.  ``compare_pair`` and the shards
+apply one pairing and tie rule, ``_pair_rows`` with the fixed threshold
+TIE_EPSILON; it and the scatter size SCATTER_POINTS are echoed in
+``summary.csv``.  A chunk first
 draws its spectra and angle uniforms (``sampler._draw_spectra``) and builds
 U and rho only for the draws whose spectrum does not prove every state of
 its unitary orbit separable (``_separable_orbit``, after Verstraete,
@@ -44,11 +47,11 @@ TIE_EPSILON = 1e-12
 SCATTER_POINTS = 10_000  # most points per scatter CSV
 SHARD_PAIRS = 2048  # pairs per RNG substream
 # Most pairs, bins and threads a run accepts: 10^6 pairs hold about 100 MB
-# of pair rows, and a run starts up to min(threads, shards) threads.
+# of pair rows, and a run starts up to min(threads, shards) threads, each
+# with one shard's chunk in flight, about 11 MiB at its peak.
 MAX_PAIRS = 10**6
 MAX_BINS = 10**6
 MAX_THREADS = 64
-_CHUNK_DRAWS = 8192  # most states drawn per sampling chunk inside a shard
 _P_KEPT = 0.36  # slightly below the ensemble's entangled fraction, so chunks overshoot
 _CHUNK_MARGIN = 32  # extra draws per chunk, so a shard rarely needs one more
 # A shard that has drawn this many times its expected 2 * quota / _P_KEPT
@@ -181,7 +184,7 @@ def _histogram_core(s: np.ndarray, violation: np.ndarray, n_bins: int) -> SHisto
 
 def _separable_orbit(probs: np.ndarray) -> np.ndarray:
     """True for each spectrum of probs (n, 4) whose whole unitary orbit the
-    determinant screen of ``_entangled_state_stats`` drops, so that its draw
+    determinant screen of ``_chunk_stats`` drops, so that its draw
     need not be built.
 
     Over the orbit of rho = U diag(l) U^dagger, l1 >= l2 >= l3 >= l4, the
@@ -216,39 +219,39 @@ def _separable_orbit(probs: np.ndarray) -> np.ndarray:
     return l2 + l4 - np.hypot(l1 - l3, l2 - l4) >= 2.0 * _ORBIT_MARGIN
 
 
-def _entangled_state_stats(
-    rho: np.ndarray, probs: np.ndarray, cols: np.ndarray, draw_index: np.ndarray
-) -> np.ndarray:
-    """One (C, E_F, E_N, E_sum, S, draw index) row per entangled state of a
-    chunk in the sampler's layout, in draw order: the (4, 4, n) entry stack
-    rho = u diag(probs) u^dagger, the spectra probs (n, 4), the (4, 4, n)
-    column stack cols of the unitaries u and the (n,) draw indices of the
-    states.
+def _chunk_stats(rng: sampler.RngStream, n: int, first_draw: int) -> np.ndarray:
+    """One (C, E_F, E_N, E_sum, S, draw index) row per entangled state among
+    the next n draws of rng, in draw order; the first has draw index
+    first_draw.
 
-    Only the states that pass the determinant screen get their smallest PT
+    Every draw consumes its uniforms, but only those that
+    ``_separable_orbit`` cannot rule out are built, as the sampler's (4, 4, m)
+    entry stack rho and column stack cols of the unitaries u.  Only the
+    states that pass the determinant screen get their smallest PT
     eigenvalue, and ``measures._pt_entangled`` decides among them.  The
     concurrence comes from the spectral pairs (probs, u), so rho is never
-    diagonalized: the kept states' columns are gathered into a (4, 4, m)
+    diagonalized: the kept states' columns are gathered into a (4, 4, k)
     column stack, passed as a transposed view that the concurrence kernel
-    works on without a copy, and only their rho into a (m, 4, 4) stack.
+    works on without a copy, and only their rho into a (k, 4, 4) stack.
+    Each whole-chunk array goes as soon as its selection is taken: the
+    uniforms once U is built, rho and cols once the kept states' rows are
+    (and ``measures._pt_screen`` drops its copy of rho^Gamma in the same
+    way), so one chunk of a whole shard's draws peaks near the 8192-draw
+    chunks it replaced.
     """
+    probs, angles = sampler._draw_spectra(rng, n)
+    built = np.nonzero(~_separable_orbit(probs))[0]
+    probs, cols = probs[built], sampler._angles_to_columns(angles[built])
+    del angles
+    rho = sampler._assemble_entries(probs, cols)
     screened, pt_min = measures._pt_screen(rho)
     entangled = measures._pt_entangled(pt_min)
     kept = screened[entangled]
-    c = measures.concurrence_from_eig(probs[kept], np.take(cols, kept, axis=2).transpose(2, 1, 0))
-    columns = measures._measure_columns(rho.transpose(2, 0, 1)[kept], pt_min[entangled], c)
-    return np.column_stack([*columns.values(), draw_index[kept]])
-
-
-def _chunk_stats(rng: sampler.RngStream, n: int, first_draw: int) -> np.ndarray:
-    """``_entangled_state_stats`` rows of the next n draws of rng, the first
-    of which has draw index first_draw.  Every draw consumes its uniforms,
-    but only those that ``_separable_orbit`` cannot rule out are built and
-    screened, and the chunk's uniforms are dropped before the build."""
-    probs, angles = sampler._draw_spectra(rng, n)
-    rows = np.nonzero(~_separable_orbit(probs))[0]
-    probs, angles = probs[rows], angles[rows]
-    return _entangled_state_stats(*sampler._build_stacks(probs, angles), rows + first_draw)
+    ms, u = rho.transpose(2, 0, 1)[kept], np.take(cols, kept, axis=2).transpose(2, 1, 0)
+    del rho, cols
+    c = measures.concurrence_from_eig(probs[kept], u)
+    columns = measures._measure_columns(ms, pt_min[entangled], c)
+    return np.column_stack([*columns.values(), built[kept] + first_draw])
 
 
 def _run_shard(seed: int, shard_index: int, quota: int) -> tuple[np.ndarray, int, int, int]:
@@ -277,7 +280,7 @@ def _run_shard(seed: int, shard_index: int, quota: int) -> tuple[np.ndarray, int
                 f"shard {shard_index} drew {drawn} states and still lacks {need} of "
                 f"{quota} usable pairs ({entangled} entangled, {n_ties} tie pairs)"
             )
-        size = min(_CHUNK_DRAWS, int(2 * need / _P_KEPT) + _CHUNK_MARGIN)
+        size = int(2 * need / _P_KEPT) + _CHUNK_MARGIN
         stats = np.concatenate([leftover, _chunk_stats(rng, size, drawn)])
         drawn += size
         n = len(stats) - len(stats) % 2

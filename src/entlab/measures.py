@@ -496,7 +496,8 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cmat._require_hermitian(pt.transpose(2, 0, 1))
     det = _hermitian_det(pt.transpose(2, 0, 1))
     screened = np.nonzero(det <= DET_SCREEN)[0]
-    return screened, _pt_min(pt[:, :, screened], det[screened])
+    pt = pt[:, :, screened]  # the whole stack's copy goes before the kernel runs
+    return screened, _pt_min(pt, det[screened])
 
 
 def _measure_columns(ms: np.ndarray, pt_min: np.ndarray, c: np.ndarray) -> dict[str, np.ndarray]:

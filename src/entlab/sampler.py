@@ -14,11 +14,14 @@ returns the (4, 4, n) entry stack of rho (``rho[a, b]`` is the (n,) row of
 entry (a, b)), the spectra and the (4, 4, n) column stack of U, and the Monte
 Carlo harness screens that layout directly.  It is the composition of a
 draw step, ``_draw_spectra`` (the uniforms, as spectra and rows of angle
-uniforms), and a build step, ``_build_stacks``, which the harness applies
-only to the draws whose spectrum leaves their separability open.  The
-rotations update two columns at a time, one contiguous row per entry; the
-mixing angle enters only through cos^2(phi) = xi^(1/i), so it needs no
-trigonometric call; and rho is assembled from its ten upper entries.
+uniforms), and a build step, ``_angles_to_columns`` then
+``_assemble_entries``, which the harness applies only to the draws whose
+spectrum leaves their separability open.  Both build kernels work state by
+state, so any selection of a draw step's states builds to the same bits as
+in the whole chunk.  The rotations update two columns at a time, one
+contiguous row per entry; the mixing angle enters only through
+cos^2(phi) = xi^(1/i), so it needs no trigonometric call; and rho is
+assembled from its ten upper entries.
 ``random_density_batch`` transposes the states to a raw (n, 4, 4) stack.
 """
 
@@ -33,6 +36,8 @@ _CHI_PAIRS = frozenset({(1, 2), (1, 3), (1, 4)})
 
 # 3 spectrum uniforms + 15 angle uniforms (phi, psi[, chi] per pair).
 DRAWS_PER_STATE = 18
+# (a, b) of the upper triangle of a 4x4 matrix, diagonal included.
+_UPPER = tuple((a, b) for a in range(4) for b in range(a, 4))
 # i^q for q = 0..3; multiplying by one of them is exact.
 _QUARTER_TURNS = np.array([1, 1j, -1, -1j])
 
@@ -158,21 +163,27 @@ def _assemble_entries(probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
     the (n,) row of entry (a, b), from probs (n, 4) and the column stack of u.
 
     Each upper entry is rho_ab = sum_k (p_k u_ak) conj(u_bk), a sum of four
-    products of contiguous rows in a fixed order, so a state's bits do not
-    depend on n; the lower entries are their conjugates and the diagonal's
+    products of contiguous rows added in k order, so a state's bits do not
+    depend on n; the sum is accumulated column by column of u, so only one
+    column's weighted and conjugated rows are alive at a time.  The lower
+    entries are the conjugates of the upper ones and the diagonal's
     imaginary part is 0, so rho is exactly Hermitian.
     """
-    weighted = cols * np.ascontiguousarray(probs.T)[:, None, :]
-    conj = np.conj(cols)
+    p = np.ascontiguousarray(probs.T)
     rho = np.empty_like(cols)
-    for a in range(4):
-        for b in range(a, 4):
-            w, c = weighted[:, a], conj[:, b]
-            rho[a, b] = w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3]
-            if a == b:
-                rho[a, a].imag = 0.0
+    term = np.empty_like(cols[0, 0])
+    for k in range(4):
+        weighted, conj = cols[k] * p[k], np.conj(cols[k])
+        for a, b in _UPPER:
+            if k == 0:
+                np.multiply(weighted[a], conj[b], out=rho[a, b])
             else:
-                np.conj(rho[a, b], out=rho[b, a])
+                rho[a, b] += np.multiply(weighted[a], conj[b], out=term)
+    for a, b in _UPPER:
+        if a == b:
+            rho[a, a].imag = 0.0
+        else:
+            np.conj(rho[a, b], out=rho[b, a])
     return rho
 
 
@@ -183,20 +194,13 @@ def _draw_spectra(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _uniforms_to_simplex(draws[:, :3]), draws[:, 3:]
 
 
-def _build_stacks(probs: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The build step: the states of spectra probs (m, 4) and angle rows
-    angles (m, 15) in the sampler's layout, as (rho, probs, cols).  Every
-    kernel works state by state, so the rows of any selection of a draw
-    step's states build to the same bits as in the whole chunk."""
-    cols = _angles_to_columns(angles)
-    return _assemble_entries(probs, cols), probs, cols
-
-
 def _spectral_stacks(rng: RngStream, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n random density matrices in the sampler's layout, as (rho, probs, cols):
     the (4, 4, n) entry stack of ``_assemble_entries``, the spectra (n, 4)
     and the (4, 4, n) column stack of the unitaries."""
-    return _build_stacks(*_draw_spectra(rng, n))
+    probs, angles = _draw_spectra(rng, n)
+    cols = _angles_to_columns(angles)
+    return _assemble_entries(probs, cols), probs, cols
 
 
 def random_density_batch(rng: RngStream, n: int) -> np.ndarray:

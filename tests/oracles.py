@@ -28,6 +28,34 @@ def elementary_unitary(i: int, j: int, phi: float, psi: float, chi: float = 0.0)
     return u
 
 
+def assembled_entries(probs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """u diag(probs) u^dagger as a (4, 4, n) entry stack from the (4, 4, n)
+    column stack of u, with whole-stack weighted and conjugated copies: each
+    upper entry is w[0] c[0] + w[1] c[1] + w[2] c[2] + w[3] c[3] for
+    w = p_k u_ak and c = conj(u_bk), the lower ones their conjugates and the
+    diagonal real."""
+    weighted = cols * np.ascontiguousarray(probs.T)[:, None, :]
+    conj = np.conj(cols)
+    rho = np.empty_like(cols)
+    for a in range(4):
+        for b in range(a, 4):
+            w, c = weighted[:, a], conj[:, b]
+            rho[a, b] = w[0] * c[0] + w[1] * c[1] + w[2] * c[2] + w[3] * c[3]
+            if a == b:
+                rho[a, a].imag = 0.0
+            else:
+                np.conj(rho[a, b], out=rho[b, a])
+    return rho
+
+
+def gathered_hermiticity_defect(m: np.ndarray) -> float:
+    """Largest |m_ij - conj(m_ji)| over i <= j and a stack, from one gather
+    of the upper and one of the lower triangle."""
+    rows, cols = np.triu_indices(m.shape[-1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        return float(np.abs(m[..., rows, cols] - np.conj(m[..., cols, rows])).max())
+
+
 def concurrence_product_route(ms: np.ndarray) -> np.ndarray:
     """C from the square roots of the eigenvalues of rho (sy x sy) rho* (sy x sy)."""
     ms = np.asarray(ms)

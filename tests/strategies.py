@@ -28,3 +28,16 @@ def raw_stacks(draw, sizes=st.integers(0, 3), forms=("raw", "hermitian", "gram")
                 return gram / np.einsum("nii->n", gram).real[:, None, None]
             return gram
         return a
+
+
+@st.composite
+def square_stacks(draw):
+    """Complex stacks of d x d matrices, d in 1..6, with up to two leading
+    axes, from the same extreme entries as raw_stacks."""
+    d = draw(st.integers(1, 6))
+    lead = draw(st.lists(st.integers(0, 4), max_size=2))
+    shape = (*lead, d, d)
+    real, imag = (draw(hnp.arrays(np.float64, shape, elements=_ENTRIES)) for _ in range(2))
+    m = np.empty(shape, dtype=complex)
+    m.real, m.imag = real, imag  # real + 1j * imag would turn inf into NaN
+    return m

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import oracles
 from entlab import cmat
 from entlab.errors import NotHermitian, NotPSD
 from entlab.qstate import singlet, werner_state
+from strategies import square_stacks
 
 RNG = np.random.default_rng(2101)
 
@@ -165,3 +168,14 @@ class TestHermiticityDefect:
         for m3 in (noisy[:, :3, :3], noisy[0, :3, :3]):
             assert cmat.hermiticity_defect(m3) == self.full_defect(m3)
         assert cmat.hermiticity_defect(np.zeros((0, 4, 4))) == 0.0
+
+    @given(square_stacks())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_gathered_triangles(self, m):
+        # NaN, +-inf and entries near the float range included; no warning is raised
+        defect = cmat.hermiticity_defect(m)
+        if m.size:
+            expect = oracles.gathered_hermiticity_defect(m)
+            assert defect == expect or (np.isnan(defect) and np.isnan(expect))
+        else:
+            assert defect == 0.0

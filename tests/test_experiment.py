@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,18 @@ from entlab.experiment import ExperimentConfig, compare_pair
 from entlab.qstate import pure_schmidt, singlet, werner_state
 
 
-def sampler_layout(rhos, probs, u):
-    """A chunk (rho, probs, cols) in the sampler's layout, from (n, 4, 4) stacks
-    rhos = u diag(probs) u^dagger."""
-    cols = np.ascontiguousarray(u.transpose(2, 1, 0))
-    return np.ascontiguousarray(rhos.transpose(1, 2, 0)), probs, cols
+def unskipped_rows(monkeypatch, rng, n, first_draw=7, states=None):
+    """``_chunk_stats`` rows of n draws of rng with every draw built, the
+    first with draw index first_draw; states (probs, u), a (n, 4) and a
+    (n, 4, 4) stack, stand in for the draws' spectra and unitaries."""
+    with monkeypatch.context() as m:
+        m.setattr(experiment, "_separable_orbit", lambda probs: np.zeros(len(probs), dtype=bool))
+        if states is not None:
+            probs, u = states
+            cols = np.ascontiguousarray(u.transpose(2, 1, 0))
+            m.setattr(sampler, "_draw_spectra", lambda rng, n: (probs, np.zeros((n, 15))))
+            m.setattr(sampler, "_angles_to_columns", lambda angles: cols)
+        return experiment._chunk_stats(rng, n, first_draw)
 
 
 class TestComparePair:
@@ -185,7 +193,7 @@ class TestShardPairing:
             need = quota - int(np.count_nonzero(~tie))
             if need <= 0:
                 break
-            size = min(experiment._CHUNK_DRAWS, int(2 * need / experiment._P_KEPT) + experiment._CHUNK_MARGIN)
+            size = int(2 * need / experiment._P_KEPT) + experiment._CHUNK_MARGIN
             stats = np.concatenate([stats, experiment._chunk_stats(rng, size, drawn)])
             drawn += size
         last = int(np.searchsorted(np.cumsum(~tie), quota))
@@ -196,7 +204,8 @@ class TestShardPairing:
     def test_matches_repairing_every_chunk(self, monkeypatch, tie_epsilon):
         # a wide tie threshold makes some pairs ties; the acceptance run has none
         monkeypatch.setattr(experiment, "TIE_EPSILON", tie_epsilon)
-        monkeypatch.setattr(experiment, "_CHUNK_DRAWS", 700)
+        # chunks sized for a kept fraction of 1 cover a third of the draws a quota needs
+        monkeypatch.setattr(experiment, "_P_KEPT", 1.0)
         chunk_sizes = []
         chunk_stats = experiment._chunk_stats
 
@@ -212,6 +221,38 @@ class TestShardPairing:
         ref_rows, ref_drawn, ref_kept, ref_ties = self.repairing_shard(65, 3, 700)
         assert rows.tobytes() == ref_rows.tobytes()
         assert (drawn, kept, ties) == (ref_drawn, ref_kept, ref_ties)
+
+
+class TestOneChunkPerShard:
+    """A shard's first chunk is sized for its whole quota, and drawing it in
+    one piece keeps the memory peak of the smaller chunks it replaced."""
+
+    def test_acceptance_shard_draws_one_chunk(self, monkeypatch):
+        sizes = []
+        chunk_stats = experiment._chunk_stats
+
+        def counted(rng, n, first_draw):
+            sizes.append(n)
+            return chunk_stats(rng, n, first_draw)
+
+        monkeypatch.setattr(experiment, "_chunk_stats", counted)
+        experiment._run_shard(20260810, 0, experiment.SHARD_PAIRS)
+        assert sizes == [11409]  # int(2 * SHARD_PAIRS / _P_KEPT) + _CHUNK_MARGIN
+
+    def test_shard_memory_peak(self):
+        experiment._run_shard(20260810, 0, experiment.SHARD_PAIRS)  # first-call set-up
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            experiment._run_shard(20260810, 0, experiment.SHARD_PAIRS)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 11 * 2**20
 
 
 class TestDrawCap:
@@ -243,17 +284,15 @@ class TestDeterminantScreen:
     """The det(rho^Gamma) screen drops only states the EPS_SEP rule calls separable."""
 
     @staticmethod
-    def rows_with_and_without_screen(monkeypatch, rho, probs, cols):
-        draw_index = np.arange(rho.shape[-1]) + 7
-        screened = experiment._entangled_state_stats(rho, probs, cols, draw_index)
+    def rows_with_and_without_screen(monkeypatch, seed, n, states=None):
+        screened = unskipped_rows(monkeypatch, sampler.RngStream(seed), n, states=states)
         with monkeypatch.context() as m:
             m.setattr(measures, "DET_SCREEN", np.inf)  # every state gets its PT spectrum
-            unscreened = experiment._entangled_state_stats(rho, probs, cols, draw_index)
+            unscreened = unskipped_rows(m, sampler.RngStream(seed), n, states=states)
         return screened, unscreened
 
     def test_sampler_states(self, monkeypatch):
-        chunk = sampler._spectral_stacks(sampler.RngStream(63), 20_000)
-        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, *chunk)
+        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, 63, 20_000)
         assert 7000 < len(screened) < 8000
         assert np.array_equal(screened, unscreened)
 
@@ -261,8 +300,8 @@ class TestDeterminantScreen:
         # E_N = F - 1/2 lies just above, just below and far below EPS_SEP
         fs = (0.5 + 1e-10 * (1 + 1e-3), 0.5 + 1e-10 * (1 - 1e-3), 0.5)
         rhos = np.stack([werner_state(f).matrix for f in fs])
-        chunk = sampler_layout(rhos, *cmat.hermitian_eig(rhos))
-        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, *chunk)
+        states = cmat.hermitian_eig(rhos)
+        screened, unscreened = self.rows_with_and_without_screen(monkeypatch, 0, 3, states)
         assert np.array_equal(screened, unscreened)
         assert screened[:, 5].tolist() == [7.0]
 
@@ -295,10 +334,11 @@ class TestDeterminantScreen:
             assert np.array_equal(screened, ref_screened)
             assert np.abs(pt_min - ref_min).max() <= 1e-15
 
-    def test_chunk_without_entangled_states(self):
+    def test_chunk_without_entangled_states(self, monkeypatch):
         rhos = np.stack([np.eye(4, dtype=complex) / 4, werner_state(0.4).matrix])
-        chunk = sampler_layout(rhos, *cmat.hermitian_eig(rhos))
-        assert experiment._entangled_state_stats(*chunk, np.arange(2)).shape == (0, 6)
+        states = cmat.hermitian_eig(rhos)
+        assert unskipped_rows(monkeypatch, sampler.RngStream(0), 2, states=states).shape == (0, 6)
+        assert experiment._chunk_stats(sampler.RngStream(0), 0, 0).shape == (0, 6)
 
 
 def orbit_bound(lam):
@@ -369,13 +409,13 @@ class TestSpectrumSkip:
             assert np.array_equal(experiment._separable_orbit(probs[:, order]), expect)
 
     @pytest.mark.parametrize("seed,n", [(63, 20_000), (66, 37), (67, 300), (67, 700)])
-    def test_chunk_rows_match_the_unskipped_path(self, seed, n):
+    def test_chunk_rows_match_the_unskipped_path(self, monkeypatch, seed, n):
         # 700 draws of seed 67 screen 257 states, one above _PT_MIN_STACK, so
         # a single skipped state that the screen would keep would change the route
         rows = experiment._chunk_stats(sampler.RngStream(seed), n, 11)
-        chunk = sampler._spectral_stacks(sampler.RngStream(seed), n)
-        assert experiment._separable_orbit(chunk[1]).any()
-        assert np.array_equal(rows, experiment._entangled_state_stats(*chunk, np.arange(n) + 11))
+        probs = sampler._draw_spectra(sampler.RngStream(seed), n)[0]
+        assert experiment._separable_orbit(probs).any()
+        assert np.array_equal(rows, unskipped_rows(monkeypatch, sampler.RngStream(seed), n, 11))
 
     def test_harness_rows_within_cn_region(self):
         pairs = experiment.run_experiment(ExperimentConfig(seed=31415, n_pairs=3000)).pairs

@@ -236,6 +236,12 @@ class TestSamplerKernels:
         assert np.array_equal(cols, big_cols[:, :, :n])
         assert np.array_equal(rho, big_rho[:, :, :n])
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 11409])
+    def test_entry_assembly_matches_whole_stack_formula(self, n):
+        _, probs, cols = sampler._spectral_stacks(RngStream(58), n)
+        rho = sampler._assemble_entries(probs, cols)
+        assert rho.tobytes() == oracles.assembled_entries(probs, cols).tobytes()
+
     def test_entries_exactly_hermitian(self):
         rho, _, _ = sampler._spectral_stacks(RngStream(57), 8192)
         assert np.array_equal(rho, np.conj(rho.transpose(1, 0, 2)))
