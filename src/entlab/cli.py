@@ -78,12 +78,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    cfg = experiment.ExperimentConfig(
-        seed=args.seed,
-        n_pairs=args.pairs,
-        s_bins=args.bins,
-        threads=args.threads,
-    )
+    cfg = experiment.ExperimentConfig(seed=args.seed, n_pairs=args.pairs, threads=args.threads)
     summary = experiment.run_experiment(cfg)
     paths = experiment.write_csvs(summary, args.out)
     print(
@@ -136,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run the Monte Carlo ordering comparison")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--bins", type=int, default=30)
     p.add_argument("--out", default=".", help="output directory for the CSV files")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(fn=_cmd_compare)

@@ -14,18 +14,18 @@ of the stack of kept or screened states (see
 ``measures.concurrence_from_eig`` and ``measures._pt_min``), and the chunk
 sizes depend only on the configuration.  ``compare_pair`` and the shards
 apply one pairing and tie rule, ``_pair_rows`` with the fixed threshold
-TIE_EPSILON; it and the scatter size SCATTER_POINTS are echoed in
-``summary.csv``.  A chunk first
-draws its spectra and angle uniforms (``sampler._draw_spectra``) and builds
-U and rho only for the draws whose spectrum does not prove every state of
-its unitary orbit separable (``_separable_orbit``, after Verstraete,
-Audenaert & De Moor, PRA 64, 012316 (2001)); about a third are skipped, and
-the margin of that test makes the determinant screen drop each of them too,
-so skipping changes no output bit.  Per built state, the shards compute the
-smallest partial-transpose eigenvalue only where the determinant screen
-cannot rule out entanglement, and the concurrence only for kept states, from
-the sampler's spectral pairs in its column layout.  ``write_csvs`` writes
-the run's five CSV files through ``qstate.write_csv``.
+TIE_EPSILON; it, the histogram's S_BINS and the scatter size SCATTER_POINTS
+are echoed in ``summary.csv``.  A chunk first draws its spectra and angle
+uniforms (``sampler._draw_spectra``) and builds U and rho only for the draws
+whose spectrum does not prove every state of its unitary orbit separable
+(``_separable_orbit``, after Verstraete, Audenaert & De Moor, PRA 64, 012316
+(2001)); about a third are skipped, and the margin of that test makes the
+determinant screen drop each of them too, so skipping changes no output bit.
+Per built state, the shards compute the smallest partial-transpose
+eigenvalue only where the determinant screen cannot rule out entanglement,
+and the concurrence only for kept states, from the sampler's spectral pairs
+in its column layout.  ``write_csvs`` writes the run's five CSV files
+through ``qstate.write_csv``.
 """
 
 from __future__ import annotations
@@ -44,13 +44,13 @@ from .qstate import CSV_FLOAT, DensityMatrix, write_csv
 S_RANGE = (0.0, 1.5)  # attainable range of S_1 + S_2 for a pair
 # A pair is a tie when either relative difference lies within TIE_EPSILON of zero.
 TIE_EPSILON = 1e-12
+S_BINS = 30  # bins of the S histogram (fig4.csv)
 SCATTER_POINTS = 10_000  # most points per scatter CSV
 SHARD_PAIRS = 2048  # pairs per RNG substream
-# Most pairs, bins and threads a run accepts: 10^6 pairs hold about 100 MB
+# Most pairs and threads a run accepts: 10^6 pairs hold about 100 MB
 # of pair rows, and a run starts up to min(threads, shards) threads, each
 # with one shard's chunk in flight, about 11 MiB at its peak.
 MAX_PAIRS = 10**6
-MAX_BINS = 10**6
 MAX_THREADS = 64
 _P_KEPT = 0.36  # slightly below the ensemble's entangled fraction, so chunks overshoot
 _CHUNK_MARGIN = 32  # extra draws per chunk, so a shard rarely needs one more
@@ -78,11 +78,10 @@ class ExperimentConfig:
 
     seed: int
     n_pairs: int
-    s_bins: int = 30
     threads: int = 1
 
     def __post_init__(self):
-        for name, most in (("n_pairs", MAX_PAIRS), ("s_bins", MAX_BINS), ("threads", MAX_THREADS)):
+        for name, most in (("n_pairs", MAX_PAIRS), ("threads", MAX_THREADS)):
             value = getattr(self, name)
             if not 1 <= value <= most:
                 raise ValueError(f"{name} must lie in [1, {most}], got {value}")
@@ -236,8 +235,7 @@ def _chunk_stats(rng: sampler.RngStream, n: int, first_draw: int) -> np.ndarray:
     Each whole-chunk array goes as soon as its selection is taken: the
     uniforms once U is built, rho and cols once the kept states' rows are
     (and ``measures._pt_screen`` drops its copy of rho^Gamma in the same
-    way), so one chunk of a whole shard's draws peaks near the 8192-draw
-    chunks it replaced.
+    way).
     """
     probs, angles = sampler._draw_spectra(rng, n)
     built = np.nonzero(~_separable_orbit(probs))[0]
@@ -351,7 +349,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         scatter_def_den=scatter_def_den,
         scatter_ef_en=np.column_stack([ef, en]),
         scatter_c_en=np.column_stack([c, en]),
-        s_histogram=_histogram_core(pairs["s_total"], pairs["violation"], cfg.s_bins),
+        s_histogram=_histogram_core(pairs["s_total"], pairs["violation"], S_BINS),
     )
 
 
@@ -370,7 +368,7 @@ def write_csvs(summary: ExperimentSummary, outdir) -> dict[str, str]:
         "n_pairs": ("%d", summary.n_pairs),
         "n_ties_excluded": ("%d", summary.n_ties_excluded),
         "seed": ("%d", cfg.seed),
-        "s_bins": ("%d", cfg.s_bins),
+        "s_bins": ("%d", S_BINS),
         "tie_epsilon": (CSV_FLOAT, TIE_EPSILON),
         "scatter_points": ("%d", SCATTER_POINTS),
     }

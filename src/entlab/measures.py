@@ -10,10 +10,11 @@ most one negative eigenvalue) and the column assembler behind
 ``measure_table``.  Both kernels work on characteristic polynomials: the
 concurrence on that of B^H B, whose largest root and the sum of the square
 roots of the other three give C without the singular values themselves,
-and the smallest PT eigenvalue on that of each PT, each by Laguerre steps
-and a certified Newton step, for stacks of at least _C_MIN_STACK and
-_PT_MIN_STACK matrices; LAPACK takes smaller stacks and any matrix a kernel
-cannot certify, and the two routes agree to rounding.  The Monte Carlo
+and the smallest PT eigenvalue on that of each PT.  Both share one root
+step, ``_laguerre_newton`` (Laguerre steps, then a Newton step with a
+certified error bound), and one fallback, ``_kernel_or_lapack``: LAPACK
+takes stacks under _C_MIN_STACK or _PT_MIN_STACK matrices and any matrix a
+kernel cannot certify, and the two routes agree to rounding.  The Monte Carlo
 harness uses the same cores and the same separability rule
 ``_pt_entangled``, but screens states by det(rho^Gamma) (``_pt_screen``,
 which works on the sampler's (4, 4, n) entry stack, forms each PT once and
@@ -32,7 +33,6 @@ and of a larger table to rounding.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +87,7 @@ _PT_MAX_ROW = 4.0
 _OFF_OF_ROW = ((0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5))
 _TRIANGLES = ((0, 3, 1), (0, 4, 2), (1, 5, 2), (3, 5, 4))
 # Largest |p'' s / p'| for a final Newton step s at which a kernel trusts its
-# first-order error bound (see _laguerre_min).
+# first-order error bound (see _laguerre_newton).
 _NEWTON_H = 0.01
 # Unit roundoff of float64.
 _U = 2.0**-53
@@ -122,26 +122,40 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     (Wootters, PRL 80, 2245 (1998)): B is sqrt(rho) (sy x sy) sqrt(rho)^T with
     the unitaries u and u^T taken off its two sides, and R^2 is unitarily
     similar to B B^dagger, so C = max(0, l1 - l2 - l3 - l4) for the singular
-    values l1 >= ... >= l4 of B.  Stacks under _C_MIN_STACK go to
-    ``_lapack_concurrence``.  Larger ones go through
-    ``_laguerre_concurrence`` on the entry stack ``_conj_w`` forms, and the
-    matrices it does not certify go to ``_lapack_concurrence``, which gives
-    them the bits a small stack would; the two routes agree to rounding.
+    values l1 >= ... >= l4 of B.  ``_kernel_or_lapack`` sends stacks under
+    _C_MIN_STACK, and the matrices ``_laguerre_concurrence`` does not
+    certify on the entry stack ``_conj_w`` forms, to
+    ``_lapack_concurrence``; the two routes agree to rounding.
     Entries of p in [-TOL.psd_clamp, 0) are clipped to zero; anything lower,
     or NaN, raises NotPSD.
     """
     p = cmat._require_psd(np.asarray(p))
     u = np.asarray(u)
     lead = u.shape[:-2]
-    if math.prod(lead) < _C_MIN_STACK:
-        return _lapack_concurrence(p, u)
     p, u = p.reshape(-1, 4), u.reshape(-1, 4, 4)
-    with np.errstate(all="ignore"):  # overflow and NaN leave a matrix uncertified
-        c, certified = _laguerre_concurrence(np.ascontiguousarray(p.T), _conj_w(u))
+    c = _kernel_or_lapack(
+        len(u), _C_MIN_STACK,
+        lambda: _laguerre_concurrence(np.ascontiguousarray(p.T), _conj_w(u)),
+        lambda rows: _lapack_concurrence(p[rows], u[rows]),
+    )
+    return c.reshape(lead)
+
+
+def _kernel_or_lapack(n, min_stack, kernel, lapack) -> np.ndarray:
+    """Values of a stack of n matrices: ``lapack(...)``, LAPACK's for the
+    whole stack, if n < min_stack, where one LAPACK call is faster; else the
+    values of ``kernel()`` (values, certified mask), run under
+    ``np.errstate`` since overflow and NaN only leave a matrix uncertified,
+    with ``lapack(rows)`` for the rows it refuses, the bits a small stack
+    would give them."""
+    if n < min_stack:
+        return lapack(...)
+    with np.errstate(all="ignore"):
+        values, certified = kernel()
     failed = np.nonzero(~certified)[0]
     if len(failed):
-        c[failed] = _lapack_concurrence(p[failed], u[failed])
-    return c.reshape(lead)
+        values[failed] = lapack(failed)
+    return values
 
 
 def _lapack_concurrence(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -195,13 +209,10 @@ def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
     2x2 minors cancel: a matrix whose minors' products
     sum (|B_il B_jn|^2 + |B_in B_jl|^2) exceed _C_CANCEL e2 is not certified.
 
-    The largest root mu1 = l1^2 comes from Laguerre's method started at
-    e1 >= mu1, which descends monotonically to it (Parlett, Math. Comp. 18,
-    464 (1964)), and a final Newton step on det(G - x I) from
-    ``_det_with_bound``, with G_kl = sum_j conj(B_jk) B_jl formed from the
-    entries of B, so that its error bound E does not carry the coefficients'
-    rounding.  The other three roots are never found: deflating p(x) by
-    x - mu1 gives their elementary symmetric functions f3 = e4 / mu1,
+    The largest root mu1 = l1^2 comes from ``_laguerre_newton`` started at
+    e1 >= mu1, with G_kl = sum_j conj(B_jk) B_jl formed from the entries of
+    B for its Newton step.  The other three roots are never found: deflating
+    p(x) by x - mu1 gives their elementary symmetric functions f3 = e4 / mu1,
     f2 = (e3 - f3) / mu1 and f1 = (e2 - f2) / mu1, each subtraction losing
     at most a factor 2, as f3 <= mu1 f2 and f2 <= mu1 f1; and
     s = l2 + l3 + l4 solves s = sqrt(f1 + 2 t) with
@@ -211,9 +222,8 @@ def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
     0 by 0 and the value is not finite.
 
     A value is certified when it is finite, passes the cancellation test
-    and either the Newton step is at most _C_STEP mu1 and _NEWTON_H |p'/p''|
-    and the first-order bound (E + |p''| step^2) / |p'| + u max_i |G_ii - x|
-    on mu1 (as in ``_laguerre_min``), halved by sqrt(mu1), is at most
+    and either the Newton step is at most _C_STEP mu1, passes the
+    Kantorovich test and its bound on mu1, halved by sqrt(mu1), is at most
     _C_TOL; or sqrt(mu1 + |step| + that bound) lies below s by a relative
     margin of 1e-12, far above the rounding of s, which proves C = 0.  The
     Newton step is about the difference between the coefficients' rounding
@@ -249,17 +259,9 @@ def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
     products = products[0] + 2.0 * products[1]
     off = np.array([sum(b[r, i] * np.conj(b[r, j]) for r in range(4)) for i, j in _LAPLACE_PAIRS])
     off_sq = off.real * off.real + off.imag * off.imag
-    x = e1
-    for _ in range(_C_LAGUERRE_STEPS):
-        poly, dp, ddp = _char_poly(x, e1, e2, e3, e4)
-        # above the largest root p > 0 < p'; the denominator is Laguerre's
-        # p' +/- sqrt(...) of larger modulus, so x moves down towards that root
-        x = x - 4.0 * poly / (dp + np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * poly * ddp, 0.0)))
-    _, dp, ddp = _char_poly(x, e1, e2, e3, e4)
-    poly, bound = _det_with_bound(d - x, off, off_sq, np.sqrt(off_sq))
-    step = poly / dp
-    mu1 = x - step
-    bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)
+    mu1, step, bound, kantorovich = _laguerre_newton(
+        e1, (e1, e2, e3, e4), d, off, off_sq, _C_LAGUERRE_STEPS, largest=True
+    )
     f3 = e4 / mu1
     f2 = (e3 - f3) / mu1
     f1 = (e2 - f2) / mu1
@@ -271,8 +273,7 @@ def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
         s = s - (s - phi) / (1.0 - r3 / (t * phi))
     l1 = np.sqrt(mu1)
     conc = l1 - s
-    converged = (np.abs(step) <= _C_STEP * mu1) & (np.abs(ddp * step) <= _NEWTON_H * np.abs(dp))
-    sharp = converged & (bound <= 2.0 * _C_TOL * l1)
+    sharp = (np.abs(step) <= _C_STEP * mu1) & kantorovich & (bound <= 2.0 * _C_TOL * l1)
     zero = np.sqrt(mu1 + np.abs(step) + bound) < (1.0 - 1e-12) * s
     certified = np.isfinite(conc) & (products <= _C_CANCEL * e2) & (sharp | zero)
     return np.maximum(0.0, conc), certified
@@ -319,15 +320,13 @@ def _hermitian_det(m: np.ndarray) -> np.ndarray:
     return det
 
 
-def _det_with_bound(
-    d: np.ndarray, off: np.ndarray, q: np.ndarray, mod: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _det_with_bound(d: np.ndarray, off: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Determinant of each Hermitian matrix A of a stack, with a running bound
     on its rounding error (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., sec. 3.3) taken from the magnitudes met on the way.
     A is given by the rows of its real diagonal d (4, m) and of its upper
-    off-diagonal entries off (6, m), in _LAPLACE_PAIRS order, with their
-    squared moduli q and moduli mod.
+    off-diagonal entries off (6, m), in _LAPLACE_PAIRS order, and their
+    squared moduli q.
 
     This is the expansion of ``_hermitian_det``, with the minors of columns
     01 (rows 0-1) and 23 (rows 2-3) real, d_0 d_1 - |a_01|^2 and
@@ -337,15 +336,15 @@ def _det_with_bound(
     by 2u |a|^2, so a minor errs by at most u (3 P + |minor|), for P the sum
     of the moduli of its two products; a term by its factors' errors times
     the other factor plus 2u |top| |bottom|, and each addition by u times
-    the partial sum.  Second-order terms are dropped (the rounding of mod
-    among them); the added 1e-300 covers underflow for entries of modulus
-    at most _PT_MAX_ROW.
+    the partial sum.  Second-order terms are dropped (the rounding of the
+    moduli among them); the added 1e-300 covers underflow for entries of
+    modulus at most _PT_MAX_ROW.
     """
     d0, d1, d2, d3 = d
     e0, e1, e2, e3 = d.astype(complex)  # complex products are faster than mixed ones
     a01, a02, a03, a12, a13, a23 = off
     c01, c02, c03, c12, c13, c23 = np.conj(off)
-    s01, s02, s03, s12, s13, s23 = mod
+    s01, s02, s03, s12, s13, s23 = np.sqrt(q)
     m0, m1, m2, m3 = np.abs(d)
     top23 = a02 * a13 - a03 * a12
     top23_sum = s02 * s13 + s03 * s12
@@ -374,25 +373,51 @@ def _char_poly(x, e1, e2, e3, e4):
     return p, dp, ddp
 
 
+def _laguerre_newton(x, e, d, off, q, steps: int, largest: bool):
+    """(root, final Newton step s, error bound, Kantorovich mask) for the
+    largest (or smallest) root of p(x) = det(x I - A) =
+    x^4 - e1 x^3 + e2 x^2 - e3 x + e4, e = (e1, e2, e3, e4), for each
+    Hermitian A of a stack given as ``_det_with_bound`` takes it, from a
+    start x above (below) every root.
+
+    All roots of p are real, and Laguerre's method started beyond them moves
+    monotonically to the nearest (Parlett, Math. Comp. 18, 464 (1964)); its
+    denominator p' +/- sqrt(...) of larger modulus takes + above the roots
+    (p > 0 < p'), - below (p > 0 > p').  After ``steps`` steps, one Newton
+    step takes p(x) as det(A - x I) from ``_det_with_bound``, so that its
+    error bound E does not carry the coefficients' rounding.  The bound
+    (E + |p''| s^2) / |p'| + u max_i |d_i - x| holds to first order, Newton's
+    remainder included, the second term for the rounding of the shifted
+    diagonal (Weyl); first order is enough only where |p'' s / p'|, the
+    quantity of Kantorovich's theorem, is small, as the mask
+    |p'' s| <= _NEWTON_H |p'| asks.  Next to a root of multiplicity k it is
+    about (k - 1) / k: a PT with a triple eigenvalue 0 (every entry 1e-12)
+    passed a first-order bound of 4e-16 at -1.2e-15.
+    """
+    toward = np.add if largest else np.subtract
+    for _ in range(steps):
+        p, dp, ddp = _char_poly(x, *e)
+        x = x - 4.0 * p / toward(dp, np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * p * ddp, 0.0)))
+    _, dp, ddp = _char_poly(x, *e)
+    p, bound = _det_with_bound(d - x, off, q)
+    step = p / dp
+    bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)
+    return x - step, step, bound, np.abs(ddp * step) <= _NEWTON_H * np.abs(dp)
+
+
 def _pt_min(pt: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix of a (4, 4, m) entry stack
     (``pt[a, b]`` the (m,) row of entry (a, b)), given its determinants det
     if the caller has them.
 
-    Stacks of at least _PT_MIN_STACK matrices go through ``_laguerre_min``;
-    the matrices it does not certify, and smaller stacks (where one LAPACK
-    call per stack is faster), go to ``np.linalg.eigvalsh``.
+    ``_kernel_or_lapack`` sends stacks under _PT_MIN_STACK, and the
+    matrices ``_laguerre_min`` does not certify, to ``np.linalg.eigvalsh``.
     """
-    if pt.shape[-1] < _PT_MIN_STACK:
-        return cmat._lapack(np.linalg.eigvalsh, pt.transpose(2, 0, 1))[:, 0]
-    with np.errstate(all="ignore"):  # overflow and NaN leave a matrix uncertified
-        if det is None:
-            det = _hermitian_det(pt.transpose(2, 0, 1))
-        lam, certified = _laguerre_min(pt, det)
-    failed = np.nonzero(~certified)[0]
-    if len(failed):
-        lam[failed] = cmat._lapack(np.linalg.eigvalsh, pt[:, :, failed].transpose(2, 0, 1))[:, 0]
-    return lam
+    return _kernel_or_lapack(
+        pt.shape[-1], _PT_MIN_STACK,
+        lambda: _laguerre_min(pt, _hermitian_det(pt.transpose(2, 0, 1)) if det is None else det),
+        lambda rows: cmat._lapack(np.linalg.eigvalsh, pt[:, :, rows].transpose(2, 0, 1))[:, 0],
+    )
 
 
 def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,26 +432,15 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     1x1, 2x2 and 3x3 minors, formed from d and the six off-diagonal rows
     a_ij (i < j); e4 = det, which the caller formed from the whole matrix
     (where that is not A, the Newton step below corrects the difference or
-    leaves the matrix uncertified).  All roots of p are real, and
-    Laguerre's method started below all of them climbs monotonically to the
-    smallest (Parlett, Math. Comp. 18, 464 (1964)), with cubic convergence;
-    the start is Gershgorin's bound min_i (d_i - sum_j |a_ij|).  After
-    _PT_LAGUERRE_STEPS steps, a final Newton step takes p(x) as det(A - x I)
-    from ``_det_with_bound``, straight from the entries, so that its error
-    bound E does not carry the coefficients' rounding.
+    leaves the matrix uncertified).  The smallest root comes from
+    ``_laguerre_newton`` with _PT_LAGUERRE_STEPS steps, started at
+    Gershgorin's bound min_i (d_i - sum_j |a_ij|).
 
     A matrix is certified when its row 1-norms are at most _PT_MAX_ROW
-    (nothing overflows), the result is finite, the Newton step s is at most
-    _PT_TOL (the iteration has converged) and at most _NEWTON_H |p' / p''|,
-    and (E + |p''| s^2) / |p'| + u max_i |d_i - x| <= _PT_TOL.  The first
-    term bounds the distance to the root to first order, Newton's remainder
-    included; the second bounds the rounding of the shifted diagonal, a
-    Hermitian perturbation of at most that norm (Weyl).  The first order is
-    enough only where |p'' s / p'|, the quantity of Kantorovich's theorem, is
-    small: next to a root of multiplicity k it is about (k - 1) / k, and a
-    rank-1 stack of equal entries 1e-12, whose PT has a triple eigenvalue 0,
-    was certified at -1.2e-15 with a first-order bound of 4e-16.  On 2.9e5 screened
-    sampler states, 5 steps already left every certified value within 6e-16
+    (nothing overflows), the result is finite, the Newton step is at most
+    _PT_TOL (the iteration has converged) and passes the Kantorovich test,
+    and the error bound is at most _PT_TOL.  On 2.9e5 screened sampler
+    states, 5 steps already left every certified value within 6e-16
     of LAPACK's; 6 keep one step in reserve.  The certificate refused 0.23%
     of those states.  It refuses pure states of Schmidt coefficient
     alpha <= 0.01 in a generic product basis, where three PT eigenvalues lie
@@ -436,10 +450,8 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     d = pt[range(4), range(4)].real
     off = np.conj(pt[cols, rows])  # the lower triangle, which eigvalsh reads
     q = off.real * off.real + off.imag * off.imag
-    mod = np.sqrt(q)
-    r = mod[_OFF_OF_ROW, :].sum(axis=1)  # off-diagonal row sums of |A|
+    r = np.sqrt(q)[_OFF_OF_ROW, :].sum(axis=1)  # off-diagonal row sums of |A|
     in_range = (np.abs(d) + r).max(axis=0) <= _PT_MAX_ROW
-    x = (d - r).min(axis=0)
     dd, ds = d[rows, :] * d[cols, :], d[rows, :] + d[cols, :]
     ij, jk, ik = (off[list(t), :] for t in zip(*_TRIANGLES))
     e1 = d.sum(axis=0)
@@ -447,19 +459,12 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # pair k's complementary pair is 5 - k, so ds[::-1] sums the other two diagonal entries
     e3 = dd[0] * ds[5] + dd[5] * ds[0] - (q * ds[::-1]).sum(axis=0)
     e3 = e3 + 2.0 * (ij * jk * np.conj(ik)).real.sum(axis=0)
-    for _ in range(_PT_LAGUERRE_STEPS):
-        p, dp, ddp = _char_poly(x, e1, e2, e3, det)
-        # below the smallest root p > 0 > p'; the denominator is Laguerre's
-        # p' -/+ sqrt(...) of larger modulus, so x moves up towards that root
-        x = x - 4.0 * p / (dp - np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * p * ddp, 0.0)))
-    _, dp, ddp = _char_poly(x, e1, e2, e3, det)
-    p, bound = _det_with_bound(d - x, off, q, mod)
-    step = p / dp
-    lam = x - step
-    bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)
-    converged = (np.abs(step) <= _PT_TOL) & (np.abs(ddp * step) <= _NEWTON_H * np.abs(dp))
-    certified = in_range & np.isfinite(lam) & converged & (bound <= _PT_TOL)
-    return lam, certified
+    # the start goes in unnamed, so that the root step's iterates replace it
+    lam, step, bound, kantorovich = _laguerre_newton(
+        (d - r).min(axis=0), (e1, e2, e3, det), d, off, q, _PT_LAGUERRE_STEPS, largest=False
+    )
+    converged = (np.abs(step) <= _PT_TOL) & kantorovich
+    return lam, in_range & np.isfinite(lam) & converged & (bound <= _PT_TOL)
 
 
 def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

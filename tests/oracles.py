@@ -5,10 +5,34 @@ rotations are written out from cos, sin and exp, the product spectrum uses a
 general (non-Hermitian) eigensolver, Haar matrices come from QR
 orthonormalization, simplex samples come from sorted-uniform spacings, and
 the high-precision concurrence uses mpmath's eigensolver on rho rho~ and the
-high-precision smallest eigenvalue its Hermitian eigensolver.
+high-precision smallest eigenvalue its Hermitian eigensolver.  The two
+polynomial kernels here are the exception: they are the concurrence and PT
+kernels as they stood before they shared one root step, each with its own
+Laguerre loop, Newton step, error bound and Kantorovich test written out,
+and they keep the library's constants, ``_char_poly`` and
+``_det_with_bound``, so that they must agree with the shared step bit for
+bit.
 """
 
 import numpy as np
+
+from entlab.measures import (
+    _C_CANCEL,
+    _C_LAGUERRE_STEPS,
+    _C_STEP,
+    _C_TOL,
+    _LAPLACE_PAIRS,
+    _MINOR_ENTRIES,
+    _NEWTON_H,
+    _OFF_OF_ROW,
+    _PT_LAGUERRE_STEPS,
+    _PT_MAX_ROW,
+    _PT_TOL,
+    _TRIANGLES,
+    _U,
+    _char_poly,
+    _det_with_bound,
+)
 
 SY2 = np.array(
     [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=float
@@ -125,3 +149,89 @@ def eigvalsh_min_mp(mpmath, m: np.ndarray, dps: int = 40) -> float:
     with mpmath.workdps(dps):
         a = mpmath.matrix([[mpmath.mpc(complex(z)) for z in row] for row in m])
         return float(min(mpmath.re(e) for e in mpmath.eigh(a, eigvals_only=True)))
+
+
+def unshared_laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(concurrences, certified mask) of ``measures._laguerre_concurrence``
+    for spectra p (4, m) and the conj(W) entry stack w (4, 4, m), with the
+    largest root of det(x I - B^H B) found by its own Laguerre steps and
+    Newton step."""
+    root = np.sqrt(p)
+    b, w2, b2 = {}, {}, {}
+    for k in range(4):
+        for l in range(k, 4):
+            entry = w[k, l]
+            w2[k, l] = w2[l, k] = entry.real * entry.real + entry.imag * entry.imag
+            b[k, l] = b[l, k] = entry * (root[k] * root[l])
+            b2[k, l] = b2[l, k] = w2[k, l] * (p[k] * p[l])
+    d = np.array([b2[0, k] + b2[1, k] + b2[2, k] + b2[3, k] for k in range(4)])
+    e1 = d.sum(axis=0)
+    p01, p23 = p[0] * p[1], p[2] * p[3]
+    q = (p[1] * p23, p[0] * p23, p01 * p[3], p01 * p[2])
+    e3 = sum(q[k] * (q[k] * w2[k, k] + 2.0 * sum(q[l] * w2[k, l] for l in range(k + 1, 4))) for k in range(4))
+    e4 = (p01 * p23) ** 2
+    minors_sq, products = [0.0, 0.0], [0.0, 0.0]
+    for k, (i, j, l, n) in enumerate(_MINOR_ENTRIES):
+        minor = b[i, l] * b[j, n] - b[i, n] * b[j, l]
+        twice = int(k >= 6)
+        minors_sq[twice] += minor.real * minor.real + minor.imag * minor.imag
+        products[twice] += b2[i, l] * b2[j, n] + b2[i, n] * b2[j, l]
+    e2 = minors_sq[0] + 2.0 * minors_sq[1]
+    products = products[0] + 2.0 * products[1]
+    off = np.array([sum(b[r, i] * np.conj(b[r, j]) for r in range(4)) for i, j in _LAPLACE_PAIRS])
+    off_sq = off.real * off.real + off.imag * off.imag
+    x = e1
+    for _ in range(_C_LAGUERRE_STEPS):
+        poly, dp, ddp = _char_poly(x, e1, e2, e3, e4)
+        x = x - 4.0 * poly / (dp + np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * poly * ddp, 0.0)))
+    _, dp, ddp = _char_poly(x, e1, e2, e3, e4)
+    poly, bound = _det_with_bound(d - x, off, off_sq)
+    step = poly / dp
+    mu1 = x - step
+    bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)
+    f3 = e4 / mu1
+    f2 = (e3 - f3) / mu1
+    f1 = (e2 - f2) / mu1
+    r3 = np.sqrt(f3)
+    s = np.sqrt(f1 + 2.0 * np.sqrt(f2))
+    for _ in range(4):
+        t = np.sqrt(f2 + 2.0 * r3 * s)
+        phi = np.sqrt(f1 + 2.0 * t)
+        s = s - (s - phi) / (1.0 - r3 / (t * phi))
+    l1 = np.sqrt(mu1)
+    conc = l1 - s
+    converged = (np.abs(step) <= _C_STEP * mu1) & (np.abs(ddp * step) <= _NEWTON_H * np.abs(dp))
+    sharp = converged & (bound <= 2.0 * _C_TOL * l1)
+    zero = np.sqrt(mu1 + np.abs(step) + bound) < (1.0 - 1e-12) * s
+    certified = np.isfinite(conc) & (products <= _C_CANCEL * e2) & (sharp | zero)
+    return np.maximum(0.0, conc), certified
+
+
+def unshared_laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(smallest eigenvalues, certified mask) of ``measures._laguerre_min``
+    for a (4, 4, m) Hermitian entry stack with determinants det, with the
+    smallest root found by its own Laguerre steps and Newton step."""
+    rows, cols = zip(*_LAPLACE_PAIRS)
+    d = pt[range(4), range(4)].real
+    off = np.conj(pt[cols, rows])
+    q = off.real * off.real + off.imag * off.imag
+    r = np.sqrt(q)[_OFF_OF_ROW, :].sum(axis=1)
+    in_range = (np.abs(d) + r).max(axis=0) <= _PT_MAX_ROW
+    x = (d - r).min(axis=0)
+    dd, ds = d[rows, :] * d[cols, :], d[rows, :] + d[cols, :]
+    ij, jk, ik = (off[list(t), :] for t in zip(*_TRIANGLES))
+    e1 = d.sum(axis=0)
+    e2 = (dd - q).sum(axis=0)
+    e3 = dd[0] * ds[5] + dd[5] * ds[0] - (q * ds[::-1]).sum(axis=0)
+    e3 = e3 + 2.0 * (ij * jk * np.conj(ik)).real.sum(axis=0)
+    for _ in range(_PT_LAGUERRE_STEPS):
+        p, dp, ddp = _char_poly(x, e1, e2, e3, det)
+        x = x - 4.0 * p / (dp - np.sqrt(np.maximum(9.0 * dp * dp - 12.0 * p * ddp, 0.0)))
+    _, dp, ddp = _char_poly(x, e1, e2, e3, det)
+    p, bound = _det_with_bound(d - x, off, q)
+    step = p / dp
+    lam = x - step
+    bound = (bound + np.abs(ddp) * step * step) / np.abs(dp) + _U * np.abs(d - x).max(axis=0)
+    converged = (np.abs(step) <= _PT_TOL) & (np.abs(ddp * step) <= _NEWTON_H * np.abs(dp))
+    certified = in_range & np.isfinite(lam) & converged & (bound <= _PT_TOL)
+    return lam, certified

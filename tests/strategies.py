@@ -16,9 +16,10 @@ def raw_stacks(draw, sizes=st.integers(0, 3), forms=("raw", "hermitian", "gram")
     (optionally divided by its trace, "state"), so that the checks pass and the
     eigensolvers and the SVD see extreme input too."""
     n = draw(sizes)
-    parts = [draw(hnp.arrays(np.float64, (n, 4, 4), elements=_ENTRIES)) for _ in range(2)]
+    a = np.empty((n, 4, 4), dtype=complex)
+    # set part by part: real + 1j * imag would turn an infinite imaginary part into NaN
+    a.real, a.imag = (draw(hnp.arrays(np.float64, (n, 4, 4), elements=_ENTRIES)) for _ in range(2))
     with np.errstate(all="ignore"):
-        a = parts[0] + 1j * parts[1]
         form = draw(st.sampled_from(forms))
         if form == "hermitian":
             return 0.5 * (a + np.conj(a.transpose(0, 2, 1)))

@@ -354,7 +354,7 @@ def _cli_argv(draw):
         return ["sample", "--seed", draw(_SEEDS), "--count", draw(_int_args(-4, 64))]
     return [
         "compare", "--seed", draw(_SEEDS), "--pairs", draw(_int_args(-4, 64)),
-        "--bins", draw(_int_args(-4, 64)), "--threads", draw(_int_args(-2, 4)),
+        "--threads", draw(_int_args(-2, 4)),
     ]
 
 
@@ -456,7 +456,6 @@ class TestCompare:
         "flag, value",
         [
             ("--pairs", experiment.MAX_PAIRS + 1),
-            ("--bins", experiment.MAX_BINS + 1),
             ("--threads", experiment.MAX_THREADS + 1),
         ],
     )

@@ -89,10 +89,6 @@ class TestSHistogram:
         assert hist.empty.sum() == 9
         assert np.all(hist.violation_rates[hist.empty] == 0.0)
 
-    def test_rejects_bad_bins(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(seed=1, n_pairs=10, s_bins=0)
-
 
 @pytest.fixture(scope="module")
 def small_run():
@@ -167,10 +163,8 @@ class TestRunExperiment:
     def test_config_validation(self):
         for bad in (
             {"n_pairs": 0},
-            {"s_bins": 0},
             {"threads": 0},
             {"n_pairs": experiment.MAX_PAIRS + 1},
-            {"s_bins": experiment.MAX_BINS + 1},
             {"threads": experiment.MAX_THREADS + 1},
         ):
             with pytest.raises(ValueError):
@@ -434,7 +428,7 @@ class TestCsvEmission:
         assert len(fig1) == 1 + 3000
         fig4 = (tmp_path / "fig4.csv").read_text().splitlines()
         assert fig4[0] == "bin_center,pair_count,violation_count,violation_rate,empty"
-        assert len(fig4) == 1 + small_run.config.s_bins
+        assert len(fig4) == 1 + experiment.S_BINS
 
     def test_round_trip_matches_summary(self, small_run, tmp_path):
         experiment.write_csvs(small_run, tmp_path)

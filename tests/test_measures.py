@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import oracles
 from strategies import raw_stacks
-from entlab import cmat, measures, qstate, sampler, selftest
+from entlab import cmat, experiment, measures, qstate, sampler, selftest
 from entlab.errors import EntanglementLabError, NotConverged, NotHermitian, NotPSD
 from entlab.qstate import pure_schmidt, singlet, werner_state
 from entlab.sampler import RngStream, random_density_batch
@@ -339,6 +339,66 @@ class TestPtMinKernel:
         in_stack = measures._pt_min(pt)
         alone = [measures._pt_min(pt[:, :, i : i + 1])[0] for i in range(512)]
         assert np.abs(in_stack[:512] - alone).max() <= 1e-15
+
+
+@pytest.fixture(scope="module")
+def shard_kernel_inputs():
+    """The arguments of every call of the concurrence and PT kernels while
+    shard 0 of the acceptance run (seed 20260810) is drawn: its kept and its
+    screened stacks."""
+    calls = {"_laguerre_concurrence": [], "_laguerre_min": []}
+
+    def recording(name):
+        kernel = getattr(measures, name)
+
+        def recorded(*args):
+            calls[name].append(args)
+            return kernel(*args)
+
+        return recorded
+
+    with mock.patch.multiple(measures, **{name: recording(name) for name in calls}):
+        experiment._run_shard(20260810, 0, experiment.SHARD_PAIRS)
+    return calls
+
+
+class TestSharedRootStep:
+    """The kernels that share ``_laguerre_newton`` return the bits of the
+    kernels that wrote their root step out each (oracles.unshared_*)."""
+
+    PAIRS = {
+        "_laguerre_concurrence": oracles.unshared_laguerre_concurrence,
+        "_laguerre_min": oracles.unshared_laguerre_min,
+    }
+
+    @staticmethod
+    def assert_same_bits(name, args):
+        with np.errstate(all="ignore"):
+            shared = getattr(measures, name)(*args)
+            unshared = TestSharedRootStep.PAIRS[name](*args)
+        for got, expected in zip(shared, unshared):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", PAIRS)
+    def test_shard_stacks(self, shard_kernel_inputs, name):
+        calls = shard_kernel_inputs[name]
+        assert calls and all(args[-1].shape[-1] >= measures._C_MIN_STACK for args in calls)
+        for args in calls:
+            self.assert_same_bits(name, args)
+
+    @given(raw_stacks(sizes=st.integers(0, 6), forms=("hermitian", "state")))
+    @settings(max_examples=300, deadline=None)
+    def test_hermitian_and_state_stacks(self, ms):
+        with np.errstate(all="ignore"):
+            pt = pt_entry_stack(ms)
+            det = measures._hermitian_det(pt.transpose(2, 0, 1))
+        self.assert_same_bits("_laguerre_min", (pt, det))
+        try:
+            with np.errstate(all="ignore"):
+                p, u = np.linalg.eigh(ms)
+        except np.linalg.LinAlgError:
+            return
+        self.assert_same_bits("_laguerre_concurrence", (np.ascontiguousarray(p.T), measures._conj_w(u)))
 
 
 class TestNonFiniteInput:

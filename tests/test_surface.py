@@ -1,5 +1,6 @@
 """The library's public surface: every public name is used by the library
-itself or exported by the package, and the README example runs."""
+itself or exported by the package, every private name and import is read,
+and the README example runs."""
 
 import ast
 import contextlib
@@ -68,6 +69,45 @@ def unreferenced_names(package: Path, exported: set[str]) -> list[str]:
 
 def test_every_public_name_is_used_or_exported():
     assert unreferenced_names(PACKAGE, set(entlab.__all__)) == []
+
+
+def _bound_at_top(tree: ast.Module) -> tuple[list[str], list[str]]:
+    """(private names defined, names imported) by the module's top-level
+    statements; dunder names and ``from __future__`` imports are left out."""
+    private, imported = [], []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if not (isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        private += [n for n in names if n.startswith("_") and not n.endswith("__")]
+    return private, imported
+
+
+def orphaned_names(package: Path) -> list[str]:
+    """Module-level private names that no module of the package reads, and
+    imports that their own module neither reads nor lists in ``__all__``."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    read_anywhere = set().union(*(_references(tree) for tree in trees.values()))
+    orphans = []
+    for module, tree in trees.items():
+        private, imported = _bound_at_top(tree)
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        exported = set(entlab.__all__) if module == "__init__" else set()
+        orphans += [f"{module}.{name}" for name in private if name not in read_anywhere]
+        orphans += [f"{module}: import {name}" for name in imported if name not in loaded | exported]
+    return orphans
+
+
+def test_no_orphaned_private_name_or_import():
+    assert orphaned_names(PACKAGE) == []
 
 
 def test_readme_python_example_runs():
