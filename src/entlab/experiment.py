@@ -171,8 +171,8 @@ def compare_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> PairComparisonReco
     return PairComparisonRecord(report1, report2, d_ef, d_en, violation, bool(tie[0]), s_total)
 
 
-def _histogram_core(s: np.ndarray, violation: np.ndarray, n_bins: int) -> SHistogram:
-    edges = np.linspace(*S_RANGE, n_bins + 1)
+def _histogram_core(s: np.ndarray, violation: np.ndarray) -> SHistogram:
+    edges = np.linspace(*S_RANGE, S_BINS + 1)
     pair_counts, _ = np.histogram(s, bins=edges)
     violation_counts, _ = np.histogram(s[violation], bins=edges)
     empty = pair_counts == 0
@@ -257,42 +257,33 @@ def _run_shard(seed: int, shard_index: int, quota: int) -> tuple[np.ndarray, int
 
     Entangled states pair up consecutively in draw order and tie pairs are
     excluded.  Chunks are drawn until the quota is met, each sized from the
-    pairs still needed; each chunk's states are paired as they arrive, an odd
-    state left over waiting for the first of the next chunk, and the shard
-    ends at the draw that completes its final usable pair, so the counters
-    reflect exactly the states consumed.  A shard draws no new chunk once it
-    has drawn _MAX_DRAW_FACTOR times the expected number of states; it raises
+    pairs still needed.  The shard keeps one array of all its entangled
+    states and pairs the whole of it by one ``_pair_rows`` call after each
+    chunk; the quota test, the draw-cap message and the counters all come
+    from that array and its tie mask.  The shard ends at the draw that
+    completes its final usable pair, so the counters reflect exactly the
+    states consumed.  A shard draws no new chunk once it has drawn
+    _MAX_DRAW_FACTOR times the expected number of states; it raises
     EntanglementLabError instead.  Returns (pairs, states drawn, states kept,
     ties excluded).
     """
     rng = sampler.RngStream(seed, (_SHARD_KEY, shard_index))
     max_draws = int(_MAX_DRAW_FACTOR * 2 * quota / _P_KEPT)
-    # per chunk: pair rows, tie mask and the draw index of each pair's second state
-    rows, ties, second_draws = [], [], []
-    leftover, drawn, usable, n_ties = np.empty((0, 6)), 0, 0, 0
-    while usable < quota:
-        need = quota - usable
+    stats, tie, drawn = np.empty((0, 6)), np.zeros(0, dtype=bool), 0
+    while (need := quota - int(np.count_nonzero(~tie))) > 0:
         if drawn >= max_draws:
-            entangled = 2 * (usable + n_ties) + len(leftover)
             raise EntanglementLabError(
                 f"shard {shard_index} drew {drawn} states and still lacks {need} of "
-                f"{quota} usable pairs ({entangled} entangled, {n_ties} tie pairs)"
+                f"{quota} usable pairs ({len(stats)} entangled, {int(tie.sum())} tie pairs)"
             )
         size = int(2 * need / _P_KEPT) + _CHUNK_MARGIN
-        stats = np.concatenate([leftover, _chunk_stats(rng, size, drawn)])
+        stats = np.concatenate([stats, _chunk_stats(rng, size, drawn)])
         drawn += size
         n = len(stats) - len(stats) % 2
-        chunk_rows, tie = _pair_rows(stats[0:n:2], stats[1:n:2])
-        rows.append(chunk_rows)
-        ties.append(tie)
-        second_draws.append(stats[1:n:2, 5])
-        leftover = stats[n:]
-        n_ties += int(tie.sum())
-        usable += len(tie) - int(tie.sum())
-    rows, tie = np.concatenate(rows), np.concatenate(ties)
+        rows, tie = _pair_rows(stats[0:n:2], stats[1:n:2])
     last = int(np.searchsorted(np.cumsum(~tie), quota))  # the pair that fills the quota
     used = slice(0, last + 1)
-    states_drawn = int(np.concatenate(second_draws)[last]) + 1  # through that pair's second state
+    states_drawn = int(stats[2 * last + 1, 5]) + 1  # through that pair's second state
     return rows[used][~tie[used]], states_drawn, 2 * last + 2, int(tie[used].sum())
 
 
@@ -349,7 +340,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
         scatter_def_den=scatter_def_den,
         scatter_ef_en=np.column_stack([ef, en]),
         scatter_c_en=np.column_stack([c, en]),
-        s_histogram=_histogram_core(pairs["s_total"], pairs["violation"], S_BINS),
+        s_histogram=_histogram_core(pairs["s_total"], pairs["violation"]),
     )
 
 

@@ -22,13 +22,13 @@ passes the states it keeps, with their determinants, to ``_pt_min``) and
 takes the concurrence from the sampler's column stacks.
 Every command of the CLI that handles states measures them as one stack
 through ``measure_table`` (``qstate`` validates the stack first), so a file
-of at least 256 states takes the kernels.  ``measure_report`` evaluates the
-body of ``measure_table`` for one DensityMatrix, whose construction already
-checked its Hermiticity; it serves ``experiment.compare_pair`` and the
-scalar functions (``concurrence``, ``e_formation``, ``e_negative``,
-``e_sum``, ``linear_entropy``, ``is_separable``), which return its fields,
-so a scalar call equals the corresponding entry of a 1-stack table exactly
-and of a larger table to rounding.
+of at least 256 states takes the kernels.  ``measure_report`` returns the
+one row of ``measure_table`` for a 1-stack of one DensityMatrix, Hermiticity
+check included; it serves ``experiment.compare_pair`` and the scalar
+functions (``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
+``linear_entropy``, ``is_separable``), which return its fields, so a scalar
+call equals the corresponding entry of a 1-stack table exactly and of a
+larger table to rounding.
 """
 
 from __future__ import annotations
@@ -528,18 +528,12 @@ def _measure_columns(ms: np.ndarray, pt_min: np.ndarray, c: np.ndarray) -> dict[
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
     """All measures for a (n, 4, 4) stack, sharing the eigendecompositions.
 
-    Hermiticity is checked once, here: the entries of rho^Gamma -
-    (rho^Gamma)^dagger are a permutation of those of rho - rho^dagger, so
-    both have the same defect.
+    Hermiticity is checked once, by ``cmat.hermitian_eig``: the entries of
+    rho^Gamma - (rho^Gamma)^dagger are a permutation of those of
+    rho - rho^dagger, so both have the same defect.
     """
     ms = np.asarray(ms)
-    cmat._require_hermitian(ms)
-    return _table_of_hermitian(ms)
-
-
-def _table_of_hermitian(ms: np.ndarray) -> dict[str, np.ndarray]:
-    """``measure_table`` for a stack already known to be Hermitian."""
-    c = concurrence_from_eig(*cmat._lapack(np.linalg.eigh, ms))
+    c = concurrence_from_eig(*cmat.hermitian_eig(ms))
     pt_min = _pt_min(np.ascontiguousarray(cmat.partial_transpose_b(ms).transpose(1, 2, 0)))
     table = _measure_columns(ms, pt_min, c)
     table["separable"] = ~_pt_entangled(pt_min)
@@ -547,14 +541,14 @@ def _table_of_hermitian(ms: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def measure_report(rho: DensityMatrix) -> MeasureReport:
-    """Evaluate every measure once for a single state.
+    """Evaluate every measure once for a single state: row 0 of its 1-stack
+    ``measure_table``.
 
-    A DensityMatrix is Hermitian by construction, so the table skips the
-    check.  A single state always takes the LAPACK route: routing it through
-    the kernels was measured about twelve times slower.  Stacks of states,
-    as the CLI reads them, go to ``measure_table`` in one call instead.
+    A single state always takes the LAPACK route: routing it through the
+    kernels was measured about twelve times slower.  Stacks of states, as
+    the CLI reads them, go to ``measure_table`` in one call instead.
     """
-    table = _table_of_hermitian(rho.matrix[None])
+    table = measure_table(rho.matrix[None])
     return MeasureReport(**{name: column[0].item() for name, column in table.items()})
 
 

@@ -62,10 +62,10 @@ class TestComparePair:
             compare_pair(werner_state(0.3), singlet())
 
 
-def histogram(records, n_bins):
+def histogram(records):
     s = np.array([r.s_total for r in records])
     violation = np.array([r.violation for r in records], dtype=bool)
-    return experiment._histogram_core(s, violation, n_bins)
+    return experiment._histogram_core(s, violation)
 
 
 class TestSHistogram:
@@ -74,19 +74,21 @@ class TestSHistogram:
             compare_pair(pure_schmidt(0.3), pure_schmidt(0.8)),
             compare_pair(pure_schmidt(0.5), pure_schmidt(0.9)),
         ]
-        hist = histogram(records, n_bins=15)
+        hist = histogram(records)
+        assert len(hist.pair_counts) == experiment.S_BINS == 30
         assert hist.pair_counts[0] == 2
         assert hist.pair_counts[1:].sum() == 0
         assert hist.violation_rates[0] == 0.0
 
     def test_single_record_one_bin(self):
-        hist = histogram([compare_pair(werner_state(0.9), werner_state(0.7))], 1)
-        assert hist.pair_counts[0] == 1
+        record = compare_pair(werner_state(0.9), werner_state(0.7))
+        hist = histogram([record])
+        assert hist.pair_counts.sum() == hist.pair_counts[int(record.s_total * 20)] == 1
         assert hist.edges[0] == 0.0 and hist.edges[-1] == 1.5
 
     def test_empty_bins_flagged(self):
-        hist = histogram([compare_pair(werner_state(0.9), werner_state(0.8))], 10)
-        assert hist.empty.sum() == 9
+        hist = histogram([compare_pair(werner_state(0.9), werner_state(0.8))])
+        assert hist.empty.sum() == 29
         assert np.all(hist.violation_rates[hist.empty] == 0.0)
 
 
@@ -173,12 +175,15 @@ class TestRunExperiment:
 
 
 class TestShardPairing:
-    """Pairing each chunk's states as they arrive gives what re-pairing every
-    state gathered so far before each chunk gives, bit for bit."""
+    """A shard's pairs and counters are those of the pairing rule written out
+    in ``repairing_shard``, bit for bit, across chunk boundaries, odd-length
+    chunks and ties."""
 
     @staticmethod
     def repairing_shard(seed, shard_index, quota):
-        """_run_shard as it paired all of its states before every chunk."""
+        """The shard's pairing rule: before every chunk, pair all the states
+        gathered so far consecutively in draw order and stop once the usable
+        pairs meet the quota; count through the pair that fills it."""
         rng = sampler.RngStream(seed, (experiment._SHARD_KEY, shard_index))
         stats, drawn = np.empty((0, 6)), 0
         while True:
@@ -272,6 +277,35 @@ class TestDrawCap:
     def test_cli_exit_code(self, mixed_sampler, capsys, tmp_path):
         assert main(["compare", "--seed", "1", "--pairs", "100", "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("error: shard 0 drew")
+
+    def test_message_counts(self, monkeypatch):
+        # chunks sized for a kept fraction of 1 fall short, a wide tie threshold
+        # makes ties, and a cap of four draws per pair of the quota stops the
+        # shard after a few chunks; the message counts all of their states
+        monkeypatch.setattr(experiment, "_P_KEPT", 1.0)
+        monkeypatch.setattr(experiment, "_MAX_DRAW_FACTOR", 2)
+        monkeypatch.setattr(experiment, "TIE_EPSILON", 0.02)
+        sizes, chunks = [], []
+        chunk_stats = experiment._chunk_stats
+
+        def recorded(rng, n, first_draw):
+            sizes.append(n)
+            chunks.append(chunk_stats(rng, n, first_draw))
+            return chunks[-1]
+
+        monkeypatch.setattr(experiment, "_chunk_stats", recorded)
+        with pytest.raises(EntanglementLabError) as raised:
+            experiment._run_shard(65, 3, 700)
+        stats = np.concatenate(chunks)
+        n = len(stats) - len(stats) % 2
+        a, b = stats[0:n:2, 1:3], stats[1:n:2, 1:3]
+        ties = int(np.count_nonzero((np.abs(a - b) <= 0.02 * (a + b)).any(axis=1)))
+        lacking = 700 - (n // 2 - ties)
+        assert len(chunks) >= 2 and ties > 0 and lacking > 0
+        assert str(raised.value) == (
+            f"shard 3 drew {sum(sizes)} states and still lacks {lacking} of 700 usable "
+            f"pairs ({len(stats)} entangled, {ties} tie pairs)"
+        )
 
 
 class TestDeterminantScreen:

@@ -682,8 +682,8 @@ class TestMeasureReport:
             assert r.separable == measures.is_separable(rho)
 
     def test_equals_its_table_row(self, monkeypatch):
-        # measure_report skips the Hermiticity check that measure_table makes;
-        # with LAPACK for every stack size, each report is a table row bit for bit
+        # measure_report is row 0 of a 1-stack measure_table; with LAPACK for
+        # every stack size, each report is a row of the whole table bit for bit
         fs = (0.25, 0.5, 0.5 + 1e-10, 0.75, 1.0)
         alphas = (0.0, 0.6, 1 / np.sqrt(2))
         states = [qstate.DensityMatrix(m) for m in random_density_batch(RngStream(39), 500)]
