@@ -7,9 +7,10 @@ traces in one einsum and positive semidefiniteness in one batched
 ``eigvalsh``, and raises the error of its lowest-indexed invalid matrix.  A
 ``DensityMatrix`` is one matrix validated as a 1-stack.  ``write_stack``
 and ``read_stack`` stream a stack to and from a text file, one 32-field row
-per matrix; the reader validates what it read and names the file line of
-any fault.  ``write_csv`` writes every CSV file and table of the package,
-each float in the one format CSV_FLOAT.
+per matrix; the reader parses a block of rows at a time with numpy's C text
+parser, validates what it read and names the file line of any fault.
+``write_csv`` writes every CSV file and table of the package, each float in
+the one format CSV_FLOAT.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import array
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -156,30 +157,61 @@ def write_stack(fh, ms: np.ndarray) -> None:
     write_csv(fh, CSV_HEADER, flat.T)
 
 
+def _parse_rows(rows) -> np.ndarray:
+    """The float64 (len(rows), k) array of non-empty rows of k comma-separated
+    floats each, read by numpy's C text parser; ValueError if a field is no
+    float or the rows differ in width."""
+    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
+def _parses(text: str) -> bool:
+    """Whether the parser reads text, a non-empty row or field, without error."""
+    try:
+        _parse_rows([text])
+    except ValueError:
+        return False
+    return True
+
+
+def _row_fault(rows, lines) -> ValueError | NotHermitian:
+    """The error of the first of the stripped rows (on the file lines lines)
+    that has a field the parser rejects, or other than 32 fields."""
+    for row, lineno in zip(rows, lines):
+        fields = row.split(",")
+        if not _parses(row):
+            # the parser rejects a row only for a field it rejects on its own
+            bad = next(tok for tok in fields if not (tok and _parses(tok)))
+            return ValueError(f"line {lineno}: could not convert string to float: {bad!r}")
+        if len(fields) != 32:
+            return NotHermitian(f"line {lineno}: expected 32 CSV fields, got {len(fields)}")
+    raise AssertionError("not reached: the parser accepted every row")
+
+
 def read_stack(fh) -> np.ndarray:
     """The validated (n, 4, 4) stack of the rows of the text stream fh, as
     ``write_stack`` writes them (header line optional, blank lines skipped).
 
-    Each field is parsed with ``float``.  Rows are parsed in file order, and
-    the first row with a field that is no float raises ValueError, or with
-    other than 32 fields NotHermitian; then the whole stack is validated.
-    Every error names its line.
+    The rows are parsed _CSV_BLOCK at a time by numpy's C text parser, whose
+    float grammar is that of ``float`` without digit-group underscores.  The
+    first row with a field that is no float raises ValueError, or with other
+    than 32 fields NotHermitian; then the whole stack is validated.  Every
+    error names its line.
     """
-    values = array.array("d")  # every parsed field, flat
+    numbered = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
+    numbered = ((n, row) for n, row in numbered if row and not (n == 1 and row == CSV_HEADER))
+    blocks = [np.empty((0, 32))]  # the parsed rows, a (k, 32) float64 array per block
     lines = array.array("q")  # the file line of each row
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line or (lineno == 1 and line == CSV_HEADER):
-            continue
-        start = len(values)
+    while batch := list(islice(numbered, _CSV_BLOCK)):
+        block_lines, rows = zip(*batch)
         try:
-            values.extend([float(tok) for tok in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if len(values) - start != 32:
-            raise NotHermitian(f"line {lineno}: expected 32 CSV fields, got {len(values) - start}")
-        lines.append(lineno)
-    flat = np.frombuffer(values, dtype=np.float64)
+            block = _parse_rows(rows)
+        except ValueError:
+            block = None
+        if block is None or block.shape != (len(rows), 32):
+            raise _row_fault(rows, block_lines)
+        blocks.append(block)
+        lines.extend(block_lines)
+    flat = np.concatenate(blocks).ravel()
     with np.errstate(invalid="ignore"):  # validation rejects non-finite entries
         ms = (flat[0::2] + 1j * flat[1::2]).reshape(-1, 4, 4)
     fault = _stack_fault(ms)

@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -243,6 +244,97 @@ class TestCsvRoundTrip:
         ms[3] = np.eye(4) / 4
         with pytest.raises(NotPSD, match="^line 5: smallest eigenvalue is -5.000e-01$"):
             qstate.read_stack(with_blank_line(ms))
+
+
+# spellings of a float that float() reads back as the same float64
+_SPELLINGS = {
+    "%.17g": lambda x: f"{x:.17g}",
+    "repr": repr,
+    "%.25e": lambda x: f"{x:.25e}",
+    "leading +": lambda x: f"{x:+.17g}",
+    "upper-case E": lambda x: f"{x:.17E}",
+    "padded": lambda x: f"  {x!r} ",
+}
+
+
+def per_token_stack(text: str) -> np.ndarray:
+    """The stack of a CSV text as parsing each field with float() gives it."""
+    rows = [line.strip() for line in text.splitlines()[1:]]
+    flat = np.array([float(tok) for row in rows if row for tok in row.split(",")])
+    return (flat[0::2] + 1j * flat[1::2]).reshape(-1, 4, 4)
+
+
+class TestCsvGrammar:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        spellings=st.lists(st.sampled_from(sorted(_SPELLINGS)), min_size=6 * 32, max_size=6 * 32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_spellings_read_as_float_reads_them(self, seed, n, spellings):
+        # each field of valid states in its own spelling: the reader's values
+        # equal a per-token float() bit for bit, and the states themselves
+        ms = random_density_batch(RngStream(seed), n)
+        values = ms.view(np.float64).reshape(n, 32)
+        fields = [_SPELLINGS[s](x) for s, x in zip(spellings, values.ravel().tolist())]
+        rows = [",".join(fields[32 * i : 32 * i + 32]) for i in range(n)]
+        text = "\n".join([qstate.CSV_HEADER, *rows]) + "\n"
+        got = qstate.read_stack(io.StringIO(text))
+        assert got.tobytes() == per_token_stack(text).tobytes()
+        assert np.array_equal(got, ms)
+
+    @pytest.mark.parametrize("token", ["1_0", "0.2_5", "\u0661"])
+    def test_tokens_float_reads_but_the_parser_rejects(self, token):
+        # float() reads digit-group underscores and non-ASCII decimal digits;
+        # the reader does not, and names the token as float() names a bad one
+        row = ",".join([token] + ["0"] * 31)
+        with pytest.raises(ValueError, match=f"^line 2: could not convert string to float: {re.escape(repr(token))}$"):
+            qstate.read_stack(io.StringIO("\n".join([qstate.CSV_HEADER, row])))
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_endings(self, tmp_path, newline):
+        ms = random_density_batch(RngStream(10), 5)
+        text = write_text(ms).replace("\n", newline)
+        path = tmp_path / "states.csv"
+        path.write_bytes(text.encode("ascii"))
+        with open(path, "r", encoding="ascii") as fh:
+            assert np.array_equal(qstate.read_stack(fh), ms)
+        if newline == "\r\n":  # a stream that keeps the CR at each line's end
+            assert np.array_equal(qstate.read_stack(io.StringIO(text)), ms)
+
+    def test_whitespace_only_lines(self):
+        # skipped like blank lines, and still counted in the line numbers
+        ms = np.stack([np.eye(4) / 4] * 3).astype(complex)
+        ms[2] = np.eye(4) / 2  # trace 2
+        header, *rows = write_text(ms).splitlines()
+        text = "\n".join([header, " \t ", rows[0], "   ", rows[1], "\t", rows[2]])
+        with pytest.raises(TraceNotOne, match="^line 7: "):
+            qstate.read_stack(io.StringIO(text))
+        for empty in (" ", " \n\t\n", qstate.CSV_HEADER + "\n  \n", "\r\n\r\n"):
+            assert qstate.read_stack(io.StringIO(empty)).shape == (0, 4, 4)
+
+    def test_fault_in_a_later_block_names_its_line(self):
+        # rows on lines 2 .. n + 1; row i of the second block on line _CSV_BLOCK + i + 2
+        n = qstate._CSV_BLOCK + 10
+        rows = write_text(np.stack([np.eye(4) / 4] * n)).splitlines()
+        good = rows[1]
+        line = qstate._CSV_BLOCK + 7  # the fifth row of the second block
+
+        def with_row(bad, at=line):
+            return io.StringIO("\n".join(rows[: at - 1] + [bad] + rows[at:]))
+
+        assert qstate.read_stack(io.StringIO("\n".join(rows))).shape == (n, 4, 4)
+        with pytest.raises(ValueError, match=f"^line {line}: could not convert string to float: 'x'$"):
+            qstate.read_stack(with_row(good.replace("0.25", "x", 1)))
+        with pytest.raises(NotHermitian, match=f"^line {line}: expected 32 CSV fields, got 33$"):
+            qstate.read_stack(with_row(good + ",0"))
+        with pytest.raises(TraceNotOne, match=f"^line {line}: trace deviates from 1 by 2.500e-01$"):
+            qstate.read_stack(with_row(good.replace("0.25", "0.5", 1)))
+        # a field count fault in the second block after a bad token later in it
+        text = rows[:line] + [",".join(["0"] * 31)] + rows[line + 1 :]
+        text[-1] = "y" + text[-1]
+        with pytest.raises(NotHermitian, match=f"^line {line + 1}: expected 32 CSV fields, got 31$"):
+            qstate.read_stack(io.StringIO("\n".join(text)))
 
 
 class TestValidateStack:
