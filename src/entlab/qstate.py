@@ -28,6 +28,7 @@ from .errors import EntanglementLabError, NotHermitian, NotPSD, ParameterOutOfRa
 CSV_HEADER = ",".join(f"m{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im"))
 CSV_FLOAT = "%.17g"  # every float in a CSV: 17 significant digits read back as the same float64
 _CSV_BLOCK = 4096  # rows write_csv formats with one %, so its text stays within a few MB
+_READ_BLOCK = 1024  # rows read_stack parses at a time, so their text stays within about 0.7 MB
 
 
 def _stack_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
@@ -173,10 +174,10 @@ def _parses(text: str) -> bool:
     return True
 
 
-def _row_fault(rows, lines) -> ValueError | NotHermitian:
-    """The error of the first of the stripped rows (on the file lines lines)
-    that has a field the parser rejects, or other than 32 fields."""
-    for row, lineno in zip(rows, lines):
+def _row_fault(rows, linenos) -> ValueError | NotHermitian:
+    """The error of the first of the stripped rows that has a field the
+    parser rejects, or other than 32 fields, naming its file line."""
+    for row, lineno in zip(rows, linenos):
         fields = row.split(",")
         if not _parses(row):
             # the parser rejects a row only for a field it rejects on its own
@@ -187,21 +188,15 @@ def _row_fault(rows, lines) -> ValueError | NotHermitian:
     raise AssertionError("not reached: the parser accepted every row")
 
 
-def read_stack(fh) -> np.ndarray:
-    """The validated (n, 4, 4) stack of the rows of the text stream fh, as
-    ``write_stack`` writes them (header line optional, blank lines skipped).
-
-    The rows are parsed _CSV_BLOCK at a time by numpy's C text parser, whose
-    float grammar is that of ``float`` without digit-group underscores.  The
-    first row with a field that is no float raises ValueError, or with other
-    than 32 fields NotHermitian; then the whole stack is validated.  Every
-    error names its line.
-    """
+def _read_rows(fh) -> tuple[array.array, array.array]:
+    """Every field of the rows of the text stream fh, flat, and the file line
+    of each row, as ``read_stack`` reads them: the rows go to the parser
+    _READ_BLOCK at a time, and a block it rejects is scanned row by row."""
     numbered = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
     numbered = ((n, row) for n, row in numbered if row and not (n == 1 and row == CSV_HEADER))
-    blocks = [np.empty((0, 32))]  # the parsed rows, a (k, 32) float64 array per block
-    lines = array.array("q")  # the file line of each row
-    while batch := list(islice(numbered, _CSV_BLOCK)):
+    values = array.array("d")
+    lines = array.array("q")
+    while batch := list(islice(numbered, _READ_BLOCK)):
         block_lines, rows = zip(*batch)
         try:
             block = _parse_rows(rows)
@@ -209,9 +204,23 @@ def read_stack(fh) -> np.ndarray:
             block = None
         if block is None or block.shape != (len(rows), 32):
             raise _row_fault(rows, block_lines)
-        blocks.append(block)
+        values.frombytes(block.tobytes())
         lines.extend(block_lines)
-    flat = np.concatenate(blocks).ravel()
+    return values, lines
+
+
+def read_stack(fh) -> np.ndarray:
+    """The validated (n, 4, 4) stack of the rows of the text stream fh, as
+    ``write_stack`` writes them (header line optional, blank lines skipped).
+
+    Fields are parsed by numpy's C text parser, whose float grammar is that
+    of ``float`` without digit-group underscores.  The first row with a field
+    that is no float raises ValueError, or with other than 32 fields
+    NotHermitian; then the whole stack is validated.  Every error names its
+    line.
+    """
+    values, lines = _read_rows(fh)
+    flat = np.frombuffer(values, dtype=np.float64)
     with np.errstate(invalid="ignore"):  # validation rejects non-finite entries
         ms = (flat[0::2] + 1j * flat[1::2]).reshape(-1, 4, 4)
     fault = _stack_fault(ms)

@@ -313,28 +313,36 @@ class TestCsvGrammar:
         for empty in (" ", " \n\t\n", qstate.CSV_HEADER + "\n  \n", "\r\n\r\n"):
             assert qstate.read_stack(io.StringIO(empty)).shape == (0, 4, 4)
 
-    def test_fault_in_a_later_block_names_its_line(self):
-        # rows on lines 2 .. n + 1; row i of the second block on line _CSV_BLOCK + i + 2
+    @pytest.mark.parametrize(
+        "line",  # rows are on lines 2 .. n + 1, so row k of the file on line k + 1
+        [qstate._READ_BLOCK + 1, qstate._READ_BLOCK + 2, qstate._READ_BLOCK + 7, qstate._CSV_BLOCK + 11],
+        ids=["end of block 1", "start of block 2", "inside block 2", "last row"],
+    )
+    def test_fault_in_a_later_block_names_its_line(self, line):
         n = qstate._CSV_BLOCK + 10
         rows = write_text(np.stack([np.eye(4) / 4] * n)).splitlines()
         good = rows[1]
-        line = qstate._CSV_BLOCK + 7  # the fifth row of the second block
 
         def with_row(bad, at=line):
             return io.StringIO("\n".join(rows[: at - 1] + [bad] + rows[at:]))
 
-        assert qstate.read_stack(io.StringIO("\n".join(rows))).shape == (n, 4, 4)
+        assert qstate.read_stack(with_row(good)).shape == (n, 4, 4)
         with pytest.raises(ValueError, match=f"^line {line}: could not convert string to float: 'x'$"):
             qstate.read_stack(with_row(good.replace("0.25", "x", 1)))
         with pytest.raises(NotHermitian, match=f"^line {line}: expected 32 CSV fields, got 33$"):
             qstate.read_stack(with_row(good + ",0"))
         with pytest.raises(TraceNotOne, match=f"^line {line}: trace deviates from 1 by 2.500e-01$"):
             qstate.read_stack(with_row(good.replace("0.25", "0.5", 1)))
-        # a field count fault in the second block after a bad token later in it
-        text = rows[:line] + [",".join(["0"] * 31)] + rows[line + 1 :]
-        text[-1] = "y" + text[-1]
-        with pytest.raises(NotHermitian, match=f"^line {line + 1}: expected 32 CSV fields, got 31$"):
-            qstate.read_stack(io.StringIO("\n".join(text)))
+
+    def test_faults_of_one_block_in_file_order(self):
+        # a field count fault is reported before a bad token further down
+        # the same block, and a whole block of short rows names its first
+        rows = write_text(np.stack([np.eye(4) / 4] * 20)).splitlines()
+        short = ",".join(["0"] * 31)
+        with pytest.raises(NotHermitian, match="^line 6: expected 32 CSV fields, got 31$"):
+            qstate.read_stack(io.StringIO("\n".join(rows[:5] + [short] + rows[6:-1] + ["y" + rows[-1]])))
+        with pytest.raises(NotHermitian, match="^line 1: expected 32 CSV fields, got 31$"):
+            qstate.read_stack(io.StringIO("\n".join([short] * 20)))
 
 
 class TestValidateStack:
