@@ -18,7 +18,7 @@ from __future__ import annotations
 import array
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .errors import EntanglementLabError, NotHermitian, NotPSD, ParameterOutOfRa
 CSV_HEADER = ",".join(f"m{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im"))
 CSV_FLOAT = "%.17g"  # every float in a CSV: 17 significant digits read back as the same float64
 _CSV_BLOCK = 4096  # rows write_csv formats with one %, so its text stays within a few MB
-_READ_BLOCK = 1024  # rows read_stack parses at a time, so their text stays within about 0.7 MB
 
 
 def _stack_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
@@ -159,9 +158,9 @@ def write_stack(fh, ms: np.ndarray) -> None:
 
 
 def _parse_rows(rows) -> np.ndarray:
-    """The float64 (len(rows), k) array of non-empty rows of k comma-separated
-    floats each, read by numpy's C text parser; ValueError if a field is no
-    float or the rows differ in width."""
+    """The float64 (n, k) array of an iterable of n non-empty rows of k
+    comma-separated floats each, read by numpy's C text parser; ValueError if
+    a field is no float or the rows differ in width."""
     return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
 
 
@@ -188,25 +187,38 @@ def _row_fault(rows, linenos) -> ValueError | NotHermitian:
     raise AssertionError("not reached: the parser accepted every row")
 
 
-def _read_rows(fh) -> tuple[array.array, array.array]:
-    """Every field of the rows of the text stream fh, flat, and the file line
-    of each row, as ``read_stack`` reads them: the rows go to the parser
-    _READ_BLOCK at a time, and a block it rejects is scanned row by row."""
-    numbered = ((lineno, line.strip()) for lineno, line in enumerate(fh, start=1))
-    numbered = ((n, row) for n, row in numbered if row and not (n == 1 and row == CSV_HEADER))
-    values = array.array("d")
-    lines = array.array("q")
-    while batch := list(islice(numbered, _READ_BLOCK)):
-        block_lines, rows = zip(*batch)
-        try:
-            block = _parse_rows(rows)
-        except ValueError:
-            block = None
-        if block is None or block.shape != (len(rows), 32):
-            raise _row_fault(rows, block_lines)
-        values.frombytes(block.tobytes())
-        lines.extend(block_lines)
-    return values, lines
+def _read_rows(fh) -> tuple[np.ndarray, array.array]:
+    """The (n, 32) float64 fields of the rows of the text stream fh, and the
+    file line of each row, as ``read_stack`` reads them.
+
+    The rows stream through one parser call, so none is held.  The parser
+    reads no row past the first one it rejects, and every row before that
+    one has the first row's width; so the first and the last row it was
+    handed hold the first faulty row of the file.
+    """
+    lines = array.array("q")  # the file line of each row handed to the parser
+    last = ""  # the last row handed to the parser
+
+    def rows():
+        nonlocal last
+        for lineno, line in enumerate(fh, start=1):
+            row = line.strip()
+            if row and not (lineno == 1 and row == CSV_HEADER):
+                lines.append(lineno)
+                last = row
+                yield row
+
+    stream = rows()
+    first = next(stream, None)
+    if first is None:  # the parser warns on input without rows
+        return np.empty((0, 32)), lines
+    try:
+        fields = _parse_rows(chain([first], stream))
+    except ValueError:
+        fields = None
+    if fields is None or fields.shape[1] != 32:
+        raise _row_fault([first, last], [lines[0], lines[-1]])
+    return fields, lines
 
 
 def read_stack(fh) -> np.ndarray:
@@ -219,8 +231,8 @@ def read_stack(fh) -> np.ndarray:
     NotHermitian; then the whole stack is validated.  Every error names its
     line.
     """
-    values, lines = _read_rows(fh)
-    flat = np.frombuffer(values, dtype=np.float64)
+    fields, lines = _read_rows(fh)
+    flat = fields.ravel()
     with np.errstate(invalid="ignore"):  # validation rejects non-finite entries
         ms = (flat[0::2] + 1j * flat[1::2]).reshape(-1, 4, 4)
     fault = _stack_fault(ms)

@@ -314,11 +314,11 @@ class TestCsvGrammar:
             assert qstate.read_stack(io.StringIO(empty)).shape == (0, 4, 4)
 
     @pytest.mark.parametrize(
-        "line",  # rows are on lines 2 .. n + 1, so row k of the file on line k + 1
-        [qstate._READ_BLOCK + 1, qstate._READ_BLOCK + 2, qstate._READ_BLOCK + 7, qstate._CSV_BLOCK + 11],
-        ids=["end of block 1", "start of block 2", "inside block 2", "last row"],
+        "line",  # rows are on lines 2 .. n + 1
+        [2, 3, qstate._CSV_BLOCK + 7, qstate._CSV_BLOCK + 11],
+        ids=["first row", "second row", "second write block", "last row"],
     )
-    def test_fault_in_a_later_block_names_its_line(self, line):
+    def test_fault_after_many_rows_names_its_line(self, line):
         n = qstate._CSV_BLOCK + 10
         rows = write_text(np.stack([np.eye(4) / 4] * n)).splitlines()
         good = rows[1]
@@ -329,16 +329,21 @@ class TestCsvGrammar:
         assert qstate.read_stack(with_row(good)).shape == (n, 4, 4)
         with pytest.raises(ValueError, match=f"^line {line}: could not convert string to float: 'x'$"):
             qstate.read_stack(with_row(good.replace("0.25", "x", 1)))
-        with pytest.raises(NotHermitian, match=f"^line {line}: expected 32 CSV fields, got 33$"):
-            qstate.read_stack(with_row(good + ",0"))
+        for width in (31, 33):
+            with pytest.raises(NotHermitian, match=f"^line {line}: expected 32 CSV fields, got {width}$"):
+                qstate.read_stack(with_row(",".join(good.split(",")[:31] + ["0"] * (width - 31))))
         with pytest.raises(TraceNotOne, match=f"^line {line}: trace deviates from 1 by 2.500e-01$"):
             qstate.read_stack(with_row(good.replace("0.25", "0.5", 1)))
 
-    def test_faults_of_one_block_in_file_order(self):
-        # a field count fault is reported before a bad token further down
-        # the same block, and a whole block of short rows names its first
+    def test_first_faulty_row_is_reported(self):
+        # a short first row is reported before any fault below it, though the
+        # parser reads the rows below it at its width; a short row is reported
+        # before a bad token further down
         rows = write_text(np.stack([np.eye(4) / 4] * 20)).splitlines()
         short = ",".join(["0"] * 31)
+        for below in (rows[2], short, "y" + rows[2], "y," + short):
+            with pytest.raises(NotHermitian, match="^line 2: expected 32 CSV fields, got 31$"):
+                qstate.read_stack(io.StringIO("\n".join([rows[0], short, below, *rows[3:]])))
         with pytest.raises(NotHermitian, match="^line 6: expected 32 CSV fields, got 31$"):
             qstate.read_stack(io.StringIO("\n".join(rows[:5] + [short] + rows[6:-1] + ["y" + rows[-1]])))
         with pytest.raises(NotHermitian, match="^line 1: expected 32 CSV fields, got 31$"):
