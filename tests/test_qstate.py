@@ -208,7 +208,8 @@ class TestCsvRoundTrip:
 
     def test_empty_and_header_only(self):
         assert write_text(np.zeros((0, 4, 4))) == qstate.CSV_HEADER + "\n"
-        for text in ("", qstate.CSV_HEADER + "\n", "\n\n"):
+        # the parser warns on input without rows, so it must not see any
+        for text in ("", qstate.CSV_HEADER + "\n", "\n\n", " \n\t\n", qstate.CSV_HEADER + "\n  \n", "\r\n\r\n"):
             assert qstate.read_stack(io.StringIO(text)).shape == (0, 4, 4)
 
     def test_header_fields(self):
@@ -310,8 +311,6 @@ class TestCsvGrammar:
         text = "\n".join([header, " \t ", rows[0], "   ", rows[1], "\t", rows[2]])
         with pytest.raises(TraceNotOne, match="^line 7: "):
             qstate.read_stack(io.StringIO(text))
-        for empty in (" ", " \n\t\n", qstate.CSV_HEADER + "\n  \n", "\r\n\r\n"):
-            assert qstate.read_stack(io.StringIO(empty)).shape == (0, 4, 4)
 
     @pytest.mark.parametrize(
         "line",  # rows are on lines 2 .. n + 1
