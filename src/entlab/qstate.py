@@ -7,8 +7,8 @@ traces in one einsum and positive semidefiniteness in one batched
 ``eigvalsh``, and raises the error of its lowest-indexed invalid matrix.  A
 ``DensityMatrix`` is one matrix validated as a 1-stack.  ``write_stack``
 and ``read_stack`` stream a stack to and from a text file, one 32-field row
-per matrix; the reader parses a block of rows at a time with numpy's C text
-parser, validates what it read and names the file line of any fault.
+per matrix; the reader streams the rows through numpy's C text parser,
+validates what it read and names the file line of any fault.
 ``write_csv`` writes every CSV file and table of the package, each float in
 the one format CSV_FLOAT.
 """
@@ -173,9 +173,10 @@ def _parses(text: str) -> bool:
     return True
 
 
-def _row_fault(rows, linenos) -> ValueError | NotHermitian:
+def _row_fault(rows, linenos) -> ValueError | NotHermitian | None:
     """The error of the first of the stripped rows that has a field the
-    parser rejects, or other than 32 fields, naming its file line."""
+    parser rejects, or other than 32 fields, naming its file line; None if
+    no row is faulty."""
     for row, lineno in zip(rows, linenos):
         fields = row.split(",")
         if not _parses(row):
@@ -184,7 +185,7 @@ def _row_fault(rows, linenos) -> ValueError | NotHermitian:
             return ValueError(f"line {lineno}: could not convert string to float: {bad!r}")
         if len(fields) != 32:
             return NotHermitian(f"line {lineno}: expected 32 CSV fields, got {len(fields)}")
-    raise AssertionError("not reached: the parser accepted every row")
+    return None
 
 
 def _read_rows(fh) -> tuple[np.ndarray, array.array]:
@@ -214,10 +215,11 @@ def _read_rows(fh) -> tuple[np.ndarray, array.array]:
         return np.empty((0, 32)), lines
     try:
         fields = _parse_rows(chain([first], stream))
-    except ValueError:
-        fields = None
-    if fields is None or fields.shape[1] != 32:
-        raise _row_fault([first, last], [lines[0], lines[-1]])
+    except ValueError as exc:
+        # with no faulty row read, the error is the stream's own (a decode error)
+        raise (_row_fault([first, last], [lines[0], lines[-1]]) or exc) from None
+    if fields.shape[1] != 32:
+        raise _row_fault([first], [lines[0]])
     return fields, lines
 
 

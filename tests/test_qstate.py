@@ -349,6 +349,25 @@ class TestCsvGrammar:
             qstate.read_stack(io.StringIO("\n".join([short] * 20)))
 
 
+    def test_error_of_the_stream_itself(self, tmp_path):
+        # a decode error after rows the parser has read is the stream's, and
+        # stays so; a faulty row read before it is still reported first
+        rows = write_text(np.stack([np.eye(4) / 4] * 300)).splitlines()
+        path = tmp_path / "states.csv"
+        path.write_bytes("\n".join(rows).encode("ascii") + b"\n0.25,\xc3\xa9\n")
+        with open(path, "r", encoding="ascii") as fh, pytest.raises(UnicodeDecodeError):
+            qstate.read_stack(fh)
+
+        def broken(lines):
+            yield from lines
+            raise ValueError("stream broke")
+
+        with pytest.raises(ValueError, match="^stream broke$"):
+            qstate.read_stack(broken(rows))
+        with pytest.raises(NotHermitian, match="^line 2: expected 32 CSV fields, got 31$"):
+            qstate.read_stack(broken([rows[0], ",".join(["0"] * 31), *rows[2:]]))
+
+
 class TestValidateStack:
     @staticmethod
     def faulty_matrices():
