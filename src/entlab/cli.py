@@ -160,6 +160,9 @@ def main(argv=None) -> int:
     except EntanglementLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

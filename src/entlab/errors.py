@@ -38,3 +38,7 @@ class ParameterOutOfRange(EntanglementLabError):
 
 class SeparableInput(EntanglementLabError):
     """A pair comparison was requested for a separable state."""
+
+
+class SelfTestFailure(EntanglementLabError):
+    """An invariant that ``entlab selftest`` checks does not hold."""

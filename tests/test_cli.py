@@ -579,6 +579,21 @@ def test_selftest_reports_library_error_and_goes_on(capsys, monkeypatch):
     assert lines[1] == f"[PASS] {selftest.SUITES[1][0]}"
 
 
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 1.00 TiB"), "error: out of memory: Unable to allocate 1.00 TiB"),
+        (MemoryError(), "error: out of memory"),
+    ],
+)
+def test_memory_error_is_one_line_error(capsys, monkeypatch, exc, message):
+    def exhausted(*_):
+        raise exc
+
+    monkeypatch.setattr(cli.sampler, "random_density_batch", exhausted)
+    assert run_cli(capsys, "sample", "--seed", "1", "--count", "5") == (1, "", message + "\n")
+
+
 def test_python_m_entlab_from_checkout(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(

@@ -1,14 +1,20 @@
 """Fault injection: each fault of a measure kernel's safeguards changes the
-output it targets on the stacks ``entlab selftest`` feeds that kernel, and
-then the self-test fails."""
+output it targets on the stacks ``entlab selftest`` feeds that kernel, each
+fault of the CSV float kernel changes the bytes write_csv writes for the
+self-test's values, and then the self-test fails, under ``python -O`` too."""
 
+import io
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from entlab import measures, selftest
+from entlab import measures, qstate, selftest
 
 
 def _certify_all(kernel):
@@ -115,3 +121,86 @@ def test_selftest_catches_fault(monkeypatch, selftest_inputs, fault, target, ind
     fault(monkeypatch)
     assert _output_bits(target, calls, index) != clean  # the fault is live
     assert not selftest.run_selftest(verbose=False)
+
+
+class _NumpyWith:
+    """numpy with some of its functions replaced."""
+
+    def __init__(self, **replaced):
+        self.__dict__.update(replaced)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def _floor_for_rint(monkeypatch):
+    # e rounded down, not half to even: D is no longer P rounded
+    monkeypatch.setattr(qstate, "np", _NumpyWith(rint=np.floor))
+
+
+def _decade_uncorrected(monkeypatch):
+    # k left as -floor(log10 |x|), one too small just below a power of ten
+    monkeypatch.setattr(qstate, "_correct_decade", lambda ax, k, p, e: (k, p, e))
+
+
+# The kernel has no carry step to drop: no value of its range rounds up to
+# 10^17 (tests/test_qstate.py, test_no_value_carries).
+CSV_FAULTS = [_floor_for_rint, _decade_uncorrected]
+
+
+def _csv_text(values) -> str:
+    text = io.StringIO()
+    qstate.write_csv(text, "x", [values])
+    return text.getvalue()
+
+
+@pytest.mark.parametrize("fault", [pytest.param(f, id=f.__name__) for f in CSV_FAULTS])
+def test_selftest_catches_csv_fault(monkeypatch, fault):
+    values = selftest._csv_probe_values()
+    clean = _csv_text(values)
+    fault(monkeypatch)
+    assert _csv_text(values) != clean  # the fault is live
+    assert not selftest.run_selftest(verbose=False)
+
+
+@pytest.mark.parametrize("bias", [1 - 1e-15, 1 + 1e-15], ids=["k too small", "k too large"])
+def test_decade_correction_works_both_ways(monkeypatch, bias):
+    # a log10 that errs either way near a power of ten, as another libm may,
+    # moves k by one for more values there; the correction puts it back
+    values = selftest._csv_probe_values()
+    correct = qstate._correct_decade
+    off = []
+
+    def recorded(ax, k, p, e):
+        off.append(np.count_nonzero((p < 1e16) | (p >= 1e17)))
+        return correct(ax, k, p, e)
+
+    monkeypatch.setattr(qstate, "_correct_decade", recorded)
+    clean, clean_off = _csv_text(values), sum(off)
+    monkeypatch.setattr(qstate, "np", _NumpyWith(log10=lambda x: np.log10(x) * bias))
+    assert _csv_text(values) == clean
+    assert sum(off) - clean_off > clean_off
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("fault", ["measures.DET_SCREEN = -1e-6", "measures._FLIP_SIGNS = np.ones(4)"])
+def test_selftest_catches_fault_under_python_O(tmp_path, fault):
+    # python -O strips assert statements; the self-test's checks must stay
+    script = "\n".join([
+        "import sys",
+        "import numpy as np",
+        "from entlab import cli, measures",
+        "if not sys.flags.optimize:",
+        "    sys.exit(3)",
+        fault,
+        "sys.exit(cli.main(['selftest']))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "[FAIL]" in proc.stdout

@@ -1,5 +1,7 @@
 import io
+import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -153,7 +155,68 @@ _CSV_ROWS = st.integers(1, 4).flatmap(
 )
 
 
+_BLOCK_OF_4 = qstate._CSV_VALUES // 4  # rows of four columns write_csv renders at a time
+
+
+def _decade_values(k: int):
+    """Floats of the decade [10^-k, 10^(1 - k)) of the float kernel, either sign."""
+    unsigned = st.floats(min_value=10.0**-k, max_value=10.0 ** (1 - k), exclude_max=True)
+    return st.tuples(unsigned, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+def _halfway_values(k: int):
+    """m / 2^(17 + k), m odd, in decade k: P = |x| 10^(16 + k) ends in .5."""
+    low = math.ceil(2**17 * 0.2**k)
+    return st.integers(low // 2, 5 * low - 1).map(lambda j: (2 * j + 1) * 2.0 ** -(17 + k)).filter(
+        lambda x: 10.0**-k <= x < 10.0 ** (1 - k)
+    )
+
+
+# the 8 doubles either side of each power of ten 1e-4 .. 1, and literals
+# just below 0.1 and 1 that read as their neighbours
+_NEAR_POWERS = (10.0 ** -np.arange(5)).view(np.int64)[:, None] + np.arange(-8, 9)
+_KERNEL_EDGES = [*_NEAR_POWERS.view(np.float64).ravel().tolist(), 0.099999999999999999, 0.99999999999999994, 0.0]
+# decimals of up to 17 digits, rich in zeros, so that digit groups of the
+# 17 written end in zeros, are zero, or are zero only after nonzero groups
+_SHORT_DECIMALS = st.lists(st.sampled_from("000000123456789"), min_size=1, max_size=20).map(
+    lambda digits: float("0." + "".join(digits))
+).filter(lambda x: 1e-4 <= x < 1)
+_KERNEL_VALUES = st.one_of(
+    *[_decade_values(k) for k in range(1, 5)],
+    _SHORT_DECIMALS,
+    *[_halfway_values(k) for k in range(1, 5)],
+    st.sampled_from(_KERNEL_EDGES).flatmap(lambda x: st.sampled_from([x, -x])),
+)
+# 0 to 40 rows of 1 to 4 such values each
+_KERNEL_ROWS = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(_KERNEL_VALUES, min_size=k, max_size=k), max_size=40)
+)
+
+
 class TestCsvWriter:
+    @given(_KERNEL_ROWS)
+    @example([[0.099999999999999999, 0.99999999999999994, -1e-4, -0.0]])
+    @example([[0.1234120005678, -0.1200000000345, 0.10002000030004, 0.0012300045]])  # zero groups after nonzero ones
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_range_matches_per_value_format(self, rows):
+        width = len(rows[0]) if rows else 1
+        columns = np.array(rows, dtype=np.float64).reshape(len(rows), width).T
+        assert csv_text(columns).splitlines() == ["h", *per_value_rows(columns)]
+
+    def test_no_value_carries(self):
+        # P = |x| 10^(16 + k) is largest in each decade at the largest double
+        # below its top, and stays over 8 below 10^17: none rounds up to it
+        for j in range(4):
+            below = np.nextafter(10.0**-j, 0.0)
+            below = below if Fraction(below) < Fraction(1, 10**j) else np.nextafter(below, 0.0)
+            assert Fraction(10**17) - Fraction(below) * 10 ** (17 + j) > 8
+
+    def test_sampler_values_take_the_kernel(self):
+        values = random_density_batch(RngStream(20260810), 5000).view(np.float64).ravel()
+        fields, refused = qstate._float_fields(values)
+        assert refused.mean() < 0.01
+        assert fields.shape == (len(values), 24)
+
     @given(_CSV_ROWS)
     @example([[np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]])
     @settings(max_examples=200, deadline=None)
@@ -172,16 +235,34 @@ class TestCsvWriter:
         ]
         assert csv_text([[0.5], [2**70]], f"{qstate.CSV_FLOAT},%d") == f"h\n0.5,{2**70}\n"
 
-    @pytest.mark.parametrize("n", [0, 1, qstate._CSV_BLOCK - 1, qstate._CSV_BLOCK, qstate._CSV_BLOCK + 1])
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_OF_4 - 1, _BLOCK_OF_4, _BLOCK_OF_4 + 1])
     def test_rows_across_blocks(self, n):
-        scales = np.array([1e-100, 1.0, 1e100])[:, None]
-        columns = np.random.default_rng(n).standard_normal((3, n)) * scales
+        scales = np.array([1e-100, 1.0, 1e100, 0.01])[:, None]
+        columns = np.random.default_rng(n).standard_normal((4, n)) * scales
         text = csv_text(columns)
         assert text.endswith("\n") and text.count("\n") == 1 + n
         assert text.splitlines() == ["h", *per_value_rows(columns)]
 
 
 class TestCsvRoundTrip:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 20),
+        diagonal=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda p: sum(p) > 0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_keeps_every_bit(self, seed, n, diagonal):
+        # sampled states, whose diagonal imaginary parts are zeros, and a
+        # diagonal state, whose off-diagonal entries are zeros; each zero
+        # takes a drawn sign
+        ms = np.concatenate([random_density_batch(RngStream(seed), n), np.diag(diagonal)[None] / sum(diagonal)])
+        parts = ms.view(np.float64)
+        zeros = parts == 0
+        parts[zeros] = np.where(np.random.default_rng(seed).random(zeros.sum()) < 0.5, -0.0, 0.0)
+        again = qstate.read_stack(io.StringIO(write_text(ms)))
+        assert again.dtype == ms.dtype and again.shape == ms.shape
+        assert np.array_equal(again.view(np.uint64), ms.view(np.uint64))
+
     def test_exact_round_trip(self):
         ms = random_density_batch(RngStream(7), 50)
         again = qstate.read_stack(io.StringIO(write_text(ms)))
@@ -265,6 +346,9 @@ def per_token_stack(text: str) -> np.ndarray:
     return (flat[0::2] + 1j * flat[1::2]).reshape(-1, 4, 4)
 
 
+_STACK_BLOCK = qstate._CSV_VALUES // 32  # state rows write_stack renders at a time
+
+
 class TestCsvGrammar:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -314,11 +398,11 @@ class TestCsvGrammar:
 
     @pytest.mark.parametrize(
         "line",  # rows are on lines 2 .. n + 1
-        [2, 3, qstate._CSV_BLOCK + 7, qstate._CSV_BLOCK + 11],
+        [2, 3, _STACK_BLOCK + 7, _STACK_BLOCK + 11],
         ids=["first row", "second row", "second write block", "last row"],
     )
     def test_fault_after_many_rows_names_its_line(self, line):
-        n = qstate._CSV_BLOCK + 10
+        n = _STACK_BLOCK + 10
         rows = write_text(np.stack([np.eye(4) / 4] * n)).splitlines()
         good = rows[1]
 
