@@ -38,9 +38,10 @@ _CSV_VALUES = 16384
 # Tables of the float kernel, _float_fields.  Each 4-digit group 0000..9999
 # as four ASCII bytes, then the same with its trailing zeros as NUL bytes,
 # each group one uint32 in memory order.
-_DIGITS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-_TRAILING = np.cumprod(_DIGITS[:, ::-1] == ord("0"), axis=1)[:, ::-1].astype(bool)
-_GROUPS = np.concatenate([_DIGITS, np.where(_TRAILING, 0, _DIGITS).astype(np.uint8)]).view(np.uint32).ravel()
+_DIGITS = np.stack(np.meshgrid(*[np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)
+_DIGITS = _DIGITS.reshape(10_000, 4)
+_KEPT = np.logical_or.accumulate(_DIGITS[:, ::-1] != ord("0"), axis=1)[:, ::-1]  # a nonzero digit at or after it
+_GROUPS = np.concatenate([_DIGITS, _DIGITS * _KEPT]).view(np.uint32).ravel()
 # The first 8 bytes of a field, right-aligned with NUL bytes on the left:
 # sign, "0." and k - 1 zeros, then the leading digit d, at index
 # 40 sign + 10 (k - 1) + d for k = 1..4; d = 0 gives the zero "0" or "-0".
