@@ -32,8 +32,8 @@ from .errors import EntanglementLabError, NotHermitian, NotPSD, ParameterOutOfRa
 
 CSV_HEADER = ",".join(f"m{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im"))
 CSV_FLOAT = "%.17g"  # every float in a CSV: 17 significant digits read back as the same float64
-# Values write_csv renders at a time (512 state rows), so that its buffers
-# stay within about 1 MB.
+# Values write_csv renders at a time (512 state rows), so that its
+# temporaries stay within a few MB.
 _CSV_VALUES = 16384
 # Tables of the float kernel, _float_fields.  Each 4-digit group 0000..9999
 # as four ASCII bytes, then the same with its trailing zeros as NUL bytes,
