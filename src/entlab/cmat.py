@@ -1,10 +1,11 @@
 """Dense 4x4 complex linear algebra for two-qubit state calculations.
 
 Every operation accepts a single (4, 4) matrix or a stack of shape
-(..., 4, 4) and operates on every matrix in the stack.  ``hermitian_eig`` is
-the one checked eigendecomposition; ``psd_sqrt`` and the measures build on
-it.  The basis ordering is fixed throughout: |00>, |01>, |10>, |11>, with
-the first qubit labelled A and the second B.
+(..., 4, 4) and operates on every matrix in the stack.
+``hermiticity_defects`` is the one Hermiticity defect, per matrix, and
+``hermitian_eig`` the one checked eigendecomposition; ``psd_sqrt`` and the
+measures build on it.  The basis ordering is fixed throughout: |00>, |01>,
+|10>, |11>, with the first qubit labelled A and the second B.
 """
 
 from __future__ import annotations
@@ -28,29 +29,38 @@ class Tolerances:
 TOL = Tolerances()
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest absolute entry of m - m^dagger (max over a stack).
+def hermiticity_defects(m: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of m - m^dagger for each matrix of a (..., n, n) stack.
 
     Entry (j, i) of m - m^dagger is minus the conjugate of entry (i, j), so
     the upper triangle, diagonal included, holds every value of the defect.
     A stack takes it entry by entry, |m[..., i, j] - conj(m[..., j, i])| for
     i <= j, half the work of the whole difference and no gather; for one
     matrix the whole difference is faster, because it takes fewer numpy
-    calls.  A non-finite entry makes the defect NaN (inf - inf) or inf, and
-    so does a difference beyond the float range; neither raises a numpy
-    warning.
+    calls.  A non-finite entry makes its matrix's defect NaN (inf - inf) or
+    inf, and so does a difference beyond the float range; neither raises a
+    numpy warning.
     """
     m = np.asarray(m)
-    if m.size == 0:
-        return 0.0
     with np.errstate(invalid="ignore", over="ignore"):
         if m.size <= 16:
-            return float(np.abs(m - m.swapaxes(-1, -2).conj()).max())
-        n = m.shape[-1]
-        entries = [(i, j) for i in range(n) for j in range(i, n)]
-        # np.max, unlike max, keeps a NaN wherever it stands
-        defects = [np.abs(m[..., i, j] - np.conj(m[..., j, i])).max() for i, j in entries]
-        return float(np.max(defects))
+            return np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
+        defects = np.zeros(m.shape[:-2])
+        for i, j in zip(*np.triu_indices(m.shape[-1])):
+            # np.maximum, unlike max, keeps a NaN wherever it stands
+            np.maximum(defects, np.abs(m[..., i, j] - np.conj(m[..., j, i])), out=defects)
+        return defects
+
+
+def hermiticity_defect(m: np.ndarray) -> float:
+    """Largest absolute entry of m - m^dagger, over a whole stack (0.0 if empty)."""
+    return float(np.max(hermiticity_defects(m), initial=0.0))
+
+
+def _not_hermitian(m: np.ndarray, defect: float) -> NotHermitian:
+    """The NotHermitian error of a matrix or stack m whose defect fails TOL.hermiticity."""
+    message = f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {TOL.hermiticity:.1e})"
+    return NotHermitian(message if np.isfinite(m).all() else "matrix has non-finite entries", deviation=defect)
 
 
 def _require_hermitian(m: np.ndarray) -> None:
@@ -58,12 +68,7 @@ def _require_hermitian(m: np.ndarray) -> None:
     defect = hermiticity_defect(m)
     # any non-finite entry makes its defect entry inf or NaN, and max keeps NaN
     if not defect <= TOL.hermiticity:
-        if not np.isfinite(m).all():
-            raise NotHermitian("matrix has non-finite entries", deviation=defect)
-        raise NotHermitian(
-            f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {TOL.hermiticity:.1e})",
-            deviation=defect,
-        )
+        raise _not_hermitian(m, defect)
 
 
 def _lapack(fn, m: np.ndarray, **kwargs):

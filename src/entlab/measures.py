@@ -21,8 +21,8 @@ which works on the sampler's (4, 4, n) entry stack, forms each PT once and
 passes the states it keeps, with their determinants, to ``_pt_min``) and
 takes the concurrence from the sampler's column stacks.
 Every command of the CLI that handles states measures them as one stack
-through ``measure_table`` (``qstate`` validates the stack first), so a file
-of at least 256 states takes the kernels.  ``measure_report`` returns the
+through ``measure_table`` (``qstate`` validates a file's stack first), so a
+file of at least 256 states takes the kernels.  ``measure_report`` returns the
 one row of ``measure_table`` for a 1-stack of one DensityMatrix, Hermiticity
 check included; it serves ``experiment.compare_pair`` and the scalar
 functions (``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
@@ -33,7 +33,7 @@ larger table to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,7 +110,7 @@ class MeasureReport:
     separable: bool
 
 
-REPORT_CSV_HEADER = "concurrence,e_formation,e_negative,e_sum,linear_entropy,separable"
+REPORT_CSV_HEADER = ",".join(field.name for field in fields(MeasureReport))
 
 
 def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -474,7 +474,7 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det(rho^Gamma) <= DET_SCREEN, with lambda_min(rho^Gamma) from ``_pt_min``.
 
     rho^Gamma is formed once, for every state, as a permutation of the 16
-    entry rows, and its Hermiticity checked; ``_hermitian_det`` reads it
+    entry rows, unchecked (see below); ``_hermitian_det`` reads it
     through a (n, 4, 4) view, so every minor multiplies contiguous rows, and
     only the screened states are gathered, as a (4, 4, m) entry stack that
     ``_pt_min`` takes with their determinants.  A two-qubit PT has at most
@@ -493,12 +493,11 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows' squared norms sum to tr(rho^2) <= 1.  So it moves the determinant
     by at most about 2e-15, far below DET_SCREEN.  The argument needs
     rho^Gamma Hermitian, because eigvalsh and the kernel read one triangle
-    and the expansion the whole matrix; the sampler's entry stacks are
-    exactly Hermitian by construction.
+    and the expansion the whole matrix; ``sampler._assemble_entries`` makes
+    rho, and so rho^Gamma, exactly Hermitian (the self-test checks it).
     """
     n = rho.shape[-1]
     pt = rho.reshape(16, n)[_PT_ROWS].reshape(4, 4, n)
-    cmat._require_hermitian(pt.transpose(2, 0, 1))
     det = _hermitian_det(pt.transpose(2, 0, 1))
     screened = np.nonzero(det <= DET_SCREEN)[0]
     pt = pt[:, :, screened]  # the whole stack's copy goes before the kernel runs

@@ -2,7 +2,7 @@
 CSV format of a state stack and the package's one CSV writer.
 
 Every check runs on a (n, 4, 4) stack: ``validate_stack`` checks the whole
-stack for Hermiticity and non-finite entries in one ``cmat`` call, its
+stack for Hermiticity and non-finite entries in one per-matrix pass, its
 traces in one einsum and positive semidefiniteness in one batched
 ``eigvalsh``, and raises the error of its lowest-indexed invalid matrix.  A
 ``DensityMatrix`` is one matrix validated as a 1-stack.  ``write_stack``
@@ -66,17 +66,10 @@ def _stack_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
     first check that fails names its lowest failing matrix.  Each error has
     the class, message and deviation that matrix alone would give.
     """
-    try:
-        cmat._require_hermitian(ms)
-    except NotHermitian:
-        with np.errstate(invalid="ignore", over="ignore"):
-            defect = np.abs(ms - ms.swapaxes(-1, -2).conj()).max(axis=(1, 2))
-        row = int(np.argmax(~(defect <= cmat.TOL.hermiticity)))  # NaN counts as failing
-        try:
-            cmat._require_hermitian(ms[row])
-        except NotHermitian as exc:
-            return row, exc
-        raise  # not reached: the row's own check fails as the stack's did
+    defects = cmat.hermiticity_defects(ms)
+    bad = np.nonzero(~(defects <= cmat.TOL.hermiticity))[0]  # NaN counts as failing
+    if len(bad):
+        return int(bad[0]), cmat._not_hermitian(ms[bad[0]], float(defects[bad[0]]))
     trace_dev = np.abs(np.einsum("nii->n", ms).real - 1.0)
     bad = np.nonzero(trace_dev > cmat.TOL.hermiticity)[0]
     if len(bad):

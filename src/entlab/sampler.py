@@ -53,6 +53,8 @@ class RngStream:
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         self.spawn_key = tuple(int(k) for k in spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
         self._gen = np.random.Generator(np.random.Philox(seq))

@@ -137,6 +137,7 @@ def check_sampler(n: int = 2000) -> None:
     a = sampler.random_density_batch(sampler.RngStream(105), n)
     b = sampler.random_density_batch(sampler.RngStream(105), n)
     _check(np.array_equal(a, b), "one seed drew two different stacks")
+    qstate.validate_stack(a)
     rho, probs, cols = sampler._spectral_stacks(sampler.RngStream(106), n)
     u = cols.transpose(2, 1, 0)
     _check(np.abs(u @ np.conj(u.transpose(0, 2, 1)) - np.eye(4)).max() < 1e-12, "sampled U is not unitary")
@@ -158,6 +159,7 @@ def check_experiment(n_pairs: int = 256) -> None:
 
 def check_harness_rows(n: int = 2000) -> None:
     chunk = sampler._spectral_stacks(sampler.RngStream(109), n)
+    _check(cmat.hermiticity_defect(chunk[0].transpose(2, 0, 1)) == 0.0, "sampled rho is not exactly Hermitian")
     screened, pt_min = measures._pt_screen(chunk[0])
     _check(len(screened) >= measures._PT_MIN_STACK, "screened stack too small for the PT kernel")
     pts = cmat.partial_transpose_b(chunk[0].transpose(2, 0, 1)[screened])

@@ -410,6 +410,15 @@ class TestSample:
             assert peak < 2**20
 
 
+@pytest.mark.parametrize("command", [["sample", "--count", "2"], ["compare", "--pairs", "2"]])
+def test_negative_seed_is_named_usage_error(capsys, tmp_path, command):
+    # refused by the RNG stream every seed goes through, before any output
+    out_path = tmp_path / "out"
+    code, out, err = run_cli(capsys, *command, "--seed", "-1", "--out", str(out_path))
+    assert (code, out, err) == (2, "", "error: seed must be a non-negative integer, got -1\n")
+    assert not out_path.exists()
+
+
 class TestCompare:
     def test_byte_identical_reruns_and_threads(self, capsys, tmp_path):
         dirs = [tmp_path / name for name in ("one", "two", "threaded")]

@@ -14,7 +14,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from entlab import measures, qstate, selftest
+from entlab import cmat, measures, qstate, sampler, selftest
 
 
 def _certify_all(kernel):
@@ -120,6 +120,23 @@ def test_selftest_catches_fault(monkeypatch, selftest_inputs, fault, target, ind
     clean = _output_bits(target, calls, index)
     fault(monkeypatch)
     assert _output_bits(target, calls, index) != clean  # the fault is live
+    assert not selftest.run_selftest(verbose=False)
+
+
+def test_selftest_catches_inexact_hermiticity(monkeypatch):
+    # a defect far inside TOL.hermiticity passes validation, but the PT
+    # screen relies on the sampler's rho being exactly Hermitian
+    assemble = sampler._assemble_entries
+
+    def skewed(probs, cols):
+        rho = assemble(probs, cols)
+        rho[0, 1] += 1e-12
+        return rho
+
+    monkeypatch.setattr(sampler, "_assemble_entries", skewed)
+    rhos = sampler.random_density_batch(sampler.RngStream(1), 300)
+    assert np.array_equal(qstate.validate_stack(rhos), rhos)
+    assert cmat.hermiticity_defect(rhos) > 0.0  # the fault is live
     assert not selftest.run_selftest(verbose=False)
 
 

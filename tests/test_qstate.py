@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entlab import cmat, measures, qstate
+from entlab import cli, cmat, measures, qstate
 from entlab.errors import (
     EntanglementLabError,
     NotHermitian,
@@ -120,6 +120,13 @@ class TestWerner:
     def test_rejects_bad_parameter(self, f):
         with pytest.raises(ParameterOutOfRange):
             qstate.werner_state(f)
+
+    def test_stack_passes_validation(self):
+        # werner-table measures werner_stack without validating it: its
+        # pinned grid, and both ends of [1/4, 1] with their inner neighbours
+        ends = [0.25, np.nextafter(0.25, 1.0), np.nextafter(1.0, 0.0), 1.0]
+        for fs in (cli._parse_grid("0.25:1:1e-4"), ends):
+            qstate.validate_stack(qstate.werner_stack(fs))
 
     @pytest.mark.parametrize("f", np.linspace(0.25, 1.0, 26))
     def test_spectrum(self, f):
@@ -477,6 +484,19 @@ class TestValidateStack:
             assert in_stack.value.deviation == alone.value.deviation or (
                 np.isnan(in_stack.value.deviation) and np.isnan(alone.value.deviation)
             )
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_part_of_any_entry(self, value):
+        # one non-finite real or imaginary part of any entry of matrix 7:
+        # both readers name that matrix, on file line 9 after the header
+        ms = random_density_batch(RngStream(12), 20)
+        for part in range(32):
+            bad = ms.copy()
+            bad[7].view(np.float64).reshape(32)[part] = value
+            with pytest.raises(NotHermitian, match="^matrix has non-finite entries$"):
+                qstate.validate_stack(bad)
+            with pytest.raises(NotHermitian, match="^line 9: matrix has non-finite entries$"):
+                qstate.read_stack(io.StringIO(write_text(bad)))
 
     def test_lowest_index_of_the_first_failing_check(self):
         nan, skew, _, trace, psd = self.faulty_matrices()

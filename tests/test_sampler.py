@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from entlab import cmat, measures, qstate, sampler
+from entlab import cmat, experiment, measures, qstate, sampler
 from entlab.sampler import RngStream
 
 
@@ -147,6 +147,7 @@ class TestRandomDensity:
         assert cmat.hermiticity_defect(rhos) <= 1e-10
         assert np.abs(np.einsum("nii->n", rhos).real - 1.0).max() <= 1e-10
         assert np.linalg.eigvalsh(rhos)[:, 0].min() >= -1e-10
+        qstate.validate_stack(rhos)
         for m in rhos[:100]:
             qstate.DensityMatrix(m)
 
@@ -243,7 +244,13 @@ class TestSamplerKernels:
         assert rho.tobytes() == oracles.assembled_entries(probs, cols).tobytes()
 
     def test_entries_exactly_hermitian(self):
-        rho, _, _ = sampler._spectral_stacks(RngStream(57), 8192)
-        assert np.array_equal(rho, np.conj(rho.transpose(1, 0, 2)))
-        assert not np.einsum("aan->an", rho).imag.any()
-        assert cmat.hermiticity_defect(rho.transpose(2, 0, 1)) == 0.0
+        # measures._pt_screen relies on it unchecked.  The second stack holds
+        # the states the acceptance run's first chunk (shard 0 of seed
+        # 20260810) builds, those _separable_orbit does not skip.
+        probs, angles = sampler._draw_spectra(RngStream(20260810, (experiment._SHARD_KEY, 0)), 11409)
+        built = ~experiment._separable_orbit(probs)
+        shard_rho = sampler._assemble_entries(probs[built], sampler._angles_to_columns(angles[built]))
+        for rho in (sampler._spectral_stacks(RngStream(57), 8192)[0], shard_rho):
+            assert np.array_equal(rho, np.conj(rho.transpose(1, 0, 2)))
+            assert not np.einsum("aan->an", rho).imag.any()
+            assert cmat.hermiticity_defect(rho.transpose(2, 0, 1)) == 0.0
