@@ -55,10 +55,8 @@ def _cmd_measure(args) -> int:
         ms = _family_state(args).matrix[None]
     table = measures.measure_table(ms)
     header = measures.REPORT_CSV_HEADER  # five floats, then the separable flag
-    flags = np.where(table["separable"], "true", "false")
-    columns = [table[name] for name in header.split(",")[:-1]] + [flags]
     text = io.StringIO()  # every row first, so a failure prints nothing
-    qstate.write_csv(text, header, columns, ",".join([qstate.CSV_FLOAT] * 5 + ["%s"]))
+    qstate.write_csv(text, header, [table[name] for name in header.split(",")])
     sys.stdout.write(text.getvalue())
     return 0
 
@@ -153,6 +151,8 @@ def main(argv=None) -> int:
             parser.error("--param applies only to --family werner or pure")
     try:
         return args.fn(args)
+    except BrokenPipeError:  # the reader closed stdout; nothing is left to tell it
+        return 1
     except (ParameterOutOfRange, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

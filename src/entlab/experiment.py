@@ -39,7 +39,7 @@ import numpy as np
 from . import measures, sampler
 from .errors import EntanglementLabError, SeparableInput
 from .measures import MeasureReport
-from .qstate import CSV_FLOAT, DensityMatrix, write_csv
+from .qstate import DensityMatrix, write_csv
 
 S_RANGE = (0.0, 1.5)  # attainable range of S_1 + S_2 for a pair
 # A pair is a tie when either relative difference lies within TIE_EPSILON of zero.
@@ -81,9 +81,11 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name, most in (("n_pairs", MAX_PAIRS), ("threads", MAX_THREADS)):
+        for name, most in (("seed", None), ("n_pairs", MAX_PAIRS), ("threads", MAX_THREADS)):
             value = getattr(self, name)
-            if not 1 <= value <= most:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if most is not None and not 1 <= value <= most:
                 raise ValueError(f"{name} must lie in [1, {most}], got {value}")
 
 
@@ -348,37 +350,34 @@ def write_csvs(summary: ExperimentSummary, outdir) -> dict[str, str]:
     """Write fig1..fig4.csv and summary.csv into outdir; returns the paths."""
     os.makedirs(outdir, exist_ok=True)
     hist, cfg = summary.s_histogram, summary.config
-    fields = {  # summary.csv: the format and value of each field
-        "p_entangled": (CSV_FLOAT, summary.p_entangled),
-        "se_p_entangled": (CSV_FLOAT, summary.se_entangled),
-        "p_violation": (CSV_FLOAT, summary.p_violation),
-        "se_p_violation": (CSV_FLOAT, summary.se_violation),
-        "states_drawn": ("%d", summary.states_drawn),
-        "states_kept": ("%d", summary.states_kept),
-        "states_discarded": ("%d", summary.states_discarded),
-        "n_pairs": ("%d", summary.n_pairs),
-        "n_ties_excluded": ("%d", summary.n_ties_excluded),
-        "seed": ("%d", cfg.seed),
-        "s_bins": ("%d", S_BINS),
-        "tie_epsilon": (CSV_FLOAT, TIE_EPSILON),
-        "scatter_points": ("%d", SCATTER_POINTS),
+    fields = {  # summary.csv: each field's value, written as its type sets
+        "p_entangled": summary.p_entangled,
+        "se_p_entangled": summary.se_entangled,
+        "p_violation": summary.p_violation,
+        "se_p_violation": summary.se_violation,
+        "states_drawn": summary.states_drawn,
+        "states_kept": summary.states_kept,
+        "states_discarded": summary.states_discarded,
+        "n_pairs": summary.n_pairs,
+        "n_ties_excluded": summary.n_ties_excluded,
+        "seed": cfg.seed,
+        "s_bins": S_BINS,
+        "tie_epsilon": TIE_EPSILON,
+        "scatter_points": SCATTER_POINTS,
     }
-    specs, values = zip(*fields.values())
-    hist_columns = [hist.centers, hist.pair_counts, hist.violation_counts, hist.violation_rates]
     tables = {
-        "fig1.csv": ("d_en,d_ef", summary.scatter_def_den[:, ::-1].T, None),
-        "fig2.csv": ("e_formation,e_negative", summary.scatter_ef_en.T, None),
-        "fig3.csv": ("concurrence,e_negative", summary.scatter_c_en.T, None),
+        "fig1.csv": ("d_en,d_ef", summary.scatter_def_den[:, ::-1].T),
+        "fig2.csv": ("e_formation,e_negative", summary.scatter_ef_en.T),
+        "fig3.csv": ("concurrence,e_negative", summary.scatter_c_en.T),
         "fig4.csv": (
             "bin_center,pair_count,violation_count,violation_rate,empty",
-            hist_columns + [np.where(hist.empty, "true", "false")],
-            f"{CSV_FLOAT},%d,%d,{CSV_FLOAT},%s",
+            [hist.centers, hist.pair_counts, hist.violation_counts, hist.violation_rates, hist.empty],
         ),
-        "summary.csv": (",".join(fields), [[value] for value in values], ",".join(specs)),
+        "summary.csv": (",".join(fields), [[value] for value in fields.values()]),
     }
     paths = {}
-    for name, (header, columns, template) in tables.items():
+    for name, (header, columns) in tables.items():
         paths[name] = os.path.join(outdir, name)
         with open(paths[name], "w", encoding="ascii", newline="\n") as fh:
-            write_csv(fh, header, columns, template)
+            write_csv(fh, header, columns)
     return paths

@@ -10,12 +10,12 @@ and ``read_stack`` stream a stack to and from a text file, one 32-field row
 per matrix, and keep every bit, signed zeros included; the reader streams
 the rows through numpy's C text parser, validates what it read and names
 the file line of any fault.
-``write_csv`` writes every CSV file and table of the package, each float in
-the one format CSV_FLOAT.  It renders a block of values at a time as
-fixed-width byte fields and joins them into one string: zeros and the
-values of 1e-4 <= |x| < 1, nearly all of the package's output, take an
-exact vectorized kernel (``_float_fields``) that writes the bytes
-CSV_FLOAT writes; every other value takes CSV_FLOAT itself.
+``write_csv`` writes every CSV file and table of the package, each column
+as its dtype sets: floats in the one format CSV_FLOAT, integers in decimal,
+booleans as true/false.  It renders blocks of values as fixed-width byte
+fields joined into one string; zeros and 1e-4 <= |x| < 1, nearly all of
+the package's floats, take an exact vectorized kernel (``_float_fields``)
+that writes the bytes CSV_FLOAT writes, every other float CSV_FLOAT itself.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ CSV_FLOAT = "%.17g"  # every float in a CSV: 17 significant digits read back as 
 # Values write_csv renders at a time (512 state rows), so that its
 # temporaries stay within a few MB.
 _CSV_VALUES = 16384
+_FLAGS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)  # a boolean's field, NUL-padded
 # Tables of the float kernel, _float_fields.  Each 4-digit group 0000..9999
 # as four ASCII bytes, then the same with its trailing zeros as NUL bytes,
 # each group one uint32 in memory order.
@@ -238,27 +239,26 @@ def _float_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fields.view(np.uint8), refused
 
 
-def _ascii(strings: list[str]) -> np.ndarray:
-    """The (m, w) uint8 bytes of m ASCII strings, NUL-padded to the longest."""
-    a = np.array(strings, dtype="S")
+def _printed(spec: str, values: list) -> np.ndarray:
+    """The (m, w) uint8 bytes of spec % v for the m values, NUL-padded to the longest."""
+    a = np.array(((spec + "\n") * len(values) % tuple(values)).split("\n")[:-1], dtype="S")
     return a.view(np.uint8).reshape(len(a), a.itemsize)
 
 
-def write_csv(fh, header: str, columns, template: str | None = None) -> None:
+def write_csv(fh, header: str, columns) -> None:
     """Write the header line to the text stream fh, then for each index of
-    the equal-length columns (1-d arrays or lists) one line, field c being
-    spec_c % value for the comma-separated specs of the template, CSV_FLOAT
-    per column unless given.
+    the equal-length columns (1-d arrays or lists) one line, each column as
+    its dtype sets: floats in CSV_FLOAT, booleans as true/false, and every
+    other column (integers, Python ints past 2^64 among them) as %d does.
 
     A block of rows of about _CSV_VALUES values is rendered as one byte
-    array of fixed-width fields and written as one string.  CSV_FLOAT
-    columns go through ``_float_fields``; the values it refuses take
-    CSV_FLOAT, with one % for the block, and every other column its spec,
-    with one % per value.  Fields are NUL-padded, and dropping the NUL
-    bytes joins them.
+    array of fixed-width fields and written as one string.  Floats go
+    through ``_float_fields``, the values it refuses take CSV_FLOAT with one
+    % for the block, booleans a two-entry table and integers one % per
+    column.  Fields are NUL-padded, and dropping the NUL bytes joins them.
     """
-    specs = (template or ",".join([CSV_FLOAT] * len(columns))).split(",")
-    is_float = [spec == CSV_FLOAT for spec in specs]
+    columns = [np.asarray(col) for col in columns]
+    is_float = [col.dtype.kind == "f" for col in columns]
     floats, others = np.flatnonzero(is_float), np.flatnonzero(np.logical_not(is_float))
     n, step = len(columns[0]), max(1, _CSV_VALUES // len(columns))
     fh.write(header)
@@ -270,15 +270,15 @@ def write_csv(fh, header: str, columns, template: str | None = None) -> None:
             values[:, j] = columns[c][block]
         fields, refused = _float_fields(values.ravel())
         ref_rows, ref_cols = np.nonzero(refused.reshape(rows, len(floats)))
-        lines = (CSV_FLOAT + "\n") * len(ref_rows) % tuple(values[ref_rows, ref_cols].tolist())
-        refused_text = _ascii(lines.split("\n")[:-1])
-        other_texts = [_ascii([specs[c] % v for v in np.asarray(columns[c][block]).tolist()]) for c in others]
+        refused_text = _printed(CSV_FLOAT, values[ref_rows, ref_cols].tolist())
+        blocks = [columns[c][block] for c in others]
+        texts = [_FLAGS[b.astype(np.intp)] if b.dtype == bool else _printed("%d", b.tolist()) for b in blocks]
         # byte 0 of each slot holds the separator before its field
-        width = max(24, 1 + max(text.shape[1] for text in [refused_text, *other_texts]))
+        width = max(24, 1 + max(text.shape[1] for text in [refused_text, *texts]))
         slots = np.zeros((rows, len(columns), width), np.uint8)
         slots[:, floats, :24] = fields.reshape(rows, len(floats), 24)
         slots[ref_rows, floats[ref_cols], 1 : 1 + refused_text.shape[1]] = refused_text
-        for c, text in zip(others, other_texts):
+        for c, text in zip(others, texts):
             slots[:, c, 1 : 1 + text.shape[1]] = text
         slots[:, 1:, 0] = ord(",")
         slots[:, 0, 0] = ord("\n")

@@ -477,13 +477,16 @@ class TestCompare:
         assert not (tmp_path / "out").exists()
 
     def test_summary_contents(self, capsys, tmp_path):
-        run_cli(capsys, "compare", "--seed", "9", "--pairs", "200", "--out", str(tmp_path))
-        header, row = (tmp_path / "summary.csv").read_text().splitlines()
-        values = dict(zip(header.split(","), row.split(",")))
-        assert int(values["n_pairs"]) == 200
-        drawn = int(values["states_drawn"])
-        kept = int(values["states_kept"])
-        assert drawn == kept + int(values["states_discarded"])
+        # seeds past int64 and uint64 are echoed digit for digit
+        for seed in (9, 2**63, 2**70):
+            run_cli(capsys, "compare", "--seed", str(seed), "--pairs", "200", "--out", str(tmp_path))
+            header, row = (tmp_path / "summary.csv").read_text().splitlines()
+            values = dict(zip(header.split(","), row.split(",")))
+            assert values["seed"] == str(seed)
+            assert int(values["n_pairs"]) == 200
+            drawn = int(values["states_drawn"])
+            kept = int(values["states_kept"])
+            assert drawn == kept + int(values["states_discarded"])
 
 
 class TestWernerTable:
@@ -612,3 +615,23 @@ def test_python_m_entlab_from_checkout(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 4
+
+
+@pytest.mark.parametrize(
+    "argv", [["werner-table", "--grid", "0.25:1:1e-5"], ["sample", "--seed", "1", "--count", "20000"]]
+)
+def test_closed_stdout_exits_1_silently(tmp_path, argv):
+    # a reader that takes one line and closes the pipe, as `| head -1` does,
+    # while megabytes of rows are still to come: no message, and not exit 2,
+    # which is kept for argument errors
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "entlab", *argv],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    header = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (1, "")
+    assert header.startswith(("f,", "m00_re,"))

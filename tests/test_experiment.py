@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -171,7 +172,16 @@ class TestRunExperiment:
         ):
             with pytest.raises(ValueError):
                 ExperimentConfig(**{"seed": 1, "n_pairs": 10, **bad})
-
+        # a non-integer is refused at construction, naming its field and value
+        for name, value in (
+            ("seed", 1.5), ("seed", "7"), ("seed", True), ("n_pairs", 2.5), ("n_pairs", np.float64(10)),
+            ("threads", 2.0), ("threads", None),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+                ExperimentConfig(**{"seed": 1, "n_pairs": 10, name: value})
+        # numpy integers pass
+        cfg = ExperimentConfig(seed=np.uint64(2**63), n_pairs=np.int32(10), threads=np.int64(2))
+        assert (cfg.seed, cfg.n_pairs, cfg.threads) == (2**63, 10, 2)
 
 
 class TestShardPairing:

@@ -141,9 +141,9 @@ def write_text(ms) -> str:
     return buf.getvalue()
 
 
-def csv_text(columns, template=None) -> str:
+def csv_text(columns) -> str:
     buf = io.StringIO()
-    qstate.write_csv(buf, "h", columns, template)
+    qstate.write_csv(buf, "h", columns)
     return buf.getvalue()
 
 
@@ -233,14 +233,22 @@ class TestCsvWriter:
         assert csv_text(columns).splitlines() == ["h", *per_value_rows(columns)]
 
     def test_int_and_flag_columns(self):
-        # numpy int64 counts and flags as in fig4, Python scalars as in summary.csv
+        # each column's dtype sets its format: numpy int64 counts and flags
+        # as in fig4, Python scalars as in summary.csv
         counts = np.array([0, 7, -3, 2**62], dtype=np.int64)
-        flags = np.where(counts > 0, "true", "false")
-        text = csv_text([np.full(4, 0.1), counts, flags], f"{qstate.CSV_FLOAT},%d,%s")
+        flags = counts > 0
+        text = csv_text([np.full(4, 0.1), counts, flags, [True, False, False, True]])
         assert text.splitlines()[1:] == [
-            f"{x:.17g},{n},{f}" for x, n, f in zip([0.1] * 4, counts.tolist(), flags.tolist())
+            "0.10000000000000001,0,false,true",
+            "0.10000000000000001,7,true,false",
+            "0.10000000000000001,-3,false,false",
+            f"0.10000000000000001,{2**62},true,true",
         ]
-        assert csv_text([[0.5], [2**70]], f"{qstate.CSV_FLOAT},%d") == f"h\n0.5,{2**70}\n"
+        assert csv_text([np.array([2**63], dtype=np.uint64), [2**70], [0.5]]) == f"h\n{2**63},{2**70},0.5\n"
+
+    def test_dtype_not_value_sets_the_format(self):
+        # the same number is written as a float or an integer by its column
+        assert csv_text([[1e20], [10**20]]) == "h\n1e+20,100000000000000000000\n"
 
     @pytest.mark.parametrize("n", [0, 1, _BLOCK_OF_4 - 1, _BLOCK_OF_4, _BLOCK_OF_4 + 1])
     def test_rows_across_blocks(self, n):

@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import pytest
@@ -14,6 +16,17 @@ class TestRngStream:
         a = RngStream(123).uniforms(1000)
         b = RngStream(123).uniforms(1000)
         assert np.array_equal(a, b)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        for seed in (np.int64(123), np.uint64(123)):
+            assert np.array_equal(RngStream(seed).uniforms(100), RngStream(123).uniforms(100))
+        assert RngStream(np.uint64(2**63)).seed == 2**63
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, -1, "7", True, None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        # refused, not truncated: RngStream(1.5) would draw seed 1's stream
+        with pytest.raises(ValueError, match=f"^seed must be a non-negative integer, got {re.escape(str(seed))}$"):
+            RngStream(seed)
 
 
 class TestElementaryUnitary:

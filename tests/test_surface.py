@@ -123,6 +123,17 @@ def test_readme_python_example_runs():
 
 
 def test_one_module_spells_the_float_format():
-    # every CSV float goes through qstate.write_csv and its CSV_FLOAT
+    # every CSV float goes through qstate.write_csv and its CSV_FLOAT, and
+    # every flag through its true/false table; the self-test alone reads
+    # CSV_FLOAT besides, to check the float kernel against it
     paths = sorted(PACKAGE.glob("*.py"))
     assert [path.name for path in paths if ".17g" in path.read_text(encoding="utf-8")] == ["qstate.py"]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    assert [module for module, tree in trees.items() if "CSV_FLOAT" in _references(tree)] == ["qstate", "selftest"]
+    flag_words = {"true", "false", b"true", b"false"}
+    spellers = [
+        module
+        for module, tree in trees.items()
+        if any(isinstance(n, ast.Constant) and n.value in flag_words for n in ast.walk(tree))
+    ]
+    assert spellers == ["qstate"]
