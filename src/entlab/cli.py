@@ -50,10 +50,10 @@ def _cmd_measure(args) -> int:
         # a byte outside ASCII reaches the reader as a lone surrogate, which
         # no float parses, so its error names the line
         with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
-            ms = qstate.read_stack(fh)
+            checked = qstate._read_stack_eig(fh)
+        table = measures._table_from_eig(*checked)  # one eigh per state, the check's
     else:
-        ms = _family_state(args).matrix[None]
-    table = measures.measure_table(ms)
+        table = measures.measure_table(_family_state(args).matrix[None])
     header = measures.REPORT_CSV_HEADER  # five floats, then the separable flag
     text = io.StringIO()  # every row first, so a failure prints nothing
     qstate.write_csv(text, header, [table[name] for name in header.split(",")])

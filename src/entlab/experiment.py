@@ -87,6 +87,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if most is not None and not 1 <= value <= most:
                 raise ValueError(f"{name} must lie in [1, {most}], got {value}")
+        if self.seed < 0:  # refused here, not by the first shard's RngStream
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,9 @@ which works on the sampler's (4, 4, n) entry stack, forms each PT once and
 passes the states it keeps, with their determinants, to ``_pt_min``) and
 takes the concurrence from the sampler's column stacks.
 Every command of the CLI that handles states measures them as one stack
-through ``measure_table`` (``qstate`` validates a file's stack first), so a
-file of at least 256 states takes the kernels.  ``measure_report`` returns the
+through ``measure_table``, or, for a state file, through ``_table_from_eig``
+with the one ``eigh`` of ``qstate``'s check, so a file of at least 256
+states takes the kernels.  ``measure_report`` returns the
 one row of ``measure_table`` for a 1-stack of one DensityMatrix, Hermiticity
 check included; it serves ``experiment.compare_pair`` and the scalar
 functions (``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
@@ -524,19 +525,27 @@ def _measure_columns(ms: np.ndarray, pt_min: np.ndarray, c: np.ndarray) -> dict[
     }
 
 
+def _table_from_eig(ms: np.ndarray, w: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
+    """All measures for a (n, 4, 4) stack of checked Hermitian matrices with
+    eigenvalues w (ascending) and eigenvectors u, as ``eigh`` gives them."""
+    c = concurrence_from_eig(w, u)
+    pt_min = _pt_min(np.ascontiguousarray(cmat.partial_transpose_b(ms).transpose(1, 2, 0)))
+    table = _measure_columns(ms, pt_min, c)
+    table["separable"] = ~_pt_entangled(pt_min)
+    return table
+
+
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
-    """All measures for a (n, 4, 4) stack, sharing the eigendecompositions.
+    """All measures for a (n, 4, 4) stack, sharing the eigendecompositions:
+    ``cmat.hermitian_eig``, then ``_table_from_eig``, which a state file's
+    stack enters with the eigendecomposition its PSD check took.
 
     Hermiticity is checked once, by ``cmat.hermitian_eig``: the entries of
     rho^Gamma - (rho^Gamma)^dagger are a permutation of those of
     rho - rho^dagger, so both have the same defect.
     """
     ms = np.asarray(ms)
-    c = concurrence_from_eig(*cmat.hermitian_eig(ms))
-    pt_min = _pt_min(np.ascontiguousarray(cmat.partial_transpose_b(ms).transpose(1, 2, 0)))
-    table = _measure_columns(ms, pt_min, c)
-    table["separable"] = ~_pt_entangled(pt_min)
-    return table
+    return _table_from_eig(ms, *cmat.hermitian_eig(ms))
 
 
 def measure_report(rho: DensityMatrix) -> MeasureReport:

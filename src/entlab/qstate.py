@@ -7,9 +7,12 @@ traces in one einsum and positive semidefiniteness in one batched
 ``eigvalsh``, and raises the error of its lowest-indexed invalid matrix.  A
 ``DensityMatrix`` is one matrix validated as a 1-stack.  ``write_stack``
 and ``read_stack`` stream a stack to and from a text file, one 32-field row
-per matrix, and keep every bit, signed zeros included; the reader streams
-the rows through numpy's C text parser, validates what it read and names
-the file line of any fault.
+per matrix, and keep every bit, signed zeros included.  The reader converts
+a block of rows at a time: fields of the form -?0 or -?0. and up to 20
+digits, nearly all the writer writes, by an exact vectorized kernel
+(``_decimal_fields``), every other field by numpy's C text parser.  It
+validates what it read, taking the PSD check from the one ``eigh`` that
+the measures reuse, and names the file line of any fault.
 ``write_csv`` writes every CSV file and table of the package, each column
 as its dtype sets: floats in the one format CSV_FLOAT, integers in decimal,
 booleans as true/false.  It renders blocks of values as fixed-width byte
@@ -23,7 +26,6 @@ from __future__ import annotations
 import array
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -56,16 +58,33 @@ _HEADS = np.array(
     dtype="S8",
 ).view(np.uint64)
 _VELTKAMP = 134217729.0  # 2^27 + 1: splits a float64 into two 26-bit halves
+# State rows read_stack converts at a time, so that its temporaries stay
+# within a few MB.  At 1024 rows the kernel's largest temporaries, three
+# words per field, took fresh pages from the allocator on every block, and
+# the kernel ran about 1.6 times slower per field.
+_ROW_BLOCK = 512
+# Tables of the reader's kernel, _decimal_fields, which reads the last 24
+# bytes of a field as three little-endian words at offsets _WORD_AT.
+# _DIGIT_BYTES[j, b] masks off the bytes of word j that lie among the first
+# b of the 24, the bytes before the digits of a field of 24 - b digits.
+_WORD_AT = np.array([[0], [8], [16]])
+_DIGIT_BYTES = np.array(
+    [[(2**64 - 1) << 8 * min(max(b - j, 0), 8) & (2**64 - 1) for b in range(25)] for j in (0, 8, 16)],
+    dtype=np.uint64,
+)
+_INT_POWERS = 10 ** np.arange(9, dtype=np.uint64)
+_PAD = bytes(24)  # before a block's text, so that each field's 24 bytes lie in its buffer
+# How far from a half-integer the kernel needs t, whose error is below 1e-15
+_MIDPOINT_GAP = 2.0**-30
 
 
-def _stack_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
+def _entry_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
     """(index, error) of the first matrix of a complex (n, 4, 4) stack that
-    fails a check, or None if every matrix is a density matrix.
+    is not Hermitian with finite entries or not of unit trace, or None.
 
-    The checks run in turn on the whole stack: Hermiticity and finite
-    entries, then unit trace, then no eigenvalue below -TOL.psd_clamp; the
-    first check that fails names its lowest failing matrix.  Each error has
-    the class, message and deviation that matrix alone would give.
+    The checks run in turn on the whole stack; the first check that fails
+    names its lowest failing matrix, with the class, message and deviation
+    that matrix alone would give.
     """
     defects = cmat.hermiticity_defects(ms)
     bad = np.nonzero(~(defects <= cmat.TOL.hermiticity))[0]  # NaN counts as failing
@@ -76,7 +95,12 @@ def _stack_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
     if len(bad):
         dev = float(trace_dev[bad[0]])
         return int(bad[0]), TraceNotOne(f"trace deviates from 1 by {dev:.3e}", deviation=dev)
-    wmin = cmat._lapack(np.linalg.eigvalsh, ms)[:, 0]
+    return None
+
+
+def _psd_fault(wmin: np.ndarray) -> tuple[int, NotPSD] | None:
+    """(index, error) of the first matrix whose smallest eigenvalue, of the
+    (n,) wmin, lies below -TOL.psd_clamp, or None."""
     bad = np.nonzero(wmin < -cmat.TOL.psd_clamp)[0]
     if len(bad):
         w = float(wmin[bad[0]])
@@ -87,11 +111,16 @@ def _stack_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
 def validate_stack(ms: np.ndarray) -> np.ndarray:
     """ms as a complex (n, 4, 4) stack, after checking that every matrix is
     Hermitian, of unit trace and positive semidefinite (each to the central
-    tolerances); otherwise raises the error of the first invalid matrix."""
+    tolerances); otherwise raises the error of the first invalid matrix.
+
+    The checks run in turn on the whole stack: Hermiticity and finite
+    entries, then unit trace (``_entry_fault``), then no eigenvalue of one
+    batched ``eigvalsh`` below -TOL.psd_clamp.
+    """
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise NotHermitian(f"expected a (n, 4, 4) stack, got shape {ms.shape}")
-    fault = _stack_fault(ms)
+    fault = _entry_fault(ms) or _psd_fault(cmat._lapack(np.linalg.eigvalsh, ms)[:, 0])
     if fault is not None:
         raise fault[1]
     return ms
@@ -167,17 +196,17 @@ def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, a - hi
 
 
-# 10^16 .. 10^22, exact doubles (5^22 < 2^53), and their halves
-_SCALES = 10.0 ** np.arange(16, 23)
-_SCALES_HI, _SCALES_LO = _split(_SCALES)
+# 10^0 .. 10^22, exact doubles (5^22 < 2^53), and their halves
+_POWERS = 10.0 ** np.arange(23)
+_POWERS_HI, _POWERS_LO = _split(_POWERS)
 
 
-def _scaled(ax: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(p, e) with p + e = ax 10^(16 + k) exactly and p the rounded product
-    (Dekker's two-product; ax in [1e-4, 1), k in 0..6)."""
-    s, s_hi, s_lo = _SCALES[k], _SCALES_HI[k], _SCALES_LO[k]
-    a_hi, a_lo = _split(ax)
-    p = ax * s
+def _times_power(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, e) with p + e = a 10^k exactly and p the rounded product
+    (Dekker's two-product; finite a below 2^1000 in magnitude, k in 0..22)."""
+    s, s_hi, s_lo = _POWERS[k], _POWERS_HI[k], _POWERS_LO[k]
+    a_hi, a_lo = _split(a)
+    p = a * s
     return p, ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
 
 
@@ -196,7 +225,7 @@ def _correct_decade(ax, k, p, e):
         low = (po < 1e16) | ((po == 1e16) & (eo < 0))
         high = (po > 1e17) | ((po == 1e17) & (eo >= 0))
         k[off] += low.astype(k.dtype) - high.astype(k.dtype)
-        p[off], e[off] = _scaled(ax[off], k[off])
+        p[off], e[off] = _times_power(ax[off], 16 + k[off])
     return k, p, e
 
 
@@ -220,7 +249,7 @@ def _float_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fast = (ax >= 1e-4) & (ax < 1.0)  # NaN fails both
     safe = np.where(fast, ax, 0.5)
     k = (-np.floor(np.log10(safe))).astype(np.intp)
-    k, p, e = _correct_decade(safe, k, *_scaled(safe, k))
+    k, p, e = _correct_decade(safe, k, *_times_power(safe, 16 + k))
     digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
     digits[~fast] = 0  # a zero has no digits after its head
     high, low = np.divmod(digits, 10**8)
@@ -325,55 +354,170 @@ def _row_fault(rows, linenos) -> ValueError | NotHermitian | None:
     return None
 
 
-def _read_rows(fh) -> tuple[np.ndarray, array.array]:
-    """The (n, 32) float64 fields of the rows of the text stream fh, and the
-    file line of each row, as ``read_stack`` reads them.
+def _parse_block(rows: list[str], lines) -> np.ndarray:
+    """The (n, 32) float64 fields of n stripped rows, read by the parser;
+    the first faulty row raises its error, naming its file line from lines."""
+    try:
+        fields = _parse_rows(rows)
+    except ValueError as exc:
+        raise (_row_fault(rows, lines) or exc) from None
+    if fields.shape[1] != 32:
+        raise _row_fault(rows[:1], lines[:1])
+    return fields
 
-    The rows stream through one parser call, so none is held.  The parser
-    reads no row past the first one it rejects, and every row before that
-    one has the first row's width; so the first and the last row it was
-    handed hold the first faulty row of the file.
+
+def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, exact): the float64 that ``float`` reads from each field
+    data[start:end] of the form -?0 or -?0. and 1 to 20 digits, at most 17
+    of them significant, and the mask of the fields the kernel converted;
+    the values of the other fields are meaningless.  Each field must end at
+    least 24 bytes into data, and data must hold a byte past its end.
+
+    The last 24 bytes of a field are read as three little-endian words.
+    XOR with ASCII "0" turns each digit into its value, the bytes before the
+    digits are masked to zero, and the 8-digit SWAR step converts each word
+    (Lemire, "Number Parsing at a Gigabyte per Second", 2021).  With the
+    trailing zeros past 17 digits dropped, the field is S / 10^L, S < 10^17
+    and L <= 20, both exact.  q = fl(fl(S) / 10^L) lies within 1.5 ulp of
+    it.  The residual S - q 10^L from Dekker's two-product, rounded once,
+    gives t = (S / 10^L - q) / ulp(q) to within 1e-15, and
+    y = q + rint(t) ulp(q) is the double nearest the field wherever t lies
+    over _MIDPOINT_GAP from a half-integer and neither q nor y is a power of
+    two, where the ulp changes (Clinger, "How to Read Floating Point Numbers
+    Accurately", 1990).  Zeros keep their sign.
     """
-    lines = array.array("q")  # the file line of each row handed to the parser
-    last = ""  # the last row handed to the parser
+    buf = np.frombuffer(data, np.uint8)
+    neg = buf[starts] == ord("-")
+    at = starts + neg
+    nd = ends - at - 2  # digits after "0.", -1 for a bare zero
+    exact = (buf[at] == ord("0")) & ((nd == -1) | ((buf[at + 1] == ord(".")) & (nd >= 1) & (nd <= 20)))
+    words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # the word at each byte
+    w = words[ends - 24 + _WORD_AT] ^ 0x3030303030303030
+    w &= np.take(_DIGIT_BYTES, np.clip(24 - nd, 0, 24), axis=1)
+    # every byte a digit, at most 9: neither it nor it plus 0x76 reaches 0x80
+    exact &= (np.bitwise_or.reduce((w + 0x7676767676767676) | w) & 0x8080808080808080) == 0
+    w = (w * (10 * 2**8 + 1)) >> 8  # digit pairs
+    w = ((w & 0x00FF00FF00FF00FF) * (100 * 2**16 + 1)) >> 16  # groups of 4
+    w = ((w & 0x0000FFFF0000FFFF) * (10**4 * 2**32 + 1)) >> 32  # groups of 8
+    high = w[0] * 10**8 + w[1]
+    digits, power = high * 10**8 + w[2], np.clip(nd, 0, 20)
+    long = np.flatnonzero(exact & (high >= 10**9))  # over 17 digits: exact only with trailing zeros
+    if len(long):
+        cut = 1 + (high[long] >= 10**10) + (high[long] >= 10**11)
+        top, rest = np.divmod(w[2, long], _INT_POWERS[cut])
+        digits[long] = high[long] * _INT_POWERS[8 - cut] + top
+        power[long] -= cut
+        exact[long] = rest == 0
+    s = np.where(exact, digits, 0).astype(np.int64)
+    sf = s.astype(np.float64)
+    lo = (s - sf.astype(np.int64)).astype(np.float64)  # s = sf + lo exactly
+    scale = _POWERS[power]
+    q = sf / scale
+    p, e = _times_power(q, power)
+    ulp = np.spacing(q)
+    t = (((sf - p) + lo) - e) / ulp / scale  # sf - p is exact (Sterbenz), and so is adding lo
+    m = np.rint(t)
+    y = q + m * ulp
+    fraction = 0x000FFFFFFFFFFFFF  # the bits that are zero in a power of two
+    off_powers = ((q.view(np.uint64) & fraction) != 0) & ((y.view(np.uint64) & fraction) != 0)
+    exact &= (s == 0) | ((np.abs(t - m) < 0.5 - _MIDPOINT_GAP) & off_powers)
+    np.negative(y, out=y, where=neg)
+    return y, exact
 
-    def rows():
-        nonlocal last
+
+def _convert_block(rows: list[str], lines) -> np.ndarray:
+    """The (n, 32) float64 fields of n stripped rows, as ``float`` reads
+    each field, with the file line of each row in lines.
+
+    The rows are joined into one ASCII buffer, a non-ASCII character as
+    "?".  If every row has 32 fields, ``_decimal_fields`` converts the
+    fields of its grammar and one parser call the others, as one row
+    (exponents, "+", padding, inf and nan, more than 17 significant
+    digits).  Otherwise, or if the parser rejects a field, the block is
+    read by ``_parse_block``, which raises the error of its first faulty row.
+    """
+    text = "\n".join(rows) + "\n"
+    data = _PAD + text.encode("ascii", "replace") + b"\0"
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    newline = buf[ends] == ord("\n")
+    if len(ends) != 32 * len(rows) or np.count_nonzero(newline) != len(rows) or not newline[31::32].all():
+        return _parse_block(rows, lines)
+    starts = np.concatenate([[len(_PAD)], ends[:-1] + 1])
+    values, exact = _decimal_fields(data, starts, ends)
+    others = np.flatnonzero(~exact)
+    if len(others):
+        bounds = zip((starts[others] - len(_PAD)).tolist(), (ends[others] - len(_PAD)).tolist())
+        row = ",".join([text[a:b] for a, b in bounds])
+        try:
+            parsed = _parse_rows([row]) if row.strip() else None  # the parser skips a blank row
+        except ValueError:
+            parsed = None
+        if parsed is None:
+            return _parse_block(rows, lines)
+        values[others] = parsed[0]
+    return values.reshape(-1, 32)
+
+
+def _row_blocks(fh, lines: array.array):
+    """The stripped rows of the text stream fh, header and blank lines
+    skipped, in lists of at most _ROW_BLOCK, with the file line of each row
+    appended to lines.  A ValueError of the stream itself (a decode error)
+    is raised after the rows read before it, so that their faults come first."""
+    rows = []
+    try:
         for lineno, line in enumerate(fh, start=1):
             row = line.strip()
             if row and not (lineno == 1 and row == CSV_HEADER):
+                rows.append(row)
                 lines.append(lineno)
-                last = row
-                yield row
+                if len(rows) == _ROW_BLOCK:
+                    yield rows
+                    rows = []
+    except ValueError:
+        yield rows
+        raise
+    yield rows
 
-    stream = rows()
-    first = next(stream, None)
-    if first is None:  # the parser warns on input without rows
-        return np.empty((0, 32)), lines
-    try:
-        fields = _parse_rows(chain([first], stream))
-    except ValueError as exc:
-        # with no faulty row read, the error is the stream's own (a decode error)
-        raise (_row_fault([first, last], [lines[0], lines[-1]]) or exc) from None
-    if fields.shape[1] != 32:
-        raise _row_fault([first], [lines[0]])
-    return fields, lines
+
+def _read_rows(fh) -> tuple[np.ndarray, array.array]:
+    """The (n, 32) float64 fields of the rows of the text stream fh, and the
+    file line of each row, as ``read_stack`` reads them, a block of rows at
+    a time; the first faulty row raises its error."""
+    lines = array.array("q")
+    blocks = [_convert_block(rows, lines[len(lines) - len(rows) :]) for rows in _row_blocks(fh, lines) if rows]
+    return (np.concatenate(blocks) if blocks else np.empty((0, 32))), lines
+
+
+def _read_stack_eig(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ms, w, u): the validated stack ``read_stack`` reads from the text
+    stream fh, and its eigenvalues (ascending) and eigenvectors from one
+    batched ``eigh``, which also gives the PSD check its smallest
+    eigenvalues."""
+    fields, lines = _read_rows(fh)
+    ms = fields.view(np.complex128).reshape(-1, 4, 4)  # every bit, signed zeros included
+    fault = _entry_fault(ms)
+    if fault is None:
+        w, u = cmat._lapack(np.linalg.eigh, ms)
+        fault = _psd_fault(w[:, 0])
+    if fault is not None:
+        row, exc = fault
+        raise type(exc)(f"line {lines[row]}: {exc}", deviation=exc.deviation)
+    return ms, w, u
 
 
 def read_stack(fh) -> np.ndarray:
     """The validated (n, 4, 4) stack of the rows of the text stream fh, as
     ``write_stack`` writes them (header line optional, blank lines skipped).
 
-    Fields are parsed by numpy's C text parser, whose float grammar is that
-    of ``float`` without digit-group underscores.  The first row with a field
-    that is no float raises ValueError, or with other than 32 fields
-    NotHermitian; then the whole stack is validated.  Every error names its
-    line.
+    Rows are read _ROW_BLOCK at a time.  Fields of the form -?0 or -?0. and
+    1 to 20 digits, at most 17 of them significant (nearly every field
+    ``write_stack`` writes), take an exact vectorized kernel; every other
+    field goes to numpy's C text parser, whose float grammar is that of
+    ``float`` without digit-group underscores.  Every field reads as
+    ``float`` reads it, bit for bit.  The first row with a field that is no
+    float raises ValueError, or with other than 32 fields NotHermitian;
+    then the whole stack is checked for Hermiticity, unit trace and, from
+    one ``eigh``, positive semidefiniteness.  Every error names its line.
     """
-    fields, lines = _read_rows(fh)
-    ms = fields.view(np.complex128).reshape(-1, 4, 4)  # every bit, signed zeros included
-    fault = _stack_fault(ms)
-    if fault is not None:
-        row, exc = fault
-        raise type(exc)(f"line {lines[row]}: {exc}", deviation=exc.deviation)
-    return ms
+    return _read_stack_eig(fh)[0]

@@ -7,6 +7,7 @@ invariants at full scale.  Every check raises SelfTestFailure through
 
 from __future__ import annotations
 
+import decimal
 import io
 
 import numpy as np
@@ -227,6 +228,44 @@ def check_csv_format(n: int = 2000) -> None:
         _check(row == want, f"write_csv writes {row!r} for {value!r}, % writes {want!r}")
 
 
+def _csv_parse_fields(n: int = 2000) -> list[str]:
+    """Text fields at the edges of read_stack's decimal kernel, both signs:
+    CSV_FLOAT of _csv_probe_values (the doubles either side of each power of
+    ten 1e-4 .. 1, signed zeros, and fields with exponents, inf and nan,
+    which go to the parser); for n log-uniform doubles x in [1e-4, 1), the
+    15-, 16- and 17-digit decimals nearest the midpoint of x and the next
+    double, and the 17-digit ones with one to three zeros appended (18 to 20
+    digits, 17 significant) or a 1 appended (18 significant, for the parser)."""
+    x = 10.0 ** -(4.0 * sampler.RngStream(114).uniforms(n))
+    context = decimal.Context(prec=80)  # the midpoints' expansions are exact
+    near = []
+    for a, b in zip(x.tolist(), np.nextafter(x, 1.0).tolist()):
+        mid = context.divide(decimal.Decimal(a) + decimal.Decimal(b), 2)
+        for k in (15, 16, 17):
+            near.append(f"{mid.quantize(decimal.Decimal(1).scaleb(mid.adjusted() + 1 - k), context=context):f}")
+        near += [near[-1] + "0", near[-1] + "00", near[-1] + "000", near[-1] + "1"]
+    probes = [qstate.CSV_FLOAT % v for v in _csv_probe_values(n // 4).tolist()]
+    return probes + near + ["-" + f for f in near]
+
+
+def check_csv_parse(n: int = 2000) -> None:
+    """read_stack's fields against float on _csv_parse_fields, bit for bit,
+    and a state file read back as write_stack wrote it, signed zeros included."""
+    fields = _csv_parse_fields(n)
+    fields += ["0"] * (-len(fields) % 32)
+    values, _ = qstate._read_rows([",".join(fields[i : i + 32]) for i in range(0, len(fields), 32)])
+    bits, want = values.ravel().view(np.uint64), np.array([float(f) for f in fields]).view(np.uint64)
+    bad = np.flatnonzero(bits != want)
+    first = f"{fields[bad[0]]!r} as {float(values.flat[bad[0]])!r}" if len(bad) else ""
+    _check(len(bad) == 0, f"read_stack misreads {len(bad)} fields, the first {first}")
+    ms = sampler.random_density_batch(sampler.RngStream(115), 600)
+    ms.imag[:, range(4), range(4)] = -0.0
+    text = io.StringIO()
+    qstate.write_stack(text, ms)
+    again = qstate.read_stack(io.StringIO(text.getvalue()))
+    _check(np.array_equal(again.view(np.uint64), ms.view(np.uint64)), "read_stack changes a state write_stack wrote")
+
+
 SUITES = (
     ("linear algebra invariants", check_linalg),
     ("state constructors", check_states),
@@ -238,6 +277,7 @@ SUITES = (
     ("harness rows match measure_table", check_harness_rows),
     ("(C, N) within the two-qubit region", check_cn_region),
     ("CSV float kernel against %", check_csv_format),
+    ("CSV reader against float", check_csv_parse),
 )
 
 

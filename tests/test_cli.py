@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from entlab import cli, experiment, measures, qstate, selftest
+from entlab import cli, cmat, experiment, measures, qstate, selftest
 from entlab.cli import MAX_SAMPLE_COUNT, main
 from entlab.errors import NotConverged, NotPSD
 from entlab.sampler import RngStream, random_density_batch
@@ -191,12 +191,14 @@ class TestMeasure:
         assert err.startswith("error: line 2: could not convert string to float: ")
 
     def test_measure_failure_prints_nothing(self, capsys, tmp_path, monkeypatch):
-        def fail(_ms):
+        # a state file's stack is measured by _table_from_eig, with the
+        # eigendecomposition its check took; measure_table runs it as well
+        def fail(*_args):
             raise NotConverged("eigh did not converge")
 
         path = tmp_path / "states.csv"
         write_states(path, [qstate.singlet()] * 3)
-        monkeypatch.setattr(measures, "measure_table", fail)
+        monkeypatch.setattr(measures, "_table_from_eig", fail)
         code, out, err = run_cli(capsys, "measure", "--input", str(path))
         assert (code, out, err) == (1, "", "error: eigh did not converge\n")
 
@@ -217,6 +219,29 @@ class TestMeasure:
             assert fields[-1] == ("true" if report.separable else "false")
             for name, field in zip(names, fields):
                 assert abs(float(field) - getattr(report, name)) <= 1.5e-15, name
+
+    def test_state_file_is_diagonalized_once(self, capsys, tmp_path, monkeypatch):
+        # one eigh of the file's stack serves the PSD check and the measures;
+        # eigvalsh runs only on the partial transposes the PT kernel refuses
+        path = tmp_path / "states.csv"
+        assert run_cli(capsys, "sample", "--seed", "5", "--count", "300", "--out", str(path))[0] == 0
+        ms = random_density_batch(RngStream(5), 300)
+        calls = {"eigh": [], "eigvalsh": []}
+        for name in calls:
+
+            def recorded(a, *args, _name=name, _function=getattr(np.linalg, name), **kwargs):
+                calls[_name].append(np.array(a))
+                return _function(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        code, out, _ = run_cli(capsys, "measure", "--input", str(path))
+        assert code == 0 and out.count("\n") == 301
+        assert [stack.shape for stack in calls["eigh"]] == [(300, 4, 4)]
+        assert np.array_equal(calls["eigh"][0], ms)
+        pts = cmat.partial_transpose_b(ms).reshape(300, 16)
+        for stack in calls["eigvalsh"]:
+            assert len(stack) < 300
+            assert all((pts == m.ravel()).all(axis=1).any() for m in stack)
 
     def test_sampled_file_within_cn_region(self, capsys, tmp_path):
         # the stack route of `measure --input` keeps every (C, N = 2 E_N)

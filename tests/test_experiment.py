@@ -179,6 +179,11 @@ class TestRunExperiment:
         ):
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
                 ExperimentConfig(**{"seed": 1, "n_pairs": 10, name: value})
+        # a negative seed is refused at construction with RngStream's message
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            ExperimentConfig(seed=-1, n_pairs=10)
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
+            sampler.RngStream(-1)
         # numpy integers pass
         cfg = ExperimentConfig(seed=np.uint64(2**63), n_pairs=np.int32(10), threads=np.int64(2))
         assert (cfg.seed, cfg.n_pairs, cfg.threads) == (2**63, 10, 2)

@@ -1,8 +1,11 @@
 """Fault injection: each fault of a measure kernel's safeguards changes the
 output it targets on the stacks ``entlab selftest`` feeds that kernel, each
 fault of the CSV float kernel changes the bytes write_csv writes for the
-self-test's values, and then the self-test fails, under ``python -O`` too."""
+self-test's values, a fault of the reader's kernel changes the values it
+reads from the self-test's fields, and then the self-test fails, under
+``python -O`` too."""
 
+import inspect
 import io
 import os
 import subprocess
@@ -177,6 +180,24 @@ def test_selftest_catches_csv_fault(monkeypatch, fault):
     clean = _csv_text(values)
     fault(monkeypatch)
     assert _csv_text(values) != clean  # the fault is live
+    assert not selftest.run_selftest(verbose=False)
+
+
+def _residual_correction_dropped(monkeypatch):
+    # the reader's kernel takes y = fl(S / 10^L) alone, as certified as before
+    source = inspect.getsource(qstate._decimal_fields)
+    assert source.count("y = q + m * ulp") == 1
+    namespace = dict(vars(qstate))
+    exec(source.replace("y = q + m * ulp", "y = q"), namespace)
+    monkeypatch.setattr(qstate, "_decimal_fields", namespace["_decimal_fields"])
+
+
+def test_selftest_catches_reader_fault(monkeypatch):
+    fields = selftest._csv_parse_fields()
+    rows = [",".join(fields[i : i + 32]) for i in range(0, len(fields) - 31, 32)]
+    clean = qstate._read_rows(rows)[0].tobytes()
+    _residual_correction_dropped(monkeypatch)
+    assert qstate._read_rows(rows)[0].tobytes() != clean  # the fault is live
     assert not selftest.run_selftest(verbose=False)
 
 

@@ -1,5 +1,6 @@
 import io
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -354,6 +355,14 @@ _SPELLINGS = {
 }
 
 
+# the reader kernel's grammar -?0(.d{1,20})?, rich in zeros
+_DECIMAL_FIELDS = st.tuples(
+    st.sampled_from(["", "-"]),
+    st.lists(st.sampled_from("000000123456789"), max_size=20).map("".join),
+).map(lambda f: f[0] + ("0." + f[1] if f[1] else "0"))
+_PLACES = {f"{k} places": (lambda x, k=k: f"{x:.{k}f}") for k in range(12, 21)}
+
+
 def per_token_stack(text: str) -> np.ndarray:
     """The stack of a CSV text as parsing each field with float() gives it."""
     rows = [line.strip() for line in text.splitlines()[1:]]
@@ -382,6 +391,44 @@ class TestCsvGrammar:
         got = qstate.read_stack(io.StringIO(text))
         assert got.tobytes() == per_token_stack(text).tobytes()
         assert np.array_equal(got, ms)
+
+    @given(
+        fields=st.lists(_DECIMAL_FIELDS, min_size=1, max_size=6 * 32),
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=6 * 32, max_size=6 * 32),
+        spellings=st.lists(st.sampled_from(sorted(_SPELLINGS)), min_size=6 * 32, max_size=6 * 32),
+        mixed=st.randoms(use_true_random=False),
+    )
+    @example(  # 20 digits with trailing zeros, whose digits overflow 64 bits
+        ["0.12345678901234567000", "-0.1234567890123456780", "0.99999999999999999000", "0.00000000000000000001"],
+        [0.0] * 192, ["%.17g"] * 192, random.Random(0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decimal_fields_read_as_float_reads_them(self, fields, values, spellings, mixed):
+        # fields of the reader's kernel, -?0 or -?0. and 1 to 20 digits
+        # (over 17 significant go to the parser), mixed into rows with
+        # values in every spelling: each reads as float() reads it
+        fields = fields + [_SPELLINGS[s](x) for s, x in zip(spellings, values)][: -len(fields) % 32]
+        mixed.shuffle(fields)
+        rows = [",".join(fields[i : i + 32]) for i in range(0, len(fields), 32)]
+        values, lines = qstate._read_rows(rows)
+        assert values.tobytes() == np.array([float(f) for f in fields]).tobytes()
+        assert list(lines) == list(range(1, len(rows) + 1))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 6),
+        spellings=st.lists(st.sampled_from(sorted(_SPELLINGS) + list(_PLACES)), min_size=6 * 32, max_size=6 * 32),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_fixed_places_read_as_float_reads_them(self, seed, n, spellings):
+        # states with each field rounded to 12 to 20 decimal places (a valid
+        # state stays valid) or in another spelling: read_stack's stack is
+        # the per-token float() stack, bit for bit
+        values = random_density_batch(RngStream(seed), n).view(np.float64).reshape(n, 32)
+        spell = {**_SPELLINGS, **_PLACES}
+        fields = [spell[s](x) for s, x in zip(spellings, values.ravel().tolist())]
+        text = "\n".join([qstate.CSV_HEADER, *(",".join(fields[32 * i : 32 * i + 32]) for i in range(n))]) + "\n"
+        assert qstate.read_stack(io.StringIO(text)).tobytes() == per_token_stack(text).tobytes()
 
     @pytest.mark.parametrize("token", ["1_0", "0.2_5", "\u0661"])
     def test_tokens_float_reads_but_the_parser_rejects(self, token):

@@ -137,3 +137,17 @@ def test_one_module_spells_the_float_format():
         if any(isinstance(n, ast.Constant) and n.value in flag_words for n in ast.walk(tree))
     ]
     assert spellers == ["qstate"]
+
+
+def test_one_module_calls_the_text_parser():
+    # state files are parsed in qstate alone, by its kernel and, for the
+    # fields outside its grammar, numpy's C text parser
+    callers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if any(
+            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "loadtxt"
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert callers == ["qstate"]
