@@ -537,8 +537,7 @@ def _table_from_eig(ms: np.ndarray, w: np.ndarray, u: np.ndarray) -> dict[str, n
 
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
     """All measures for a (n, 4, 4) stack, sharing the eigendecompositions:
-    ``cmat.hermitian_eig``, then ``_table_from_eig``, which a state file's
-    stack enters with the eigendecomposition its PSD check took.
+    ``_table_from_eig`` of ``cmat.hermitian_eig``.
 
     Hermiticity is checked once, by ``cmat.hermitian_eig``: the entries of
     rho^Gamma - (rho^Gamma)^dagger are a permutation of those of

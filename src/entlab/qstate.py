@@ -58,34 +58,20 @@ _HEADS = np.array(
     dtype="S8",
 ).view(np.uint64)
 _VELTKAMP = 134217729.0  # 2^27 + 1: splits a float64 into two 26-bit halves
-# State rows read_stack converts at a time, so that its temporaries stay
-# within a few MB.  At 1024 rows the kernel's largest temporaries, three
-# words per field, took fresh pages from the allocator on every block, and
-# the kernel ran about 1.6 times slower per field.
+# State rows read_stack converts at a time; at 1024 the kernel's (3, n)
+# temporaries took fresh pages on every block and it ran 1.6x slower.
 _ROW_BLOCK = 512
-# Tables of the reader's kernel, _decimal_fields, which reads the last 24
-# bytes of a field as three little-endian words at offsets _WORD_AT.
-# _DIGIT_BYTES[j, b] masks off the bytes of word j that lie among the first
-# b of the 24, the bytes before the digits of a field of 24 - b digits.
-_WORD_AT = np.array([[0], [8], [16]])
-_DIGIT_BYTES = np.array(
-    [[(2**64 - 1) << 8 * min(max(b - j, 0), 8) & (2**64 - 1) for b in range(25)] for j in (0, 8, 16)],
-    dtype=np.uint64,
-)
+# _DIGIT_BYTES[j, b]: the bytes of word j of a field's last 24 bytes that
+# lie past the first b of them, where a field of 24 - b digits has digits.
+_DIGIT_BYTES = ~np.array([[(1 << 8 * min(max(b - j, 0), 8)) - 1 for b in range(25)] for j in (0, 8, 16)], np.uint64)
 _INT_POWERS = 10 ** np.arange(9, dtype=np.uint64)
-_PAD = bytes(24)  # before a block's text, so that each field's 24 bytes lie in its buffer
-# How far from a half-integer the kernel needs t, whose error is below 1e-15
-_MIDPOINT_GAP = 2.0**-30
+_MIDPOINT_GAP = 2.0**-30  # how far from a half-integer t must lie; its error is below 1e-15
 
 
 def _entry_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
     """(index, error) of the first matrix of a complex (n, 4, 4) stack that
-    is not Hermitian with finite entries or not of unit trace, or None.
-
-    The checks run in turn on the whole stack; the first check that fails
-    names its lowest failing matrix, with the class, message and deviation
-    that matrix alone would give.
-    """
+    is not Hermitian with finite entries, else of the first not of unit
+    trace, with the error that matrix alone would give; or None."""
     defects = cmat.hermiticity_defects(ms)
     bad = np.nonzero(~(defects <= cmat.TOL.hermiticity))[0]  # NaN counts as failing
     if len(bad):
@@ -111,12 +97,8 @@ def _psd_fault(wmin: np.ndarray) -> tuple[int, NotPSD] | None:
 def validate_stack(ms: np.ndarray) -> np.ndarray:
     """ms as a complex (n, 4, 4) stack, after checking that every matrix is
     Hermitian, of unit trace and positive semidefinite (each to the central
-    tolerances); otherwise raises the error of the first invalid matrix.
-
-    The checks run in turn on the whole stack: Hermiticity and finite
-    entries, then unit trace (``_entry_fault``), then no eigenvalue of one
-    batched ``eigvalsh`` below -TOL.psd_clamp.
-    """
+    tolerances, PSD by one batched ``eigvalsh``); otherwise raises the error
+    of the first invalid matrix of the first check that fails."""
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise NotHermitian(f"expected a (n, 4, 4) stack, got shape {ms.shape}")
@@ -354,37 +336,21 @@ def _row_fault(rows, linenos) -> ValueError | NotHermitian | None:
     return None
 
 
-def _parse_block(rows: list[str], lines) -> np.ndarray:
-    """The (n, 32) float64 fields of n stripped rows, read by the parser;
-    the first faulty row raises its error, naming its file line from lines."""
-    try:
-        fields = _parse_rows(rows)
-    except ValueError as exc:
-        raise (_row_fault(rows, lines) or exc) from None
-    if fields.shape[1] != 32:
-        raise _row_fault(rows[:1], lines[:1])
-    return fields
-
-
 def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, exact): the float64 that ``float`` reads from each field
+    """(values, exact): the float64 ``float`` reads from each field
     data[start:end] of the form -?0 or -?0. and 1 to 20 digits, at most 17
-    of them significant, and the mask of the fields the kernel converted;
-    the values of the other fields are meaningless.  Each field must end at
-    least 24 bytes into data, and data must hold a byte past its end.
+    significant, and the mask of those fields (the other values are
+    meaningless).  Each field ends 24 bytes or more into data, before its end.
 
-    The last 24 bytes of a field are read as three little-endian words.
-    XOR with ASCII "0" turns each digit into its value, the bytes before the
-    digits are masked to zero, and the 8-digit SWAR step converts each word
-    (Lemire, "Number Parsing at a Gigabyte per Second", 2021).  With the
-    trailing zeros past 17 digits dropped, the field is S / 10^L, S < 10^17
-    and L <= 20, both exact.  q = fl(fl(S) / 10^L) lies within 1.5 ulp of
-    it.  The residual S - q 10^L from Dekker's two-product, rounded once,
-    gives t = (S / 10^L - q) / ulp(q) to within 1e-15, and
-    y = q + rint(t) ulp(q) is the double nearest the field wherever t lies
-    over _MIDPOINT_GAP from a half-integer and neither q nor y is a power of
-    two, where the ulp changes (Clinger, "How to Read Floating Point Numbers
-    Accurately", 1990).  Zeros keep their sign.
+    The field's last 24 bytes are three little-endian words; XOR with "0"
+    and a mask leave the digits' values, and the 8-digit SWAR step converts
+    each word (Lemire, "Number Parsing at a Gigabyte per Second", 2021).
+    The field is S / 10^L, S < 10^17 and L <= 20 once trailing zeros past
+    17 digits are dropped.  q = fl(fl(S) / 10^L) lies within 1.5 ulp; the
+    residual S - q 10^L from Dekker's two-product, rounded once, gives
+    t = (S / 10^L - q) / ulp(q) within 1e-15, and q + rint(t) ulp(q) is the
+    nearest double where t lies over _MIDPOINT_GAP from a half-integer and
+    neither it nor q is a power of two (Clinger, PLDI 1990).
     """
     buf = np.frombuffer(data, np.uint8)
     neg = buf[starts] == ord("-")
@@ -392,9 +358,9 @@ def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[
     nd = ends - at - 2  # digits after "0.", -1 for a bare zero
     exact = (buf[at] == ord("0")) & ((nd == -1) | ((buf[at + 1] == ord(".")) & (nd >= 1) & (nd <= 20)))
     words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))  # the word at each byte
-    w = words[ends - 24 + _WORD_AT] ^ 0x3030303030303030
+    w = words[ends - np.array([[24], [16], [8]])] ^ 0x3030303030303030
     w &= np.take(_DIGIT_BYTES, np.clip(24 - nd, 0, 24), axis=1)
-    # every byte a digit, at most 9: neither it nor it plus 0x76 reaches 0x80
+    # every byte at most 9: neither it nor it plus 0x76 reaches 0x80
     exact &= (np.bitwise_or.reduce((w + 0x7676767676767676) | w) & 0x8080808080808080) == 0
     w = (w * (10 * 2**8 + 1)) >> 8  # digit pairs
     w = ((w & 0x00FF00FF00FF00FF) * (100 * 2**16 + 1)) >> 16  # groups of 4
@@ -426,44 +392,35 @@ def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[
 
 
 def _convert_block(rows: list[str], lines) -> np.ndarray:
-    """The (n, 32) float64 fields of n stripped rows, as ``float`` reads
-    each field, with the file line of each row in lines.
-
-    The rows are joined into one ASCII buffer, a non-ASCII character as
-    "?".  If every row has 32 fields, ``_decimal_fields`` converts the
-    fields of its grammar and one parser call the others, as one row
-    (exponents, "+", padding, inf and nan, more than 17 significant
-    digits).  Otherwise, or if the parser rejects a field, the block is
-    read by ``_parse_block``, which raises the error of its first faulty row.
-    """
+    """The (n, 32) fields of n stripped rows, their file lines in lines, as
+    ``float`` reads them: the kernel's, and the others (exponents, "+",
+    padding, inf, nan, 18 or more significant digits, non-ASCII) by one
+    parser call as one row.  A row without 32 fields, or a field the parser
+    rejects, raises the error of the first faulty row."""
     text = "\n".join(rows) + "\n"
-    data = _PAD + text.encode("ascii", "replace") + b"\0"
+    data = bytes(24) + text.encode("ascii", "replace") + b"\0"  # room for each field's 24 bytes
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     newline = buf[ends] == ord("\n")
-    if len(ends) != 32 * len(rows) or np.count_nonzero(newline) != len(rows) or not newline[31::32].all():
-        return _parse_block(rows, lines)
-    starts = np.concatenate([[len(_PAD)], ends[:-1] + 1])
+    if len(ends) != 32 * len(rows) or not newline[31::32].all() or newline.sum() != len(rows):
+        raise _row_fault(rows, lines)
+    starts = np.concatenate([[24], ends[:-1] + 1])
     values, exact = _decimal_fields(data, starts, ends)
     others = np.flatnonzero(~exact)
     if len(others):
-        bounds = zip((starts[others] - len(_PAD)).tolist(), (ends[others] - len(_PAD)).tolist())
-        row = ",".join([text[a:b] for a, b in bounds])
-        try:
-            parsed = _parse_rows([row]) if row.strip() else None  # the parser skips a blank row
+        fields = [text[a:b] for a, b in zip((starts[others] - 24).tolist(), (ends[others] - 24).tolist())]
+        try:  # a leading 0, so that no lone blank field makes the row one the parser skips
+            values[others] = _parse_rows(["0," + ",".join(fields)])[0, 1:]
         except ValueError:
-            parsed = None
-        if parsed is None:
-            return _parse_block(rows, lines)
-        values[others] = parsed[0]
+            raise _row_fault(rows, lines) from None
     return values.reshape(-1, 32)
 
 
 def _row_blocks(fh, lines: array.array):
     """The stripped rows of the text stream fh, header and blank lines
-    skipped, in lists of at most _ROW_BLOCK, with the file line of each row
+    skipped, in lists of at most _ROW_BLOCK; each row's file line is
     appended to lines.  A ValueError of the stream itself (a decode error)
-    is raised after the rows read before it, so that their faults come first."""
+    comes after the rows read before it, so that their faults come first."""
     rows = []
     try:
         for lineno, line in enumerate(fh, start=1):
@@ -482,18 +439,15 @@ def _row_blocks(fh, lines: array.array):
 
 def _read_rows(fh) -> tuple[np.ndarray, array.array]:
     """The (n, 32) float64 fields of the rows of the text stream fh, and the
-    file line of each row, as ``read_stack`` reads them, a block of rows at
-    a time; the first faulty row raises its error."""
+    file line of each row, as ``read_stack`` reads them."""
     lines = array.array("q")
     blocks = [_convert_block(rows, lines[len(lines) - len(rows) :]) for rows in _row_blocks(fh, lines) if rows]
     return (np.concatenate(blocks) if blocks else np.empty((0, 32))), lines
 
 
 def _read_stack_eig(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(ms, w, u): the validated stack ``read_stack`` reads from the text
-    stream fh, and its eigenvalues (ascending) and eigenvectors from one
-    batched ``eigh``, which also gives the PSD check its smallest
-    eigenvalues."""
+    """(ms, w, u): ``read_stack``'s stack and its eigenvalues (ascending)
+    and eigenvectors, from the one ``eigh`` that gives its PSD check."""
     fields, lines = _read_rows(fh)
     ms = fields.view(np.complex128).reshape(-1, 4, 4)  # every bit, signed zeros included
     fault = _entry_fault(ms)
@@ -510,14 +464,13 @@ def read_stack(fh) -> np.ndarray:
     """The validated (n, 4, 4) stack of the rows of the text stream fh, as
     ``write_stack`` writes them (header line optional, blank lines skipped).
 
-    Rows are read _ROW_BLOCK at a time.  Fields of the form -?0 or -?0. and
-    1 to 20 digits, at most 17 of them significant (nearly every field
-    ``write_stack`` writes), take an exact vectorized kernel; every other
-    field goes to numpy's C text parser, whose float grammar is that of
-    ``float`` without digit-group underscores.  Every field reads as
-    ``float`` reads it, bit for bit.  The first row with a field that is no
-    float raises ValueError, or with other than 32 fields NotHermitian;
-    then the whole stack is checked for Hermiticity, unit trace and, from
-    one ``eigh``, positive semidefiniteness.  Every error names its line.
+    Each field reads as ``float`` reads it, bit for bit, _ROW_BLOCK rows at
+    a time: -?0 or -?0. and 1 to 20 digits, at most 17 significant (nearly
+    every field ``write_stack`` writes), by an exact vectorized kernel, and
+    every other field by numpy's C text parser, whose float grammar is that
+    of ``float`` without digit-group underscores.  The first row with a
+    field that is no float raises ValueError, or with other than 32 fields
+    NotHermitian; then the whole stack is validated, its PSD check from one
+    ``eigh``.  Every error names its line.
     """
     return _read_stack_eig(fh)[0]

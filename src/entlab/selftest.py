@@ -229,35 +229,28 @@ def check_csv_format(n: int = 2000) -> None:
 
 
 def _csv_parse_fields(n: int = 2000) -> list[str]:
-    """Text fields at the edges of read_stack's decimal kernel, both signs:
-    CSV_FLOAT of _csv_probe_values (the doubles either side of each power of
-    ten 1e-4 .. 1, signed zeros, and fields with exponents, inf and nan,
-    which go to the parser); for n log-uniform doubles x in [1e-4, 1), the
-    15-, 16- and 17-digit decimals nearest the midpoint of x and the next
-    double, and the 17-digit ones with one to three zeros appended (18 to 20
-    digits, 17 significant) or a 1 appended (18 significant, for the parser)."""
+    """Fields at the edges of read_stack's kernel: CSV_FLOAT of
+    _csv_probe_values, and for n doubles x in [1e-4, 1), either sign, the
+    15- to 17-digit decimals nearest the midpoint of x and the next double,
+    the 17-digit one also with 1 to 3 zeros or (for the parser) a 1 added."""
     x = 10.0 ** -(4.0 * sampler.RngStream(114).uniforms(n))
     context = decimal.Context(prec=80)  # the midpoints' expansions are exact
     near = []
     for a, b in zip(x.tolist(), np.nextafter(x, 1.0).tolist()):
-        mid = context.divide(decimal.Decimal(a) + decimal.Decimal(b), 2)
-        for k in (15, 16, 17):
-            near.append(f"{mid.quantize(decimal.Decimal(1).scaleb(mid.adjusted() + 1 - k), context=context):f}")
+        mid = context.divide(context.add(decimal.Decimal(a), decimal.Decimal(b)), 2)
+        near += [f"{context.quantize(mid, decimal.Decimal(f'1e{mid.adjusted() + 1 - k}')):f}" for k in (15, 16, 17)]
         near += [near[-1] + "0", near[-1] + "00", near[-1] + "000", near[-1] + "1"]
-    probes = [qstate.CSV_FLOAT % v for v in _csv_probe_values(n // 4).tolist()]
-    return probes + near + ["-" + f for f in near]
+    return [qstate.CSV_FLOAT % v for v in _csv_probe_values(n // 4).tolist()] + near + ["-" + f for f in near]
 
 
 def check_csv_parse(n: int = 2000) -> None:
     """read_stack's fields against float on _csv_parse_fields, bit for bit,
-    and a state file read back as write_stack wrote it, signed zeros included."""
+    and write_stack's states read back, signed zeros included."""
     fields = _csv_parse_fields(n)
     fields += ["0"] * (-len(fields) % 32)
     values, _ = qstate._read_rows([",".join(fields[i : i + 32]) for i in range(0, len(fields), 32)])
-    bits, want = values.ravel().view(np.uint64), np.array([float(f) for f in fields]).view(np.uint64)
-    bad = np.flatnonzero(bits != want)
-    first = f"{fields[bad[0]]!r} as {float(values.flat[bad[0]])!r}" if len(bad) else ""
-    _check(len(bad) == 0, f"read_stack misreads {len(bad)} fields, the first {first}")
+    for field, value in zip(fields, values.ravel().tolist()):
+        _check(repr(value) == repr(float(field)), f"read_stack reads {field!r} as {value!r}, float as {float(field)!r}")
     ms = sampler.random_density_batch(sampler.RngStream(115), 600)
     ms.imag[:, range(4), range(4)] = -0.0
     text = io.StringIO()
