@@ -7,7 +7,6 @@ invariants at full scale.  Every check raises SelfTestFailure through
 
 from __future__ import annotations
 
-import decimal
 import io
 
 import numpy as np
@@ -233,6 +232,8 @@ def _csv_parse_fields(n: int = 2000) -> list[str]:
     _csv_probe_values, and for n doubles x in [1e-4, 1), either sign, the
     15- to 17-digit decimals nearest the midpoint of x and the next double,
     the 17-digit one also with 1 to 3 zeros or (for the parser) a 1 added."""
+    import decimal  # here, so that no command but selftest pays for its import
+
     x = 10.0 ** -(4.0 * sampler.RngStream(114).uniforms(n))
     context = decimal.Context(prec=80)  # the midpoints' expansions are exact
     near = []

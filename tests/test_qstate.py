@@ -410,8 +410,8 @@ class TestCsvGrammar:
         fields = fields + [_SPELLINGS[s](x) for s, x in zip(spellings, values)][: -len(fields) % 32]
         mixed.shuffle(fields)
         rows = [",".join(fields[i : i + 32]) for i in range(0, len(fields), 32)]
-        values, lines = qstate._read_rows(rows)
-        assert values.tobytes() == np.array([float(f) for f in fields]).tobytes()
+        got, lines = qstate._read_rows(rows)
+        assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
         assert list(lines) == list(range(1, len(rows) + 1))
 
     @given(
