@@ -340,7 +340,8 @@ def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[
     """(values, exact): the float64 ``float`` reads from each field
     data[start:end] of the form -?0 or -?0. and 1 to 20 digits, at most 17
     significant, and the mask of those fields (the other values are
-    meaningless).  Each field ends 24 bytes or more into data, before its end.
+    meaningless).  Each field must end 24 bytes or more into data, and
+    before its last byte.
 
     The field's last 24 bytes are three little-endian words; XOR with "0"
     and a mask leave the digits' values, and the 8-digit SWAR step converts

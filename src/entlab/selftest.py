@@ -229,12 +229,14 @@ def check_csv_format(n: int = 2000) -> None:
 
 def _csv_parse_fields(n: int = 2000) -> list[str]:
     """Fields at the edges of read_stack's kernel: CSV_FLOAT of
-    _csv_probe_values, and for n doubles x in [1e-4, 1), either sign, the
-    15- to 17-digit decimals nearest the midpoint of x and the next double,
-    the 17-digit one also with 1 to 3 zeros or (for the parser) a 1 added."""
+    _csv_probe_values, and for n doubles x in [1e-4, 1), the powers of two
+    there and the doubles below them, either sign, the 15- to 17-digit
+    decimals nearest the midpoint of x and the next double, the 17-digit one
+    also with 1 to 3 zeros or (for the parser) a 1 added."""
     import decimal  # here, so that no command but selftest pays for its import
 
-    x = 10.0 ** -(4.0 * sampler.RngStream(114).uniforms(n))
+    twos = 2.0 ** -np.arange(1, 14)  # where the ulp halves below
+    x = np.concatenate([10.0 ** -(4.0 * sampler.RngStream(114).uniforms(n)), twos, np.nextafter(twos, 0.0)])
     context = decimal.Context(prec=80)  # the midpoints' expansions are exact
     near = []
     for a, b in zip(x.tolist(), np.nextafter(x, 1.0).tolist()):

@@ -183,20 +183,25 @@ def test_selftest_catches_csv_fault(monkeypatch, fault):
     assert not selftest.run_selftest(verbose=False)
 
 
-def _residual_correction_dropped(monkeypatch):
-    # the reader's kernel takes y = fl(S / 10^L) alone, as certified as before
-    source = inspect.getsource(qstate._decimal_fields)
-    assert source.count("y = q + m * ulp") == 1
-    namespace = dict(vars(qstate))
-    exec(source.replace("y = q + m * ulp", "y = q"), namespace)
-    monkeypatch.setattr(qstate, "_decimal_fields", namespace["_decimal_fields"])
+# faults of the reader's kernel, as edits of its source: y = fl(S / 10^L)
+# alone, as certified as before; and q or y a power of two, where the ulp
+# halves below, certified too
+READER_FAULTS = {
+    "residual_correction_dropped": ("y = q + m * ulp", "y = q"),
+    "powers_of_two_certified": ("& off_powers)", ")"),
+}
 
 
-def test_selftest_catches_reader_fault(monkeypatch):
+@pytest.mark.parametrize("old, new", list(READER_FAULTS.values()), ids=list(READER_FAULTS))
+def test_selftest_catches_reader_fault(monkeypatch, old, new):
     fields = selftest._csv_parse_fields()
     rows = [",".join(fields[i : i + 32]) for i in range(0, len(fields) - 31, 32)]
     clean = qstate._read_rows(rows)[0].tobytes()
-    _residual_correction_dropped(monkeypatch)
+    source = inspect.getsource(qstate._decimal_fields)
+    assert source.count(old) == 1
+    namespace = dict(vars(qstate))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(qstate, "_decimal_fields", namespace["_decimal_fields"])
     assert qstate._read_rows(rows)[0].tobytes() != clean  # the fault is live
     assert not selftest.run_selftest(verbose=False)
 

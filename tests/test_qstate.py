@@ -398,8 +398,11 @@ class TestCsvGrammar:
         spellings=st.lists(st.sampled_from(sorted(_SPELLINGS)), min_size=6 * 32, max_size=6 * 32),
         mixed=st.randoms(use_true_random=False),
     )
-    @example(  # 20 digits with trailing zeros, whose digits overflow 64 bits
-        ["0.12345678901234567000", "-0.1234567890123456780", "0.99999999999999999000", "0.00000000000000000001"],
+    # 20 digits with trailing zeros, whose digits overflow 64 bits; and just
+    # below 1/2 and 1/4, where q is the power of two and the ulp halves below
+    @example(
+        ["0.12345678901234567000", "-0.1234567890123456780", "0.99999999999999999000", "0.00000000000000000001",
+         "0.49999999999999997", "-0.24999999999999998"],
         [0.0] * 192, ["%.17g"] * 192, random.Random(0),
     )
     @settings(max_examples=200, deadline=None)
