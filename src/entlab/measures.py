@@ -23,10 +23,10 @@ takes the concurrence from the sampler's column stacks.
 Every command of the CLI that handles states measures them as one stack
 through ``measure_table``, or, for a state file, through ``_table_from_eig``
 with the one ``eigh`` of ``qstate``'s check, so a file of at least 256
-states takes the kernels.  ``measure_report`` returns the
-one row of ``measure_table`` for a 1-stack of one DensityMatrix, Hermiticity
-check included; it serves ``experiment.compare_pair`` and the scalar
-functions (``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
+states takes the kernels.  ``measure_report`` returns the one row of
+``measure_table`` for a 1-stack of one DensityMatrix, Hermiticity check
+included; it serves ``experiment.compare_pair`` and the scalar functions
+(``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
 ``linear_entropy``, ``is_separable``), which return its fields, so a scalar
 call equals the corresponding entry of a 1-stack table exactly and of a
 larger table to rounding.
@@ -536,8 +536,7 @@ def _table_from_eig(ms: np.ndarray, w: np.ndarray, u: np.ndarray) -> dict[str, n
 
 
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
-    """All measures for a (n, 4, 4) stack, sharing the eigendecompositions:
-    ``_table_from_eig`` of ``cmat.hermitian_eig``.
+    """All measures for a (n, 4, 4) stack: ``_table_from_eig`` of its ``eigh``.
 
     Hermiticity is checked once, by ``cmat.hermitian_eig``: the entries of
     rho^Gamma - (rho^Gamma)^dagger are a permutation of those of

@@ -7,12 +7,11 @@ traces in one einsum and positive semidefiniteness in one batched
 ``eigvalsh``, and raises the error of its lowest-indexed invalid matrix.  A
 ``DensityMatrix`` is one matrix validated as a 1-stack.  ``write_stack``
 and ``read_stack`` stream a stack to and from a text file, one 32-field row
-per matrix, and keep every bit, signed zeros included.  The reader converts
-a block of rows at a time: fields of the form -?0 or -?0. and up to 20
-digits, nearly all the writer writes, by an exact vectorized kernel
-(``_decimal_fields``), every other field by numpy's C text parser.  It
-validates what it read, taking the PSD check from the one ``eigh`` that
-the measures reuse, and names the file line of any fault.
+per matrix, and keep every bit, signed zeros included.  The reader reads
+each field as ``float`` does, digit-group underscores refused: -?0 or -?0.
+and up to 20 digits by an exact vectorized kernel (``_decimal_fields``),
+every other field by numpy's C text parser.  Its PSD check is the one
+``eigh`` that the measures reuse, and every error names its file line.
 ``write_csv`` writes every CSV file and table of the package, each column
 as its dtype sets: floats in the one format CSV_FLOAT, integers in decimal,
 booleans as true/false.  It renders blocks of values as fixed-width byte
@@ -58,13 +57,10 @@ _HEADS = np.array(
     dtype="S8",
 ).view(np.uint64)
 _VELTKAMP = 134217729.0  # 2^27 + 1: splits a float64 into two 26-bit halves
-# State rows read_stack converts at a time; at 1024 the kernel's (3, n)
-# temporaries took fresh pages on every block and it ran 1.6x slower.
-_ROW_BLOCK = 512
+_ROW_BLOCK = 512  # rows read_stack converts at a time; at 1024 the kernel ran 1.6x slower
 # _DIGIT_BYTES[j, b]: the bytes of word j of a field's last 24 bytes that
 # lie past the first b of them, where a field of 24 - b digits has digits.
 _DIGIT_BYTES = ~np.array([[(1 << 8 * min(max(b - j, 0), 8)) - 1 for b in range(25)] for j in (0, 8, 16)], np.uint64)
-_INT_POWERS = 10 ** np.arange(9, dtype=np.uint64)
 _MIDPOINT_GAP = 2.0**-30  # how far from a half-integer t must lie; its error is below 1e-15
 
 
@@ -305,20 +301,13 @@ def write_stack(fh, ms: np.ndarray) -> None:
     write_csv(fh, CSV_HEADER, flat.T)
 
 
-def _parse_rows(rows) -> np.ndarray:
-    """The float64 (n, k) array of an iterable of n non-empty rows of k
-    comma-separated floats each, read by numpy's C text parser; ValueError if
-    a field is no float or the rows differ in width."""
-    return np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-
-
-def _parses(text: str) -> bool:
-    """Whether the parser reads text, a non-empty row or field, without error."""
+def _parse_row(row: str) -> np.ndarray | None:
+    """The float64 fields of a non-empty row of comma-separated floats, read
+    by numpy's C text parser, or None if it rejects a field."""
     try:
-        _parse_rows([text])
+        return np.loadtxt([row], delimiter=",", comments=None, ndmin=1, dtype=np.float64)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _row_fault(rows, linenos) -> ValueError | NotHermitian | None:
@@ -327,9 +316,9 @@ def _row_fault(rows, linenos) -> ValueError | NotHermitian | None:
     no row is faulty."""
     for row, lineno in zip(rows, linenos):
         fields = row.split(",")
-        if not _parses(row):
+        if _parse_row(row) is None:
             # the parser rejects a row only for a field it rejects on its own
-            bad = next(tok for tok in fields if not (tok and _parses(tok)))
+            bad = next(tok for tok in fields if not tok or _parse_row(tok) is None)
             return ValueError(f"line {lineno}: could not convert string to float: {bad!r}")
         if len(fields) != 32:
             return NotHermitian(f"line {lineno}: expected 32 CSV fields, got {len(fields)}")
@@ -339,19 +328,19 @@ def _row_fault(rows, linenos) -> ValueError | NotHermitian | None:
 def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, exact): the float64 ``float`` reads from each field
     data[start:end] of the form -?0 or -?0. and 1 to 20 digits, at most 17
-    significant, and the mask of those fields (the other values are
-    meaningless).  Each field must end 24 bytes or more into data, and
-    before its last byte.
+    significant (trailing zeros counted), and the mask of those fields (the
+    other values are meaningless).  Each field must end 24 bytes or more
+    into data, and before its last byte.
 
     The field's last 24 bytes are three little-endian words; XOR with "0"
     and a mask leave the digits' values, and the 8-digit SWAR step converts
     each word (Lemire, "Number Parsing at a Gigabyte per Second", 2021).
-    The field is S / 10^L, S < 10^17 and L <= 20 once trailing zeros past
-    17 digits are dropped.  q = fl(fl(S) / 10^L) lies within 1.5 ulp; the
-    residual S - q 10^L from Dekker's two-product, rounded once, gives
-    t = (S / 10^L - q) / ulp(q) within 1e-15, and q + rint(t) ulp(q) is the
-    nearest double where t lies over _MIDPOINT_GAP from a half-integer and
-    neither it nor q is a power of two (Clinger, PLDI 1990).
+    The field is S / 10^L, S < 10^17, L <= 20.  q = fl(fl(S) / 10^L) lies
+    within 1.5 ulp; the residual S - q 10^L from Dekker's two-product,
+    rounded once, gives t = (S / 10^L - q) / ulp(q) within 1e-15, and
+    q + rint(t) ulp(q) is the nearest double where t lies over _MIDPOINT_GAP
+    from a half-integer and neither it nor q is a power of two (Clinger,
+    PLDI 1990).
     """
     buf = np.frombuffer(data, np.uint8)
     neg = buf[starts] == ord("-")
@@ -367,17 +356,11 @@ def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[
     w = ((w & 0x00FF00FF00FF00FF) * (100 * 2**16 + 1)) >> 16  # groups of 4
     w = ((w & 0x0000FFFF0000FFFF) * (10**4 * 2**32 + 1)) >> 32  # groups of 8
     high = w[0] * 10**8 + w[1]
-    digits, power = high * 10**8 + w[2], np.clip(nd, 0, 20)
-    long = np.flatnonzero(exact & (high >= 10**9))  # over 17 digits: exact only with trailing zeros
-    if len(long):
-        cut = 1 + (high[long] >= 10**10) + (high[long] >= 10**11)
-        top, rest = np.divmod(w[2, long], _INT_POWERS[cut])
-        digits[long] = high[long] * _INT_POWERS[8 - cut] + top
-        power[long] -= cut
-        exact[long] = rest == 0
-    s = np.where(exact, digits, 0).astype(np.int64)
+    exact &= high < 10**9  # at most 17 significant digits, trailing zeros counted
+    s = np.where(exact, high * 10**8 + w[2], 0).astype(np.int64)
     sf = s.astype(np.float64)
     lo = (s - sf.astype(np.int64)).astype(np.float64)  # s = sf + lo exactly
+    power = np.clip(nd, 0, 20)
     scale = _POWERS[power]
     q = sf / scale
     p, e = _times_power(q, power)
@@ -394,10 +377,9 @@ def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[
 
 def _convert_block(rows: list[str], lines) -> np.ndarray:
     """The (n, 32) fields of n stripped rows, their file lines in lines, as
-    ``float`` reads them: the kernel's, and the others (exponents, "+",
-    padding, inf, nan, 18 or more significant digits, non-ASCII) by one
-    parser call as one row.  A row without 32 fields, or a field the parser
-    rejects, raises the error of the first faulty row."""
+    ``float`` reads them: the kernel's, the others by one parser call as one
+    row.  A row without 32 fields, or a field the parser rejects, raises the
+    error of the first faulty row."""
     text = "\n".join(rows) + "\n"
     data = bytes(24) + text.encode("ascii", "replace") + b"\0"  # room for each field's 24 bytes
     buf = np.frombuffer(data, np.uint8)
@@ -410,19 +392,19 @@ def _convert_block(rows: list[str], lines) -> np.ndarray:
     others = np.flatnonzero(~exact)
     if len(others):
         fields = [text[a:b] for a, b in zip((starts[others] - 24).tolist(), (ends[others] - 24).tolist())]
-        try:  # a leading 0, so that no lone blank field makes the row one the parser skips
-            values[others] = _parse_rows(["0," + ",".join(fields)])[0, 1:]
-        except ValueError:
-            raise _row_fault(rows, lines) from None
+        parsed = _parse_row("0," + ",".join(fields))  # the 0: no lone blank field makes a skipped row
+        if parsed is None:
+            raise _row_fault(rows, lines)
+        values[others] = parsed[1:]
     return values.reshape(-1, 32)
 
 
-def _row_blocks(fh, lines: array.array):
-    """The stripped rows of the text stream fh, header and blank lines
-    skipped, in lists of at most _ROW_BLOCK; each row's file line is
-    appended to lines.  A ValueError of the stream itself (a decode error)
-    comes after the rows read before it, so that their faults come first."""
-    rows = []
+def _row_blocks(fh):
+    """(rows, lines): the stripped rows of the text stream fh, header and
+    blank lines skipped, and their file lines, in blocks of at most
+    _ROW_BLOCK.  A ValueError of the stream itself (a decode error) comes
+    after the rows read before it, so that their faults come first."""
+    rows, lines = [], []
     try:
         for lineno, line in enumerate(fh, start=1):
             row = line.strip()
@@ -430,27 +412,23 @@ def _row_blocks(fh, lines: array.array):
                 rows.append(row)
                 lines.append(lineno)
                 if len(rows) == _ROW_BLOCK:
-                    yield rows
-                    rows = []
+                    yield rows, lines
+                    rows, lines = [], []
     except ValueError:
-        yield rows
+        yield rows, lines
         raise
-    yield rows
-
-
-def _read_rows(fh) -> tuple[np.ndarray, array.array]:
-    """The (n, 32) float64 fields of the rows of the text stream fh, and the
-    file line of each row, as ``read_stack`` reads them."""
-    lines = array.array("q")
-    blocks = [_convert_block(rows, lines[len(lines) - len(rows) :]) for rows in _row_blocks(fh, lines) if rows]
-    return (np.concatenate(blocks) if blocks else np.empty((0, 32))), lines
+    yield rows, lines
 
 
 def _read_stack_eig(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ms, w, u): ``read_stack``'s stack and its eigenvalues (ascending)
     and eigenvectors, from the one ``eigh`` that gives its PSD check."""
-    fields, lines = _read_rows(fh)
-    ms = fields.view(np.complex128).reshape(-1, 4, 4)  # every bit, signed zeros included
+    blocks, lines = [np.empty((0, 32))], array.array("q")
+    for rows, block_lines in _row_blocks(fh):
+        if rows:
+            blocks.append(_convert_block(rows, block_lines))
+            lines.extend(block_lines)
+    ms = np.concatenate(blocks).view(np.complex128).reshape(-1, 4, 4)  # every bit, signed zeros included
     fault = _entry_fault(ms)
     if fault is None:
         w, u = cmat._lapack(np.linalg.eigh, ms)
@@ -463,15 +441,11 @@ def _read_stack_eig(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def read_stack(fh) -> np.ndarray:
     """The validated (n, 4, 4) stack of the rows of the text stream fh, as
-    ``write_stack`` writes them (header line optional, blank lines skipped).
-
-    Each field reads as ``float`` reads it, bit for bit, _ROW_BLOCK rows at
-    a time: -?0 or -?0. and 1 to 20 digits, at most 17 significant (nearly
-    every field ``write_stack`` writes), by an exact vectorized kernel, and
-    every other field by numpy's C text parser, whose float grammar is that
-    of ``float`` without digit-group underscores.  The first row with a
-    field that is no float raises ValueError, or with other than 32 fields
-    NotHermitian; then the whole stack is validated, its PSD check from one
-    ``eigh``.  Every error names its line.
+    ``write_stack`` writes them (header line optional, blank lines skipped),
+    each field as ``float`` reads it, bit for bit (see the module docstring).
+    The first row with a field that is no float raises ValueError, or with
+    other than 32 fields NotHermitian; then the whole stack is validated, at
+    the cost of one ``eigh``, eigenvectors included, per state.  Every error
+    names its line.
     """
     return _read_stack_eig(fh)[0]

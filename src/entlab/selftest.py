@@ -227,32 +227,33 @@ def check_csv_format(n: int = 2000) -> None:
         _check(row == want, f"write_csv writes {row!r} for {value!r}, % writes {want!r}")
 
 
-def _csv_parse_fields(n: int = 2000) -> list[str]:
-    """Fields at the edges of read_stack's kernel: CSV_FLOAT of
+def _csv_parse_rows(n: int = 2000) -> list[str]:
+    """Rows of fields at the edges of read_stack's kernel: CSV_FLOAT of
     _csv_probe_values, and for n doubles x in [1e-4, 1), the powers of two
     there and the doubles below them, either sign, the 15- to 17-digit
     decimals nearest the midpoint of x and the next double, the 17-digit one
-    also with 1 to 3 zeros or (for the parser) a 1 added."""
+    also with 1 to 3 zeros or a 1 added (18 to 20 digits, for the parser)."""
     import decimal  # here, so that no command but selftest pays for its import
 
     twos = 2.0 ** -np.arange(1, 14)  # where the ulp halves below
     x = np.concatenate([10.0 ** -(4.0 * sampler.RngStream(114).uniforms(n)), twos, np.nextafter(twos, 0.0)])
     context = decimal.Context(prec=80)  # the midpoints' expansions are exact
-    near = []
+    fields = [qstate.CSV_FLOAT % v for v in _csv_probe_values(n // 4).tolist()]
     for a, b in zip(x.tolist(), np.nextafter(x, 1.0).tolist()):
         mid = context.divide(context.add(decimal.Decimal(a), decimal.Decimal(b)), 2)
-        near += [f"{context.quantize(mid, decimal.Decimal(f'1e{mid.adjusted() + 1 - k}')):f}" for k in (15, 16, 17)]
-        near += [near[-1] + "0", near[-1] + "00", near[-1] + "000", near[-1] + "1"]
-    return [qstate.CSV_FLOAT % v for v in _csv_probe_values(n // 4).tolist()] + near + ["-" + f for f in near]
+        near = [f"{context.quantize(mid, decimal.Decimal(f'1e{mid.adjusted() + 1 - k}')):f}" for k in (15, 16, 17)]
+        near += [near[-1] + tail for tail in ("0", "00", "000", "1")]
+        fields += near + ["-" + f for f in near]
+    fields += ["0"] * (-len(fields) % 32)
+    return [",".join(fields[i : i + 32]) for i in range(0, len(fields), 32)]
 
 
 def check_csv_parse(n: int = 2000) -> None:
-    """read_stack's fields against float on _csv_parse_fields, bit for bit,
+    """read_stack's fields against float on _csv_parse_rows, bit for bit,
     and write_stack's states read back, signed zeros included."""
-    fields = _csv_parse_fields(n)
-    fields += ["0"] * (-len(fields) % 32)
-    values, _ = qstate._read_rows([",".join(fields[i : i + 32]) for i in range(0, len(fields), 32)])
-    for field, value in zip(fields, values.ravel().tolist()):
+    rows = _csv_parse_rows(n)
+    values = qstate._convert_block(rows, range(1, len(rows) + 1))
+    for field, value in zip(",".join(rows).split(","), values.ravel().tolist()):
         _check(repr(value) == repr(float(field)), f"read_stack reads {field!r} as {value!r}, float as {float(field)!r}")
     ms = sampler.random_density_batch(sampler.RngStream(115), 600)
     ms.imag[:, range(4), range(4)] = -0.0

@@ -194,15 +194,15 @@ READER_FAULTS = {
 
 @pytest.mark.parametrize("old, new", list(READER_FAULTS.values()), ids=list(READER_FAULTS))
 def test_selftest_catches_reader_fault(monkeypatch, old, new):
-    fields = selftest._csv_parse_fields()
-    rows = [",".join(fields[i : i + 32]) for i in range(0, len(fields) - 31, 32)]
-    clean = qstate._read_rows(rows)[0].tobytes()
+    rows = selftest._csv_parse_rows()
+    lines = range(1, len(rows) + 1)
+    clean = qstate._convert_block(rows, lines).tobytes()
     source = inspect.getsource(qstate._decimal_fields)
     assert source.count(old) == 1
     namespace = dict(vars(qstate))
     exec(source.replace(old, new), namespace)
     monkeypatch.setattr(qstate, "_decimal_fields", namespace["_decimal_fields"])
-    assert qstate._read_rows(rows)[0].tobytes() != clean  # the fault is live
+    assert qstate._convert_block(rows, lines).tobytes() != clean  # the fault is live
     assert not selftest.run_selftest(verbose=False)
 
 

@@ -398,8 +398,9 @@ class TestCsvGrammar:
         spellings=st.lists(st.sampled_from(sorted(_SPELLINGS)), min_size=6 * 32, max_size=6 * 32),
         mixed=st.randoms(use_true_random=False),
     )
-    # 20 digits with trailing zeros, whose digits overflow 64 bits; and just
-    # below 1/2 and 1/4, where q is the power of two and the ulp halves below
+    # 20 digits with trailing zeros, whose digits overflow 64 bits and which
+    # go to the parser; and just below 1/2 and 1/4, where q is the power of
+    # two and the ulp halves below
     @example(
         ["0.12345678901234567000", "-0.1234567890123456780", "0.99999999999999999000", "0.00000000000000000001",
          "0.49999999999999997", "-0.24999999999999998"],
@@ -413,9 +414,10 @@ class TestCsvGrammar:
         fields = fields + [_SPELLINGS[s](x) for s, x in zip(spellings, values)][: -len(fields) % 32]
         mixed.shuffle(fields)
         rows = [",".join(fields[i : i + 32]) for i in range(0, len(fields), 32)]
-        got, lines = qstate._read_rows(rows)
+        [(block, lines)] = qstate._row_blocks(rows)
+        got = qstate._convert_block(block, lines)
         assert got.tobytes() == np.array([float(f) for f in fields]).tobytes()
-        assert list(lines) == list(range(1, len(rows) + 1))
+        assert lines == list(range(1, len(rows) + 1))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
