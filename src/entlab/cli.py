@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import sys
 
@@ -16,9 +17,10 @@ from .selftest import run_selftest
 MAX_GRID_POINTS = 10**6
 # Most states `sample` draws, checked before any is drawn.
 MAX_SAMPLE_COUNT = 10**6
-# Points `werner-table` builds and measures at a time, so that memory stays
-# bounded for any grid; a fixed size keeps the output deterministic.
-WERNER_BLOCK = 4096
+# States `sample` draws and writes, and grid points `werner-table` builds
+# and measures, at a time, so that memory stays bounded for any count; a
+# fixed size keeps the output deterministic.
+STATE_BLOCK = 4096
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -61,16 +63,32 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+def _sample_blocks(rng: sampler.RngStream, count: int):
+    """The next count states of rng as (n, 4, 4) stacks of STATE_BLOCK
+    states (one empty stack for count 0): the states of one draw of count,
+    as the stream is sequential."""
+    for start in range(0, max(count, 1), STATE_BLOCK):
+        yield sampler.random_density_batch(rng, min(STATE_BLOCK, count - start))
+
+
 def _cmd_sample(args) -> int:
     if not 0 <= args.count <= MAX_SAMPLE_COUNT:
         raise ValueError(f"--count must lie in [0, {MAX_SAMPLE_COUNT}], got {args.count}")
-    ms = sampler.random_density_batch(sampler.RngStream(args.seed), args.count)
+    blocks = _sample_blocks(sampler.RngStream(args.seed), args.count)
+    ms = next(blocks)  # before any output: a failure to draw it prints nothing and leaves --out as it was
     if args.out is None:
-        qstate.write_stack(sys.stdout, ms)
+        out = contextlib.nullcontext(sys.stdout)
     else:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            qstate.write_stack(fh, ms)
-        print(f"wrote {len(ms)} states to {args.out}")
+        out = open(args.out, "w", encoding="ascii", newline="\n")
+    with out as fh:
+        fh.write(qstate.CSV_HEADER)  # then the rows of write_stack, one block at a time
+        while ms is not None:
+            qstate._write_rows(fh, qstate._stack_columns(ms))
+            del ms  # so that one block is held at a time
+            ms = next(blocks, None)
+        fh.write("\n")
+    if args.out is not None:
+        print(f"wrote {args.count} states to {args.out}")
     return 0
 
 
@@ -93,8 +111,8 @@ def _cmd_werner_table(args) -> int:
     names = ("concurrence", "e_formation", "e_negative", "e_sum")
     columns = np.empty((1 + len(names), len(fs)))
     columns[0] = fs
-    for start in range(0, len(fs), WERNER_BLOCK):
-        block = slice(start, start + WERNER_BLOCK)
+    for start in range(0, len(fs), STATE_BLOCK):
+        block = slice(start, start + STATE_BLOCK)
         table = measures.measure_table(qstate.werner_stack(fs[block]))
         columns[1:, block] = [table[name] for name in names]
     # every block measured first, so a failure prints nothing

@@ -14,10 +14,14 @@ every other field by numpy's C text parser.  Its PSD check is the one
 ``eigh`` that the measures reuse, and every error names its file line.
 ``write_csv`` writes every CSV file and table of the package, each column
 as its dtype sets: floats in the one format CSV_FLOAT, integers in decimal,
-booleans as true/false.  It renders blocks of values as fixed-width byte
-fields joined into one string; zeros and 1e-4 <= |x| < 1, nearly all of
-the package's floats, take an exact vectorized kernel (``_float_fields``)
-that writes the bytes CSV_FLOAT writes, every other float CSV_FLOAT itself.
+booleans as true/false.  It renders blocks of _CSV_VALUES values as
+fixed-width byte slots joined into one string: zeros and 1e-4 <= |x| < 1,
+nearly all of the package's floats, take an exact vectorized kernel
+(``_float_fields``) that writes the bytes CSV_FLOAT writes, and whose
+fields are the slots; every other float takes CSV_FLOAT itself.  A table
+passed as a 2-d float array, as ``write_stack``'s, is read row by row in
+place; ``entlab sample`` writes its stack one block at a time through the
+same rows (``_write_rows``).
 """
 
 from __future__ import annotations
@@ -33,9 +37,10 @@ from .errors import EntanglementLabError, NotHermitian, NotPSD, ParameterOutOfRa
 
 CSV_HEADER = ",".join(f"m{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im"))
 CSV_FLOAT = "%.17g"  # every float in a CSV: 17 significant digits read back as the same float64
-# Values write_csv renders at a time (512 state rows), so that its
-# temporaries stay within a few MB.
-_CSV_VALUES = 16384
+# Values write_csv renders at a time (256 state rows), so that its
+# temporaries stay within a few MB; 8192 wrote as fast as 16384 and faster
+# than 4096 or 32768 (write_stack of 5000 states, 2 cores).
+_CSV_VALUES = 8192
 _FLAGS = np.array([b"false", b"true"]).view(np.uint8).reshape(2, 5)  # a boolean's field, NUL-padded
 # Tables of the float kernel, _float_fields.  Each 4-digit group 0000..9999
 # as four ASCII bytes, then the same with its trailing zeros as NUL bytes,
@@ -210,7 +215,7 @@ def _correct_decade(ax, k, p, e):
 def _float_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(fields, refused): the (n, 24) uint8 fields of the float64 values x
     as CSV_FLOAT writes them, NUL-padded, and the mask of the values the
-    kernel refuses, whose fields are all NUL.
+    kernel refuses, whose fields are meaningless.
 
     The kernel takes zeros and finite 1e-4 <= |x| < 1, which %.17g writes
     in fixed notation, 17 significant digits with trailing zeros stripped:
@@ -219,31 +224,41 @@ def _float_fields(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P = p + e exactly; p > 2^53 is an even integer, so int(p) + rint(e) is
     P rounded half to even, as CPython's dtoa rounds.  No value carries to
     10^17: the largest double below each power of ten 1 .. 0.001 has P at
-    least 8.3 below 10^17.  Byte 0 of a field is NUL for the caller's
-    separator; bytes 0-7 hold the sign, "0.", the zeros and the leading
-    digit (``_HEADS``), bytes 8-23 the other 16 digits in four groups.
+    least 8.3 below 10^17.  A field is three uint64 words, and its byte 0
+    is NUL for the caller's separator: the first word holds the sign, "0.",
+    the zeros and the leading digit, right-aligned (``_HEADS``), the other
+    two the next 16 digits in four groups (``_GROUPS``).
     """
     ax = np.abs(x)
     fast = (ax >= 1e-4) & (ax < 1.0)  # NaN fails both
     safe = np.where(fast, ax, 0.5)
     k = (-np.floor(np.log10(safe))).astype(np.intp)
     k, p, e = _correct_decade(safe, k, *_times_power(safe, 16 + k))
-    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
-    digits[~fast] = 0  # a zero has no digits after its head
-    high, low = np.divmod(digits, 10**8)
-    lead, high = np.divmod(high, 10**8)
-    g1, g2 = np.divmod(high, 10**4)
-    g3, g4 = np.divmod(low, 10**4)
-    fields = np.zeros((len(x), 6), np.uint32)
-    fields.view(np.uint64)[:, 0] = _HEADS[40 * np.signbit(x) + 10 * (k - 1) + lead]
+    digits = p.astype(np.int64)
+    digits += np.rint(e).astype(np.int64)
+    digits *= fast  # a zero has no digits after its head
+    high = digits // 10**8
+    low = digits - high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    g1, g3 = high // 10**4, low // 10**4
+    g2, g4 = high - g1 * 10**4, low - g3 * 10**4
+    k -= 1
+    k *= 10
+    k += lead
+    k += 40 * np.signbit(x).view(np.int8)  # _HEADS's index; int8 is faster
     # a group takes the stripped table when every group after it is zero
-    fields[:, 2] = _GROUPS[g1 + 10_000 * ((low == 0) & (g2 == 0))]
-    fields[:, 3] = _GROUPS[g2 + 10_000 * (low == 0)]
-    fields[:, 4] = _GROUPS[g3 + 10_000 * (g4 == 0)]
-    fields[:, 5] = _GROUPS[g4 + 10_000]
-    refused = ~fast & (x != 0)
-    fields[refused] = 0
-    return fields.view(np.uint8), refused
+    zero_low = low == 0
+    g4 += 10_000
+    g3 += 10_000 * (g4 == 10_000)
+    g2 += 10_000 * zero_low
+    g1 += 10_000 * (zero_low & (g2 == 10_000))
+    words = np.empty((len(x), 3), np.uint64)
+    words[:, 0] = _HEADS[k]
+    groups = words.view(np.uint32)
+    for j, g in enumerate((g1, g2, g3, g4), start=2):
+        groups[:, j] = _GROUPS[g]
+    return words.view(np.uint8), ~fast & (x != 0)
 
 
 def _printed(spec: str, values: list) -> np.ndarray:
@@ -252,53 +267,81 @@ def _printed(spec: str, values: list) -> np.ndarray:
     return a.view(np.uint8).reshape(len(a), a.itemsize)
 
 
-def write_csv(fh, header: str, columns) -> None:
-    """Write the header line to the text stream fh, then for each index of
-    the equal-length columns (1-d arrays or lists) one line, each column as
-    its dtype sets: floats in CSV_FLOAT, booleans as true/false, and every
-    other column (integers, Python ints past 2^64 among them) as %d does.
+def _column_text(col: np.ndarray) -> np.ndarray:
+    """The (m, w) uint8 bytes of a boolean or integer column's fields, NUL-padded."""
+    return _FLAGS[col.astype(np.intp)] if col.dtype == bool else _printed("%d", col.tolist())
 
-    A block of rows of about _CSV_VALUES values is rendered as one byte
-    array of fixed-width fields and written as one string.  Floats go
-    through ``_float_fields``, the values it refuses take CSV_FLOAT with one
-    % for the block, booleans a two-entry table and integers one % per
-    column.  Fields are NUL-padded, and dropping the NUL bytes joins them.
+
+def _write_rows(fh, columns) -> None:
+    """Write to the text stream fh one line per row of the columns, each
+    line after a newline: the rows of ``write_csv``, without its header and
+    final newline.
+
+    A block of _CSV_VALUES values is rendered as one byte array of
+    fixed-width slots, one per value in row order, and written as one
+    string.  Every value takes ``_float_fields``, whose fields are the slots
+    themselves (0.0 stands in for a column of another dtype), and byte 0 of
+    a slot takes the separator before its field.  The floats the kernel
+    refuses then take CSV_FLOAT, with one % for the block, and every other
+    column its own text: booleans a two-entry table, integers one % per
+    column; the slots widen for a text of over 23 bytes.  Slots are
+    NUL-padded, and dropping the NUL bytes joins them.
     """
-    columns = [np.asarray(col) for col in columns]
-    is_float = [col.dtype.kind == "f" for col in columns]
-    floats, others = np.flatnonzero(is_float), np.flatnonzero(np.logical_not(is_float))
-    n, step = len(columns[0]), max(1, _CSV_VALUES // len(columns))
-    fh.write(header)
+    if isinstance(columns, np.ndarray) and columns.ndim == 2 and columns.dtype.kind == "f":
+        table, others = columns.T, {}  # a row-major table, such as write_stack's, is not copied
+    else:
+        columns = [np.asarray(col) for col in columns]
+        others = {c: col for c, col in enumerate(columns) if col.dtype.kind != "f"}
+        table = np.zeros((len(columns[0]), len(columns)))  # 0.0 in the other columns' slots
+        for c, col in enumerate(columns):
+            if c not in others:
+                table[:, c] = col
+    n, width = table.shape
+    step = max(1, _CSV_VALUES // width)
     for start in range(0, n, step):
         block = slice(start, start + step)
-        rows = min(step, n - start)
-        values = np.empty((rows, len(floats)))
-        for j, c in enumerate(floats):
-            values[:, j] = columns[c][block]
+        values = np.ascontiguousarray(table[block], dtype=np.float64)
         fields, refused = _float_fields(values.ravel())
-        ref_rows, ref_cols = np.nonzero(refused.reshape(rows, len(floats)))
-        refused_text = _printed(CSV_FLOAT, values[ref_rows, ref_cols].tolist())
-        blocks = [columns[c][block] for c in others]
-        texts = [_FLAGS[b.astype(np.intp)] if b.dtype == bool else _printed("%d", b.tolist()) for b in blocks]
-        # byte 0 of each slot holds the separator before its field
-        width = max(24, 1 + max(text.shape[1] for text in [refused_text, *texts]))
-        slots = np.zeros((rows, len(columns), width), np.uint8)
-        slots[:, floats, :24] = fields.reshape(rows, len(floats), 24)
-        slots[ref_rows, floats[ref_cols], 1 : 1 + refused_text.shape[1]] = refused_text
-        for c, text in zip(others, texts):
-            slots[:, c, 1 : 1 + text.shape[1]] = text
-        slots[:, 1:, 0] = ord(",")
-        slots[:, 0, 0] = ord("\n")
-        fh.write(slots[slots != 0].tobytes().decode("ascii"))
+        # (the slots it goes to, text): a column's slots, or the refused floats'
+        texts = [(slice(c, None, width), _column_text(col[block])) for c, col in others.items()]
+        where = np.flatnonzero(refused)
+        if len(where):
+            texts.append((where, _printed(CSV_FLOAT, values.ravel()[where].tolist())))
+        wide = 1 + max((text.shape[1] for _, text in texts), default=0)
+        if wide > 24:  # the widest texts, such as -2.2250738585072014e-308
+            fields = np.pad(fields, ((0, 0), (0, wide - 24)))
+        for slots, text in texts:
+            fields[slots, 1:] = 0
+            fields[slots, 1 : 1 + text.shape[1]] = text
+        fields[:, 0] = ord(",")
+        fields[::width, 0] = ord("\n")
+        fh.write(fields[fields != 0].tobytes().decode("ascii"))
+
+
+def write_csv(fh, header: str, columns) -> None:
+    """Write the header line to the text stream fh, then for each index of
+    the equal-length columns one line, each column as its dtype sets:
+    floats in CSV_FLOAT, booleans as true/false, and every other column
+    (integers, Python ints past 2^64 among them) as %d does.  The columns
+    are 1-d arrays or lists, or the rows of a 2-d float array, which a
+    row-major table (such as ``write_stack``'s) passes transposed.
+    """
+    fh.write(header)
+    _write_rows(fh, columns)
     fh.write("\n")
+
+
+def _stack_columns(ms: np.ndarray) -> np.ndarray:
+    """The 32 float columns of a (n, 4, 4) stack's rows (row-major, real
+    and imaginary parts interleaved), as the transposed (n, 32) table."""
+    return np.ascontiguousarray(ms, dtype=complex).view(np.float64).reshape(len(ms), 32).T
 
 
 def write_stack(fh, ms: np.ndarray) -> None:
     """Write a header line, then one row of 32 floats (row-major, real and
     imaginary parts interleaved) per matrix of a (n, 4, 4) stack, to the
     text stream fh."""
-    flat = np.ascontiguousarray(ms, dtype=complex).view(np.float64).reshape(len(ms), 32)
-    write_csv(fh, CSV_HEADER, flat.T)
+    write_csv(fh, CSV_HEADER, _stack_columns(ms))
 
 
 def _parse_row(row: str) -> np.ndarray | None:

@@ -31,6 +31,8 @@ import numpy as np
 
 # Rotation pairs in composition order; the product is taken left to right.
 PAIR_SEQUENCE = ((1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 4))
+# The step of PAIR_SEQUENCE that rotates each column 1..4 for the last time.
+_LAST_STEP = {k: max(step for step, pair in enumerate(PAIR_SEQUENCE) if k in pair) for k in range(1, 5)}
 # Pairs whose rotation carries the extra chi phase.
 _CHI_PAIRS = frozenset({(1, 2), (1, 3), (1, 4)})
 
@@ -90,11 +92,14 @@ def _phase(x: np.ndarray) -> np.ndarray:
     """e^(2 pi i x) for uniforms x, as i^q e^(i (4x - q) pi/2) with q the
     nearest quarter turn: 4x - q is exact, and cos and sin of an angle in
     [-pi/4, pi/4] are both faster and more accurate than of one in [0, 2 pi)."""
-    q = np.rint(4.0 * x)
-    angle = (4.0 * x - q) * (0.5 * np.pi)
+    angle = 4.0 * x
+    q = np.rint(angle)
+    angle -= q
+    angle *= 0.5 * np.pi
     e = np.empty(angle.shape, dtype=complex)
     e.real, e.imag = np.cos(angle), np.sin(angle)
-    return e * _QUARTER_TURNS[q.astype(np.intp) & 3]
+    e *= _QUARTER_TURNS[q.astype(np.intp) & 3]
+    return e
 
 
 def _block(cos_phi, sin_phi, e_psi, e_chi=None) -> tuple:
@@ -114,8 +119,14 @@ def _times(v, e):
     return None if v is None else e if v is _ONE else v * e
 
 
-def _plus(v, w):
-    return w if v is None else v if w is None else v + w
+def _plus(v, w, out=None):
+    """v + w for rows that may be the exact 0 (None), into the row out if it is given."""
+    if v is not None and w is not None:
+        return np.add(v, w, out=out)
+    if out is None:
+        return w if v is None else v
+    out[...] = w if v is None else v
+    return out
 
 
 def _angles_to_columns(draws: np.ndarray) -> np.ndarray:
@@ -132,22 +143,27 @@ def _angles_to_columns(draws: np.ndarray) -> np.ndarray:
     the elementary rotations.  The product is taken left to right over
     PAIR_SEQUENCE; each factor mixes two columns of the running product, so
     every entry is a contiguous (n,) row updated on its own, and the rows
-    still exactly 0 or 1 from the identity are skipped.
+    still exactly 0 or 1 from the identity are skipped.  Each row of
+    uniforms is copied to a contiguous row just before it is used, and each
+    column's last rotation writes its rows straight into the result.
     """
+    x = (np.ascontiguousarray(row) for row in draws.T)  # the uniforms in their documented order
+    cols = np.empty((4, 4, len(draws)), dtype=complex)
     col = [[_ONE if r == k else None for r in range(4)] for k in range(4)]
-    x = iter(draws.T)  # the uniforms in their documented order
-    for (i, j) in PAIR_SEQUENCE:
+    for step, (i, j) in enumerate(PAIR_SEQUENCE):
         cos_phi, sin_phi = _mixing(next(x), i)
         e_psi = _phase(next(x))
         e_chi = _phase(next(x)) if (i, j) in _CHI_PAIRS else None
         e_aa, e_ab, e_ba, e_bb = _block(cos_phi, sin_phi, e_psi, e_chi)
         col_a, col_b = col[i - 1], col[j - 1]
+        # a column's last rotation writes it into cols
+        out_a, out_b = (cols[k - 1] if _LAST_STEP[k] == step else [None] * 4 for k in (i, j))
         for r in range(4):
             v, w = col_a[r], col_b[r]
-            col_a[r] = _plus(_times(v, e_aa), _times(w, e_ba))
-            col_b[r] = _plus(_times(v, e_ab), _times(w, e_bb))
-    # PAIR_SEQUENCE leaves no entry exactly 0 or 1, so every one is now a row
-    return np.array(col)
+            col_a[r] = _plus(_times(v, e_aa), _times(w, e_ba), out_a[r])
+            col_b[r] = _plus(_times(v, e_ab), _times(w, e_bb), out_b[r])
+    # PAIR_SEQUENCE leaves no entry exactly 0 or 1, so every row of cols is written
+    return cols
 
 
 def _uniforms_to_simplex(x: np.ndarray) -> np.ndarray:

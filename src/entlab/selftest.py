@@ -216,15 +216,20 @@ def _csv_probe_values(n: int = 2000) -> np.ndarray:
 
 def check_csv_format(n: int = 2000) -> None:
     """write_csv's float kernel against CSV_FLOAT on _csv_probe_values,
-    with this numpy's log10 and rounding."""
+    with this numpy's log10 and rounding, written as one column and as the
+    32-field rows of write_stack."""
     values = _csv_probe_values(n)
-    text = io.StringIO()
-    qstate.write_csv(text, "x", [values])
-    rows = text.getvalue().split("\n")[1:-1]
-    _check(len(rows) == len(values), f"write_csv wrote {len(rows)} rows for {len(values)} values")
-    for row, value in zip(rows, values.tolist()):
-        want = qstate.CSV_FLOAT % value
-        _check(row == want, f"write_csv writes {row!r} for {value!r}, % writes {want!r}")
+    padded = np.concatenate([values, np.zeros(-len(values) % 32)])
+    column, stack = io.StringIO(), io.StringIO()
+    qstate.write_csv(column, "x", [values])
+    qstate.write_stack(stack, padded.view(complex).reshape(-1, 4, 4))
+    for text, width, want in ((column, 1, values), (stack, 32, padded)):
+        rows = [row.split(",") for row in text.getvalue().split("\n")[1:-1]]
+        shape = (len(rows), *{len(row) for row in rows})
+        _check(shape == (len(want) // width, width), f"write_csv wrote {shape} fields for {len(want)} values")
+        for field, value in zip((field for row in rows for field in row), want.tolist()):
+            expected = qstate.CSV_FLOAT % value
+            _check(field == expected, f"write_csv writes {field!r} for {value!r}, % writes {expected!r}")
 
 
 def _csv_parse_rows(n: int = 2000) -> list[str]:

@@ -434,6 +434,33 @@ class TestSample:
             assert err.startswith("error: ")
             assert peak < 2**20
 
+    @pytest.mark.parametrize("count", [0, 1, cli.STATE_BLOCK - 1, cli.STATE_BLOCK, cli.STATE_BLOCK + 1,
+                                       2 * cli.STATE_BLOCK + 1])
+    def test_blocks_write_one_stack(self, capsys, tmp_path, count):
+        # drawn and written STATE_BLOCK states at a time, to a file or to
+        # stdout: the bytes of one write_stack of one draw
+        buf = io.StringIO()
+        qstate.write_stack(buf, random_density_batch(RngStream(12), count))
+        path = tmp_path / "states.csv"
+        argv = ["sample", "--seed", "12", "--count", str(count)]
+        assert run_cli(capsys, *argv, "--out", str(path)) == (0, f"wrote {count} states to {path}\n", "")
+        assert path.read_bytes() == buf.getvalue().encode()
+        assert run_cli(capsys, *argv) == (0, buf.getvalue(), "")
+
+    def test_memory_is_flat_in_count(self, tmp_path):
+        # one block at a time: 20000 states take no more memory than 4096
+        peaks = []
+        for count in (cli.STATE_BLOCK, 20000):
+            tracemalloc.start()
+            try:
+                argv = ["sample", "--seed", "1", "--count", str(count), "--out", str(tmp_path / "s.csv")]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
 
 @pytest.mark.parametrize("command", [["sample", "--count", "2"], ["compare", "--pairs", "2"]])
 def test_negative_seed_is_named_usage_error(capsys, tmp_path, command):
@@ -540,12 +567,12 @@ class TestWernerTable:
     def test_blocks_write_one_table(self, capsys, monkeypatch):
         # 7501 points span two blocks; one block gives the same bytes
         code, out, _ = run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")
-        monkeypatch.setattr(cli, "WERNER_BLOCK", 10**6)
+        monkeypatch.setattr(cli, "STATE_BLOCK", 10**6)
         assert (code, out) == (0, run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")[1])
         assert out.endswith("\n") and out.count("\n") == 1 + 7501
 
     # SHA-256 of `werner-table --grid 0.25:1:1e-4` (7501 rows across two
-    # WERNER_BLOCK blocks), measured with numpy 2.4.6, OpenBLAS 0.3.31,
+    # STATE_BLOCK blocks), measured with numpy 2.4.6, OpenBLAS 0.3.31,
     # Python 3.11.7.  A change of the table's writer must leave it unchanged.
     PINNED_SHA256 = "3045b2b7a99a351ead978f721f0dc565c5afdfc08159b687c18c80e3be5f4c55"
 
@@ -566,7 +593,7 @@ class TestWernerTable:
         monkeypatch.setattr(measures, "measure_table", fail_second)
         code, out, err = run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")
         assert (code, out, err) == (1, "", "error: eigh did not converge\n")
-        assert calls == [cli.WERNER_BLOCK, 7501 - cli.WERNER_BLOCK]
+        assert calls == [cli.STATE_BLOCK, 7501 - cli.STATE_BLOCK]
 
     def test_bad_grid(self, capsys):
         # "0.9:1.5:0.1" and "0.1:0.5:0.1" hold points outside [1/4, 1]: no

@@ -233,6 +233,26 @@ class TestCsvWriter:
         columns = np.array(rows, dtype=np.float64).reshape(len(rows), width).T
         assert csv_text(columns).splitlines() == ["h", *per_value_rows(columns)]
 
+    @given(st.lists(st.lists(st.one_of(_CSV_VALUES, _KERNEL_VALUES), min_size=32, max_size=32), max_size=4))
+    @example([[-2.2250738585072014e-308, np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, *[0.25] * 25]])
+    @settings(max_examples=200, deadline=None)
+    def test_stack_rows_match_per_value_format(self, rows):
+        # write_stack's 32-field rows, whose slots are the kernel's fields,
+        # with values the kernel refuses; -2.2250738585072014e-308 is the
+        # widest text, 24 bytes
+        values = np.array(rows, dtype=np.float64).reshape(len(rows), 32)
+        text = write_text(values.view(complex).reshape(-1, 4, 4))
+        assert text.splitlines() == [qstate.CSV_HEADER, *per_value_rows(values.T)]
+
+    def test_stack_rows_across_blocks(self):
+        # refused values, the widest text among them, in some blocks only
+        values = random_density_batch(RngStream(7), 2 * _STACK_BLOCK + 1).view(np.float64).reshape(-1, 32)
+        values[3, 5] = -2.2250738585072014e-308
+        values[_STACK_BLOCK + 2, [0, 31]] = [np.nan, 1e308]
+        values[2 * _STACK_BLOCK, 7] = -np.inf
+        text = write_text(values.view(complex).reshape(-1, 4, 4))
+        assert text.splitlines() == [qstate.CSV_HEADER, *per_value_rows(values.T)]
+
     def test_int_and_flag_columns(self):
         # each column's dtype sets its format: numpy int64 counts and flags
         # as in fig4, Python scalars as in summary.csv
