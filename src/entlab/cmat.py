@@ -1,11 +1,13 @@
 """Dense 4x4 complex linear algebra for two-qubit state calculations.
 
 Every operation accepts a single (4, 4) matrix or a stack of shape
-(..., 4, 4) and operates on every matrix in the stack.
-``hermiticity_defects`` is the one Hermiticity defect, per matrix, and
-``hermitian_eig`` the one checked eigendecomposition; ``psd_sqrt`` and the
-measures build on it.  The basis ordering is fixed throughout: |00>, |01>,
-|10>, |11>, with the first qubit labelled A and the second B.
+(..., 4, 4) and operates on every matrix in the stack.  Each matrix
+invariant has one check, which finds a stack's first faulty matrix and the
+error it alone raises: ``hermiticity_fault`` (finite and Hermitian, by
+``hermiticity_defects``) and ``psd_fault`` (positive semidefinite, PSD).
+``hermitian_eig``, ``psd_sqrt`` and ``qstate``'s stack check build on them.
+The basis ordering is fixed throughout: |00>, |01>, |10>, |11>, with the
+first qubit labelled A and the second B.
 """
 
 from __future__ import annotations
@@ -52,23 +54,33 @@ def hermiticity_defects(m: np.ndarray) -> np.ndarray:
         return defects
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest absolute entry of m - m^dagger, over a whole stack (0.0 if empty)."""
-    return float(np.max(hermiticity_defects(m), initial=0.0))
-
-
-def _not_hermitian(m: np.ndarray, defect: float) -> NotHermitian:
-    """The NotHermitian error of a matrix or stack m whose defect fails TOL.hermiticity."""
+def hermiticity_fault(m: np.ndarray) -> tuple[int, NotHermitian] | None:
+    """(index, error) of the first matrix of a (..., n, n) stack, flattened,
+    that is not Hermitian with finite entries to TOL.hermiticity, with the
+    error that matrix alone raises; or None."""
+    m = np.asarray(m)
+    defects = hermiticity_defects(m).ravel()
+    bad = np.flatnonzero(~(defects <= TOL.hermiticity))  # a non-finite entry makes its defect inf or NaN
+    if not len(bad):
+        return None
+    index, defect = int(bad[0]), float(defects[bad[0]])
     message = f"matrix deviates from Hermiticity by {defect:.3e} (tolerance {TOL.hermiticity:.1e})"
-    return NotHermitian(message if np.isfinite(m).all() else "matrix has non-finite entries", deviation=defect)
+    finite = np.isfinite(m.reshape(-1, *m.shape[-2:])[index]).all()
+    return index, NotHermitian(message if finite else "matrix has non-finite entries", deviation=defect)
 
 
-def _require_hermitian(m: np.ndarray) -> None:
-    """Raise NotHermitian unless m is finite with a defect of at most TOL.hermiticity."""
-    defect = hermiticity_defect(m)
-    # any non-finite entry makes its defect entry inf or NaN, and max keeps NaN
-    if not defect <= TOL.hermiticity:
-        raise _not_hermitian(m, defect)
+def psd_fault(w: np.ndarray) -> tuple[int, NotPSD] | None:
+    """(index, error) of the first spectrum of a (..., k) stack of
+    eigenvalues, flattened, whose smallest value is NaN or lies below
+    -TOL.psd_clamp (above it, a negative value is rounding noise), with the
+    error its matrix alone raises; or None.  One reduction passes a PSD
+    stack; only a failing one is searched spectrum by spectrum."""
+    w = np.asarray(w)
+    if w.min(initial=0.0) >= -TOL.psd_clamp:  # min keeps NaN, which fails
+        return None
+    wmin = w.reshape(-1, w.shape[-1]).min(axis=1)
+    index = int(np.flatnonzero(~(wmin >= -TOL.psd_clamp))[0])
+    return index, NotPSD(f"smallest eigenvalue is {wmin[index]:.3e}", deviation=-float(wmin[index]))
 
 
 def _lapack(fn, m: np.ndarray, **kwargs):
@@ -82,39 +94,27 @@ def _lapack(fn, m: np.ndarray, **kwargs):
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix
-    or (..., 4, 4) stack, after the Hermiticity check.
+    or (..., 4, 4) stack, after ``hermiticity_fault``, whose error it raises.
 
     Each eigenvector matrix U is unitary with U diag(w) U^dagger reconstructing
     its input; both hold to Tolerances.reconstruction.
     """
-    m = np.asarray(m)
-    _require_hermitian(m)
-    return _lapack(np.linalg.eigh, m)
-
-
-def _require_psd(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues w of a PSD matrix or stack, clipped at zero.
-
-    Values in [-TOL.psd_clamp, 0) are treated as rounding noise; anything
-    lower, and NaN, raises NotPSD.
-    """
-    wmin = float(w.min()) if w.size else 0.0  # min keeps NaN
-    if not wmin >= -TOL.psd_clamp:
-        raise NotPSD(
-            f"matrix has eigenvalue {wmin:.3e}, not >= -{TOL.psd_clamp:.1e}",
-            deviation=-wmin,
-        )
-    return np.clip(w, 0.0, None)
+    if fault := hermiticity_fault(m):
+        raise fault[1]
+    return _lapack(np.linalg.eigh, np.asarray(m))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root of a Hermitian PSD matrix or (..., 4, 4) stack.
 
     Eigenvalues in [-TOL.psd_clamp, 0) are treated as rounding noise and
-    clamped to zero before the square root; anything lower raises NotPSD.
+    clamped to zero before the square root; ``psd_fault``'s error is raised
+    for anything lower.
     """
     w, v = hermitian_eig(m)
-    s = (v * np.sqrt(_require_psd(w))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+    if fault := psd_fault(w):
+        raise fault[1]
+    s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return 0.5 * (s + np.conj(np.swapaxes(s, -1, -2)))
 
 

@@ -21,12 +21,12 @@ which works on the sampler's (4, 4, n) entry stack, forms each PT once and
 passes the states it keeps, with their determinants, to ``_pt_min``) and
 takes the concurrence from the sampler's column stacks.
 Every command of the CLI that handles states measures them as one stack
-through ``measure_table``, or, for a state file, through ``_table_from_eig``
-with the one ``eigh`` of ``qstate``'s check, so a file of at least 256
-states takes the kernels.  ``measure_report`` returns the one row of
-``measure_table`` for a 1-stack of one DensityMatrix, Hermiticity check
-included; it serves ``experiment.compare_pair`` and the scalar functions
-(``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
+through ``_table_from_eig``, with the ``eigh`` of ``qstate``'s stack check,
+which ``measure_table`` runs and ``measure --input`` takes from the reader,
+so a file of at least 256 states takes the kernels.  ``measure_report``
+returns the one row of ``measure_table`` for a 1-stack of one DensityMatrix,
+which is checked again; it serves ``experiment.compare_pair`` and the scalar
+functions (``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
 ``linear_entropy``, ``is_separable``), which return its fields, so a scalar
 call equals the corresponding entry of a 1-stack table exactly and of a
 larger table to rounding.
@@ -38,8 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import cmat
-from .qstate import DensityMatrix
+from . import cmat, qstate
 
 # PT eigenvalues above -EPS_SEP count as separable; the Monte Carlo harness
 # discards such states rather than treating rounding noise as entanglement.
@@ -128,10 +127,11 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     certify on the entry stack ``_conj_w`` forms, to
     ``_lapack_concurrence``; the two routes agree to rounding.
     Entries of p in [-TOL.psd_clamp, 0) are clipped to zero; anything lower,
-    or NaN, raises NotPSD.
+    or NaN, raises the error of ``cmat.psd_fault``.
     """
-    p = cmat._require_psd(np.asarray(p))
-    u = np.asarray(u)
+    if fault := cmat.psd_fault(p):
+        raise fault[1]
+    p, u = np.clip(p, 0.0, None), np.asarray(u)
     lead = u.shape[:-2]
     p, u = p.reshape(-1, 4), u.reshape(-1, 4, 4)
     c = _kernel_or_lapack(
@@ -540,17 +540,17 @@ def _table_from_eig(ms: np.ndarray, w: np.ndarray, u: np.ndarray) -> dict[str, n
 
 
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
-    """All measures for a (n, 4, 4) stack: ``_table_from_eig`` of its ``eigh``.
-
-    Hermiticity is checked once, by ``cmat.hermitian_eig``: the entries of
-    rho^Gamma - (rho^Gamma)^dagger are a permutation of those of
-    rho - rho^dagger, so both have the same defect.
+    """All measures for a (n, 4, 4) stack of density matrices:
+    ``_table_from_eig`` of ``qstate._checked_eig``, which raises the error
+    of the first matrix that is not Hermitian, of unit trace and PSD.  The
+    entries of rho^Gamma - (rho^Gamma)^dagger are a permutation of those of
+    rho - rho^dagger, so the PT needs no Hermiticity check of its own.
     """
     ms = np.asarray(ms)
-    return _table_from_eig(ms, *cmat.hermitian_eig(ms))
+    return _table_from_eig(ms, *qstate._checked_eig(ms))
 
 
-def measure_report(rho: DensityMatrix) -> MeasureReport:
+def measure_report(rho: qstate.DensityMatrix) -> MeasureReport:
     """Evaluate every measure once for a single state: row 0 of its 1-stack
     ``measure_table``.
 
@@ -562,29 +562,29 @@ def measure_report(rho: DensityMatrix) -> MeasureReport:
     return MeasureReport(**{name: column[0].item() for name, column in table.items()})
 
 
-def concurrence(rho: DensityMatrix) -> float:
+def concurrence(rho: qstate.DensityMatrix) -> float:
     return measure_report(rho).concurrence
 
 
-def e_formation(rho: DensityMatrix) -> float:
+def e_formation(rho: qstate.DensityMatrix) -> float:
     return measure_report(rho).e_formation
 
 
-def e_negative(rho: DensityMatrix) -> float:
+def e_negative(rho: qstate.DensityMatrix) -> float:
     """Modulus of the most negative partial-transpose eigenvalue (0 if none)."""
     return measure_report(rho).e_negative
 
 
-def e_sum(rho: DensityMatrix) -> float:
+def e_sum(rho: qstate.DensityMatrix) -> float:
     """Sum of absolute partial-transpose eigenvalues minus one (0 iff PPT)."""
     return measure_report(rho).e_sum
 
 
-def linear_entropy(rho: DensityMatrix) -> float:
+def linear_entropy(rho: qstate.DensityMatrix) -> float:
     """1 - tr(rho^2); zero for pure states, 3/4 for the maximally mixed state."""
     return measure_report(rho).linear_entropy
 
 
-def is_separable(rho: DensityMatrix) -> bool:
+def is_separable(rho: qstate.DensityMatrix) -> bool:
     """Positive-partial-transpose test, exact for two qubits."""
     return measure_report(rho).separable

@@ -1,17 +1,19 @@
 """Validated two-qubit density matrices, the named state families, the
 CSV format of a state stack and the package's one CSV writer.
 
-Every check runs on a (n, 4, 4) stack: ``validate_stack`` checks the whole
-stack for Hermiticity and non-finite entries in one per-matrix pass, its
-traces in one einsum and positive semidefiniteness in one batched
-``eigvalsh``, and raises the error of its lowest-indexed invalid matrix.  A
-``DensityMatrix`` is one matrix validated as a 1-stack.  ``write_stack``
-and ``read_stack`` stream a stack to and from a text file, one 32-field row
-per matrix, and keep every bit, signed zeros included.  The reader reads
-each field as ``float`` does, digit-group underscores refused: -?0 or -?0.
-and up to 20 digits by an exact vectorized kernel (``_decimal_fields``),
-every other field by numpy's C text parser.  Its PSD check is the one
-``eigh`` that the measures reuse, and every error names its file line.
+Every state stack, however it enters, takes one check, ``_checked_eig``:
+Hermiticity and finite entries in one per-matrix pass, the traces in one
+einsum and positive semidefiniteness from one batched ``eigh``, whose
+eigenpairs it returns; it raises the error of the lowest-indexed invalid
+matrix of the first check that fails.  ``validate_stack``, ``DensityMatrix``
+(one matrix as a 1-stack), ``read_stack`` and ``measures.measure_table``
+all take it.  ``write_stack`` and ``read_stack`` stream a stack to and
+from a text file, one 32-field row per matrix, and keep every bit, signed
+zeros included.  The reader reads each field as ``float`` does, digit-group
+underscores refused: -?0 or -?0. and up to 20 digits by an exact
+vectorized kernel (``_decimal_fields``), every other field by numpy's C
+text parser.  Its check's ``eigh`` is the one the measures reuse, and every
+error names its file line.
 ``write_csv`` writes every CSV file and table of the package, each column
 as its dtype sets: floats in the one format CSV_FLOAT, integers in decimal,
 booleans as true/false.  It renders blocks of _CSV_VALUES values as
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmat
-from .errors import EntanglementLabError, NotHermitian, NotPSD, ParameterOutOfRange, TraceNotOne
+from .errors import NotHermitian, NotPSD, ParameterOutOfRange, TraceNotOne
 
 CSV_HEADER = ",".join(f"m{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im"))
 CSV_FLOAT = "%.17g"  # every float in a CSV: 17 significant digits read back as the same float64
@@ -69,43 +71,38 @@ _DIGIT_BYTES = ~np.array([[(1 << 8 * min(max(b - j, 0), 8)) - 1 for b in range(2
 _MIDPOINT_GAP = 2.0**-30  # how far from a half-integer t must lie; its error is below 1e-15
 
 
-def _entry_fault(ms: np.ndarray) -> tuple[int, EntanglementLabError] | None:
-    """(index, error) of the first matrix of a complex (n, 4, 4) stack that
-    is not Hermitian with finite entries, else of the first not of unit
-    trace, with the error that matrix alone would give; or None."""
-    defects = cmat.hermiticity_defects(ms)
-    bad = np.nonzero(~(defects <= cmat.TOL.hermiticity))[0]  # NaN counts as failing
-    if len(bad):
-        return int(bad[0]), cmat._not_hermitian(ms[bad[0]], float(defects[bad[0]]))
-    trace_dev = np.abs(np.einsum("nii->n", ms).real - 1.0)
-    bad = np.nonzero(trace_dev > cmat.TOL.hermiticity)[0]
-    if len(bad):
-        dev = float(trace_dev[bad[0]])
-        return int(bad[0]), TraceNotOne(f"trace deviates from 1 by {dev:.3e}", deviation=dev)
-    return None
-
-
-def _psd_fault(wmin: np.ndarray) -> tuple[int, NotPSD] | None:
-    """(index, error) of the first matrix whose smallest eigenvalue, of the
-    (n,) wmin, lies below -TOL.psd_clamp, or None."""
-    bad = np.nonzero(wmin < -cmat.TOL.psd_clamp)[0]
-    if len(bad):
-        w = float(wmin[bad[0]])
-        return int(bad[0]), NotPSD(f"smallest eigenvalue is {w:.3e}", deviation=-w)
-    return None
+def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u): the eigenvalues (ascending) and eigenvectors of a (n, 4, 4)
+    stack of density matrices, from the one ``eigh`` of its check, each step
+    to the central tolerances: Hermiticity and finite entries
+    (``cmat.hermiticity_fault``), the traces in one einsum, then PSD
+    (``cmat.psd_fault``).  The first step that fails raises the error its
+    first faulty matrix alone raises, with that matrix's ``index``.
+    """
+    fault = cmat.hermiticity_fault(ms)
+    if fault is None:
+        trace_dev = np.abs(np.einsum("nii->n", ms).real - 1.0)
+        bad = np.flatnonzero(trace_dev > cmat.TOL.hermiticity)
+        if len(bad):
+            dev = float(trace_dev[bad[0]])
+            fault = int(bad[0]), TraceNotOne(f"trace deviates from 1 by {dev:.3e}", deviation=dev)
+    if fault is None:
+        w, u = cmat._lapack(np.linalg.eigh, ms)
+        fault = cmat.psd_fault(w)
+        if fault is None:
+            return w, u
+    fault[1].index = fault[0]
+    raise fault[1]
 
 
 def validate_stack(ms: np.ndarray) -> np.ndarray:
-    """ms as a complex (n, 4, 4) stack, after checking that every matrix is
-    Hermitian, of unit trace and positive semidefinite (each to the central
-    tolerances, PSD by one batched ``eigvalsh``); otherwise raises the error
-    of the first invalid matrix of the first check that fails."""
+    """ms as a complex (n, 4, 4) stack, after ``_checked_eig`` (whose
+    eigenvectors it drops): every matrix Hermitian, of unit trace and PSD,
+    or the error of the first invalid matrix of the first check that fails."""
     ms = np.asarray(ms, dtype=complex)
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise NotHermitian(f"expected a (n, 4, 4) stack, got shape {ms.shape}")
-    fault = _entry_fault(ms) or _psd_fault(cmat._lapack(np.linalg.eigvalsh, ms)[:, 0])
-    if fault is not None:
-        raise fault[1]
+    _checked_eig(ms)
     return ms
 
 
@@ -465,20 +462,18 @@ def _row_blocks(fh):
 
 def _read_stack_eig(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ms, w, u): ``read_stack``'s stack and its eigenvalues (ascending)
-    and eigenvectors, from the one ``eigh`` that gives its PSD check."""
+    and eigenvectors, from ``_checked_eig``, whose errors name the line."""
     blocks, lines = [np.empty((0, 32))], array.array("q")
     for rows, block_lines in _row_blocks(fh):
         if rows:
             blocks.append(_convert_block(rows, block_lines))
             lines.extend(block_lines)
     ms = np.concatenate(blocks).view(np.complex128).reshape(-1, 4, 4)  # every bit, signed zeros included
-    fault = _entry_fault(ms)
-    if fault is None:
-        w, u = cmat._lapack(np.linalg.eigh, ms)
-        fault = _psd_fault(w[:, 0])
-    if fault is not None:
-        row, exc = fault
-        raise type(exc)(f"line {lines[row]}: {exc}", deviation=exc.deviation)
+    try:
+        w, u = _checked_eig(ms)
+    except (NotHermitian, TraceNotOne, NotPSD) as exc:
+        exc.args = (f"line {lines[exc.index]}: {exc}",)
+        raise
     return ms, w, u
 
 

@@ -625,6 +625,18 @@ class TestParser:
             main(["compare", "--pairs", "10"])
         assert exc.value.code == 2
 
+    def test_built_once_per_process(self, capsys, monkeypatch):
+        # every call of main reuses the one parser, and none builds another
+        parser = cli._parser()
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("main built a second parser")
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", rebuilt)
+        for _ in range(2):
+            assert run_cli(capsys, "measure", "--family", "singlet")[0] == 0
+        assert cli._parser() is parser
+
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0

@@ -330,7 +330,7 @@ class TestPtMinKernel:
         noise = 1e-11 * (rng.standard_normal(rhos.shape) + 1j * rng.standard_normal(rhos.shape))
         offset = 1 if triangle is np.triu else -1
         noisy = rhos + triangle(noise.transpose(1, 2, 0), offset).transpose(2, 0, 1)
-        assert 1e-11 < cmat.hermiticity_defect(noisy) <= cmat.TOL.hermiticity
+        assert 1e-11 < cmat.hermiticity_defects(noisy).max(initial=0.0) <= cmat.TOL.hermiticity
         diff = measures._pt_min(pt_entry_stack(noisy)) - lapack_pt_min(noisy)
         assert np.abs(diff).max() <= 1e-15
 
@@ -421,6 +421,19 @@ class TestNonFiniteInput:
         with pytest.raises(NotPSD):
             measures.concurrence_from_eig(probs, u)
 
+    @pytest.mark.parametrize("smallest", [-0.5, -np.inf, np.nan])
+    def test_one_psd_message(self, smallest):
+        # the spectra of the harness and of every checked stack share
+        # cmat.psd_fault, so a spectrum gets one message whichever route it takes
+        _, probs, u = spectral_batch(43, 3)
+        probs[1, 2] = smallest
+        index, expected = cmat.psd_fault(probs)
+        assert index == 1 and str(expected) == f"smallest eigenvalue is {smallest:.3e}"
+        with pytest.raises(NotPSD) as err:
+            measures.concurrence_from_eig(probs, u)
+        assert str(err.value) == str(expected)
+        assert err.value.deviation == -smallest or np.isnan(smallest) and np.isnan(err.value.deviation)
+
 
 class TestRawStacks:
     """The stack entry points return a value or raise a library error, never a
@@ -449,7 +462,8 @@ class TestRawStacks:
         with mock.patch.object(measures, "_PT_MIN_STACK", 1):
             self.value_or_library_error(ms)
             try:
-                cmat._require_hermitian(ms)
+                if fault := cmat.hermiticity_fault(ms):
+                    raise fault[1]
                 lam = measures._pt_min(pt_entry_stack(ms))
                 reference = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(ms))[:, 0]
             except EntanglementLabError:
@@ -462,10 +476,10 @@ class TestRawStacks:
         assert np.all(close | (lam == reference) | (np.isnan(lam) & np.isnan(reference)))
 
     def test_eigensolver_failure_is_a_library_error(self):
-        # finite and Hermitian, but LAPACK's eigh does not converge on it
+        # finite, Hermitian and of unit trace, but LAPACK's eigh does not converge on it
         ms = np.zeros((1, 4, 4), dtype=complex)
         ms[0, 0, 1], ms[0, 1, 2], ms[0, 2, 3] = 5e299j, 1j, 1j
-        ms += np.conj(ms.transpose(0, 2, 1))
+        ms += np.conj(ms.transpose(0, 2, 1)) + 0.25 * np.eye(4)
         for fn in (measures.measure_table, concurrence_of, cmat.psd_sqrt):
             with pytest.raises(NotConverged):
                 fn(ms)

@@ -63,7 +63,7 @@ class TestValidation:
             return
         m = rho.matrix
         assert np.isfinite(m).all()
-        assert cmat.hermiticity_defect(m) <= cmat.TOL.hermiticity
+        assert cmat.hermiticity_defects(m).max(initial=0.0) <= cmat.TOL.hermiticity
         assert abs(np.trace(m).real - 1.0) <= cmat.TOL.hermiticity
         assert np.linalg.eigvalsh(m)[0] >= -cmat.TOL.psd_clamp
 
@@ -550,20 +550,60 @@ class TestValidateStack:
         huge[0, 1], huge[1, 0] = 1.7e308, -1.7e308
         return [nan, skew, huge, np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0])]
 
+    @staticmethod
+    def entry_point_errors(ms):
+        """The error each entry point that checks a stack raises for ms, by
+        name: ``read_stack``'s without its line prefix, whose line it returns
+        with its error."""
+        errors = {}
+        for name, fn in (
+            ("validate_stack", qstate.validate_stack),
+            ("measure_table", measures.measure_table),
+            ("read_stack", lambda ms: qstate.read_stack(io.StringIO(write_text(ms)))),
+        ):
+            with pytest.raises(EntanglementLabError) as err:
+                fn(ms)
+            errors[name] = err.value
+        line, message = re.fullmatch(r"line (\d+): (.*)", str(errors["read_stack"])).groups()
+        return errors, int(line), message
+
+    @staticmethod
+    def assert_same_error(got, message, expected):
+        assert type(got) is type(expected)
+        assert message == str(expected)
+        assert got.deviation == expected.deviation or (np.isnan(got.deviation) and np.isnan(expected.deviation))
+
     def test_error_of_a_matrix_is_its_density_matrix_error(self):
-        # in a stack of valid states, each fault raises the class, message
-        # and deviation a DensityMatrix of that one matrix raises
-        for m in self.faulty_matrices():
+        # in a stack of valid states, each fault raises, through every entry
+        # point, the class, message and deviation a DensityMatrix of that one
+        # matrix raises; the reader names the matrix's line after the header
+        for m in [*self.faulty_matrices(), 2.0 * qstate.singlet().matrix]:
             ms = np.concatenate([random_density_batch(RngStream(10), 300), m[None]])
-            with pytest.raises(EntanglementLabError) as in_stack:
-                qstate.validate_stack(ms)
             with pytest.raises(EntanglementLabError) as alone:
                 qstate.DensityMatrix(m)
-            assert type(in_stack.value) is type(alone.value)
-            assert str(in_stack.value) == str(alone.value)
-            assert in_stack.value.deviation == alone.value.deviation or (
-                np.isnan(in_stack.value.deviation) and np.isnan(alone.value.deviation)
-            )
+            errors, line, read_message = self.entry_point_errors(ms)
+            assert line == 302
+            for name, err in errors.items():
+                self.assert_same_error(err, read_message if name == "read_stack" else str(err), alone.value)
+
+    @pytest.mark.parametrize("second", ["skew", "nan"])
+    def test_every_entry_point_names_the_first_fault(self, second):
+        # a 1e-6 defect at index 100, then a 0.5 defect or a NaN at index 200
+        first = np.eye(4, dtype=complex) / 4
+        first[0, 1] = 1e-6
+        nan, skew = self.faulty_matrices()[:2]
+        ms = random_density_batch(RngStream(13), 300)
+        ms[100], ms[200] = first, {"skew": skew, "nan": nan}[second]
+        with pytest.raises(NotHermitian) as alone:
+            qstate.DensityMatrix(first)
+        assert alone.value.deviation == pytest.approx(1e-6)
+        errors, line, read_message = self.entry_point_errors(ms)
+        assert line == 102
+        with pytest.raises(NotHermitian) as err:
+            cmat.hermitian_eig(ms)
+        errors["hermitian_eig"] = err.value
+        for name, err in errors.items():
+            self.assert_same_error(err, read_message if name == "read_stack" else str(err), alone.value)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_part_of_any_entry(self, value):

@@ -151,3 +151,37 @@ def test_one_module_calls_the_text_parser():
         )
     ]
     assert callers == ["qstate"]
+
+
+def _constructions(tree: ast.Module, name: str) -> int:
+    return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name for n in ast.walk(tree))
+
+
+def test_one_construction_site_per_state_invariant():
+    # each invariant of a density matrix has one check, and so one raise site
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))]
+    for name in ("NotPSD", "TraceNotOne"):
+        assert sum(_constructions(tree, name) for tree in trees) == 1, name
+
+
+def test_every_eigensolver_and_svd_goes_through_lapack():
+    # cmat._lapack turns LAPACK's failure to converge into NotConverged, so no
+    # routine may be called, or passed anywhere else, directly
+    routines = {"eig", "eigh", "eigvals", "eigvalsh", "svd"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        passed = {
+            id(n.args[0])
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and n.args and getattr(n.func, "attr", getattr(n.func, "id", None)) == "_lapack"
+        }
+        direct = [
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute)
+            and n.attr in routines
+            and isinstance(n.value, ast.Attribute)
+            and n.value.attr == "linalg"
+            and id(n) not in passed
+        ]
+        assert direct == [], path.name
