@@ -53,8 +53,8 @@ def _cmd_measure(args) -> int:
         # a byte outside ASCII reaches the reader as a lone surrogate, which
         # no float parses, so its error names the line
         with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
-            checked = qstate._read_stack_eig(fh)
-        table = measures._table_from_eig(*checked)  # one eigh per state, the check's
+            w, u = qstate._read_stack_eig(fh)[1:]  # only the eigenpairs are measured
+        table = measures._table_from_eig(w, u)  # one eigh per state, the check's
     else:
         table = measures.measure_table(_family_state(args).matrix[None])
     header = measures.REPORT_CSV_HEADER  # five floats, then the separable flag

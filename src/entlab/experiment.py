@@ -8,11 +8,10 @@ byte for byte.  Inside a shard, states are drawn in chunks sized only from
 the pairs still needed, so the first chunk covers the whole quota with a
 small margin and a shard usually draws one chunk (47 of the 49 shards of
 the 10^5-pair acceptance run); the stream is sequential, so chunk sizes
-never change which states are drawn, kept or paired.  They change C, E_F
-and E_N only by rounding: the concurrence and PT kernels depend on the size
-of the stack of kept or screened states (see
-``measures.concurrence_from_eig`` and ``measures._pt_min``), and the chunk
-sizes depend only on the configuration.  ``compare_pair`` and the shards
+never change which states are drawn, kept or paired.  They could change
+C, E_F and E_N only by rounding, where a stack of screened or NPT states
+crosses the kernels' 256-matrix LAPACK cutoff (see ``measures``), and the
+chunk sizes depend only on the configuration.  ``compare_pair`` and the shards
 apply one pairing and tie rule, ``_pair_rows`` with the fixed threshold
 TIE_EPSILON; it, the histogram's S_BINS and the scatter size SCATTER_POINTS
 are echoed in ``summary.csv``.  A chunk first draws its spectra and angle
@@ -21,10 +20,11 @@ whose spectrum does not prove every state of its unitary orbit separable
 (``_separable_orbit``, after Verstraete, Audenaert & De Moor, PRA 64, 012316
 (2001)); about a third are skipped, and the margin of that test makes the
 determinant screen drop each of them too, so skipping changes no output bit.
-Per built state, the shards compute the smallest partial-transpose
-eigenvalue only where the determinant screen cannot rule out entanglement,
-and the concurrence only for kept states, from the sampler's spectral pairs
-in its column layout.  ``write_csvs`` writes the run's five CSV files
+The built states are measured from the sampler's spectral pairs by
+``measures._spectral_table``, the route of every state the library
+measures: the smallest partial-transpose eigenvalue only where the
+determinant screen cannot rule out entanglement, and the concurrence only
+for NPT states.  ``write_csvs`` writes the run's five CSV files
 through ``qstate.write_csv``.
 """
 
@@ -228,32 +228,19 @@ def _chunk_stats(rng: sampler.RngStream, n: int, first_draw: int) -> np.ndarray:
     first_draw.
 
     Every draw consumes its uniforms, but only those that
-    ``_separable_orbit`` cannot rule out are built, as the sampler's (4, 4, m)
-    entry stack rho and column stack cols of the unitaries u.  Only the
-    states that pass the determinant screen get their smallest PT
-    eigenvalue, and ``measures._pt_entangled`` decides among them.  The
-    concurrence comes from the spectral pairs (probs, u), so rho is never
-    diagonalized: the kept states' columns are gathered into a (4, 4, k)
-    column stack, passed as a transposed view that the concurrence kernel
-    works on without a copy, and only their rho into a (k, 4, 4) stack.
-    Each whole-chunk array goes as soon as its selection is taken: the
-    uniforms once U is built, rho and cols once the kept states' rows are
-    (and ``measures._pt_screen`` drops its copy of rho^Gamma in the same
-    way).
+    ``_separable_orbit`` cannot rule out are built, as spectra and the
+    column stack of their unitaries, and measured from that spectral pair
+    by ``measures._spectral_table``, so rho is never diagonalized; the rows
+    of the states it does not call separable are kept.  The uniforms go
+    once U is built.
     """
     probs, angles = sampler._draw_spectra(rng, n)
     built = np.nonzero(~_separable_orbit(probs))[0]
     probs, cols = probs[built], sampler._angles_to_columns(angles[built])
     del angles
-    rho = sampler._assemble_entries(probs, cols)
-    screened, pt_min = measures._pt_screen(rho)
-    entangled = measures._pt_entangled(pt_min)
-    kept = screened[entangled]
-    ms, u = rho.transpose(2, 0, 1)[kept], np.take(cols, kept, axis=2).transpose(2, 1, 0)
-    del rho, cols
-    c = measures.concurrence_from_eig(probs[kept], u)
-    columns = measures._measure_columns(ms, pt_min[entangled], c)
-    return np.column_stack([*columns.values(), built[kept] + first_draw])
+    table = measures._spectral_table(probs, cols)
+    kept = np.nonzero(~table.pop("separable"))[0]
+    return np.column_stack([*(column[kept] for column in table.values()), built[kept] + first_draw])
 
 
 def _run_shard(seed: int, shard_index: int, quota: int) -> tuple[np.ndarray, int, int, int]:

@@ -1,35 +1,35 @@
 """Entanglement measures for two-qubit states.
 
-Each quantity has one numerical core that works on a raw (..., 4, 4) stack
-or an array of values: ``concurrence_from_eig`` (from a spectral pair
-(p, U), which ``measure_table`` takes from one checked eigendecomposition
-of each matrix), ``ef_from_concurrence_batch``, ``linear_entropy_batch``,
-``_pt_min`` (the smallest partial-transpose (PT) eigenvalue, which alone
-fixes E_N, E_sum = 2 E_N and separability, because a two-qubit PT has at
-most one negative eigenvalue) and the column assembler behind
-``measure_table``.  Both kernels work on characteristic polynomials: the
-concurrence on that of B^H B, whose largest root and the sum of the square
-roots of the other three give C without the singular values themselves,
-and the smallest PT eigenvalue on that of each PT.  Both share one root
-step, ``_laguerre_newton`` (Laguerre steps, then a Newton step with a
-certified error bound), and one fallback, ``_kernel_or_lapack``: LAPACK
-takes stacks under _C_MIN_STACK or _PT_MIN_STACK matrices and any matrix a
-kernel cannot certify, and the two routes agree to rounding.  The Monte Carlo
-harness uses the same cores and the same separability rule
-``_pt_entangled``, but screens states by det(rho^Gamma) (``_pt_screen``,
-which works on the sampler's (4, 4, n) entry stack, forms each PT once and
-passes the states it keeps, with their determinants, to ``_pt_min``) and
-takes the concurrence from the sampler's column stacks.
-Every command of the CLI that handles states measures them as one stack
-through ``_table_from_eig``, with the ``eigh`` of ``qstate``'s stack check,
-which ``measure_table`` runs and ``measure --input`` takes from the reader,
-so a file of at least 256 states takes the kernels.  ``measure_report``
-returns the one row of ``measure_table`` for a 1-stack of one DensityMatrix,
-which is checked again; it serves ``experiment.compare_pair`` and the scalar
-functions (``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
-``linear_entropy``, ``is_separable``), which return its fields, so a scalar
-call equals the corresponding entry of a 1-stack table exactly and of a
-larger table to rounding.
+Every state is measured through one route, ``_spectral_table``, from a
+spectral pair (p, U): p >= 0 and the column stack of U.  It assembles
+rho = U diag(p) U^dagger exactly Hermitian, screens it by det(rho^Gamma)
+(``_pt_screen``, which passes the states it keeps, with their
+determinants, to ``_pt_min``, the smallest partial-transpose (PT)
+eigenvalue; that alone fixes E_N, E_sum = 2 E_N and separability, because
+a two-qubit PT has at most one negative eigenvalue), takes the concurrence
+of the NPT states from their pairs (``concurrence_from_eig``, then
+``ef_from_concurrence_batch``) and the linear entropy from p.  The Monte
+Carlo harness passes the sampler's pairs; ``measure_table``, every command
+of the CLI that handles states and the scalar API pass the clamped
+eigenpairs of one ``eigh`` (``_table_from_eig``): of ``qstate``'s stack
+check, which ``measure_table`` runs and ``measure --input`` takes from
+the reader, or of a DensityMatrix, which its construction checked.
+
+Both kernels work on characteristic polynomials: the concurrence on that
+of B^H B, whose largest root and the sum of the square roots of the other
+three give C without the singular values themselves, and the smallest PT
+eigenvalue on that of each PT.  Both share one root step,
+``_laguerre_newton`` (Laguerre steps, then a Newton step with a certified
+error bound), and one fallback, ``_kernel_or_lapack``: LAPACK takes stacks
+under _C_MIN_STACK or _PT_MIN_STACK matrices and any matrix a kernel
+cannot certify, and the two routes agree to rounding.  A state's bits
+depend on the rest of its stack only through that cutoff, which applies to
+the screened and the NPT states.  ``measure_report`` returns the one row
+of the table of one state; it serves ``experiment.compare_pair`` and the
+scalar functions (``concurrence``, ``e_formation``, ``e_negative``,
+``e_sum``, ``linear_entropy``, ``is_separable``), which return its fields,
+so a scalar call equals the corresponding entry of a 1-stack table exactly
+and of a larger table to rounding.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import cmat, qstate
+from . import cmat, qstate, sampler
 
 # PT eigenvalues above -EPS_SEP count as separable; the Monte Carlo harness
 # discards such states rather than treating rounding noise as entanglement.
@@ -232,16 +232,19 @@ def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
     2e5 sampler states, every certified value lay within 7e-16 of LAPACK's
     SVD, and 2 of the 73578 entangled ones were refused.
     """
-    # conj(B), |W|^2 and |B|^2 entry by entry: (m,) rows keep every
+    # B, conj(B), |W|^2 and |B|^2 entry by entry: (m,) rows keep every
     # temporary small, where (4, 4, m) ones cost more in page faults than in
-    # arithmetic
+    # arithmetic.  conj(B) is named: numpy multiplies into an unnamed
+    # temporary of 256 KiB or more in place, which rounds differently, so a
+    # state's bits would depend on the size of its stack.
     root = np.sqrt(p)
-    b, w2, b2 = {}, {}, {}
+    b, conj_b, w2, b2 = {}, {}, {}, {}
     for k in range(4):
         for l in range(k, 4):
             entry = w[k, l]
             w2[k, l] = w2[l, k] = entry.real * entry.real + entry.imag * entry.imag
             b[k, l] = b[l, k] = entry * (root[k] * root[l])
+            conj_b[k, l] = conj_b[l, k] = np.conj(b[k, l])
             b2[k, l] = b2[l, k] = w2[k, l] * (p[k] * p[l])
     d = np.array([b2[0, k] + b2[1, k] + b2[2, k] + b2[3, k] for k in range(4)])  # the diagonal of G
     e1 = d.sum(axis=0)
@@ -258,7 +261,7 @@ def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
         products[twice] += b2[i, l] * b2[j, n] + b2[i, n] * b2[j, l]
     e2 = minors_sq[0] + 2.0 * minors_sq[1]
     products = products[0] + 2.0 * products[1]
-    off = np.array([sum(b[r, i] * np.conj(b[r, j]) for r in range(4)) for i, j in _LAPLACE_PAIRS])
+    off = np.array([sum(b[r, i] * conj_b[r, j] for r in range(4)) for i, j in _LAPLACE_PAIRS])
     off_sq = off.real * off.real + off.imag * off.imag
     mu1, step, bound, kantorovich = _laguerre_newton(
         e1, (e1, e2, e3, e4), d, off, off_sq, _C_LAGUERRE_STEPS, largest=True
@@ -296,16 +299,6 @@ def ef_from_concurrence_batch(c: np.ndarray) -> np.ndarray:
     c (clipped to [0, 1]), elementwise."""
     c = np.clip(np.asarray(c), 0.0, 1.0)
     return _binary_entropy_arr((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
-
-
-def linear_entropy_batch(ms: np.ndarray) -> np.ndarray:
-    ms = np.asarray(ms)
-    return np.maximum(0.0, 1.0 - np.einsum("...ij,...ji->...", ms, ms).real)
-
-
-def _pt_entangled(pt_min: np.ndarray) -> np.ndarray:
-    """True where the smallest PT eigenvalue lies below -EPS_SEP (entangled)."""
-    return pt_min < -EPS_SEP
 
 
 def _hermitian_det(m: np.ndarray) -> np.ndarray:
@@ -406,17 +399,16 @@ def _laguerre_newton(x, e, d, off, q, steps: int, largest: bool):
     return x - step, step, bound, np.abs(ddp * step) <= _NEWTON_H * np.abs(dp)
 
 
-def _pt_min(pt: np.ndarray, det: np.ndarray | None = None) -> np.ndarray:
+def _pt_min(pt: np.ndarray, det: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix of a (4, 4, m) entry stack
-    (``pt[a, b]`` the (m,) row of entry (a, b)), given its determinants det
-    if the caller has them.
+    (``pt[a, b]`` the (m,) row of entry (a, b)) with determinants det.
 
     ``_kernel_or_lapack`` sends stacks under _PT_MIN_STACK, and the
     matrices ``_laguerre_min`` does not certify, to ``np.linalg.eigvalsh``.
     """
     return _kernel_or_lapack(
         pt.shape[-1], _PT_MIN_STACK,
-        lambda: _laguerre_min(pt, _hermitian_det(pt.transpose(2, 0, 1)) if det is None else det),
+        lambda: _laguerre_min(pt, det),
         lambda rows: cmat._lapack(np.linalg.eigvalsh, pt[:, :, rows].transpose(2, 0, 1))[:, 0],
     )
 
@@ -443,13 +435,13 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     and the error bound is at most _PT_TOL.  On 2.9e5 screened sampler
     states, 5 steps already left every certified value within 6e-16
     of LAPACK's; 6 keep one step in reserve.  The certificate refused 0.23%
-    of those states, but 4.3% of a whole, unscreened stack (214 of 5000
-    sampler states, seed 20260810, as ``measure_table`` and ``measure
-    --input`` run it): 209 of those have lambda_min above 1e-3 and 211 a
-    determinant above DET_SCREEN, and ``_pt_min`` sends every refused
-    matrix to ``eigvalsh``.  It refuses pure states of Schmidt coefficient
-    alpha <= 0.01 in a generic product basis, where three PT eigenvalues lie
-    within alpha of zero and the kernel's value can be off by 3e-4.
+    of those states.  Every stack comes through ``_pt_screen``: on the
+    whole, unscreened stack of 5000 sampler states (seed 20260810) it
+    refused 4.3%, 209 of the 214 with lambda_min above 1e-3, but of that
+    file's screened states only 3, which ``_pt_min`` sends to ``eigvalsh``.
+    It refuses pure states of Schmidt coefficient alpha <= 0.01 in a generic
+    product basis, where three PT eigenvalues lie within alpha of zero and
+    the kernel's value can be off by 3e-4.
     """
     rows, cols = zip(*_LAPLACE_PAIRS)
     d = pt[range(4), range(4)].real
@@ -482,24 +474,30 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entry rows, unchecked (see below); ``_hermitian_det`` reads it
     through a (n, 4, 4) view, so every minor multiplies contiguous rows, and
     only the screened states are gathered, as a (4, 4, m) entry stack that
-    ``_pt_min`` takes with their determinants.  A two-qubit PT has at most
-    one negative eigenvalue (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)),
-    so det(rho^Gamma) > 0 means PPT.  Rounding cannot defeat the screen: a
-    certified lambda_min lies within 1e-15 of the exact one by its error
-    bound, and an eigvalsh value is exact for a matrix within about 1e-15 of
-    rho^Gamma (whose norm is at most 1), which moves no eigenvalue by more
-    than 1e-15 (Weyl).  So a state that ``_pt_entangled`` calls entangled
-    has one eigenvalue below -EPS_SEP + 1e-15 < 0 and, being a PT up to
-    rounding, three above about -1e-15, hence a true determinant below about
-    1e-15.  The computed determinant is a sum of 24 signed products of four
-    entries, formed through 2x2 minors in a fixed order; its rounding error
-    is at most about 20 u perm(|rho^Gamma|), with u = 1.1e-16 and a permanent
-    of at most prod_i ||row_i||_1 <= prod_i 2 ||row_i||_2 <= 1, because the
-    rows' squared norms sum to tr(rho^2) <= 1.  So it moves the determinant
-    by at most about 2e-15, far below DET_SCREEN.  The argument needs
-    rho^Gamma Hermitian, because eigvalsh and the kernel read one triangle
-    and the expansion the whole matrix; ``sampler._assemble_entries`` makes
-    rho, and so rho^Gamma, exactly Hermitian (the self-test checks it).
+    ``_pt_min`` takes with their determinants.
+
+    The screen is sound for every rho that ``_spectral_table`` passes:
+    u diag(p) u^dagger assembled by ``sampler._assemble_entries`` from p >= 0
+    and a u unitary to rounding, as the sampler's pairs and the clamped
+    eigenpairs of ``eigh`` are.  Such a rho is exactly Hermitian, so
+    eigvalsh and the kernel, which read one triangle, and the expansion,
+    which reads the whole matrix, see one matrix; and it lies within about
+    1e-15 of a PSD matrix of trace sum(p) = 1 to within 5e-10 (the trace
+    check and the clamp), whose PT has at most one negative eigenvalue
+    (Sanpera, Tarrach & Vidal, PRA 58, 826 (1998)), so det(rho^Gamma) > 0
+    means PPT.  Rounding cannot defeat the screen: a certified lambda_min
+    lies within 1e-15 of the exact one by its error bound, and an eigvalsh
+    value is exact for a matrix within about 1e-15 of rho^Gamma (of norm at
+    most about 1), which moves no eigenvalue by more than 1e-15 (Weyl).  So
+    a state that the EPS_SEP rule calls entangled has one eigenvalue below
+    -EPS_SEP + 1e-15 < 0 and three above about -2e-15, hence a true
+    determinant below about 1e-15.  The computed determinant is a sum of 24
+    signed products of four entries, formed through 2x2 minors in a fixed
+    order; its rounding error is at most about 20 u perm(|rho^Gamma|), with
+    u = 1.1e-16 and a permanent of at most prod_i ||row_i||_1 <=
+    prod_i 2 ||row_i||_2, about 1, because the rows' squared norms sum to
+    tr(rho^2) <= sum(p)^2.  So it moves the determinant by at most about
+    2e-15, far below DET_SCREEN.
     """
     n = rho.shape[-1]
     pt = rho.reshape(16, n)[_PT_ROWS].reshape(4, 4, n)
@@ -509,56 +507,58 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return screened, _pt_min(pt, det[screened])
 
 
-def _measure_columns(ms: np.ndarray, pt_min: np.ndarray, c: np.ndarray) -> dict[str, np.ndarray]:
-    """C, E_F, E_N, E_sum and S for a (n, 4, 4) stack with smallest PT
-    eigenvalues pt_min and concurrences c.
+def _spectral_table(p: np.ndarray, cols: np.ndarray) -> dict[str, np.ndarray]:
+    """All measures of the states rho = u diag(p) u^dagger of a spectral
+    pair: spectra p >= 0 (n, 4) and the (4, 4, n) column stack cols of the u
+    (``cols[k, r]`` the (n,) row of entry r of column k).
 
-    The PT of a two-qubit density matrix has unit trace and at most one
-    negative eigenvalue, so the sum of its absolute eigenvalues minus one is
-    -2 pt_min when pt_min < 0: E_sum = 2 E_N, exactly in floating point.
-    The Monte Carlo harness passes only the entangled states of a chunk,
-    with concurrences from the sampler's spectral pairs.
+    rho is assembled exactly Hermitian and screened by ``_pt_screen``; the
+    states it drops are PPT.  C comes from the pairs of the NPT states
+    (lambda_min < 0) alone, and is 0 for the PPT ones, which two qubits
+    make separable.  The PT has unit trace and at most one negative
+    eigenvalue, so E_sum = 2 E_N, exactly in floating point.  S = 1 - sum p^2.
     """
+    screened, lam = _pt_screen(sampler._assemble_entries(p, cols))
+    pt_min = np.zeros(len(p))
+    pt_min[screened] = lam
+    npt = screened[lam < 0.0]
+    c = np.zeros(len(p))
+    c[npt] = concurrence_from_eig(p[npt], np.take(cols, npt, axis=2).transpose(2, 1, 0))
     return {
         "concurrence": c,
         "e_formation": ef_from_concurrence_batch(c),
         # + 0.0 turns the -0.0 that np.maximum returns for pt_min == 0.0 into 0.0
         "e_negative": np.maximum(0.0, -pt_min) + 0.0,
         "e_sum": np.maximum(0.0, -2.0 * pt_min) + 0.0,
-        "linear_entropy": linear_entropy_batch(ms),
+        "linear_entropy": np.maximum(0.0, 1.0 - (p * p).sum(axis=1)),
+        "separable": ~(pt_min < -EPS_SEP),
     }
 
 
-def _table_from_eig(ms: np.ndarray, w: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
-    """All measures for a (n, 4, 4) stack of checked Hermitian matrices with
-    eigenvalues w (ascending) and eigenvectors u, as ``eigh`` gives them."""
-    c = concurrence_from_eig(w, u)
-    pt_min = _pt_min(np.ascontiguousarray(cmat.partial_transpose_b(ms).transpose(1, 2, 0)))
-    table = _measure_columns(ms, pt_min, c)
-    table["separable"] = ~_pt_entangled(pt_min)
-    return table
+def _table_from_eig(w: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
+    """``_spectral_table`` of the eigenvalues w (ascending) and eigenvectors
+    u of a checked (n, 4, 4) stack, as ``eigh`` gives them: w clamped at 0,
+    u as a complex column stack (a real stack has real eigenvectors)."""
+    return _spectral_table(np.clip(w, 0.0, None), np.ascontiguousarray(u.transpose(2, 1, 0), dtype=complex))
 
 
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
     """All measures for a (n, 4, 4) stack of density matrices:
     ``_table_from_eig`` of ``qstate._checked_eig``, which raises the error
-    of the first matrix that is not Hermitian, of unit trace and PSD.  The
-    entries of rho^Gamma - (rho^Gamma)^dagger are a permutation of those of
-    rho - rho^dagger, so the PT needs no Hermiticity check of its own.
-    """
-    ms = np.asarray(ms)
-    return _table_from_eig(ms, *qstate._checked_eig(ms))
+    of the first matrix that is not Hermitian, of unit trace and PSD."""
+    return _table_from_eig(*qstate._checked_eig(np.asarray(ms)))
 
 
 def measure_report(rho: qstate.DensityMatrix) -> MeasureReport:
-    """Evaluate every measure once for a single state: row 0 of its 1-stack
-    ``measure_table``.
+    """Evaluate every measure once for a single state: row 0 of the table of
+    one ``eigh`` of the matrix, which construction checked, and so row 0 of
+    its 1-stack ``measure_table``.
 
     A single state always takes the LAPACK route: routing it through the
     kernels was measured about twelve times slower.  Stacks of states, as
     the CLI reads them, go to ``measure_table`` in one call instead.
     """
-    table = measure_table(rho.matrix[None])
+    table = _table_from_eig(*cmat._lapack(np.linalg.eigh, rho.matrix[None]))
     return MeasureReport(**{name: column[0].item() for name, column in table.items()})
 
 

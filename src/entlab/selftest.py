@@ -87,11 +87,9 @@ def check_measures(n: int = 2000) -> None:
     _check(np.array_equal(sep, table["e_negative"] <= measures.EPS_SEP), "separable flags disagree with E_N")
 
 
-def check_near_product_pt(n: int = 512) -> None:
-    """lambda_min(rho^Gamma) of pure states alpha|ab> + sqrt(1 - alpha^2)|a'b'>
-    of Schmidt coefficient alpha <= 0.01 in random product bases, where three
-    PT eigenvalues lie within alpha of zero: the PT kernel must refuse what it
-    cannot certify, so the stack matches eigvalsh."""
+def _near_product_pures(n: int = 512) -> np.ndarray:
+    """Pure states alpha|ab> + sqrt(1 - alpha^2)|a'b'>, alpha in [0, 0.01], in
+    random product bases, where three PT eigenvalues lie within alpha of 0."""
     rng = sampler.RngStream(107)
     a, b = _random_kets(rng, n, 2), _random_kets(rng, n, 2)
     a_perp = np.column_stack([-np.conj(a[:, 1]), np.conj(a[:, 0])])
@@ -99,7 +97,13 @@ def check_near_product_pt(n: int = 512) -> None:
     alpha = np.linspace(0.0, 0.01, n)[:, None]
     kets = alpha * np.einsum("ni,nj->nij", a, b).reshape(n, 4)
     kets += np.sqrt(1.0 - alpha**2) * np.einsum("ni,nj->nij", a_perp, b_perp).reshape(n, 4)
-    pures = kets[:, :, None] * np.conj(kets[:, None, :])
+    return kets[:, :, None] * np.conj(kets[:, None, :])
+
+
+def check_near_product_pt(n: int = 512) -> None:
+    """E_N of ``_near_product_pures`` matches eigvalsh: the PT kernel must
+    refuse what it cannot certify."""
+    pures = _near_product_pures(n)
     _check(n >= measures._PT_MIN_STACK, "stack too small for the PT kernel")
     lam = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(pures))[:, 0]
     e_negative = measures.measure_table(pures)["e_negative"]

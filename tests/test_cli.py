@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from entlab import cli, cmat, experiment, measures, qstate, selftest
+from entlab import cli, cmat, experiment, measures, qstate, sampler, selftest
 from entlab.cli import MAX_SAMPLE_COUNT, main
 from entlab.errors import NotConverged, NotPSD
 from entlab.sampler import RngStream, random_density_batch
@@ -222,7 +222,8 @@ class TestMeasure:
 
     def test_state_file_is_diagonalized_once(self, capsys, tmp_path, monkeypatch):
         # one eigh of the file's stack serves the PSD check and the measures;
-        # eigvalsh runs only on the partial transposes the PT kernel refuses
+        # eigvalsh sees only partial transposes of states reassembled from
+        # the check's clamped eigenpairs that the determinant screen kept
         path = tmp_path / "states.csv"
         assert run_cli(capsys, "sample", "--seed", "5", "--count", "300", "--out", str(path))[0] == 0
         ms = random_density_batch(RngStream(5), 300)
@@ -238,10 +239,15 @@ class TestMeasure:
         assert code == 0 and out.count("\n") == 301
         assert [stack.shape for stack in calls["eigh"]] == [(300, 4, 4)]
         assert np.array_equal(calls["eigh"][0], ms)
-        pts = cmat.partial_transpose_b(ms).reshape(300, 16)
+        w, u = np.linalg.eigh(ms)
+        cols = np.ascontiguousarray(u.transpose(2, 1, 0))
+        rho = sampler._assemble_entries(np.clip(w, 0.0, None), cols).transpose(2, 0, 1)
+        pts = cmat.partial_transpose_b(rho).reshape(300, 16)
+        assert calls["eigvalsh"]
         for stack in calls["eigvalsh"]:
             assert len(stack) < 300
             assert all((pts == m.ravel()).all(axis=1).any() for m in stack)
+            assert (measures._hermitian_det(stack) <= measures.DET_SCREEN).all()
 
     def test_sampled_file_within_cn_region(self, capsys, tmp_path):
         # the stack route of `measure --input` keeps every (C, N = 2 E_N)
@@ -255,11 +261,12 @@ class TestMeasure:
         assert len(rows) == 3000 and selftest.cn_region_excess(table) <= 1e-12
 
     # SHA-256 of `sample --seed 3 --count 255 --out F` and of `measure
-    # --input F`, as the per-row CLI wrote them (numpy 2.4.6, OpenBLAS
-    # 0.3.31, Python 3.11.7).  Under 256 rows every route is LAPACK, so the
-    # stack route gives the same bytes.
+    # --input F` (numpy 2.4.6, OpenBLAS 0.3.31, Python 3.11.7).  Under 256
+    # rows every route is LAPACK.  The measure digest was re-pinned when
+    # E_N and S moved to the state reassembled from the checked spectral
+    # pair (by at most 5.3e-16 and 1.0e-15 on this file; no flag flipped).
     PINNED_SAMPLE_SHA256 = "5b9b707f4564eaffb9c829e8c2bf4dcf0cc89b3459774bb2a64bb398b5fcec66"
-    PINNED_MEASURE_SHA256 = "e28f9bdbf2d6dcf3c4cad737b59ee5a9dbb60ce2daa9a98509c7b5f3bd758a66"
+    PINNED_MEASURE_SHA256 = "aa5a34bc31f6b338cd64a4e3944aae3a0b1dc40b4de18748bda9884c6b695e05"
 
     def test_pinned_sample_and_measure_digests(self, capsys, tmp_path):
         path = tmp_path / "states.csv"
@@ -574,7 +581,9 @@ class TestWernerTable:
     # SHA-256 of `werner-table --grid 0.25:1:1e-4` (7501 rows across two
     # STATE_BLOCK blocks), measured with numpy 2.4.6, OpenBLAS 0.3.31,
     # Python 3.11.7.  A change of the table's writer must leave it unchanged.
-    PINNED_SHA256 = "3045b2b7a99a351ead978f721f0dc565c5afdfc08159b687c18c80e3be5f4c55"
+    # Re-pinned when E_N moved to the state reassembled from the checked
+    # spectral pair (by at most 2.2e-16; C and E_F kept every bit).
+    PINNED_SHA256 = "16340c70a1e67e1a44f05ea1e30b14cdb0432cc40d42b9ad501db45d73ff6fe4"
 
     def test_pinned_digest(self, capsys):
         code, out, err = run_cli(capsys, "werner-table", "--grid", "0.25:1:1e-4")

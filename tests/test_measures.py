@@ -249,6 +249,14 @@ def pt_entry_stack(ms):
     return np.ascontiguousarray(cmat.partial_transpose_b(ms).transpose(1, 2, 0))
 
 
+def pt_min_of(pt):
+    """_pt_min of a (4, 4, n) entry stack, with the determinants it takes
+    (formed under an error state, as the kernel runs)."""
+    with np.errstate(all="ignore"):
+        det = measures._hermitian_det(pt.transpose(2, 0, 1))
+    return measures._pt_min(pt, det)
+
+
 def lapack_pt_min(ms):
     return np.linalg.eigvalsh(cmat.partial_transpose_b(ms))[:, 0]
 
@@ -279,8 +287,8 @@ class TestPtMinKernel:
         pt = pt_entry_stack(ms)
         entangled = np.nonzero(lapack_pt_min(rhos) < -measures.EPS_SEP)[0][:60]
         idx = np.concatenate([entangled, len(rhos) + np.arange(len(special))])
-        in_stack = measures._pt_min(pt)
-        alone = measures._pt_min(np.ascontiguousarray(pt[:, :, idx]))  # below the threshold
+        in_stack = pt_min_of(pt)
+        alone = pt_min_of(np.ascontiguousarray(pt[:, :, idx]))  # below the threshold
         assert len(idx) < measures._PT_MIN_STACK <= pt.shape[-1]
         reference = np.array(
             [oracles.eigvalsh_min_mp(mpmath, cmat.partial_transpose_b(ms[i])) for i in idx]
@@ -300,7 +308,7 @@ class TestPtMinKernel:
         worst = 0.0
         for seed in range(54, 58):
             rhos = random_density_batch(RngStream(seed), 50_000)
-            diff = measures._pt_min(pt_entry_stack(rhos)) - lapack_pt_min(rhos)
+            diff = pt_min_of(pt_entry_stack(rhos)) - lapack_pt_min(rhos)
             worst = max(worst, float(np.abs(diff).max()))
         assert worst <= 1e-15
 
@@ -316,10 +324,10 @@ class TestPtMinKernel:
         pt = pt_entry_stack(rhos)
         lapack = lapack_pt_min(rhos)
         # the kernel's values differ from LAPACK's in the last bits ...
-        assert not np.array_equal(measures._pt_min(pt), lapack)
+        assert not np.array_equal(pt_min_of(pt), lapack)
         # ... so equality shows that every matrix fell back: a zero tolerance certifies none
         monkeypatch.setattr(measures, "_PT_TOL", 0.0)
-        assert np.array_equal(measures._pt_min(pt), lapack)
+        assert np.array_equal(pt_min_of(pt), lapack)
 
     @pytest.mark.parametrize("triangle", [np.triu, np.tril])
     def test_hermitian_within_tolerance(self, triangle):
@@ -331,13 +339,13 @@ class TestPtMinKernel:
         offset = 1 if triangle is np.triu else -1
         noisy = rhos + triangle(noise.transpose(1, 2, 0), offset).transpose(2, 0, 1)
         assert 1e-11 < cmat.hermiticity_defects(noisy).max(initial=0.0) <= cmat.TOL.hermiticity
-        diff = measures._pt_min(pt_entry_stack(noisy)) - lapack_pt_min(noisy)
+        diff = pt_min_of(pt_entry_stack(noisy)) - lapack_pt_min(noisy)
         assert np.abs(diff).max() <= 1e-15
 
     def test_single_state_matches_stack(self):
         pt = pt_entry_stack(random_density_batch(RngStream(59), 4096))
-        in_stack = measures._pt_min(pt)
-        alone = [measures._pt_min(pt[:, :, i : i + 1])[0] for i in range(512)]
+        in_stack = pt_min_of(pt)
+        alone = [pt_min_of(pt[:, :, i : i + 1])[0] for i in range(512)]
         assert np.abs(in_stack[:512] - alone).max() <= 1e-15
 
 
@@ -464,7 +472,7 @@ class TestRawStacks:
             try:
                 if fault := cmat.hermiticity_fault(ms):
                     raise fault[1]
-                lam = measures._pt_min(pt_entry_stack(ms))
+                lam = pt_min_of(pt_entry_stack(ms))
                 reference = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(ms))[:, 0]
             except EntanglementLabError:
                 return
@@ -718,6 +726,88 @@ class TestMeasureReport:
         table = measures.measure_table(m)
         for name in ("concurrence", "e_formation", "e_negative", "e_sum", "linear_entropy"):
             assert not np.signbit(table[name]).any(), name
+
+
+def reassembled(ms):
+    """The clamped spectral pair (p, cols) of the one eigh of a (n, 4, 4)
+    stack of density matrices and the (n, 4, 4) stack u diag(p) u^dagger
+    that the measures assemble from it."""
+    w, u = np.linalg.eigh(ms)
+    p, cols = np.clip(w, 0.0, None), np.ascontiguousarray(u.transpose(2, 1, 0), dtype=complex)
+    return p, cols, np.ascontiguousarray(sampler._assemble_entries(p, cols).transpose(2, 0, 1))
+
+
+def stress_stacks():
+    """The self-test's near-product pure states, where three PT eigenvalues
+    lie near zero, and Werner states just either side of EPS_SEP and on it."""
+    fs = (0.5 + 1e-10 * (1 + 1e-3), 0.5 + 1e-10 * (1 - 1e-3), 0.5 + 1e-10, 0.5)
+    return {"near-product": selftest._near_product_pures(), "Werner": qstate.werner_stack(fs)}
+
+
+class TestSpectralRoute:
+    """Every state is measured from its checked spectral pair, through one
+    screened route."""
+
+    @staticmethod
+    def assert_screen_keeps_the_entangled(ms):
+        # no state that eigvalsh of the reassembled PT calls entangled is dropped
+        _, _, rho = reassembled(ms)
+        screened, _ = measures._pt_screen(np.ascontiguousarray(rho.transpose(1, 2, 0)))
+        lam = np.linalg.eigvalsh(cmat.partial_transpose_b(rho))[:, 0]
+        assert np.isin(np.nonzero(lam < -measures.EPS_SEP)[0], screened).all()
+
+    @pytest.mark.parametrize("name", ["near-product", "Werner"])
+    def test_screen_on_stress_stacks(self, name):
+        self.assert_screen_keeps_the_entangled(stress_stacks()[name])
+
+    @given(raw_stacks(sizes=st.integers(1, 6), forms=("state",)))
+    @settings(max_examples=300, deadline=None)
+    def test_screen_on_checked_hypothesis_stacks(self, ms):
+        try:
+            with np.errstate(all="ignore"):
+                qstate.validate_stack(ms)
+        except EntanglementLabError:
+            return
+        self.assert_screen_keeps_the_entangled(ms)
+
+    @pytest.mark.parametrize("name", ["sampler", "near-product", "Werner"])
+    def test_table_is_that_of_the_reassembled_state(self, name):
+        ms = random_density_batch(RngStream(78), 3000) if name == "sampler" else stress_stacks()[name]
+        table = measures.measure_table(ms)
+        p, cols, rho = reassembled(ms)
+        lam = np.linalg.eigvalsh(cmat.partial_transpose_b(rho))[:, 0]
+        c = measures.concurrence_from_eig(p, cols.transpose(2, 1, 0))
+        expected = {
+            "concurrence": c,
+            "e_formation": measures.ef_from_concurrence_batch(c),
+            "e_negative": np.maximum(0.0, -lam),
+            "e_sum": np.maximum(0.0, -2.0 * lam),
+            "linear_entropy": 1.0 - np.einsum("nij,nji->n", rho, rho).real,
+        }
+        for column, values in expected.items():
+            assert np.abs(table[column] - values).max() <= 1e-14, column
+        assert np.array_equal(table["separable"], lam >= -measures.EPS_SEP)
+        assert table["concurrence"].tobytes() == c.tobytes()
+
+    def test_blocks_equal_the_whole_stack(self):
+        # a state's bits depend on its stack only through the 256-matrix
+        # cutoff, also past 16384 states, where the kernels' (m,) temporaries
+        # reach the 256 KiB at which numpy computes into an unnamed one in place
+        ms = random_density_batch(RngStream(77), 40_000)
+        whole, starts = measures.measure_table(ms), range(0, 40_000, 5000)
+        blocks = [measures.measure_table(ms[i : i + 5000]) for i in starts]
+        for name, column in whole.items():
+            assert column.tobytes() == np.concatenate([block[name] for block in blocks]).tobytes(), name
+        _, probs, u = spectral_batch(77, 40_000)
+        c = np.concatenate([measures.concurrence_from_eig(probs[i : i + 5000], u[i : i + 5000]) for i in starts])
+        assert measures.concurrence_from_eig(probs, u).tobytes() == c.tobytes()
+
+    def test_report_does_not_recheck_a_built_state(self, monkeypatch):
+        rho, calls = werner_state(0.75), []
+        fault = cmat.hermiticity_fault
+        monkeypatch.setattr(cmat, "hermiticity_fault", lambda m: calls.append(m) or fault(m))
+        report = measures.measure_report(rho)
+        assert calls == [] and not report.separable
 
 
 class TestPureStateConnection:

@@ -185,3 +185,20 @@ def test_every_eigensolver_and_svd_goes_through_lapack():
             and id(n) not in passed
         ]
         assert direct == [], path.name
+
+
+def test_one_screened_route_measures_every_state():
+    # measures._spectral_table alone screens states and takes their
+    # concurrence, for the harness, the stack and the scalar APIs alike; the
+    # self-test calls both besides, to check them.  The linear entropy comes
+    # from the spectrum, with no matrix product of its own.
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    called = [
+        getattr(n.func, "attr", getattr(n.func, "id", None))
+        for name, text in sources.items()
+        if name != "selftest.py"
+        for n in ast.walk(ast.parse(text))
+        if isinstance(n, ast.Call)
+    ]
+    assert (called.count("_pt_screen"), called.count("concurrence_from_eig")) == (1, 1)
+    assert not any("linear_entropy_batch" in text for text in sources.values())
