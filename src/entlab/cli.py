@@ -18,9 +18,9 @@ from .selftest import run_selftest
 MAX_GRID_POINTS = 10**6
 # Most states `sample` draws, checked before any is drawn.
 MAX_SAMPLE_COUNT = 10**6
-# States `sample` draws and writes, and grid points `werner-table` builds
-# and measures, at a time, so that memory stays bounded for any count; a
-# fixed size keeps the output deterministic.
+# States `sample` draws and passes to qstate.write_stack, and grid points
+# `werner-table` builds and measures, at a time, so that memory stays
+# bounded for any count; a fixed size keeps the output deterministic.
 STATE_BLOCK = 4096
 
 
@@ -67,8 +67,13 @@ def _cmd_measure(args) -> int:
 def _sample_blocks(rng: sampler.RngStream, count: int):
     """The next count states of rng as (n, 4, 4) stacks of STATE_BLOCK
     states (one empty stack for count 0): the states of one draw of count,
-    as the stream is sequential."""
-    for start in range(0, max(count, 1), STATE_BLOCK):
+    as the stream is sequential.  The first next() only draws the first,
+    so that a caller can draw it before any output."""
+    ms = sampler.random_density_batch(rng, min(STATE_BLOCK, count))
+    yield None
+    yield ms
+    del ms  # before the next stack is drawn
+    for start in range(STATE_BLOCK, count, STATE_BLOCK):
         yield sampler.random_density_batch(rng, min(STATE_BLOCK, count - start))
 
 
@@ -76,18 +81,13 @@ def _cmd_sample(args) -> int:
     if not 0 <= args.count <= MAX_SAMPLE_COUNT:
         raise ValueError(f"--count must lie in [0, {MAX_SAMPLE_COUNT}], got {args.count}")
     blocks = _sample_blocks(sampler.RngStream(args.seed), args.count)
-    ms = next(blocks)  # before any output: a failure to draw it prints nothing and leaves --out as it was
+    next(blocks)  # before any output: a failure to draw prints nothing and leaves --out as it was
     if args.out is None:
         out = contextlib.nullcontext(sys.stdout)
     else:
         out = open(args.out, "w", encoding="ascii", newline="\n")
     with out as fh:
-        fh.write(qstate.CSV_HEADER)  # then the rows of write_stack, one block at a time
-        while ms is not None:
-            qstate._write_rows(fh, qstate._stack_columns(ms))
-            del ms  # so that one block is held at a time
-            ms = next(blocks, None)
-        fh.write("\n")
+        qstate.write_stack(fh, blocks)
     if args.out is not None:
         print(f"wrote {args.count} states to {args.out}")
     return 0

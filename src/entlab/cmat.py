@@ -54,11 +54,20 @@ def hermiticity_defects(m: np.ndarray) -> np.ndarray:
         return defects
 
 
-def hermiticity_fault(m: np.ndarray) -> tuple[int, NotHermitian] | None:
-    """(index, error) of the first matrix of a (..., n, n) stack, flattened,
-    that is not Hermitian with finite entries to TOL.hermiticity, with the
-    error that matrix alone raises; or None."""
+def _numeric(m) -> np.ndarray:
+    """m as float64 or complex128, which LAPACK takes and in which no integer
+    difference wraps; NotHermitian for any but a numeric (..., 4, 4) array."""
     m = np.asarray(m)
+    if m.ndim < 2 or m.shape[-2:] != (4, 4) or m.dtype.kind not in "iufc":
+        raise NotHermitian(f"expected a numeric (..., 4, 4) array, got shape {m.shape} and dtype {m.dtype}")
+    return m.astype(complex if m.dtype.kind == "c" else float, copy=False)
+
+
+def hermiticity_fault(m: np.ndarray) -> tuple[int, NotHermitian] | None:
+    """(index, error) of the first matrix of a (..., 4, 4) stack, flattened,
+    that is not Hermitian with finite entries to TOL.hermiticity, with the
+    error that matrix alone raises; or None, after ``_numeric``'s check."""
+    m = _numeric(m)
     defects = hermiticity_defects(m).ravel()
     bad = np.flatnonzero(~(defects <= TOL.hermiticity))  # a non-finite entry makes its defect inf or NaN
     if not len(bad):
@@ -101,7 +110,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if fault := hermiticity_fault(m):
         raise fault[1]
-    return _lapack(np.linalg.eigh, np.asarray(m))
+    return _lapack(np.linalg.eigh, _numeric(m))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

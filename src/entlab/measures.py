@@ -2,34 +2,36 @@
 
 Every state is measured through one route, ``_spectral_table``, from a
 spectral pair (p, U): p >= 0 and the column stack of U.  It assembles
-rho = U diag(p) U^dagger exactly Hermitian, screens it by det(rho^Gamma)
-(``_pt_screen``, which passes the states it keeps, with their
-determinants, to ``_pt_min``, the smallest partial-transpose (PT)
-eigenvalue; that alone fixes E_N, E_sum = 2 E_N and separability, because
-a two-qubit PT has at most one negative eigenvalue), takes the concurrence
-of the NPT states from their pairs (``concurrence_from_eig``, then
-``ef_from_concurrence_batch``) and the linear entropy from p.  The Monte
-Carlo harness passes the sampler's pairs; ``measure_table``, every command
-of the CLI that handles states and the scalar API pass the clamped
-eigenpairs of one ``eigh`` (``_table_from_eig``): of ``qstate``'s stack
-check, which ``measure_table`` runs and ``measure --input`` takes from
-the reader, or of a DensityMatrix, which its construction checked.
+rho = U diag(p) U^dagger exactly Hermitian, screens it by det(rho^Gamma),
+read in place from rho's entry rows (``_pt_screen``, which passes the
+states it keeps, with their determinants, to ``_pt_min``, the smallest
+partial-transpose (PT) eigenvalue; that alone fixes E_N, E_sum = 2 E_N and
+separability, because a two-qubit PT has at most one negative eigenvalue),
+takes the concurrence of the NPT states from their pairs
+(``concurrence_from_eig``, then ``ef_from_concurrence_batch``) and the
+linear entropy from p.  The Monte Carlo harness passes the sampler's
+pairs; ``measure_table``, every command of the CLI that handles states and
+the scalar API pass the clamped eigenpairs of one ``eigh``
+(``_table_from_eig``): of ``qstate``'s stack check, which
+``measure_table`` runs and ``measure --input`` takes from the reader, or
+of a DensityMatrix, which its construction checked.
 
 Both kernels work on characteristic polynomials: the concurrence on that
 of B^H B, whose largest root and the sum of the square roots of the other
 three give C without the singular values themselves, and the smallest PT
-eigenvalue on that of each PT.  Both share one root step,
-``_laguerre_newton`` (Laguerre steps, then a Newton step with a certified
-error bound), and one fallback, ``_kernel_or_lapack``: LAPACK takes stacks
-under _C_MIN_STACK or _PT_MIN_STACK matrices and any matrix a kernel
-cannot certify, and the two routes agree to rounding.  A state's bits
-depend on the rest of its stack only through that cutoff, which applies to
-the screened and the NPT states.  ``measure_report`` returns the one row
-of the table of one state; it serves ``experiment.compare_pair`` and the
-scalar functions (``concurrence``, ``e_formation``, ``e_negative``,
-``e_sum``, ``linear_entropy``, ``is_separable``), which return its fields,
-so a scalar call equals the corresponding entry of a 1-stack table exactly
-and of a larger table to rounding.
+eigenvalue on that of each PT; both take (4, 4, n) entry stacks, as the
+determinant does, and share one root step, ``_laguerre_newton`` (Laguerre
+steps, then a Newton step with a certified error bound), and one
+fallback, ``_kernel_or_lapack``: LAPACK takes stacks under _C_MIN_STACK
+or _PT_MIN_STACK matrices and any matrix a kernel cannot certify, and the
+two routes agree to rounding.  A state's bits depend on the rest of its
+stack only through that cutoff, which applies to the screened and the NPT
+states.  ``measure_report`` returns the one row of the table of one
+state; it serves ``experiment.compare_pair`` and the scalar functions
+(``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
+``linear_entropy``, ``is_separable``), which return its fields, so a
+scalar call equals the corresponding entry of a 1-stack table exactly and
+of a larger table to rounding.
 """
 
 from __future__ import annotations
@@ -301,15 +303,16 @@ def ef_from_concurrence_batch(c: np.ndarray) -> np.ndarray:
     return _binary_entropy_arr((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
-def _hermitian_det(m: np.ndarray) -> np.ndarray:
-    """Real determinant of each Hermitian matrix of a (..., 4, 4) stack, by
-    Laplace expansion along rows 0-1: the signed sum of the six products of a
-    2x2 minor of rows 0-1 and the complementary minor of rows 2-3."""
-    r0, r1, r2, r3 = (m[..., i, :] for i in range(4))
+def _hermitian_det(m) -> np.ndarray:
+    """Real determinant of each Hermitian matrix of a (4, 4, n) entry stack m
+    (or nested lists: ``m[a][b]`` the (n,) row of entry (a, b)), by Laplace
+    expansion along rows 0-1: the signed sum of the six products of a 2x2
+    minor of rows 0-1 and the complementary minor of rows 2-3."""
+    r0, r1, r2, r3 = m
     det = 0.0
     for sign, (j, k), (l, q) in zip((1, -1, 1, 1, -1, 1), _LAPLACE_PAIRS, _LAPLACE_PAIRS[::-1]):
-        top = r0[..., j] * r1[..., k] - r0[..., k] * r1[..., j]
-        bottom = r2[..., l] * r3[..., q] - r2[..., q] * r3[..., l]
+        top = r0[j] * r1[k] - r0[k] * r1[j]
+        bottom = r2[l] * r3[q] - r2[q] * r3[l]
         det = det + sign * (top * bottom).real
     return det
 
@@ -470,11 +473,11 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sampler's layout) that the EPS_SEP rule might call entangled: those with
     det(rho^Gamma) <= DET_SCREEN, with lambda_min(rho^Gamma) from ``_pt_min``.
 
-    rho^Gamma is formed once, for every state, as a permutation of the 16
-    entry rows, unchecked (see below); ``_hermitian_det`` reads it
-    through a (n, 4, 4) view, so every minor multiplies contiguous rows, and
-    only the screened states are gathered, as a (4, 4, m) entry stack that
-    ``_pt_min`` takes with their determinants.
+    rho^Gamma is read in place, unchecked (see below): ``_hermitian_det``
+    takes rho's 16 entry rows in PT order (``_PT_ROWS``), so every minor
+    multiplies rows of rho, and only the screened states' entries are
+    gathered, by one index, as the (4, 4, m) entry stack that ``_pt_min``
+    takes with their determinants.
 
     The screen is sound for every rho that ``_spectral_table`` passes:
     u diag(p) u^dagger assembled by ``sampler._assemble_entries`` from p >= 0
@@ -499,11 +502,10 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tr(rho^2) <= sum(p)^2.  So it moves the determinant by at most about
     2e-15, far below DET_SCREEN.
     """
-    n = rho.shape[-1]
-    pt = rho.reshape(16, n)[_PT_ROWS].reshape(4, 4, n)
-    det = _hermitian_det(pt.transpose(2, 0, 1))
+    flat = rho.reshape(16, rho.shape[-1])
+    det = _hermitian_det([[flat[k] for k in row] for row in _PT_ROWS.reshape(4, 4)])
     screened = np.nonzero(det <= DET_SCREEN)[0]
-    pt = pt[:, :, screened]  # the whole stack's copy goes before the kernel runs
+    pt = flat[_PT_ROWS[:, None], screened].reshape(4, 4, len(screened))
     return screened, _pt_min(pt, det[screened])
 
 
@@ -545,7 +547,8 @@ def _table_from_eig(w: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
     """All measures for a (n, 4, 4) stack of density matrices:
     ``_table_from_eig`` of ``qstate._checked_eig``, which raises the error
-    of the first matrix that is not Hermitian, of unit trace and PSD."""
+    of the first matrix that is not Hermitian, of unit trace and PSD, or of
+    any array but a numeric (n, 4, 4) stack."""
     return _table_from_eig(*qstate._checked_eig(np.asarray(ms)))
 
 

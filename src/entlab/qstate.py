@@ -2,18 +2,20 @@
 CSV format of a state stack and the package's one CSV writer.
 
 Every state stack, however it enters, takes one check, ``_checked_eig``:
-Hermiticity and finite entries in one per-matrix pass, the traces in one
-einsum and positive semidefiniteness from one batched ``eigh``, whose
-eigenpairs it returns; it raises the error of the lowest-indexed invalid
-matrix of the first check that fails.  ``validate_stack``, ``DensityMatrix``
-(one matrix as a 1-stack), ``read_stack`` and ``measures.measure_table``
-all take it.  ``write_stack`` and ``read_stack`` stream a stack to and
-from a text file, one 32-field row per matrix, and keep every bit, signed
-zeros included.  The reader reads each field as ``float`` does, digit-group
-underscores refused: -?0 or -?0. and up to 20 digits by an exact
-vectorized kernel (``_decimal_fields``), every other field by numpy's C
-text parser.  Its check's ``eigh`` is the one the measures reuse, and every
-error names its file line.
+any array but a numeric (n, 4, 4) stack refused, then Hermiticity and
+finite entries in one per-matrix pass, the traces in one einsum and
+positive semidefiniteness from one batched ``eigh``, whose eigenpairs it
+returns; it raises the error of the lowest-indexed invalid matrix of the
+first check that fails.  ``validate_stack``, ``DensityMatrix`` (one
+matrix as a 1-stack), ``read_stack`` and ``measures.measure_table`` all
+take it.  ``write_stack``, the one writer of a state file, streams the
+stacks of an iterable (``entlab sample`` passes its blocks), and
+``read_stack`` reads them back, one 32-field row per matrix, every bit
+kept, signed zeros included.  The reader reads each field as ``float``
+does, digit-group underscores refused: -?0 or -?0. and up to 20 digits by
+an exact vectorized kernel (``_decimal_fields``), every other field by
+numpy's C text parser.  Its check's ``eigh`` is the one the measures
+reuse, and every error names its file line.
 ``write_csv`` writes every CSV file and table of the package, each column
 as its dtype sets: floats in the one format CSV_FLOAT, integers in decimal,
 booleans as true/false.  It renders blocks of _CSV_VALUES values as
@@ -22,8 +24,7 @@ nearly all of the package's floats, take an exact vectorized kernel
 (``_float_fields``) that writes the bytes CSV_FLOAT writes, and whose
 fields are the slots; every other float takes CSV_FLOAT itself.  A table
 passed as a 2-d float array, as ``write_stack``'s, is read row by row in
-place; ``entlab sample`` writes its stack one block at a time through the
-same rows (``_write_rows``).
+place.
 """
 
 from __future__ import annotations
@@ -77,8 +78,12 @@ def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to the central tolerances: Hermiticity and finite entries
     (``cmat.hermiticity_fault``), the traces in one einsum, then PSD
     (``cmat.psd_fault``).  The first step that fails raises the error its
-    first faulty matrix alone raises, with that matrix's ``index``.
+    first faulty matrix alone raises, with that matrix's ``index``; any
+    other array raises NotHermitian first.
     """
+    if ms.ndim != 3 or ms.shape[1:] != (4, 4):
+        raise NotHermitian(f"expected a (n, 4, 4) stack, got shape {ms.shape}")
+    ms = cmat._numeric(ms)  # float64 or complex128: no integer trace wraps, and eigh takes every float
     fault = cmat.hermiticity_fault(ms)
     if fault is None:
         trace_dev = np.abs(np.einsum("nii->n", ms).real - 1.0)
@@ -96,14 +101,12 @@ def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def validate_stack(ms: np.ndarray) -> np.ndarray:
-    """ms as a complex (n, 4, 4) stack, after ``_checked_eig`` (whose
-    eigenvectors it drops): every matrix Hermitian, of unit trace and PSD,
-    or the error of the first invalid matrix of the first check that fails."""
-    ms = np.asarray(ms, dtype=complex)
-    if ms.ndim != 3 or ms.shape[1:] != (4, 4):
-        raise NotHermitian(f"expected a (n, 4, 4) stack, got shape {ms.shape}")
+    """ms as a complex (n, 4, 4) stack, after ``_checked_eig`` of ms as
+    given (whose eigenpairs it drops): every matrix Hermitian, of unit trace
+    and PSD, or the error of ``_checked_eig``, raised before any cast."""
+    ms = np.asarray(ms)
     _checked_eig(ms)
-    return ms
+    return ms.astype(complex, copy=False)
 
 
 @dataclass(frozen=True)
@@ -117,7 +120,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
+        m = cmat._numeric(self.matrix)
         if m.shape != (4, 4):
             raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
         out = validate_stack(m[None])[0].copy()
@@ -320,25 +323,22 @@ def write_csv(fh, header: str, columns) -> None:
     the equal-length columns one line, each column as its dtype sets:
     floats in CSV_FLOAT, booleans as true/false, and every other column
     (integers, Python ints past 2^64 among them) as %d does.  The columns
-    are 1-d arrays or lists, or the rows of a 2-d float array, which a
-    row-major table (such as ``write_stack``'s) passes transposed.
+    are 1-d arrays or lists, or the rows of a 2-d float array.
     """
     fh.write(header)
     _write_rows(fh, columns)
     fh.write("\n")
 
 
-def _stack_columns(ms: np.ndarray) -> np.ndarray:
-    """The 32 float columns of a (n, 4, 4) stack's rows (row-major, real
-    and imaginary parts interleaved), as the transposed (n, 32) table."""
-    return np.ascontiguousarray(ms, dtype=complex).view(np.float64).reshape(len(ms), 32).T
-
-
-def write_stack(fh, ms: np.ndarray) -> None:
-    """Write a header line, then one row of 32 floats (row-major, real and
-    imaginary parts interleaved) per matrix of a (n, 4, 4) stack, to the
-    text stream fh."""
-    write_csv(fh, CSV_HEADER, _stack_columns(ms))
+def write_stack(fh, stacks) -> None:
+    """Write to the text stream fh a header line, then one row of 32 floats
+    (row-major, real and imaginary parts interleaved) per matrix of each
+    (n, 4, 4) stack of the iterable stacks in turn, holding one at a time."""
+    fh.write(CSV_HEADER)
+    for ms in stacks:
+        _write_rows(fh, np.ascontiguousarray(ms, dtype=complex).view(np.float64).reshape(len(ms), 32).T)
+        del ms  # before the next stack is drawn
+    fh.write("\n")
 
 
 def _parse_row(row: str) -> np.ndarray | None:

@@ -227,7 +227,7 @@ def check_csv_format(n: int = 2000) -> None:
     padded = np.concatenate([values, np.zeros(-len(values) % 32)])
     column, stack = io.StringIO(), io.StringIO()
     qstate.write_csv(column, "x", [values])
-    qstate.write_stack(stack, padded.view(complex).reshape(-1, 4, 4))
+    qstate.write_stack(stack, [padded.view(complex).reshape(-1, 4, 4)])
     for text, width, want in ((column, 1, values), (stack, 32, padded)):
         rows = [row.split(",") for row in text.getvalue().split("\n")[1:-1]]
         shape = (len(rows), *{len(row) for row in rows})
@@ -268,7 +268,7 @@ def check_csv_parse(n: int = 2000) -> None:
     ms = sampler.random_density_batch(sampler.RngStream(115), 600)
     ms.imag[:, range(4), range(4)] = -0.0
     text = io.StringIO()
-    qstate.write_stack(text, ms)
+    qstate.write_stack(text, [ms])
     again = qstate.read_stack(io.StringIO(text.getvalue()))
     _check(np.array_equal(again.view(np.uint64), ms.view(np.uint64)), "read_stack changes a state write_stack wrote")
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ def run_cli(capsys, *argv):
 
 def _csv_rows_of(rhos):
     buf = io.StringIO()
-    qstate.write_stack(buf, np.stack([rho.matrix for rho in rhos]))
+    qstate.write_stack(buf, [np.stack([rho.matrix for rho in rhos])])
     return buf.getvalue().splitlines()[1:]
 
 
@@ -247,7 +248,7 @@ class TestMeasure:
         for stack in calls["eigvalsh"]:
             assert len(stack) < 300
             assert all((pts == m.ravel()).all(axis=1).any() for m in stack)
-            assert (measures._hermitian_det(stack) <= measures.DET_SCREEN).all()
+            assert (measures._hermitian_det(stack.transpose(1, 2, 0)) <= measures.DET_SCREEN).all()
 
     def test_sampled_file_within_cn_region(self, capsys, tmp_path):
         # the stack route of `measure --input` keeps every (C, N = 2 E_N)
@@ -447,12 +448,39 @@ class TestSample:
         # drawn and written STATE_BLOCK states at a time, to a file or to
         # stdout: the bytes of one write_stack of one draw
         buf = io.StringIO()
-        qstate.write_stack(buf, random_density_batch(RngStream(12), count))
+        qstate.write_stack(buf, [random_density_batch(RngStream(12), count)])
         path = tmp_path / "states.csv"
         argv = ["sample", "--seed", "12", "--count", str(count)]
         assert run_cli(capsys, *argv, "--out", str(path)) == (0, f"wrote {count} states to {path}\n", "")
         assert path.read_bytes() == buf.getvalue().encode()
         assert run_cli(capsys, *argv) == (0, buf.getvalue(), "")
+
+    def test_count_zero_writes_the_file_of_no_stack(self, capsys):
+        buf = io.StringIO()
+        qstate.write_stack(buf, [])
+        assert run_cli(capsys, "sample", "--seed", "1", "--count", "0") == (0, buf.getvalue(), "")
+
+    def test_holds_one_block_at_a_time(self, monkeypatch, tmp_path):
+        # each block is drawn after every earlier one is freed, and the
+        # first before --out is opened
+        path, refs = tmp_path / "states.csv", []
+        draw = sampler.random_density_batch
+
+        def tracked(rng, n):
+            assert [ref() for ref in refs] == [None] * len(refs)
+            assert path.exists() == bool(refs)
+            ms = draw(rng, n)
+            refs.append(weakref.ref(ms))
+            return ms
+
+        monkeypatch.setattr(sampler, "random_density_batch", tracked)
+        count = 3 * cli.STATE_BLOCK + 5
+        assert main(["sample", "--seed", "4", "--count", str(count), "--out", str(path)]) == 0
+        assert len(refs) == 4
+        monkeypatch.undo()
+        buf = io.StringIO()
+        qstate.write_stack(buf, [random_density_batch(RngStream(4), count)])
+        assert path.read_text() == buf.getvalue()
 
     def test_memory_is_flat_in_count(self, tmp_path):
         # one block at a time: 20000 states take no more memory than 4096

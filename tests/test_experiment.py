@@ -352,7 +352,7 @@ class TestDeterminantScreen:
         rhos = sampler.random_density_batch(sampler.RngStream(64), 20_000)
         pt = cmat.partial_transpose_b(rhos)
         lu = np.linalg.det(pt).real
-        assert np.abs(measures._hermitian_det(pt) - lu).max() < 1e-15
+        assert np.abs(measures._hermitian_det(pt.transpose(1, 2, 0)) - lu).max() < 1e-15
         screened, _ = measures._pt_screen(np.ascontiguousarray(rhos.transpose(1, 2, 0)))
         assert np.array_equal(screened, np.nonzero(lu <= measures.DET_SCREEN)[0])
 
@@ -361,7 +361,7 @@ class TestDeterminantScreen:
         """The screen on a C-contiguous (n, 4, 4) stack: PT, minors determinant,
         LAPACK's smallest eigenvalue of the screened PTs."""
         pt = cmat.partial_transpose_b(rhos)
-        screened = np.nonzero(measures._hermitian_det(pt) <= measures.DET_SCREEN)[0]
+        screened = np.nonzero(measures._hermitian_det(pt.transpose(1, 2, 0)) <= measures.DET_SCREEN)[0]
         return screened, np.linalg.eigvalsh(pt[screened])[:, 0]
 
     def test_entry_layout_matches_stack_route(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from strategies import raw_stacks
+from strategies import any_arrays, raw_stacks
 from entlab import cmat, experiment, measures, qstate, sampler, selftest
 from entlab.errors import EntanglementLabError, NotConverged, NotHermitian, NotPSD
 from entlab.qstate import pure_schmidt, singlet, werner_state
@@ -253,7 +253,7 @@ def pt_min_of(pt):
     """_pt_min of a (4, 4, n) entry stack, with the determinants it takes
     (formed under an error state, as the kernel runs)."""
     with np.errstate(all="ignore"):
-        det = measures._hermitian_det(pt.transpose(2, 0, 1))
+        det = measures._hermitian_det(pt)
     return measures._pt_min(pt, det)
 
 
@@ -298,7 +298,7 @@ class TestPtMinKernel:
         # Schmidt coefficients <= 1e-2 put three PT eigenvalues within alpha of
         # zero, so |p'| is tiny and the certificate must refuse them; it accepts
         # the Werner states and the singlet, whose root is Gershgorin's bound
-        _, certified = measures._laguerre_min(pt, measures._hermitian_det(pt.transpose(2, 0, 1)))
+        _, certified = measures._laguerre_min(pt, measures._hermitian_det(pt))
         assert certified[entangled].all()
         assert not certified[len(rhos) + 1 : len(rhos) + 6].any()
         assert certified[len(rhos) + 6 :].all()
@@ -316,7 +316,7 @@ class TestPtMinKernel:
         # every entry 1e-12: the PT is the matrix itself, with eigenvalues
         # 4e-12, 0, 0, 0, where Newton's first-order bound does not hold
         pt = np.full((4, 4, 1), 1e-12 + 0j)
-        _, certified = measures._laguerre_min(pt, measures._hermitian_det(pt.transpose(2, 0, 1)))
+        _, certified = measures._laguerre_min(pt, measures._hermitian_det(pt))
         assert not certified.any()
 
     def test_forced_fallback_is_lapack(self, monkeypatch):
@@ -399,7 +399,7 @@ class TestSharedRootStep:
     def test_hermitian_and_state_stacks(self, ms):
         with np.errstate(all="ignore"):
             pt = pt_entry_stack(ms)
-            det = measures._hermitian_det(pt.transpose(2, 0, 1))
+            det = measures._hermitian_det(pt)
         self.assert_same_bits("_laguerre_min", (pt, det))
         try:
             with np.errstate(all="ignore"):
@@ -445,7 +445,7 @@ class TestNonFiniteInput:
 
 class TestRawStacks:
     """The stack entry points return a value or raise a library error, never a
-    numpy LinAlgError, whatever (n, 4, 4) complex stack they get."""
+    numpy error, whatever (n, 4, 4) complex stack, or any other array, they get."""
 
     @staticmethod
     def value_or_library_error(ms):
@@ -482,6 +482,23 @@ class TestRawStacks:
             scale = np.abs(ms).sum(axis=-1).max(axis=-1) if len(ms) else 0.0
             close = np.abs(lam - reference) <= 1e-15 + 1e-15 * scale
         assert np.all(close | (lam == reference) | (np.isnan(lam) & np.isnan(reference)))
+
+    @given(any_arrays())
+    @settings(max_examples=400, deadline=None)
+    def test_any_array_gives_a_value_or_a_library_error(self, a):
+        # every shape and dtype, bool, str and object included: each entry
+        # point refuses what is no numeric stack of the shape it takes
+        numeric_stack = a.dtype.kind in "iufc" and a.ndim == 3 and a.shape[1:] == (4, 4)
+        for fn in (measures.measure_table, qstate.validate_stack, qstate.DensityMatrix, cmat.hermitian_eig,
+                   cmat.psd_sqrt):
+            try:
+                with np.errstate(all="ignore"):
+                    fn(a)
+            except NotHermitian as exc:
+                if "expected a" in str(exc):
+                    assert not numeric_stack or fn is qstate.DensityMatrix
+            except EntanglementLabError:
+                pass
 
     def test_eigensolver_failure_is_a_library_error(self):
         # finite, Hermitian and of unit trace, but LAPACK's eigh does not converge on it

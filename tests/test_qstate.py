@@ -138,7 +138,7 @@ class TestWerner:
 
 def write_text(ms) -> str:
     buf = io.StringIO()
-    qstate.write_stack(buf, ms)
+    qstate.write_stack(buf, [ms])
     return buf.getvalue()
 
 
@@ -308,7 +308,7 @@ class TestCsvRoundTrip:
         ms = random_density_batch(RngStream(8), 10)
         path = tmp_path / "states.csv"
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            qstate.write_stack(fh, ms)
+            qstate.write_stack(fh, [ms])
         with open(path, "r", encoding="ascii") as fh:
             loaded = qstate.read_stack(fh)
         assert np.array_equal(loaded, ms)
@@ -322,6 +322,18 @@ class TestCsvRoundTrip:
         for m, row in zip(ms, rows):
             assert row == ",".join(f"{v:.17g}" for z in m.ravel() for v in (z.real, z.imag))
         assert rows[-1] == ",".join(["-0"] * 32)
+
+    def test_stacks_write_their_concatenation(self):
+        # the file of an iterable of stacks, empty ones among them, is the
+        # file of their concatenation, and of no stack the header alone
+        ms = random_density_batch(RngStream(16), 700)
+        parts = [ms[:0], ms[:300], ms[300:300], ms[300:301], ms[301:], ms[:0]]
+        buf = io.StringIO()
+        qstate.write_stack(buf, iter(parts))
+        assert buf.getvalue() == write_text(ms)
+        buf = io.StringIO()
+        qstate.write_stack(buf, [])
+        assert buf.getvalue() == write_text(ms[:0]) == qstate.CSV_HEADER + "\n"
 
     def test_empty_and_header_only(self):
         assert write_text(np.zeros((0, 4, 4))) == qstate.CSV_HEADER + "\n"
@@ -634,7 +646,18 @@ class TestValidateStack:
         assert np.array_equal(qstate.validate_stack(ms), ms)
         assert qstate.validate_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
 
-    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (2, 4, 4, 1)])
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (2, 4, 4, 1), (1, 3, 3), (1, 4, 3), (16,), ()])
     def test_rejects_other_shapes(self, shape):
-        with pytest.raises(NotHermitian, match="expected a"):
-            qstate.validate_stack(np.zeros(shape))
+        for fn in (qstate.validate_stack, measures.measure_table):
+            with pytest.raises(NotHermitian, match=rf"^expected a \(n, 4, 4\) stack, got shape {re.escape(str(shape))}$"):
+                fn(np.zeros(shape))
+
+    @pytest.mark.parametrize("fn", [qstate.validate_stack, measures.measure_table, qstate.DensityMatrix])
+    @pytest.mark.parametrize("cells", [[True], ["0.25"], ["junk"], [0.25, None]], ids=["bool", "str", "junk", "object"])
+    def test_rejects_what_is_no_number(self, cells, fn):
+        # refused before any cast: a numeric string is not read as a number
+        ms = np.empty((1, 4, 4), dtype=object)
+        ms.reshape(-1)[:] = (cells * 16)[:16]
+        ms = ms if None in cells else ms.astype(type(cells[0]))
+        with pytest.raises(NotHermitian, match=r"^expected a numeric \(\.\.\., 4, 4\) array, got shape "):
+            fn(ms[0] if fn is qstate.DensityMatrix else ms)

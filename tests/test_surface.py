@@ -202,3 +202,11 @@ def test_one_screened_route_measures_every_state():
     ]
     assert (called.count("_pt_screen"), called.count("concurrence_from_eig")) == (1, 1)
     assert not any("linear_entropy_batch" in text for text in sources.values())
+
+
+def test_one_module_frames_a_state_file():
+    # qstate.write_stack alone writes the header and rows of a state file;
+    # every other module passes it stacks
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    framers = [module for module, tree in trees.items() if {"CSV_HEADER", "_write_rows"} & _references(tree)]
+    assert framers == ["qstate"]
