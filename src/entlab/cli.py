@@ -12,7 +12,6 @@ import numpy as np
 
 from . import experiment, measures, qstate, sampler
 from .errors import EntanglementLabError, ParameterOutOfRange
-from .selftest import run_selftest
 
 # Largest grid `werner-table` accepts, counted before any point is built.
 MAX_GRID_POINTS = 10**6
@@ -122,6 +121,8 @@ def _cmd_werner_table(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
+    from .selftest import run_selftest  # imported only by this command
+
     return 0 if run_selftest(verbose=True) else 1
 
 

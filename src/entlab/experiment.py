@@ -1,12 +1,13 @@
 """Monte Carlo comparison of the ordering induced by the two measures.
 
 The run is decomposed into fixed-size shards of pairs, each fed by its own
-RNG substream (seed, shard index), and shard results are merged in shard
-order.  The decomposition depends only on the configuration, never on the
-thread count, so parallel and serial runs with the same seed are identical
-byte for byte.  Inside a shard, states are drawn in chunks sized only from
-the pairs still needed, so the first chunk covers the whole quota with a
-small margin and a shard usually draws one chunk (47 of the 49 shards of
+RNG substream (seed, shard index), and each shard writes its pairs into its
+own slice of the run's one PAIR_DTYPE array, in shard order, so that a run
+holds a single copy of its pair rows.  The decomposition depends only on
+the configuration, never on the thread count, so parallel and serial runs
+with the same seed are identical byte for byte.  Inside a shard, states are
+drawn in chunks sized only from the pairs still needed, so the first chunk
+covers the whole quota with a small margin and a shard usually draws one chunk (47 of the 49 shards of
 the 10^5-pair acceptance run); the stream is sequential, so chunk sizes
 never change which states are drawn, kept or paired.  They could change
 C, E_F and E_N only by rounding, where a stack of screened or NPT states
@@ -31,7 +32,6 @@ through ``qstate.write_csv``.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -47,9 +47,10 @@ TIE_EPSILON = 1e-12
 S_BINS = 30  # bins of the S histogram (fig4.csv)
 SCATTER_POINTS = 10_000  # most points per scatter CSV
 SHARD_PAIRS = 2048  # pairs per RNG substream
-# Most pairs and threads a run accepts: 10^6 pairs hold about 100 MB
-# of pair rows, and a run starts up to min(threads, shards) threads, each
-# with one shard's chunk in flight, about 11 MiB at its peak.
+# Most pairs and threads a run accepts: 10^6 pairs hold one array of about
+# 105 MB of pair rows, which the shards fill in place, and a run starts up to
+# min(threads, shards) threads, each with one shard's chunk in flight, about
+# 6.3 MiB (traced) at its peak.
 MAX_PAIRS = 10**6
 MAX_THREADS = 64
 _P_KEPT = 0.36  # slightly below the ensemble's entangled fraction, so chunks overshoot
@@ -231,33 +232,37 @@ def _chunk_stats(rng: sampler.RngStream, n: int, first_draw: int) -> np.ndarray:
     ``_separable_orbit`` cannot rule out are built, as spectra and the
     column stack of their unitaries, and measured from that spectral pair
     by ``measures._spectral_table``, so rho is never diagonalized; the rows
-    of the states it does not call separable are kept.  The uniforms go
-    once U is built.
+    of the states it does not call separable are kept.  The chunk's
+    uniforms go once the built draws' angles are gathered, and those once U
+    is built.
     """
     probs, angles = sampler._draw_spectra(rng, n)
     built = np.nonzero(~_separable_orbit(probs))[0]
-    probs, cols = probs[built], sampler._angles_to_columns(angles[built])
+    probs, angles = probs[built], angles[built]  # the chunk's uniforms go here
+    cols = sampler._angles_to_columns(angles)
     del angles
     table = measures._spectral_table(probs, cols)
     kept = np.nonzero(~table.pop("separable"))[0]
     return np.column_stack([*(column[kept] for column in table.values()), built[kept] + first_draw])
 
 
-def _run_shard(seed: int, shard_index: int, quota: int) -> tuple[np.ndarray, int, int, int]:
-    """Accumulate ``quota`` usable pairs on the shard's own RNG substream.
+def _run_shard(seed: int, shard_index: int, out: np.ndarray) -> tuple[int, int, int]:
+    """Fill out, a slice of the run's PAIR_DTYPE array, with len(out) usable
+    pairs drawn on the shard's own RNG substream.
 
     Entangled states pair up consecutively in draw order and tie pairs are
-    excluded.  Chunks are drawn until the quota is met, each sized from the
-    pairs still needed.  The shard keeps one array of all its entangled
-    states and pairs the whole of it by one ``_pair_rows`` call after each
-    chunk; the quota test, the draw-cap message and the counters all come
-    from that array and its tie mask.  The shard ends at the draw that
-    completes its final usable pair, so the counters reflect exactly the
-    states consumed.  A shard draws no new chunk once it has drawn
-    _MAX_DRAW_FACTOR times the expected number of states; it raises
-    EntanglementLabError instead.  Returns (pairs, states drawn, states kept,
-    ties excluded).
+    excluded.  Chunks are drawn until the quota len(out) is met, each sized
+    from the pairs still needed.  The shard keeps one array of all its
+    entangled states and pairs the whole of it by one ``_pair_rows`` call
+    after each chunk; the quota test, the draw-cap message and the counters
+    all come from that array and its tie mask.  The shard ends at the draw
+    that completes its final usable pair, so the counters reflect exactly the
+    states consumed, and its usable pairs go straight into out.  A shard
+    draws no new chunk once it has drawn _MAX_DRAW_FACTOR times the expected
+    number of states; it raises EntanglementLabError instead.  Returns
+    (states drawn, states kept, ties excluded).
     """
+    quota = len(out)
     rng = sampler.RngStream(seed, (_SHARD_KEY, shard_index))
     max_draws = int(_MAX_DRAW_FACTOR * 2 * quota / _P_KEPT)
     stats, tie, drawn = np.empty((0, 6)), np.zeros(0, dtype=bool), 0
@@ -274,8 +279,9 @@ def _run_shard(seed: int, shard_index: int, quota: int) -> tuple[np.ndarray, int
         rows, tie = _pair_rows(stats[0:n:2], stats[1:n:2])
     last = int(np.searchsorted(np.cumsum(~tie), quota))  # the pair that fills the quota
     used = slice(0, last + 1)
+    np.compress(~tie[used], rows[used], axis=0, out=out)
     states_drawn = int(stats[2 * last + 1, 5]) + 1  # through that pair's second state
-    return rows[used][~tie[used]], states_drawn, 2 * last + 2, int(tie[used].sum())
+    return states_drawn, 2 * last + 2, int(tie[used].sum())
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
@@ -284,19 +290,21 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     Deterministic for a fixed configuration; the thread count changes only
     how shards are scheduled, never any output value.
     """
-    quotas = [min(SHARD_PAIRS, cfg.n_pairs - i) for i in range(0, cfg.n_pairs, SHARD_PAIRS)]
+    pairs = np.empty(cfg.n_pairs, dtype=PAIR_DTYPE)  # every shard fills its own slice
+    starts = range(0, cfg.n_pairs, SHARD_PAIRS)
 
     def shard(index):
-        return _run_shard(cfg.seed, index, quotas[index])
+        return _run_shard(cfg.seed, index, pairs[starts[index] : starts[index] + SHARD_PAIRS])
 
     if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(shard, range(len(quotas))))
-    else:
-        results = [shard(index) for index in range(len(quotas))]
+        from concurrent.futures import ThreadPoolExecutor  # imported only by a threaded run
 
-    shard_pairs, drawn, kept, ties = zip(*results)
-    pairs = np.concatenate(shard_pairs)
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            results = list(pool.map(shard, range(len(starts))))
+    else:
+        results = [shard(index) for index in range(len(starts))]
+
+    drawn, kept, ties = zip(*results)
     states_drawn, states_kept, n_ties = sum(drawn), sum(kept), sum(ties)
     n_pairs = len(pairs)
 

@@ -3,8 +3,8 @@
 Every state is measured through one route, ``_spectral_table``, from a
 spectral pair (p, U): p >= 0 and the column stack of U.  It assembles
 rho = U diag(p) U^dagger exactly Hermitian, screens it by det(rho^Gamma),
-read in place from rho's entry rows (``_pt_screen``, which passes the
-states it keeps, with their determinants, to ``_pt_min``, the smallest
+read in place from rho's entry rows (``_pt_screen``, whose kept states,
+with their determinants, go on without rho to ``_pt_min``, the smallest
 partial-transpose (PT) eigenvalue; that alone fixes E_N, E_sum = 2 E_N and
 separability, because a two-qubit PT has at most one negative eigenvalue),
 takes the concurrence of the NPT states from their pairs
@@ -14,7 +14,11 @@ pairs; ``measure_table``, every command of the CLI that handles states and
 the scalar API pass the clamped eigenpairs of one ``eigh``
 (``_table_from_eig``): of ``qstate``'s stack check, which
 ``measure_table`` runs and ``measure --input`` takes from the reader, or
-of a DensityMatrix, which its construction checked.
+of a DensityMatrix, which its construction checked.  ``_table_from_eig``
+measures a stack of n >= 2 _TABLE_BLOCK states in n // _TABLE_BLOCK
+parts of at least _TABLE_BLOCK states, so that the route's working set is
+that of one part; the harness's chunks, all smaller, go whole.  Inside the
+route and its kernels, each array is dropped after its last reader.
 
 Both kernels work on characteristic polynomials: the concurrence on that
 of B^H B, whose largest root and the sum of the square roots of the other
@@ -93,6 +97,12 @@ _TRIANGLES = ((0, 3, 1), (0, 4, 2), (1, 5, 2), (3, 5, 4))
 _NEWTON_H = 0.01
 # Unit roundoff of float64.
 _U = 2.0**-53
+
+# Fewest states of each part in which _table_from_eig measures a large stack:
+# above the largest chunk of the Monte Carlo harness (11409 draws), which
+# calls _spectral_table directly.  At 8192 and at 16384 states a part,
+# `measure --input` of 10^5 states peaked at the same RSS, set by the reader.
+_TABLE_BLOCK = 16384
 
 # sigma_y (x) sigma_y is the real anti-diagonal matrix with entries
 # (-1, 1, 1, -1) from the top row down, so row i of (sy x sy) M is
@@ -234,26 +244,28 @@ def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
     2e5 sampler states, every certified value lay within 7e-16 of LAPACK's
     SVD, and 2 of the 73578 entangled ones were refused.
     """
-    # B, conj(B), |W|^2 and |B|^2 entry by entry: (m,) rows keep every
-    # temporary small, where (4, 4, m) ones cost more in page faults than in
-    # arithmetic.  conj(B) is named: numpy multiplies into an unnamed
-    # temporary of 256 KiB or more in place, which rounds differently, so a
-    # state's bits would depend on the size of its stack.
+    # B, |W|^2 and |B|^2 entry by entry: (m,) rows keep every temporary
+    # small, where (4, 4, m) ones cost more in page faults than in
+    # arithmetic, and each set of rows is dropped after its last reader.
+    # conj(B) is named: numpy multiplies into an unnamed temporary of 256 KiB
+    # or more in place, which rounds differently, so a state's bits would
+    # depend on the size of its stack.
     root = np.sqrt(p)
-    b, conj_b, w2, b2 = {}, {}, {}, {}
+    b, w2, b2 = {}, {}, {}
     for k in range(4):
         for l in range(k, 4):
             entry = w[k, l]
             w2[k, l] = w2[l, k] = entry.real * entry.real + entry.imag * entry.imag
             b[k, l] = b[l, k] = entry * (root[k] * root[l])
-            conj_b[k, l] = conj_b[l, k] = np.conj(b[k, l])
             b2[k, l] = b2[l, k] = w2[k, l] * (p[k] * p[l])
+    del root, w, entry  # w dies here when the caller passed it unnamed, as concurrence_from_eig does
     d = np.array([b2[0, k] + b2[1, k] + b2[2, k] + b2[3, k] for k in range(4)])  # the diagonal of G
     e1 = d.sum(axis=0)
     p01, p23 = p[0] * p[1], p[2] * p[3]
     q = (p[1] * p23, p[0] * p23, p01 * p[3], p01 * p[2])
     e3 = sum(q[k] * (q[k] * w2[k, k] + 2.0 * sum(q[l] * w2[k, l] for l in range(k + 1, 4))) for k in range(4))
     e4 = (p01 * p23) ** 2
+    del w2, q, p01, p23
     # the minors with I = J count once, the others twice, for (I, J) and (J, I)
     minors_sq, products = [0.0, 0.0], [0.0, 0.0]
     for k, (i, j, l, n) in enumerate(_MINOR_ENTRIES):
@@ -263,7 +275,13 @@ def _laguerre_concurrence(p: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
         products[twice] += b2[i, l] * b2[j, n] + b2[i, n] * b2[j, l]
     e2 = minors_sq[0] + 2.0 * minors_sq[1]
     products = products[0] + 2.0 * products[1]
+    del b2, minor, minors_sq
+    conj_b = {}
+    for k in range(4):
+        for l in range(k, 4):
+            conj_b[k, l] = conj_b[l, k] = np.conj(b[k, l])
     off = np.array([sum(b[r, i] * conj_b[r, j] for r in range(4)) for i, j in _LAPLACE_PAIRS])
+    del b, conj_b
     off_sq = off.real * off.real + off.imag * off.imag
     mu1, step, bound, kantorovich = _laguerre_newton(
         e1, (e1, e2, e3, e4), d, off, off_sq, _C_LAGUERRE_STEPS, largest=True
@@ -343,22 +361,25 @@ def _det_with_bound(d: np.ndarray, off: np.ndarray, q: np.ndarray) -> tuple[np.n
     c01, c02, c03, c12, c13, c23 = np.conj(off)
     s01, s02, s03, s12, s13, s23 = np.sqrt(q)
     m0, m1, m2, m3 = np.abs(d)
-    top23 = a02 * a13 - a03 * a12
-    top23_sum = s02 * s13 + s03 * s12
+
+    def terms():
+        """(sign, minor of rows 0-1, the sum P of its products' moduli, the
+        same of the complementary minor of rows 2-3) for columns 01, 02, 03,
+        12, 13, 23, each formed only once the loop asks for it."""
+        yield 1, d0 * d1 - q[0], m0 * m1 + q[0], d2 * d3 - q[5], m2 * m3 + q[5]
+        yield -1, e0 * a12 - a02 * c01, m0 * s12 + s02 * s01, c12 * e3 - a23 * c13, s12 * m3 + s23 * s13
+        yield 1, e0 * a13 - a03 * c01, m0 * s13 + s03 * s01, c12 * c23 - e2 * c13, s12 * s23 + m2 * s13
+        yield 1, a01 * a12 - a02 * e1, s01 * s12 + s02 * m1, c02 * e3 - a23 * c03, s02 * m3 + s23 * s03
+        yield -1, a01 * a13 - a03 * e1, s01 * s13 + s03 * m1, c02 * c23 - e2 * c03, s02 * s23 + m2 * s03
+        top23, top23_sum = a02 * a13 - a03 * a12, s02 * s13 + s03 * s12
+        yield 1, top23, top23_sum, np.conj(top23), top23_sum
+
     det, err = 0.0, 1e-300 / _U
-    # (sign, minor of rows 0-1, the sum P of its products' moduli, the same of
-    # the complementary minor of rows 2-3) for columns 01, 02, 03, 12, 13, 23
-    for sign, top, t_sum, bottom, b_sum in (
-        (1, d0 * d1 - q[0], m0 * m1 + q[0], d2 * d3 - q[5], m2 * m3 + q[5]),
-        (-1, e0 * a12 - a02 * c01, m0 * s12 + s02 * s01, c12 * e3 - a23 * c13, s12 * m3 + s23 * s13),
-        (1, e0 * a13 - a03 * c01, m0 * s13 + s03 * s01, c12 * c23 - e2 * c13, s12 * s23 + m2 * s13),
-        (1, a01 * a12 - a02 * e1, s01 * s12 + s02 * m1, c02 * e3 - a23 * c03, s02 * m3 + s23 * s03),
-        (-1, a01 * a13 - a03 * e1, s01 * s13 + s03 * m1, c02 * c23 - e2 * c03, s02 * s23 + m2 * s03),
-        (1, top23, top23_sum, np.conj(top23), top23_sum),
-    ):
+    for sign, top, t_sum, bottom, b_sum in terms():
         t, b = np.abs(top), np.abs(bottom)
         det = det + sign * (top * bottom).real
         err = err + t * (3.0 * b_sum + b) + b * (3.0 * t_sum + t) + 2.0 * t * b + np.abs(det)
+        del top, t_sum, bottom, b_sum, t, b  # before the next term is formed
     return det, _U * err
 
 
@@ -452,6 +473,8 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     q = off.real * off.real + off.imag * off.imag
     r = np.sqrt(q)[_OFF_OF_ROW, :].sum(axis=1)  # off-diagonal row sums of |A|
     in_range = (np.abs(d) + r).max(axis=0) <= _PT_MAX_ROW
+    start = (d - r).min(axis=0)
+    del r
     dd, ds = d[rows, :] * d[cols, :], d[rows, :] + d[cols, :]
     ij, jk, ik = (off[list(t), :] for t in zip(*_TRIANGLES))
     e1 = d.sum(axis=0)
@@ -459,25 +482,26 @@ def _laguerre_min(pt: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # pair k's complementary pair is 5 - k, so ds[::-1] sums the other two diagonal entries
     e3 = dd[0] * ds[5] + dd[5] * ds[0] - (q * ds[::-1]).sum(axis=0)
     e3 = e3 + 2.0 * (ij * jk * np.conj(ik)).real.sum(axis=0)
-    # the start goes in unnamed, so that the root step's iterates replace it
+    del dd, ds, ij, jk, ik
     lam, step, bound, kantorovich = _laguerre_newton(
-        (d - r).min(axis=0), (e1, e2, e3, det), d, off, q, _PT_LAGUERRE_STEPS, largest=False
+        start, (e1, e2, e3, det), d, off, q, _PT_LAGUERRE_STEPS, largest=False
     )
     converged = (np.abs(step) <= _PT_TOL) & kantorovich
     return lam, in_range & np.isfinite(lam) & converged & (bound <= _PT_TOL)
 
 
-def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, smallest PT eigenvalues) of the states of a (4, 4, n) entry
-    stack of density matrices (``rho[a, b]`` the (n,) row of entry (a, b), the
-    sampler's layout) that the EPS_SEP rule might call entangled: those with
-    det(rho^Gamma) <= DET_SCREEN, with lambda_min(rho^Gamma) from ``_pt_min``.
+def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, PT entry stack, PT determinants) of the states of a
+    (4, 4, n) entry stack of density matrices (``rho[a, b]`` the (n,) row of
+    entry (a, b), the sampler's layout) that the EPS_SEP rule might call
+    entangled: those with det(rho^Gamma) <= DET_SCREEN.
 
     rho^Gamma is read in place, unchecked (see below): ``_hermitian_det``
     takes rho's 16 entry rows in PT order (``_PT_ROWS``), so every minor
     multiplies rows of rho, and only the screened states' entries are
     gathered, by one index, as the (4, 4, m) entry stack that ``_pt_min``
-    takes with their determinants.
+    takes with their determinants.  Nothing returned refers to rho, so a
+    caller that holds no other reference frees it before ``_pt_min`` runs.
 
     The screen is sound for every rho that ``_spectral_table`` passes:
     u diag(p) u^dagger assembled by ``sampler._assemble_entries`` from p >= 0
@@ -506,7 +530,7 @@ def _pt_screen(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det = _hermitian_det([[flat[k] for k in row] for row in _PT_ROWS.reshape(4, 4)])
     screened = np.nonzero(det <= DET_SCREEN)[0]
     pt = flat[_PT_ROWS[:, None], screened].reshape(4, 4, len(screened))
-    return screened, _pt_min(pt, det[screened])
+    return screened, pt, det[screened]
 
 
 def _spectral_table(p: np.ndarray, cols: np.ndarray) -> dict[str, np.ndarray]:
@@ -515,12 +539,16 @@ def _spectral_table(p: np.ndarray, cols: np.ndarray) -> dict[str, np.ndarray]:
     (``cols[k, r]`` the (n,) row of entry r of column k).
 
     rho is assembled exactly Hermitian and screened by ``_pt_screen``; the
-    states it drops are PPT.  C comes from the pairs of the NPT states
-    (lambda_min < 0) alone, and is 0 for the PPT ones, which two qubits
-    make separable.  The PT has unit trace and at most one negative
-    eigenvalue, so E_sum = 2 E_N, exactly in floating point.  S = 1 - sum p^2.
+    states it drops are PPT.  rho is freed before ``_pt_min`` takes the
+    smallest PT eigenvalue of the others, and their PT entries before the
+    concurrence.  C comes from the pairs of the NPT states (lambda_min < 0)
+    alone, and is 0 for the PPT ones, which two qubits make separable.  The
+    PT has unit trace and at most one negative eigenvalue, so
+    E_sum = 2 E_N, exactly in floating point.  S = 1 - sum p^2.
     """
-    screened, lam = _pt_screen(sampler._assemble_entries(p, cols))
+    screened, pt, det = _pt_screen(sampler._assemble_entries(p, cols))
+    lam = _pt_min(pt, det)
+    del pt, det
     pt_min = np.zeros(len(p))
     pt_min[screened] = lam
     npt = screened[lam < 0.0]
@@ -540,8 +568,24 @@ def _spectral_table(p: np.ndarray, cols: np.ndarray) -> dict[str, np.ndarray]:
 def _table_from_eig(w: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
     """``_spectral_table`` of the eigenvalues w (ascending) and eigenvectors
     u of a checked (n, 4, 4) stack, as ``eigh`` gives them: w clamped at 0,
-    u as a complex column stack (a real stack has real eigenvectors)."""
-    return _spectral_table(np.clip(w, 0.0, None), np.ascontiguousarray(u.transpose(2, 1, 0), dtype=complex))
+    u as a complex column stack (a real stack has real eigenvectors).
+
+    A stack of n >= 2 _TABLE_BLOCK states is measured in n // _TABLE_BLOCK
+    consecutive parts whose sizes differ by at most one state, and their
+    columns are joined, so that the route's working set stays that of one
+    part.  Every part holds at least _TABLE_BLOCK states, no short tail, so
+    its screened and NPT stacks stay far above the kernels' LAPACK cutoff.
+    """
+    n = len(w)
+    parts = max(1, n // _TABLE_BLOCK)
+    edges = [n * k // parts for k in range(parts + 1)]
+    tables = [
+        _spectral_table(np.clip(w[a:b], 0.0, None), np.ascontiguousarray(u[a:b].transpose(2, 1, 0), dtype=complex))
+        for a, b in zip(edges[:-1], edges[1:])
+    ]
+    if parts == 1:
+        return tables[0]
+    return {name: np.concatenate([table[name] for table in tables]) for name in tables[0]}
 
 
 def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:

@@ -165,7 +165,8 @@ def check_harness_rows(n: int = 2000) -> None:
     chunk = sampler._spectral_stacks(sampler.RngStream(109), n)
     exact = cmat.hermiticity_defects(chunk[0].transpose(2, 0, 1)).max(initial=0.0) == 0.0
     _check(exact, "sampled rho is not exactly Hermitian")
-    screened, pt_min = measures._pt_screen(chunk[0])
+    screened, pt, det = measures._pt_screen(chunk[0])
+    pt_min = measures._pt_min(pt, det)
     _check(len(screened) >= measures._PT_MIN_STACK, "screened stack too small for the PT kernel")
     pts = cmat.partial_transpose_b(chunk[0].transpose(2, 0, 1)[screened])
     worst = np.abs(pt_min - cmat._lapack(np.linalg.eigvalsh, pts)[:, 0]).max()

@@ -229,12 +229,29 @@ class TestShardPairing:
             return stats
 
         monkeypatch.setattr(experiment, "_chunk_stats", counted)
-        rows, drawn, kept, ties = experiment._run_shard(65, 3, 700)
+        rows = np.empty(700, dtype=experiment.PAIR_DTYPE)
+        drawn, kept, ties = experiment._run_shard(65, 3, rows)
         assert len(chunk_sizes) >= 3 and any(size % 2 for size in chunk_sizes)
         assert (ties > 0) == (tie_epsilon == 0.02)
         ref_rows, ref_drawn, ref_kept, ref_ties = self.repairing_shard(65, 3, 700)
         assert rows.tobytes() == ref_rows.tobytes()
         assert (drawn, kept, ties) == (ref_drawn, ref_kept, ref_ties)
+
+
+def traced_peak(call):
+    """Bytes that call() allocates at its peak above what was live before,
+    by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 class TestOneChunkPerShard:
@@ -250,23 +267,60 @@ class TestOneChunkPerShard:
             return chunk_stats(rng, n, first_draw)
 
         monkeypatch.setattr(experiment, "_chunk_stats", counted)
-        experiment._run_shard(20260810, 0, experiment.SHARD_PAIRS)
+        experiment._run_shard(20260810, 0, np.empty(experiment.SHARD_PAIRS, dtype=experiment.PAIR_DTYPE))
         assert sizes == [11409]  # int(2 * SHARD_PAIRS / _P_KEPT) + _CHUNK_MARGIN
 
     def test_shard_memory_peak(self):
-        experiment._run_shard(20260810, 0, experiment.SHARD_PAIRS)  # first-call set-up
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            experiment._run_shard(20260810, 0, experiment.SHARD_PAIRS)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
-        assert peak <= 11 * 2**20
+        out = np.empty(experiment.SHARD_PAIRS, dtype=experiment.PAIR_DTYPE)
+        experiment._run_shard(20260810, 0, out)  # first-call set-up
+        assert traced_peak(lambda: experiment._run_shard(20260810, 0, out)) <= 11 * 2**20
+
+
+class TestWorkingSet:
+    """A run holds one copy of its pair rows and one chunk's working set."""
+
+    def test_chunk_memory_peak(self):
+        # shard 0's chunk of the acceptance run: 11409 draws, 4204 of them
+        # screened and NPT; 6.6 MB with each array dropped after its last
+        # reader, 11.0 MB when they lived to the end of their function
+        def chunk():
+            experiment._chunk_stats(sampler.RngStream(20260810, (experiment._SHARD_KEY, 0)), 11409, 0)
+
+        chunk()  # first-call set-up
+        assert traced_peak(chunk) <= 7 * 10**6
+
+    def test_run_holds_one_copy_of_its_pairs(self, monkeypatch):
+        # chunks of rows from a fixed table, so that the pair rows, not the
+        # kernels, set what a run allocates; a chunk sized for a kept fraction
+        # of 1 fills each shard at once, with no ties
+        monkeypatch.setattr(experiment, "_P_KEPT", 1.0)
+        values = np.random.default_rng(3).random((2 * experiment.SHARD_PAIRS + 64, 5)) + 0.5
+
+        def rows_of(rng, n, first_draw):
+            rows = np.empty((n, 6))
+            rows[:, :5], rows[:, 5] = values[:n], np.arange(first_draw, first_draw + n)
+            return rows
+
+        monkeypatch.setattr(experiment, "_chunk_stats", rows_of)
+        shards, run_shard = [], experiment._run_shard
+
+        def recorded(seed, shard_index, out):
+            shards.append(out)
+            return run_shard(seed, shard_index, out)
+
+        cfg = ExperimentConfig(seed=5, n_pairs=3 * experiment.SHARD_PAIRS)
+        out = np.empty(experiment.SHARD_PAIRS, dtype=experiment.PAIR_DTYPE)
+        shard_peak = traced_peak(lambda: run_shard(5, 0, out))
+        monkeypatch.setattr(experiment, "_run_shard", recorded)
+        summaries = []
+        run_peak = traced_peak(lambda: summaries.append(experiment.run_experiment(cfg)))
+        pairs = summaries[0].pairs
+        # each shard filled its own slice of the run's one array
+        assert len(shards) == 3 and all(np.shares_memory(rows, pairs) for rows in shards)
+        assert pairs.tobytes() == b"".join(rows.tobytes() for rows in shards)
+        # the rows, one shard's working set, and under half the rows again for
+        # the scatter and histogram arrays; a second copy of the rows exceeds it
+        assert run_peak <= pairs.nbytes + shard_peak + pairs.nbytes // 2
 
 
 class TestDrawCap:
@@ -310,7 +364,7 @@ class TestDrawCap:
 
         monkeypatch.setattr(experiment, "_chunk_stats", recorded)
         with pytest.raises(EntanglementLabError) as raised:
-            experiment._run_shard(65, 3, 700)
+            experiment._run_shard(65, 3, np.empty(700, dtype=experiment.PAIR_DTYPE))
         stats = np.concatenate(chunks)
         n = len(stats) - len(stats) % 2
         a, b = stats[0:n:2, 1:3], stats[1:n:2, 1:3]
@@ -353,7 +407,7 @@ class TestDeterminantScreen:
         pt = cmat.partial_transpose_b(rhos)
         lu = np.linalg.det(pt).real
         assert np.abs(measures._hermitian_det(pt.transpose(1, 2, 0)) - lu).max() < 1e-15
-        screened, _ = measures._pt_screen(np.ascontiguousarray(rhos.transpose(1, 2, 0)))
+        screened = measures._pt_screen(np.ascontiguousarray(rhos.transpose(1, 2, 0)))[0]
         assert np.array_equal(screened, np.nonzero(lu <= measures.DET_SCREEN)[0])
 
     @staticmethod
@@ -372,7 +426,8 @@ class TestDeterminantScreen:
             np.ascontiguousarray(werner.transpose(1, 2, 0)),
         )
         for rho in chunks:
-            screened, pt_min = measures._pt_screen(rho)
+            screened, pt, det = measures._pt_screen(rho)
+            pt_min = measures._pt_min(pt, det)
             ref_screened, ref_min = self.stack_screen(np.ascontiguousarray(rho.transpose(2, 0, 1)))
             assert np.array_equal(screened, ref_screened)
             assert np.abs(pt_min - ref_min).max() <= 1e-15

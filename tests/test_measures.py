@@ -1,3 +1,4 @@
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -366,7 +367,7 @@ def shard_kernel_inputs():
         return recorded
 
     with mock.patch.multiple(measures, **{name: recording(name) for name in calls}):
-        experiment._run_shard(20260810, 0, experiment.SHARD_PAIRS)
+        experiment._run_shard(20260810, 0, np.empty(experiment.SHARD_PAIRS, dtype=experiment.PAIR_DTYPE))
     return calls
 
 
@@ -769,7 +770,7 @@ class TestSpectralRoute:
     def assert_screen_keeps_the_entangled(ms):
         # no state that eigvalsh of the reassembled PT calls entangled is dropped
         _, _, rho = reassembled(ms)
-        screened, _ = measures._pt_screen(np.ascontiguousarray(rho.transpose(1, 2, 0)))
+        screened = measures._pt_screen(np.ascontiguousarray(rho.transpose(1, 2, 0)))[0]
         lam = np.linalg.eigvalsh(cmat.partial_transpose_b(rho))[:, 0]
         assert np.isin(np.nonzero(lam < -measures.EPS_SEP)[0], screened).all()
 
@@ -818,6 +819,46 @@ class TestSpectralRoute:
         _, probs, u = spectral_batch(77, 40_000)
         c = np.concatenate([measures.concurrence_from_eig(probs[i : i + 5000], u[i : i + 5000]) for i in starts])
         assert measures.concurrence_from_eig(probs, u).tobytes() == c.tobytes()
+
+    def test_large_stack_is_measured_in_parts(self, monkeypatch):
+        # 2 B + 1 states: two parts, of B and B + 1 states, with the bits of
+        # the whole stack in one piece
+        block = measures._TABLE_BLOCK
+        _, probs, cols = sampler._spectral_stacks(RngStream(79), 2 * block + 1)
+        probs = np.clip(probs, 0.0, None)
+        whole = measures._spectral_table(probs, cols)
+        sizes, spectral_table = [], measures._spectral_table
+
+        def recorded(p, cols):
+            sizes.append(len(p))
+            return spectral_table(p, cols)
+
+        monkeypatch.setattr(measures, "_spectral_table", recorded)
+        parts = measures._table_from_eig(probs, cols.transpose(2, 1, 0))
+        assert sizes == [block, block + 1]
+        for name, column in whole.items():
+            assert parts[name].tobytes() == column.tobytes(), name
+
+    def test_rho_is_freed_before_the_pt_kernel(self, monkeypatch):
+        # the assembled entry stack dies when _pt_screen returns its
+        # screened PT entries, before _pt_min runs on them
+        refs, alive = [], []
+        assemble, pt_min = sampler._assemble_entries, measures._pt_min
+
+        def assembled(probs, cols):
+            rho = assemble(probs, cols)
+            refs.append(weakref.ref(rho))
+            return rho
+
+        def checked(pt, det):
+            alive.append(refs[-1]() is not None)
+            return pt_min(pt, det)
+
+        monkeypatch.setattr(sampler, "_assemble_entries", assembled)
+        monkeypatch.setattr(measures, "_pt_min", checked)
+        _, probs, cols = sampler._spectral_stacks(RngStream(80), 2000)
+        measures._spectral_table(probs, cols)
+        assert alive == [False]
 
     def test_report_does_not_recheck_a_built_state(self, monkeypatch):
         rho, calls = werner_state(0.75), []

@@ -5,7 +5,10 @@ and the README example runs."""
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import entlab
@@ -120,6 +123,17 @@ def test_readme_python_example_runs():
     assert lines[0].startswith("MeasureReport(")
     p_entangled, p_violation = map(float, lines[1].split())
     assert 0.3 < p_entangled < 0.45 and 0.0 < p_violation < 0.1
+
+
+def test_cli_import_leaves_out_selftest_and_the_thread_pool():
+    # `entlab selftest` imports the self-test, and a threaded run the thread
+    # pool, when they start, so every other command skips their import time
+    code = "import sys, entlab.cli; print(sorted({'entlab.selftest', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 def test_one_module_spells_the_float_format():
