@@ -27,21 +27,19 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         start, stop, step = (float(tok) for tok in text.split(":"))
     except ValueError:
-        raise ValueError(f"grid must be START:STOP:STEP, got {text!r}")
+        raise ParameterOutOfRange(f"grid must be START:STOP:STEP, got {text!r}")
     if not np.isfinite([start, stop, step]).all() or step <= 0 or stop < start:
-        raise ValueError(f"grid must be finite and increasing, got {text!r}")
+        raise ParameterOutOfRange(f"grid must be finite and increasing, got {text!r}")
     # floor, with slack for rounding in the division, so no point passes STOP
     count = np.floor((stop - start) / step + 1e-9)
     if count >= MAX_GRID_POINTS:  # also an infinite count
-        raise ValueError(f"grid {text!r} has over {MAX_GRID_POINTS} points")
+        raise ParameterOutOfRange(f"grid {text!r} has over {MAX_GRID_POINTS} points")
     return np.minimum(start + step * np.arange(int(count) + 1), stop)
 
 
 def _family_state(args) -> qstate.DensityMatrix:
     if args.family == "singlet":
         return qstate.singlet()
-    if args.param is None:
-        raise ParameterOutOfRange(f"--family {args.family} requires --param")
     if args.family == "werner":
         return qstate.werner_state(args.param)
     return qstate.pure_schmidt(args.param)
@@ -78,7 +76,7 @@ def _sample_blocks(rng: sampler.RngStream, count: int):
 
 def _cmd_sample(args) -> int:
     if not 0 <= args.count <= MAX_SAMPLE_COUNT:
-        raise ValueError(f"--count must lie in [0, {MAX_SAMPLE_COUNT}], got {args.count}")
+        raise ParameterOutOfRange(f"--count must lie in [0, {MAX_SAMPLE_COUNT}], got {args.count}")
     blocks = _sample_blocks(sampler.RngStream(args.seed), args.count)
     next(blocks)  # before any output: a failure to draw prints nothing and leaves --out as it was
     if args.out is None:
@@ -171,11 +169,13 @@ def main(argv=None) -> int:
             parser.error("measure requires exactly one of --family or --input")
         if args.param is not None and args.family in (None, "singlet"):
             parser.error("--param applies only to --family werner or pure")
+        if args.param is None and args.family in ("werner", "pure"):
+            parser.error(f"--family {args.family} requires --param")
     try:
         return args.fn(args)
     except BrokenPipeError:  # the reader closed stdout; nothing is left to tell it
         return 1
-    except (ParameterOutOfRange, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ParameterOutOfRange is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EntanglementLabError as exc:

@@ -32,8 +32,8 @@ class NotPSD(EntanglementLabError):
     """A matrix that must be positive semidefinite has a negative eigenvalue."""
 
 
-class ParameterOutOfRange(EntanglementLabError):
-    """A state-family parameter lies outside its admissible interval."""
+class ParameterOutOfRange(EntanglementLabError, ValueError):
+    """An argument, of the library or the command line, out of range or ill-formed."""
 
 
 class SeparableInput(EntanglementLabError):

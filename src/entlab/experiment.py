@@ -37,7 +37,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from . import measures, sampler
-from .errors import EntanglementLabError, SeparableInput
+from .errors import EntanglementLabError, ParameterOutOfRange, SeparableInput
 from .measures import MeasureReport
 from .qstate import DensityMatrix, write_csv
 
@@ -85,11 +85,11 @@ class ExperimentConfig:
         for name, most in (("seed", None), ("n_pairs", MAX_PAIRS), ("threads", MAX_THREADS)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}")
             if most is not None and not 1 <= value <= most:
-                raise ValueError(f"{name} must lie in [1, {most}], got {value}")
+                raise ParameterOutOfRange(f"{name} must lie in [1, {most}], got {value}")
         if self.seed < 0:  # refused here, not by the first shard's RngStream
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+            raise ParameterOutOfRange(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -312,17 +312,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentSummary:
     p_vio = float(pairs["violation"].sum()) / n_pairs
 
     scatter_rng = sampler.RngStream(cfg.seed, _SCATTER_KEY)
-    k_pairs = min(SCATTER_POINTS, n_pairs)
-    idx = scatter_rng.subsample_indices(n_pairs, k_pairs)
+    idx = scatter_rng.subsample_indices(n_pairs, min(SCATTER_POINTS, n_pairs))
     scatter_def_den = np.column_stack([pairs["d_ef"][idx], pairs["d_en"][idx]])
 
-    # Per-state scatters: states of each pair interleaved, preserving run order.
-    k_states = min(SCATTER_POINTS, 2 * n_pairs)
-    idx_s = scatter_rng.subsample_indices(2 * n_pairs, k_states)
-    c, ef, en = (
-        np.column_stack([pairs[f"{name}1"], pairs[f"{name}2"]]).ravel()[idx_s]
-        for name in ("c", "ef", "en")
-    )
+    # Per-state scatters in run order: state 2i + k is state k + 1 of pair i.
+    pair, second = np.divmod(scatter_rng.subsample_indices(2 * n_pairs, min(SCATTER_POINTS, 2 * n_pairs)), 2)
+    c, ef, en = (np.where(second, pairs[f"{name}2"][pair], pairs[f"{name}1"][pair]) for name in ("c", "ef", "en"))
+    del idx, pair, second  # before the scatters are stacked
 
     return ExperimentSummary(
         config=cfg,

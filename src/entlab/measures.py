@@ -45,6 +45,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import cmat, qstate, sampler
+from .errors import ParameterOutOfRange
 
 # PT eigenvalues above -EPS_SEP count as separable; the Monte Carlo harness
 # discards such states rather than treating rounding noise as entanglement.
@@ -316,7 +317,9 @@ def _binary_entropy_arr(x: np.ndarray) -> np.ndarray:
 
 def ef_from_concurrence_batch(c: np.ndarray) -> np.ndarray:
     """Formation measure, a strictly increasing function of the concurrence
-    c (clipped to [0, 1]), elementwise."""
+    c (clipped to [0, 1]), elementwise; a NaN raises ParameterOutOfRange."""
+    if np.isnan(c).any():  # the clip keeps a NaN, whose E_F would read 0
+        raise ParameterOutOfRange(f"concurrence must be a number, got nan at index {np.flatnonzero(np.isnan(c))[0]}")
     c = np.clip(np.asarray(c), 0.0, 1.0)
     return _binary_entropy_arr((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 

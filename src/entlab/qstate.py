@@ -5,8 +5,8 @@ Every state stack, however it enters, takes one check, ``_checked_eig``:
 any array but a numeric (n, 4, 4) stack refused, then Hermiticity and
 finite entries in one per-matrix pass, the traces in one einsum and
 positive semidefiniteness from one batched ``eigh``, whose eigenpairs it
-returns; it raises the error of the lowest-indexed invalid matrix of the
-first check that fails.  ``validate_stack``, ``DensityMatrix`` (one
+returns; it raises the error of the lowest-indexed invalid matrix, the
+error that matrix alone raises.  ``validate_stack``, ``DensityMatrix`` (one
 matrix as a 1-stack), ``read_stack`` and ``measures.measure_table`` all
 take it.  ``write_stack``, the one writer of a state file, streams the
 stacks of an iterable (``entlab sample`` passes its blocks), and
@@ -76,26 +76,25 @@ def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w, u): the eigenvalues (ascending) and eigenvectors of a (n, 4, 4)
     stack of density matrices, from the one ``eigh`` of its check, each step
     to the central tolerances: Hermiticity and finite entries
-    (``cmat.hermiticity_fault``), the traces in one einsum, then PSD
-    (``cmat.psd_fault``).  The first step that fails raises the error its
-    first faulty matrix alone raises, with that matrix's ``index``; any
-    other array raises NotHermitian first.
-    """
+    (``cmat.hermiticity_fault``) over the stack, the traces in one einsum
+    over the matrices before its first fault, then PSD (``cmat.psd_fault``)
+    over those before the first trace fault.  So the lowest-indexed faulty
+    matrix raises the error it alone raises, with its ``index``; any other
+    array raises NotHermitian first."""
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise NotHermitian(f"expected a (n, 4, 4) stack, got shape {ms.shape}")
     ms = cmat._numeric(ms)  # float64 or complex128: no integer trace wraps, and eigh takes every float
     fault = cmat.hermiticity_fault(ms)
+    n = len(ms) if fault is None else fault[0]  # the matrices before the first fault
+    trace_dev = np.abs(np.einsum("nii->n", ms[:n]).real - 1.0)
+    bad = np.flatnonzero(trace_dev > cmat.TOL.hermiticity)
+    if len(bad):
+        n, dev = int(bad[0]), float(trace_dev[bad[0]])
+        fault = n, TraceNotOne(f"trace deviates from 1 by {dev:.3e}", deviation=dev)
+    w, u = cmat._lapack(np.linalg.eigh, ms[:n])
+    fault = cmat.psd_fault(w) or fault
     if fault is None:
-        trace_dev = np.abs(np.einsum("nii->n", ms).real - 1.0)
-        bad = np.flatnonzero(trace_dev > cmat.TOL.hermiticity)
-        if len(bad):
-            dev = float(trace_dev[bad[0]])
-            fault = int(bad[0]), TraceNotOne(f"trace deviates from 1 by {dev:.3e}", deviation=dev)
-    if fault is None:
-        w, u = cmat._lapack(np.linalg.eigh, ms)
-        fault = cmat.psd_fault(w)
-        if fault is None:
-            return w, u
+        return w, u
     fault[1].index = fault[0]
     raise fault[1]
 

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ParameterOutOfRange
+
 # Rotation pairs in composition order; the product is taken left to right.
 PAIR_SEQUENCE = ((1, 2), (2, 3), (1, 3), (3, 4), (2, 4), (1, 4))
 # The step of PAIR_SEQUENCE that rotates each column 1..4 for the last time.
@@ -55,7 +57,7 @@ class RngStream:
 
     def __init__(self, seed: int, spawn_key: tuple[int, ...] = ()):
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+            raise ParameterOutOfRange(f"seed must be a non-negative integer, got {seed}")
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in spawn_key)
         seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)

@@ -100,6 +100,14 @@ class TestMeasure:
         captured = capsys.readouterr()
         assert captured.out == "" and "--param" in captured.err
 
+    @pytest.mark.parametrize("family", ["werner", "pure"])
+    def test_family_without_param_is_usage_error(self, capsys, family):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--family", family])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--family {family} requires --param" in captured.err
+
     def test_param_with_input_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "s.csv"
         write_states(path, [qstate.singlet()])

@@ -318,9 +318,10 @@ class TestWorkingSet:
         # each shard filled its own slice of the run's one array
         assert len(shards) == 3 and all(np.shares_memory(rows, pairs) for rows in shards)
         assert pairs.tobytes() == b"".join(rows.tobytes() for rows in shards)
-        # the rows, one shard's working set, and under half the rows again for
-        # the scatter and histogram arrays; a second copy of the rows exceeds it
-        assert run_peak <= pairs.nbytes + shard_peak + pairs.nbytes // 2
+        # the rows, one shard's working set, and under a quarter of the rows
+        # again for the scatter and histogram arrays (a sixth is measured); a
+        # second copy of the rows, or the scatters from whole-run columns, exceed it
+        assert run_peak <= pairs.nbytes + shard_peak + pairs.nbytes // 4
 
 
 class TestDrawCap:

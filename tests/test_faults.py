@@ -228,9 +228,10 @@ def test_decade_correction_works_both_ways(monkeypatch, bias):
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-@pytest.mark.parametrize("fault", ["measures.DET_SCREEN = -1e-6", "measures._FLIP_SIGNS = np.ones(4)"])
+@pytest.mark.parametrize("fault", ["pass", "measures.DET_SCREEN = -1e-6", "measures._FLIP_SIGNS = np.ones(4)"])
 def test_selftest_catches_fault_under_python_O(tmp_path, fault):
-    # python -O strips assert statements; the self-test's checks must stay
+    # python -O strips assert statements; the self-test's checks must stay,
+    # and with no fault ("pass") it passes
     script = "\n".join([
         "import sys",
         "import numpy as np",
@@ -245,5 +246,6 @@ def test_selftest_catches_fault_under_python_O(tmp_path, fault):
         cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(_SRC)),
         capture_output=True, text=True, timeout=120,
     )
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "[FAIL]" in proc.stdout
+    faulty = fault != "pass"
+    assert proc.returncode == int(faulty), proc.stdout + proc.stderr
+    assert ("[FAIL]" in proc.stdout) == faulty

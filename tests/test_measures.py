@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from strategies import any_arrays, raw_stacks
 from entlab import cmat, experiment, measures, qstate, sampler, selftest
-from entlab.errors import EntanglementLabError, NotConverged, NotHermitian, NotPSD
+from entlab.errors import EntanglementLabError, NotConverged, NotHermitian, NotPSD, ParameterOutOfRange
 from entlab.qstate import pure_schmidt, singlet, werner_state
 from entlab.sampler import RngStream, random_density_batch
 
@@ -551,6 +551,15 @@ class TestFormationFromConcurrence:
     def test_strictly_increasing(self):
         values = measures.ef_from_concurrence_batch(np.linspace(0.0, 1.0, 401))
         assert np.all(np.diff(values) > 0)
+
+    def test_nan_is_refused_and_finite_values_clipped(self):
+        # a NaN would pass the clip and read as E_F = 0; the first is named
+        for c, index in ((np.nan, 0), ([0.5, np.nan, 1.0, np.nan], 1)):
+            message = rf"^concurrence must be a number, got nan at index {index}$"
+            with pytest.raises(ParameterOutOfRange, match=message):
+                measures.ef_from_concurrence_batch(c)
+        ef = measures.ef_from_concurrence_batch(np.array([-0.5, -np.inf, 1.5, np.inf]))
+        assert np.array_equal(ef, [0.0, 0.0, 1.0, 1.0])
 
 
 class TestScalarMatchesArrayFormula:

@@ -358,21 +358,25 @@ class TestCsvRoundTrip:
         with pytest.raises(NotHermitian, match="^line 3: "):
             qstate.read_stack(io.StringIO("\n".join(rows + [",".join(["0"] * 31), short_bad])))
 
-    def test_stack_fault_names_lowest_line(self):
-        # line 1 is the header, line 3 blank: the rows are on lines 2, 4, 5, 6
+    def test_stack_fault_names_first_faulty_line(self):
+        # line 1 is the header, line 3 blank: the rows are on lines 2, 4, 5, 6;
+        # the first faulty row is named, whichever check it fails
+        psd, trace = np.diag([1.5, -0.5, 0.0, 0.0]), np.eye(4) / 2  # not PSD; trace 2
         ms = np.stack([np.eye(4) / 4] * 4).astype(complex)
-        ms[2] = np.diag([1.5, -0.5, 0.0, 0.0])  # not PSD
-        ms[3] = np.eye(4) / 2  # trace 2
 
         def with_blank_line(ms):
             header, first, *rest = write_text(ms).splitlines()
             return io.StringIO("\n".join([header, first, "", *rest]))
 
-        with pytest.raises(TraceNotOne, match="^line 6: trace deviates from 1 by 1.000e[+]00$") as err:
+        ms[2], ms[3] = psd, trace
+        with pytest.raises(NotPSD, match="^line 5: smallest eigenvalue is -5.000e-01$"):
+            qstate.read_stack(with_blank_line(ms))
+        ms[2], ms[3] = trace, psd
+        with pytest.raises(TraceNotOne, match="^line 5: trace deviates from 1 by 1.000e[+]00$") as err:
             qstate.read_stack(with_blank_line(ms))
         assert err.value.deviation == 1.0
-        ms[3] = np.eye(4) / 4
-        with pytest.raises(NotPSD, match="^line 5: smallest eigenvalue is -5.000e-01$"):
+        ms[2] = np.eye(4) / 4
+        with pytest.raises(NotPSD, match="^line 6: smallest eigenvalue is -5.000e-01$"):
             qstate.read_stack(with_blank_line(ms))
 
 
@@ -630,16 +634,24 @@ class TestValidateStack:
             with pytest.raises(NotHermitian, match="^line 9: matrix has non-finite entries$"):
                 qstate.read_stack(io.StringIO(write_text(bad)))
 
-    def test_lowest_index_of_the_first_failing_check(self):
-        nan, skew, _, trace, psd = self.faulty_matrices()
-        ms = np.stack([np.eye(4) / 4, psd, skew, trace, nan]).astype(complex)
-        # Hermiticity is checked first: index 2 (0.5 defect) before the NaN at 4
-        with pytest.raises(NotHermitian, match="deviates from Hermiticity by 5.000e-01"):
-            qstate.validate_stack(ms)
-        with pytest.raises(TraceNotOne):
-            qstate.validate_stack(ms[[0, 1, 3]])
-        with pytest.raises(NotPSD):
-            qstate.validate_stack(ms[[0, 1]])
+    # orders of faulty_matrices(): each first once, each kind before and after others
+    @pytest.mark.parametrize("order", ["01234", "43210", "34021", "13402", "20413"])
+    def test_lowest_indexed_fault_wins_in_any_order(self, order, tmp_path, capsys):
+        # after a valid matrix, the faulty matrices in this order: whatever
+        # checks the later ones fail, every entry point raises the error of
+        # the first alone, and the reader and `measure --input` name line 3
+        faulty = [self.faulty_matrices()[int(k)] for k in order]
+        ms = np.stack([np.eye(4) / 4, *faulty]).astype(complex)
+        with pytest.raises(EntanglementLabError) as alone:
+            qstate.DensityMatrix(faulty[0])
+        errors, line, read_message = self.entry_point_errors(ms)
+        assert line == 3
+        for name, err in errors.items():
+            self.assert_same_error(err, read_message if name == "read_stack" else str(err), alone.value)
+        path = tmp_path / "states.csv"
+        path.write_text(write_text(ms))
+        assert cli.main(["measure", "--input", str(path)]) == 1
+        assert capsys.readouterr() == ("", f"error: line 3: {alone.value}\n")
 
     def test_valid_stack_passes_unchanged(self):
         ms = random_density_batch(RngStream(11), 500)

@@ -224,3 +224,14 @@ def test_one_module_frames_a_state_file():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     framers = [module for module, tree in trees.items() if {"CSV_HEADER", "_write_rows"} & _references(tree)]
     assert framers == ["qstate"]
+
+
+def test_one_error_class_per_argument_condition():
+    # every out-of-range or ill-formed argument raises ParameterOutOfRange, a
+    # ValueError; only the state-file reader builds a bare one (a field that
+    # is no float), and cli.main's exit-2 clause catches both as ValueError
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    bare = {module: _constructions(tree, "ValueError") for module, tree in trees.items()}
+    assert {module: count for module, count in bare.items() if count} == {"qstate": 1}
+    main = next(node for node in trees["cli"].body if getattr(node, "name", None) == "main")
+    assert "ParameterOutOfRange" not in _references(main)
