@@ -101,6 +101,17 @@ def _lapack(fn, m: np.ndarray, **kwargs):
         raise NotConverged(f"{fn.__name__} did not converge: {exc}") from exc
 
 
+def _psd_eig(ms: np.ndarray, fault: tuple[int, Exception] | None) -> tuple[np.ndarray, np.ndarray]:
+    """(w, u) of ``eigh`` over a numeric (n, 4, 4) stack before the index of
+    fault, an earlier check's (index, error) or None; the first of it and
+    ``psd_fault``'s raises, with its index as the error's ``index``."""
+    w, u = _lapack(np.linalg.eigh, ms if fault is None else ms[: fault[0]])
+    if fault := psd_fault(w) or fault:
+        fault[1].index = fault[0]
+        raise fault[1]
+    return w, u
+
+
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix
     or (..., 4, 4) stack, after ``hermiticity_fault``, whose error it raises.
@@ -118,13 +129,12 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-TOL.psd_clamp, 0) are treated as rounding noise and
     clamped to zero before the square root; ``psd_fault``'s error is raised
-    for anything lower.
+    for anything lower.  A stack's first faulty matrix raises (``_psd_eig``).
     """
-    w, v = hermitian_eig(m)
-    if fault := psd_fault(w):
-        raise fault[1]
+    m = _numeric(m)
+    w, v = _psd_eig(m.reshape(-1, 4, 4), hermiticity_fault(m))
     s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
-    return 0.5 * (s + np.conj(np.swapaxes(s, -1, -2)))
+    return (0.5 * (s + np.conj(np.swapaxes(s, -1, -2)))).reshape(m.shape)
 
 
 def partial_transpose_b(m: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ stacks of an iterable (``entlab sample`` passes its blocks), and
 kept, signed zeros included.  The reader reads each field as ``float``
 does, digit-group underscores refused: -?0 or -?0. and up to 20 digits by
 an exact vectorized kernel (``_decimal_fields``), every other field by
-numpy's C text parser.  Its check's ``eigh`` is the one the measures
-reuse, and every error names its file line.
+``float`` itself.  Its check's ``eigh`` is the one the measures reuse,
+and every error names its file line.
 ``write_csv`` writes every CSV file and table of the package, each column
 as its dtype sets: floats in the one format CSV_FLOAT, integers in decimal,
 booleans as true/false.  It renders blocks of _CSV_VALUES values as
@@ -30,6 +30,7 @@ place.
 from __future__ import annotations
 
 import array
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -77,8 +78,8 @@ def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack of density matrices, from the one ``eigh`` of its check, each step
     to the central tolerances: Hermiticity and finite entries
     (``cmat.hermiticity_fault``) over the stack, the traces in one einsum
-    over the matrices before its first fault, then PSD (``cmat.psd_fault``)
-    over those before the first trace fault.  So the lowest-indexed faulty
+    over the matrices before its first fault, then PSD over those before the
+    first trace fault (``cmat._psd_eig``).  So the lowest-indexed faulty
     matrix raises the error it alone raises, with its ``index``; any other
     array raises NotHermitian first."""
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
@@ -89,14 +90,9 @@ def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     trace_dev = np.abs(np.einsum("nii->n", ms[:n]).real - 1.0)
     bad = np.flatnonzero(trace_dev > cmat.TOL.hermiticity)
     if len(bad):
-        n, dev = int(bad[0]), float(trace_dev[bad[0]])
-        fault = n, TraceNotOne(f"trace deviates from 1 by {dev:.3e}", deviation=dev)
-    w, u = cmat._lapack(np.linalg.eigh, ms[:n])
-    fault = cmat.psd_fault(w) or fault
-    if fault is None:
-        return w, u
-    fault[1].index = fault[0]
-    raise fault[1]
+        dev = float(trace_dev[bad[0]])
+        fault = int(bad[0]), TraceNotOne(f"trace deviates from 1 by {dev:.3e}", deviation=dev)
+    return cmat._psd_eig(ms, fault)
 
 
 def validate_stack(ms: np.ndarray) -> np.ndarray:
@@ -340,30 +336,6 @@ def write_stack(fh, stacks) -> None:
     fh.write("\n")
 
 
-def _parse_row(row: str) -> np.ndarray | None:
-    """The float64 fields of a non-empty row of comma-separated floats, read
-    by numpy's C text parser, or None if it rejects a field."""
-    try:
-        return np.loadtxt([row], delimiter=",", comments=None, ndmin=1, dtype=np.float64)
-    except ValueError:
-        return None
-
-
-def _row_fault(rows, linenos) -> ValueError | NotHermitian | None:
-    """The error of the first of the stripped rows that has a field the
-    parser rejects, or other than 32 fields, naming its file line; None if
-    no row is faulty."""
-    for row, lineno in zip(rows, linenos):
-        fields = row.split(",")
-        if _parse_row(row) is None:
-            # the parser rejects a row only for a field it rejects on its own
-            bad = next(tok for tok in fields if not tok or _parse_row(tok) is None)
-            return ValueError(f"line {lineno}: could not convert string to float: {bad!r}")
-        if len(fields) != 32:
-            return NotHermitian(f"line {lineno}: expected 32 CSV fields, got {len(fields)}")
-    return None
-
-
 def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values, exact): the float64 ``float`` reads from each field
     data[start:end] of the form -?0 or -?0. and 1 to 20 digits, at most 17
@@ -414,27 +386,44 @@ def _decimal_fields(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[
     return y, exact
 
 
+def _floats(tokens: list[str], lines) -> list[float]:
+    """float(tok) for each token, in one list comprehension if all are ASCII
+    without "_"; else one at a time, digit-group underscores and non-ASCII
+    digits refused, the first faulty token raising float's error with its line."""
+    if (joined := "".join(tokens)).isascii() and "_" not in joined:
+        with contextlib.suppress(ValueError):
+            return [float(tok) for tok in tokens]
+    values = []
+    for tok, line in zip(tokens, lines):
+        with contextlib.suppress(ValueError):
+            if "_" not in tok and tok.strip().isascii():  # a non-ASCII character in a float is a digit
+                values.append(float(tok))
+                continue
+        raise ValueError(f"line {line}: could not convert string to float: {tok!r}")
+    return values
+
+
 def _convert_block(rows: list[str], lines) -> np.ndarray:
     """The (n, 32) fields of n stripped rows, their file lines in lines, as
-    ``float`` reads them: the kernel's, the others by one parser call as one
-    row.  A row without 32 fields, or a field the parser rejects, raises the
-    error of the first faulty row."""
+    ``float`` reads them: the kernel's, and the others by ``_floats`` up to
+    the end of the first row without 32 fields, which then raises.  So the
+    first faulty row is reported, a bad field in it before its count."""
     text = "\n".join(rows) + "\n"
     data = bytes(24) + text.encode("ascii", "replace") + b"\0"  # room for each field's 24 bytes
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
-    newline = buf[ends] == ord("\n")
-    if len(ends) != 32 * len(rows) or not newline[31::32].all() or newline.sum() != len(rows):
-        raise _row_fault(rows, lines)
+    row_ends = np.cumsum(np.fromiter(map(len, rows), np.intp, len(rows)) + 1) + 23  # not at an LF within a row
+    ends = np.frombuffer(data, np.uint8) == ord(",")  # the mask of the separators, freed once read
+    ends[row_ends] = True
+    ends = np.flatnonzero(ends)
+    last = np.searchsorted(ends, row_ends)  # each row's last field
+    counts = np.diff(last, prepend=-1)
+    short = np.flatnonzero(counts != 32)[:1]  # the first row without 32 fields, if any
     starts = np.concatenate([[24], ends[:-1] + 1])
     values, exact = _decimal_fields(data, starts, ends)
-    others = np.flatnonzero(~exact)
-    if len(others):
-        fields = [text[a:b] for a, b in zip((starts[others] - 24).tolist(), (ends[others] - 24).tolist())]
-        parsed = _parse_row("0," + ",".join(fields))  # the 0: no lone blank field makes a skipped row
-        if parsed is None:
-            raise _row_fault(rows, lines)
-        values[others] = parsed[1:]
+    others = np.flatnonzero(~exact[: last[short[0]] + 1 if len(short) else None])
+    tokens = [text[a:b] for a, b in zip((starts[others] - 24).tolist(), (ends[others] - 24).tolist())]
+    values[others] = _floats(tokens, (lines[r] for r in np.searchsorted(last, others)))
+    if len(short):
+        raise NotHermitian(f"line {lines[short[0]]}: expected 32 CSV fields, got {counts[short[0]]}")
     return values.reshape(-1, 32)
 
 

@@ -243,7 +243,7 @@ def _csv_parse_rows(n: int = 2000) -> list[str]:
     _csv_probe_values, and for n doubles x in [1e-4, 1), the powers of two
     there and the doubles below them, either sign, the 15- to 17-digit
     decimals nearest the midpoint of x and the next double, the 17-digit one
-    also with 1 to 3 zeros or a 1 added (18 to 20 digits, for the parser)."""
+    also with 1 to 3 zeros or a 1 added (18 to 20 digits, for float)."""
     import decimal  # here, so that no command but selftest pays for its import
 
     twos = 2.0 ** -np.arange(1, 14)  # where the ulp halves below

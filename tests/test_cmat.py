@@ -96,6 +96,24 @@ class TestPsdSqrt:
         with pytest.raises(NotHermitian):
             cmat.psd_sqrt(np.full((4, 4), value))
 
+    def test_stack_fault_names_first_faulty_matrix(self):
+        # eigh and the PSD check run over the matrices before the first
+        # Hermiticity fault, so the lowest-indexed faulty matrix raises the
+        # error it alone raises, as in qstate's stack check
+        good, psd = np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0])  # psd is not PSD
+        skew = np.eye(4) / 4
+        skew[0, 1] = 0.1  # not Hermitian
+        cases = [([psd, skew], 0), ([skew, psd], 0), ([good, psd, skew], 1), ([good, skew, psd], 1)]
+        for ms, index in cases:
+            with pytest.raises((NotPSD, NotHermitian)) as alone:
+                cmat.psd_sqrt(ms[index])
+            with pytest.raises(type(alone.value)) as err:
+                cmat.psd_sqrt(np.stack(ms))
+            assert err.value.index == index and str(err.value) == str(alone.value)
+        with pytest.raises(NotPSD) as err:  # a stack's index is that of its flattened matrices
+            cmat.psd_sqrt(np.stack([good, good, psd, skew]).reshape(2, 2, 4, 4))
+        assert err.value.index == 2
+
     def test_rejects_nan_eigenvalue(self):
         index, err = cmat.psd_fault(np.array([0.5, np.nan, 0.5, 0.0]))
         assert index == 0 and isinstance(err, NotPSD)

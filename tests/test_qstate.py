@@ -337,7 +337,7 @@ class TestCsvRoundTrip:
 
     def test_empty_and_header_only(self):
         assert write_text(np.zeros((0, 4, 4))) == qstate.CSV_HEADER + "\n"
-        # the parser warns on input without rows, so it must not see any
+        # a file without rows, whatever its blank lines, is the empty stack
         for text in ("", qstate.CSV_HEADER + "\n", "\n\n", " \n\t\n", qstate.CSV_HEADER + "\n  \n", "\r\n\r\n"):
             assert qstate.read_stack(io.StringIO(text)).shape == (0, 4, 4)
 
@@ -435,7 +435,7 @@ class TestCsvGrammar:
         mixed=st.randoms(use_true_random=False),
     )
     # 20 digits with trailing zeros, whose digits overflow 64 bits and which
-    # go to the parser; and just below 1/2 and 1/4, where q is the power of
+    # go to float; and just below 1/2 and 1/4, where q is the power of
     # two and the ulp halves below
     @example(
         ["0.12345678901234567000", "-0.1234567890123456780", "0.99999999999999999000", "0.00000000000000000001",
@@ -445,7 +445,7 @@ class TestCsvGrammar:
     @settings(max_examples=200, deadline=None)
     def test_decimal_fields_read_as_float_reads_them(self, fields, values, spellings, mixed):
         # fields of the reader's kernel, -?0 or -?0. and 1 to 20 digits
-        # (over 17 significant go to the parser), mixed into rows with
+        # (over 17 significant go to float), mixed into rows with
         # values in every spelling: each reads as float() reads it
         fields = fields + [_SPELLINGS[s](x) for s, x in zip(spellings, values)][: -len(fields) % 32]
         mixed.shuffle(fields)
@@ -521,10 +521,58 @@ class TestCsvGrammar:
         with pytest.raises(TraceNotOne, match=f"^line {line}: trace deviates from 1 by 2.500e-01$"):
             qstate.read_stack(with_row(good.replace("0.25", "0.5", 1)))
 
+    def test_savetxt_file_reads_as_float_reads_it(self):
+        # np.savetxt's %.18e puts every field outside the kernel's grammar,
+        # over three row blocks: the stack is the per-token float() stack,
+        # bit for bit, and in the second block a bad token or a 31-field row
+        # names its line, the first faulty row being reported
+        n = 2 * qstate._ROW_BLOCK + 100
+        ms = random_density_batch(RngStream(34), n)
+        buf = io.StringIO()
+        np.savetxt(buf, ms.view(np.float64).reshape(n, 32), delimiter=",", header=qstate.CSV_HEADER, comments="")
+        text = buf.getvalue()
+        got = qstate.read_stack(io.StringIO(text))
+        assert got.tobytes() == per_token_stack(text).tobytes()
+        assert np.array_equal(got, ms)
+        rows = text.splitlines()
+        line = qstate._ROW_BLOCK + 100  # rows are on lines 2 .. n + 1
+        fields = rows[line - 1].split(",")
+        bad, short = ",".join(fields[:7] + ["0x1p-2"] + fields[8:]), ",".join(fields[:31])
+
+        def with_rows(first, second):
+            return io.StringIO("\n".join(rows[: line - 1] + [first] + rows[line : line + 4] + [second] + rows[line + 5 :]))
+
+        parse_error = f"^line {line}: could not convert string to float: '0x1p-2'$"
+        with pytest.raises(ValueError, match=parse_error):
+            qstate.read_stack(with_rows(bad, rows[line + 4]))
+        with pytest.raises(ValueError, match=parse_error):
+            qstate.read_stack(with_rows(bad, short))
+        with pytest.raises(NotHermitian, match=f"^line {line}: expected 32 CSV fields, got 31$"):
+            qstate.read_stack(with_rows(short, bad))
+
+    def test_cr_and_lf_within_a_row(self, tmp_path):
+        # a stream split at LF alone keeps a CR within its rows, and one
+        # split at CR alone an LF: either is whitespace of its field, as
+        # float reads it, and a newline within a field's digits is no float
+        ms = random_density_batch(RngStream(12), 3)
+        header, *rows = write_text(ms).splitlines()
+        text = "\n".join([header, *(row.replace(",", "\r,", 5) for row in rows)])
+        assert np.array_equal(qstate.read_stack(io.StringIO(text)), ms)
+        path = tmp_path / "states.csv"
+
+        def read_split_at_cr(row):
+            path.write_bytes("\r".join([header, rows[0], row, rows[2]]).encode("ascii"))
+            with open(path, "r", encoding="ascii", newline="\r") as fh:
+                return qstate.read_stack(fh)
+
+        assert np.array_equal(read_split_at_cr(rows[1].replace(",", "\n,", 5)), ms)
+        with pytest.raises(ValueError, match=r"^line 3: could not convert string to float: '0\.2\\n5'$"):
+            read_split_at_cr(",".join(["0.2\n5"] + rows[1].split(",")[1:]))
+
     def test_first_faulty_row_is_reported(self):
         # a short first row is reported before any fault below it, though the
-        # parser reads the rows below it at its width; a short row is reported
-        # before a bad token further down
+        # rows below it have other widths; a short row is reported before a
+        # bad token further down
         rows = write_text(np.stack([np.eye(4) / 4] * 20)).splitlines()
         short = ",".join(["0"] * 31)
         for below in (rows[2], short, "y" + rows[2], "y," + short):
@@ -537,7 +585,7 @@ class TestCsvGrammar:
 
 
     def test_error_of_the_stream_itself(self, tmp_path):
-        # a decode error after rows the parser has read is the stream's, and
+        # a decode error after rows the reader has converted is the stream's, and
         # stays so; a faulty row read before it is still reported first
         rows = write_text(np.stack([np.eye(4) / 4] * 300)).splitlines()
         path = tmp_path / "states.csv"

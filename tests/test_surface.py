@@ -154,17 +154,23 @@ def test_one_module_spells_the_float_format():
 
 
 def test_one_module_calls_the_text_parser():
-    # state files are parsed in qstate alone, by its kernel and, for the
-    # fields outside its grammar, numpy's C text parser
-    callers = [
-        path.stem
-        for path in sorted(PACKAGE.glob("*.py"))
-        if any(
-            isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute) and n.func.attr == "loadtxt"
-            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        )
+    # state files are parsed in qstate alone: by its kernel and, for the
+    # fields outside its grammar, by float itself, in one function that
+    # _convert_block alone calls; no module calls numpy's text parsers
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    numpy_parsers = [
+        module
+        for module, tree in trees.items()
+        if any(isinstance(n, ast.Attribute) and n.attr in ("loadtxt", "genfromtxt") for n in ast.walk(tree))
     ]
-    assert callers == ["qstate"]
+    assert numpy_parsers == []
+    functions = {n.name: n for n in trees["qstate"].body if isinstance(n, ast.FunctionDef)}
+
+    def calls(function, name):
+        return any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == name for n in ast.walk(function))
+
+    assert [name for name, function in functions.items() if calls(function, "_floats")] == ["_convert_block"]
+    assert calls(functions["_floats"], "float")
 
 
 def _constructions(tree: ast.Module, name: str) -> int:
