@@ -52,8 +52,8 @@ def _cmd_measure(args) -> int:
         with open(args.input, "r", encoding="ascii", errors="surrogateescape") as fh:
             w, u = qstate._read_stack_eig(fh)[1:]  # only the eigenpairs are measured
         table = measures._table_from_eig(w, u)  # one eigh per state, the check's
-    else:
-        table = measures.measure_table(_family_state(args).matrix[None])
+    else:  # one DensityMatrix, which its construction checked
+        table = {name: [value] for name, value in vars(measures.measure_report(_family_state(args))).items()}
     header = measures.REPORT_CSV_HEADER  # five floats, then the separable flag
     text = io.StringIO()  # every row first, so a failure prints nothing
     qstate.write_csv(text, header, [table[name] for name in header.split(",")])

@@ -37,16 +37,13 @@ def hermiticity_defects(m: np.ndarray) -> np.ndarray:
     Entry (j, i) of m - m^dagger is minus the conjugate of entry (i, j), so
     the upper triangle, diagonal included, holds every value of the defect.
     A stack takes it entry by entry, |m[..., i, j] - conj(m[..., j, i])| for
-    i <= j, half the work of the whole difference and no gather; for one
-    matrix the whole difference is faster, because it takes fewer numpy
-    calls.  A non-finite entry makes its matrix's defect NaN (inf - inf) or
-    inf, and so does a difference beyond the float range; neither raises a
-    numpy warning.
+    i <= j, half the work of the whole difference and no gather.  A
+    non-finite entry makes its matrix's defect NaN (inf - inf) or inf, and
+    so does a difference beyond the float range; neither raises a numpy
+    warning.
     """
     m = np.asarray(m)
     with np.errstate(invalid="ignore", over="ignore"):
-        if m.size <= 16:
-            return np.abs(m - m.swapaxes(-1, -2).conj()).max(axis=(-2, -1), initial=0.0)
         defects = np.zeros(m.shape[:-2])
         for i, j in zip(*np.triu_indices(m.shape[-1])):
             # np.maximum, unlike max, keeps a NaN wherever it stands
@@ -101,11 +98,26 @@ def _lapack(fn, m: np.ndarray, **kwargs):
         raise NotConverged(f"{fn.__name__} did not converge: {exc}") from exc
 
 
+def _eigh_converges(m: np.ndarray) -> bool:
+    """Whether ``eigh`` converges on the matrix m alone."""
+    try:
+        _lapack(np.linalg.eigh, m)
+    except NotConverged:
+        return False
+    return True
+
+
 def _psd_eig(ms: np.ndarray, fault: tuple[int, Exception] | None) -> tuple[np.ndarray, np.ndarray]:
     """(w, u) of ``eigh`` over a numeric (n, 4, 4) stack before the index of
-    fault, an earlier check's (index, error) or None; the first of it and
-    ``psd_fault``'s raises, with its index as the error's ``index``."""
-    w, u = _lapack(np.linalg.eigh, ms if fault is None else ms[: fault[0]])
+    fault, an earlier check's (index, error) or None; the first of it,
+    ``eigh``'s failure (a stack fails where a matrix fails alone, searched
+    for only then) and ``psd_fault``'s raises, with its index as ``index``."""
+    n = len(ms) if fault is None else fault[0]
+    try:
+        w, u = _lapack(np.linalg.eigh, ms[:n])
+    except NotConverged as exc:
+        fault = next((i, exc) for i in range(n) if not _eigh_converges(ms[i]))
+        w, u = _lapack(np.linalg.eigh, ms[: fault[0]])
     if fault := psd_fault(w) or fault:
         fault[1].index = fault[0]
         raise fault[1]

@@ -6,16 +6,18 @@ any array but a numeric (n, 4, 4) stack refused, then Hermiticity and
 finite entries in one per-matrix pass, the traces in one einsum and
 positive semidefiniteness from one batched ``eigh``, whose eigenpairs it
 returns; it raises the error of the lowest-indexed invalid matrix, the
-error that matrix alone raises.  ``validate_stack``, ``DensityMatrix`` (one
-matrix as a 1-stack), ``read_stack`` and ``measures.measure_table`` all
-take it.  ``write_stack``, the one writer of a state file, streams the
-stacks of an iterable (``entlab sample`` passes its blocks), and
-``read_stack`` reads them back, one 32-field row per matrix, every bit
-kept, signed zeros included.  The reader reads each field as ``float``
-does, digit-group underscores refused: -?0 or -?0. and up to 20 digits by
-an exact vectorized kernel (``_decimal_fields``), every other field by
-``float`` itself.  Its check's ``eigh`` is the one the measures reuse,
-and every error names its file line.
+error that matrix alone raises, LAPACK's failure included.  Each job has
+one entry to it, ``DensityMatrix`` for a state (a 1-stack),
+``measures.measure_table`` for a stack and ``read_stack`` for a file, and
+no state the library built or checked is checked again.  ``write_stack``,
+the one writer of a state file, streams the stacks of an iterable
+(``entlab sample`` passes its blocks), and ``read_stack`` reads them back,
+one 32-field row per matrix, every bit kept, signed zeros included.  The
+reader reads each field as ``float`` does, digit-group underscores
+refused: -?0 or -?0. and up to 20 digits by an exact vectorized kernel
+(``_decimal_fields``), every other field by ``float`` itself.  Its check's
+``eigh`` is the one the measures reuse, and every error names its file
+line.
 ``write_csv`` writes every CSV file and table of the package, each column
 as its dtype sets: floats in the one format CSV_FLOAT, integers in decimal,
 booleans as true/false.  It renders blocks of _CSV_VALUES values as
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cmat
-from .errors import NotHermitian, NotPSD, ParameterOutOfRange, TraceNotOne
+from .errors import NotConverged, NotHermitian, NotPSD, ParameterOutOfRange, TraceNotOne
 
 CSV_HEADER = ",".join(f"m{i}{j}_{part}" for i in range(4) for j in range(4) for part in ("re", "im"))
 CSV_FLOAT = "%.17g"  # every float in a CSV: 17 significant digits read back as the same float64
@@ -71,6 +73,8 @@ _ROW_BLOCK = 512  # rows read_stack converts at a time; at 1024 the kernel ran 1
 # lie past the first b of them, where a field of 24 - b digits has digits.
 _DIGIT_BYTES = ~np.array([[(1 << 8 * min(max(b - j, 0), 8)) - 1 for b in range(25)] for j in (0, 8, 16)], np.uint64)
 _MIDPOINT_GAP = 2.0**-30  # how far from a half-integer t must lie; its error is below 1e-15
+_SINGLET = np.outer([0, 1, -1, 0], [0, 1, -1, 0]) / 2 + 0j  # |psi-><psi-|, of exact halves
+_SINGLET.setflags(write=False)
 
 
 def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,21 +99,12 @@ def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return cmat._psd_eig(ms, fault)
 
 
-def validate_stack(ms: np.ndarray) -> np.ndarray:
-    """ms as a complex (n, 4, 4) stack, after ``_checked_eig`` of ms as
-    given (whose eigenpairs it drops): every matrix Hermitian, of unit trace
-    and PSD, or the error of ``_checked_eig``, raised before any cast."""
-    ms = np.asarray(ms)
-    _checked_eig(ms)
-    return ms.astype(complex, copy=False)
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """A validated two-qubit state: Hermitian, unit trace, positive semidefinite.
 
-    Construction validates the three invariants (each to the central
-    tolerances) and stores a read-only copy of the matrix.
+    Construction checks the matrix as a 1-stack (``_checked_eig``), and
+    stores a read-only complex copy, which no later caller checks again.
     """
 
     matrix: np.ndarray
@@ -118,7 +113,8 @@ class DensityMatrix:
         m = cmat._numeric(self.matrix)
         if m.shape != (4, 4):
             raise NotHermitian(f"expected a 4x4 matrix, got shape {m.shape}")
-        out = validate_stack(m[None])[0].copy()
+        _checked_eig(m[None])
+        out = m.astype(complex)
         out.setflags(write=False)
         object.__setattr__(self, "matrix", out)
 
@@ -134,10 +130,7 @@ def pure_schmidt(alpha: float) -> DensityMatrix:
 
 def singlet() -> DensityMatrix:
     """Projector onto (|01> - |10>)/sqrt(2); entries are exact halves."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[1, 1] = m[2, 2] = 0.5
-    m[1, 2] = m[2, 1] = -0.5
-    return DensityMatrix(m)
+    return DensityMatrix(_SINGLET)
 
 
 def check_werner_range(fs) -> np.ndarray:
@@ -158,7 +151,7 @@ def werner_stack(fs) -> np.ndarray:
     The identity term uses the full 4x4 identity so the trace is one.
     """
     fs = check_werner_range(fs)[:, None, None]
-    return ((4.0 * fs - 1.0) / 3.0) * singlet().matrix + ((1.0 - fs) / 3.0) * np.eye(4)
+    return ((4.0 * fs - 1.0) / 3.0) * _SINGLET + ((1.0 - fs) / 3.0) * np.eye(4)
 
 
 def werner_state(f: float) -> DensityMatrix:
@@ -459,7 +452,7 @@ def _read_stack_eig(fh) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ms = np.concatenate(blocks).view(np.complex128).reshape(-1, 4, 4)  # every bit, signed zeros included
     try:
         w, u = _checked_eig(ms)
-    except (NotHermitian, TraceNotOne, NotPSD) as exc:
+    except (NotHermitian, TraceNotOne, NotPSD, NotConverged) as exc:
         exc.args = (f"line {lines[exc.index]}: {exc}",)
         raise
     return ms, w, u

@@ -141,7 +141,7 @@ def check_sampler(n: int = 2000) -> None:
     a = sampler.random_density_batch(sampler.RngStream(105), n)
     b = sampler.random_density_batch(sampler.RngStream(105), n)
     _check(np.array_equal(a, b), "one seed drew two different stacks")
-    qstate.validate_stack(a)
+    qstate._checked_eig(a)
     rho, probs, cols = sampler._spectral_stacks(sampler.RngStream(106), n)
     u = cols.transpose(2, 1, 0)
     _check(np.abs(u @ np.conj(u.transpose(0, 2, 1)) - np.eye(4)).max() < 1e-12, "sampled U is not unitary")

@@ -49,14 +49,14 @@ class TestComparePair:
         assert record.d_ef == 0.0 and record.d_en == 0.0
         assert record.tie and not record.violation
 
-    def test_underflowing_formation_is_tie(self):
-        # just above F = 1/2 both E_F values underflow to 0 while E_N > EPS_SEP,
-        # so d_ef has a zero denominator; the harness counts that as a tie
+    def test_weakly_entangled_pair_is_ordered(self):
+        # just above F = 1/2, with E_N > EPS_SEP and C about 5e-10, E_F is
+        # about 1e-18 and keeps its order: no tie and no violation
         rho1, rho2 = werner_state(0.5 + 2e-10), werner_state(0.5 + 3e-10)
-        assert measures.e_formation(rho1) == measures.e_formation(rho2) == 0.0
+        assert 0.0 < measures.e_formation(rho1) < measures.e_formation(rho2)
         record = compare_pair(rho1, rho2)
-        assert record.tie and not record.violation
-        assert record.d_ef == 0.0
+        assert not record.tie and not record.violation
+        assert record.d_ef < 0.0 and record.d_en < 0.0  # state 1 is the weaker by both
 
     def test_rejects_separable_input(self):
         with pytest.raises(SeparableInput):

@@ -231,7 +231,7 @@ class TestJacobiKernel:
         # RuntimeWarning, and the kernel route stays within 1e-15 of LAPACK's
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         rho[entry] = rho[entry[::-1]] = 5e-88
-        ms = qstate.validate_stack(np.concatenate([random_density_batch(RngStream(5), 299), rho[None]]))
+        ms = np.concatenate([random_density_batch(RngStream(5), 299), rho[None]])  # measure_table checks it
         monkeypatch.setattr(measures, "_C_MIN_STACK", 1)
         c = measures.measure_table(ms)["concurrence"]
         monkeypatch.setattr(measures, "_C_MIN_STACK", np.inf)
@@ -490,8 +490,7 @@ class TestRawStacks:
         # every shape and dtype, bool, str and object included: each entry
         # point refuses what is no numeric stack of the shape it takes
         numeric_stack = a.dtype.kind in "iufc" and a.ndim == 3 and a.shape[1:] == (4, 4)
-        for fn in (measures.measure_table, qstate.validate_stack, qstate.DensityMatrix, cmat.hermitian_eig,
-                   cmat.psd_sqrt):
+        for fn in (measures.measure_table, qstate.DensityMatrix, cmat.hermitian_eig, cmat.psd_sqrt):
             try:
                 with np.errstate(all="ignore"):
                     fn(a)
@@ -511,30 +510,46 @@ class TestRawStacks:
                 fn(ms)
 
 
+def binary_entropy(x):
+    """-x log2 x - (1 - x) log2(1 - x), with 0 log 0 = 0, by the textbook formula."""
+    return -sum(t * np.log2(t) for t in (x, 1.0 - x) if t > 0.0)
+
+
 class TestBinaryEntropy:
+    """E_F is the binary entropy h of x = (1 + sqrt(1 - C^2)) / 2, or of
+    1 - x, as ``ef_from_concurrence_batch`` forms it: h's properties read
+    through E_F."""
+
     def test_half_is_one(self):
-        assert measures._binary_entropy_arr(np.array([0.5]))[0] == 1.0
+        # C = 1 gives x = 1/2
+        assert measures.ef_from_concurrence_batch(np.array([1.0]))[0] == 1.0
 
     @pytest.mark.parametrize("x", [0.0, 1.0])
     def test_endpoints(self, x):
-        assert measures._binary_entropy_arr(np.array([x]))[0] == 0.0
+        # C = 0 gives x = 1, h = 0; and E_F(C) = C at both ends
+        assert measures.ef_from_concurrence_batch(np.array([x]))[0] == x
 
     def test_reference_value(self):
-        # frozen from a 40-digit evaluation of the defining formula
-        assert measures._binary_entropy_arr(np.array([0.933013]))[0] == pytest.approx(
-            0.3545777698733827, abs=1e-12
+        # C = 1e-4, x = 1 - 2.5e-9, frozen from a 60-digit mpmath evaluation
+        # of h; the textbook formula of x is off by about 8e-9 relative there
+        assert measures.ef_from_concurrence_batch(np.array([1e-4]))[0] == pytest.approx(
+            7.5045299674057645919728e-8, rel=1e-15, abs=0.0
         )
 
     def test_clamps_within_slack(self):
-        h = measures._binary_entropy_arr(np.array([-1e-13, 1 + 1e-13]))
-        assert np.array_equal(h, [0.0, 0.0])
+        h = measures.ef_from_concurrence_batch(np.array([-1e-13, 1 + 1e-13]))
+        assert np.array_equal(h, [0.0, 1.0])
 
     @given(st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200)
-    def test_symmetric_and_bounded(self, x):
-        h, h_mirror = measures._binary_entropy_arr(np.array([x, 1.0 - x]))
-        assert 0.0 <= h <= 1.0
-        assert h == pytest.approx(h_mirror, abs=1e-12)
+    def test_symmetric_and_bounded(self, c):
+        # h(x) = h(1 - x) to the textbook formula's rounding, and
+        # 0 <= E_F <= C, since E_F is convex in C with E_F(0) = 0, E_F(1) = 1
+        ef = measures.ef_from_concurrence_batch(np.array([c]))[0]
+        x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+        assert 0.0 <= ef <= c
+        assert ef == pytest.approx(binary_entropy(x), abs=1e-12)
+        assert ef == pytest.approx(binary_entropy(1.0 - x), abs=1e-12)
 
 
 class TestFormationFromConcurrence:
@@ -551,6 +566,17 @@ class TestFormationFromConcurrence:
     def test_strictly_increasing(self):
         values = measures.ef_from_concurrence_batch(np.linspace(0.0, 1.0, 401))
         assert np.all(np.diff(values) > 0)
+
+    def test_mpmath_reference(self):
+        # relative accuracy over C log-uniform on [1e-10, 1], down to where
+        # the harness keeps a state (E_N > 1e-10, C > 2e-10)
+        mpmath = pytest.importorskip("mpmath")
+        c = np.concatenate([10.0 ** (-10.0 * RngStream(64).uniforms(2000)), [1e-10, 1.0]])
+        ef = measures.ef_from_concurrence_batch(c)
+        with mpmath.workdps(60):
+            ys = [(1 - mpmath.sqrt(1 - mpmath.mpf(x) ** 2)) / 2 for x in c.tolist()]
+            reference = np.array([float(-(y * mpmath.log(y, 2) + (1 - y) * mpmath.log(1 - y, 2))) for y in ys])
+        assert np.all(np.abs(ef - reference) <= 1e-15 * reference)
 
     def test_nan_is_refused_and_finite_values_clipped(self):
         # a NaN would pass the clip and read as E_F = 0; the first is named
@@ -577,8 +603,10 @@ class TestScalarMatchesArrayFormula:
         assert np.array_equal(scalar, batch)
 
     def test_binary_entropy(self):
-        batch = measures._binary_entropy_arr(self.GRID)
-        scalar = self.one_at_a_time(measures._binary_entropy_arr, self.GRID)
+        # weak concurrences, where E_F is the binary entropy of a tiny argument
+        grid = np.logspace(-10.0, -2.0, 2000)
+        batch = measures.ef_from_concurrence_batch(grid)
+        scalar = self.one_at_a_time(measures.ef_from_concurrence_batch, grid)
         assert np.array_equal(scalar, batch)
 
 
@@ -792,7 +820,7 @@ class TestSpectralRoute:
     def test_screen_on_checked_hypothesis_stacks(self, ms):
         try:
             with np.errstate(all="ignore"):
-                qstate.validate_stack(ms)
+                qstate._checked_eig(ms)
         except EntanglementLabError:
             return
         self.assert_screen_keeps_the_entangled(ms)
@@ -917,7 +945,7 @@ class TestConcurrenceNegativityRegion:
     def excess_if_valid(ms):
         """Region excess of a stack that validates as states, else 0.0."""
         try:
-            ms = qstate.validate_stack(ms)
+            qstate._checked_eig(ms)
         except EntanglementLabError:
             return 0.0
         return selftest.cn_region_excess(measures.measure_table(ms))

@@ -123,11 +123,11 @@ class TestWerner:
             qstate.werner_state(f)
 
     def test_stack_passes_validation(self):
-        # werner-table measures werner_stack without validating it: its
-        # pinned grid, and both ends of [1/4, 1] with their inner neighbours
+        # werner_stack builds its states unchecked: werner-table's pinned
+        # grid, and both ends of [1/4, 1] with their inner neighbours
         ends = [0.25, np.nextafter(0.25, 1.0), np.nextafter(1.0, 0.0), 1.0]
         for fs in (cli._parse_grid("0.25:1:1e-4"), ends):
-            qstate.validate_stack(qstate.werner_stack(fs))
+            qstate._checked_eig(qstate.werner_stack(fs))
 
     @pytest.mark.parametrize("f", np.linspace(0.25, 1.0, 26))
     def test_spectrum(self, f):
@@ -612,7 +612,11 @@ class TestValidateStack:
         skew[0, 1] = 0.5j
         huge = np.eye(4, dtype=complex) / 4
         huge[0, 1], huge[1, 0] = 1.7e308, -1.7e308
-        return [nan, skew, huge, np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0])]
+        # finite, Hermitian and of unit trace, but LAPACK's eigh does not converge on it
+        stiff = np.zeros((4, 4), dtype=complex)
+        stiff[0, 1], stiff[1, 2], stiff[2, 3] = 5e299j, 1j, 1j
+        stiff += stiff.conj().T + 0.25 * np.eye(4)
+        return [nan, skew, huge, np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([1.5, -0.5, 0.0, 0.0]), stiff]
 
     @staticmethod
     def entry_point_errors(ms):
@@ -621,7 +625,6 @@ class TestValidateStack:
         with its error."""
         errors = {}
         for name, fn in (
-            ("validate_stack", qstate.validate_stack),
             ("measure_table", measures.measure_table),
             ("read_stack", lambda ms: qstate.read_stack(io.StringIO(write_text(ms)))),
         ):
@@ -678,12 +681,13 @@ class TestValidateStack:
             bad = ms.copy()
             bad[7].view(np.float64).reshape(32)[part] = value
             with pytest.raises(NotHermitian, match="^matrix has non-finite entries$"):
-                qstate.validate_stack(bad)
+                measures.measure_table(bad)
             with pytest.raises(NotHermitian, match="^line 9: matrix has non-finite entries$"):
                 qstate.read_stack(io.StringIO(write_text(bad)))
 
-    # orders of faulty_matrices(): each first once, each kind before and after others
-    @pytest.mark.parametrize("order", ["01234", "43210", "34021", "13402", "20413"])
+    # orders of faulty_matrices(): each first once, each kind before and after
+    # others; LAPACK's failure (5) first, and after a PSD fault it defers to
+    @pytest.mark.parametrize("order", ["01234", "43210", "34021", "13402", "20413", "502413", "453021"])
     def test_lowest_indexed_fault_wins_in_any_order(self, order, tmp_path, capsys):
         # after a valid matrix, the faulty matrices in this order: whatever
         # checks the later ones fail, every entry point raises the error of
@@ -702,17 +706,20 @@ class TestValidateStack:
         assert capsys.readouterr() == ("", f"error: line 3: {alone.value}\n")
 
     def test_valid_stack_passes_unchanged(self):
+        # the check leaves the stack as it is and returns the eigenpairs of its eigh
         ms = random_density_batch(RngStream(11), 500)
-        assert np.array_equal(qstate.validate_stack(ms), ms)
-        assert qstate.validate_stack(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+        kept = ms.copy()
+        checked = qstate._checked_eig(ms)
+        assert np.array_equal(ms, kept)
+        assert all(np.array_equal(a, b) for a, b in zip(checked, np.linalg.eigh(ms)))
+        assert [a.shape for a in qstate._checked_eig(np.zeros((0, 4, 4)))] == [(0, 4), (0, 4, 4)]
 
     @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (2, 4, 4, 1), (1, 3, 3), (1, 4, 3), (16,), ()])
     def test_rejects_other_shapes(self, shape):
-        for fn in (qstate.validate_stack, measures.measure_table):
-            with pytest.raises(NotHermitian, match=rf"^expected a \(n, 4, 4\) stack, got shape {re.escape(str(shape))}$"):
-                fn(np.zeros(shape))
+        with pytest.raises(NotHermitian, match=rf"^expected a \(n, 4, 4\) stack, got shape {re.escape(str(shape))}$"):
+            measures.measure_table(np.zeros(shape))
 
-    @pytest.mark.parametrize("fn", [qstate.validate_stack, measures.measure_table, qstate.DensityMatrix])
+    @pytest.mark.parametrize("fn", [measures.measure_table, qstate.DensityMatrix])
     @pytest.mark.parametrize("cells", [[True], ["0.25"], ["junk"], [0.25, None]], ids=["bool", "str", "junk", "object"])
     def test_rejects_what_is_no_number(self, cells, fn):
         # refused before any cast: a numeric string is not read as a number
@@ -721,3 +728,46 @@ class TestValidateStack:
         ms = ms if None in cells else ms.astype(type(cells[0]))
         with pytest.raises(NotHermitian, match=r"^expected a numeric \(\.\.\., 4, 4\) array, got shape "):
             fn(ms[0] if fn is qstate.DensityMatrix else ms)
+
+
+class TestOneCheckPerState:
+    """Each state takes the stack check once, where it enters the library:
+    a state the library built or already checked is not checked again."""
+
+    @staticmethod
+    def counted_checks(monkeypatch):
+        """The stack length of each ``qstate._checked_eig`` call from now on."""
+        lengths, check = [], qstate._checked_eig
+
+        def counting(ms):
+            lengths.append(len(ms))
+            return check(ms)
+
+        monkeypatch.setattr(qstate, "_checked_eig", counting)
+        return lengths
+
+    def test_density_matrix_and_measure_table(self, monkeypatch):
+        lengths = self.counted_checks(monkeypatch)
+        qstate.DensityMatrix(np.eye(4) / 4)
+        assert lengths == [1]
+        measures.measure_table(random_density_batch(RngStream(14), 300))
+        assert lengths == [1, 300]
+
+    @pytest.mark.parametrize("family", [["werner", "--param", "0.8"], ["pure", "--param", "0.6"], ["singlet"]], ids=str)
+    def test_measure_family(self, family, monkeypatch, capsys):
+        lengths = self.counted_checks(monkeypatch)
+        assert cli.main(["measure", "--family", *family]) == 0
+        assert lengths == [1]
+
+    def test_measure_input(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "states.csv"
+        path.write_text(write_text(random_density_batch(RngStream(15), 300)))
+        lengths = self.counted_checks(monkeypatch)
+        assert cli.main(["measure", "--input", str(path)]) == 0
+        assert lengths == [300]
+
+    def test_werner_table_checks_each_block_once(self, monkeypatch, capsys):
+        # 7501 grid points: two blocks of STATE_BLOCK states and less
+        lengths = self.counted_checks(monkeypatch)
+        assert cli.main(["werner-table", "--grid", "0.25:1:1e-4"]) == 0
+        assert lengths == [cli.STATE_BLOCK, 7501 - cli.STATE_BLOCK]

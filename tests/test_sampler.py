@@ -160,7 +160,7 @@ class TestRandomDensity:
         assert cmat.hermiticity_defects(rhos).max(initial=0.0) <= 1e-10
         assert np.abs(np.einsum("nii->n", rhos).real - 1.0).max() <= 1e-10
         assert np.linalg.eigvalsh(rhos)[:, 0].min() >= -1e-10
-        qstate.validate_stack(rhos)
+        qstate._checked_eig(rhos)
         for m in rhos[:100]:
             qstate.DensityMatrix(m)
 
