@@ -107,17 +107,30 @@ def _eigh_converges(m: np.ndarray) -> bool:
     return True
 
 
+def _eigh(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``eigh`` of a numeric (..., 4, 4) stack, in one batched call.  Where
+    it fails, the first matrix, flattened, on which ``eigh`` fails alone
+    (searched for only then) raises NotConverged, with its index as
+    ``index``."""
+    try:
+        return _lapack(np.linalg.eigh, ms)
+    except NotConverged as exc:
+        flat = ms.reshape(-1, 4, 4)
+        exc.index = next(i for i in range(len(flat)) if not _eigh_converges(flat[i]))
+        raise
+
+
 def _psd_eig(ms: np.ndarray, fault: tuple[int, Exception] | None) -> tuple[np.ndarray, np.ndarray]:
     """(w, u) of ``eigh`` over a numeric (n, 4, 4) stack before the index of
     fault, an earlier check's (index, error) or None; the first of it,
-    ``eigh``'s failure (a stack fails where a matrix fails alone, searched
-    for only then) and ``psd_fault``'s raises, with its index as ``index``."""
+    ``_eigh``'s failure and ``psd_fault``'s raises, with its index as
+    ``index``."""
     n = len(ms) if fault is None else fault[0]
     try:
-        w, u = _lapack(np.linalg.eigh, ms[:n])
+        w, u = _eigh(ms[:n])
     except NotConverged as exc:
-        fault = next((i, exc) for i in range(n) if not _eigh_converges(ms[i]))
-        w, u = _lapack(np.linalg.eigh, ms[: fault[0]])
+        fault = exc.index, exc
+        w, u = _lapack(np.linalg.eigh, ms[: exc.index])
     if fault := psd_fault(w) or fault:
         fault[1].index = fault[0]
         raise fault[1]
@@ -126,14 +139,17 @@ def _psd_eig(ms: np.ndarray, fault: tuple[int, Exception] | None) -> tuple[np.nd
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix
-    or (..., 4, 4) stack, after ``hermiticity_fault``, whose error it raises.
+    or (..., 4, 4) stack.  The first matrix, flattened, that
+    ``hermiticity_fault`` finds, or else that ``eigh`` fails on alone
+    (``_eigh``), raises, with its index as ``index``.
 
     Each eigenvector matrix U is unitary with U diag(w) U^dagger reconstructing
     its input; both hold to Tolerances.reconstruction.
     """
     if fault := hermiticity_fault(m):
+        fault[1].index = fault[0]
         raise fault[1]
-    return _lapack(np.linalg.eigh, _numeric(m))
+    return _eigh(_numeric(m))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:

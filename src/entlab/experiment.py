@@ -7,13 +7,12 @@ holds a single copy of its pair rows.  The decomposition depends only on
 the configuration, never on the thread count, so parallel and serial runs
 with the same seed are identical byte for byte.  Inside a shard, states are
 drawn in chunks sized only from the pairs still needed, so the first chunk
-covers the whole quota with a small margin and a shard usually draws one chunk (47 of the 49 shards of
-the 10^5-pair acceptance run); the stream is sequential, so chunk sizes
-never change which states are drawn, kept or paired.  They could change
-C, E_F and E_N only by rounding, where a stack of screened or NPT states
-crosses the kernels' 256-matrix LAPACK cutoff (see ``measures``), and the
-chunk sizes depend only on the configuration.  ``compare_pair`` and the shards
-apply one pairing and tie rule, ``_pair_rows`` with the fixed threshold
+covers the whole quota with a small margin and a shard usually draws one
+chunk (47 of the 49 shards of the 10^5-pair acceptance run); the stream is
+sequential, so chunk sizes never change which states are drawn, kept or
+paired, nor any bit of a state's C, E_F and E_N, which are a function of
+that state alone (see ``measures``).  ``compare_pair`` and the shards apply
+one pairing and tie rule, ``_pair_rows`` with the fixed threshold
 TIE_EPSILON; it, the histogram's S_BINS and the scatter size SCATTER_POINTS
 are echoed in ``summary.csv``.  A chunk first draws its spectra and angle
 uniforms (``sampler._draw_spectra``) and builds U and rho only for the draws
@@ -206,12 +205,11 @@ def _separable_orbit(probs: np.ndarray) -> np.ndarray:
     logarithm is concave, so its minimum lies at a vertex, three eigenvalues
     at m), and the screen computes it within about 2e-15 (see
     ``measures._pt_screen``), above DET_SCREEN = 1e-12.  So the screen drops
-    every skipped state too: the screened and kept states, and with them
-    every kernel's input and the route it takes, are those of the whole
-    chunk, bit for bit.  In particular no state the EPS_SEP rule calls
-    entangled is skipped.  On the sampler's ensemble b >= 0 holds for 32.7%
-    of draws, b >= _ORBIT_MARGIN for 32.6%.  The spectra are put in
-    descending order by a five-comparator network of minima and maxima on
+    every skipped state too, and the kept states and their values are those
+    of the whole chunk, bit for bit.  In particular no state the EPS_SEP
+    rule calls entangled is skipped.  On the sampler's ensemble b >= 0 holds
+    for 32.7% of draws, b >= _ORBIT_MARGIN for 32.6%.  The spectra are put
+    in descending order by a five-comparator network of minima and maxima on
     their (n,) columns.
     """
     l1, l2, l3, l4 = probs.T

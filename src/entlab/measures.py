@@ -15,10 +15,10 @@ the scalar API pass the clamped eigenpairs of one ``eigh``
 (``_table_from_eig``): of ``qstate``'s stack check, which
 ``measure_table`` runs and ``measure --input`` takes from the reader, or
 of a DensityMatrix, which its construction checked.  ``_table_from_eig``
-measures a stack of n >= 2 _TABLE_BLOCK states in n // _TABLE_BLOCK
-parts of at least _TABLE_BLOCK states, so that the route's working set is
-that of one part; the harness's chunks, all smaller, go whole.  Inside the
-route and its kernels, each array is dropped after its last reader.
+measures a stack in consecutive slices of _TABLE_BLOCK states, so that the
+route's working set is that of one slice; the harness's chunks, all
+smaller, go whole.  Inside the route and its kernels, each array is dropped
+after its last reader.
 
 Both kernels work on characteristic polynomials: the concurrence on that
 of B^H B, whose largest root and the sum of the square roots of the other
@@ -26,16 +26,13 @@ three give C without the singular values themselves, and the smallest PT
 eigenvalue on that of each PT; both take (4, 4, n) entry stacks, as the
 determinant does, and share one root step, ``_laguerre_newton`` (Laguerre
 steps, then a Newton step with a certified error bound), and one
-fallback, ``_kernel_or_lapack``: LAPACK takes stacks under _C_MIN_STACK
-or _PT_MIN_STACK matrices and any matrix a kernel cannot certify, and the
-two routes agree to rounding.  A state's bits depend on the rest of its
-stack only through that cutoff, which applies to the screened and the NPT
-states.  ``measure_report`` returns the one row of the table of one
-state; it serves ``experiment.compare_pair`` and the scalar functions
-(``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
-``linear_entropy``, ``is_separable``), which return its fields, so a
-scalar call equals the corresponding entry of a 1-stack table exactly and
-of a larger table to rounding.
+fallback, ``_kernel_or_lapack``: LAPACK takes each matrix a kernel cannot
+certify, and the two routes agree to rounding.  Every step works state by
+state, so a state's bits are a function of that state alone, whatever
+stack it is measured in.  ``measure_report`` returns the one row of the
+table of one state; it serves ``experiment.compare_pair`` and the scalar
+functions (``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
+``linear_entropy``, ``is_separable``), which return its fields.
 """
 
 from __future__ import annotations
@@ -58,13 +55,9 @@ _LAPLACE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 # Flat entry index of rho for each flat entry of rho^Gamma.
 _PT_ROWS = cmat.partial_transpose_b(np.arange(16).reshape(4, 4)).ravel()
 # Concurrence by the characteristic polynomial of B^H B (_laguerre_concurrence):
-# the smallest stack it is used for, its Laguerre step count, the largest
-# final Newton step and error bound, relative to mu1 and sqrt(mu1), that
-# certify a value, and the largest cancellation factor allowed in e2.  On 2
-# cores with OpenBLAS 0.3.31, LAPACK's route took 0.05 ms for 1 matrix,
-# 1.4 ms for 192 and 1.9 ms for 256, the kernel 1.0, 1.4 and 1.4 ms; at 3000
-# matrices 4.3 ms against 22 ms.
-_C_MIN_STACK = 256
+# its Laguerre step count, the largest final Newton step and error bound,
+# relative to mu1 and sqrt(mu1), that certify a value, and the largest
+# cancellation factor allowed in e2.
 _C_LAGUERRE_STEPS = 5
 _C_STEP = 1e-13
 _C_TOL = 2.5e-16
@@ -78,13 +71,10 @@ _MINOR_ENTRIES = tuple(
     for i, j in [(i, i) for i in range(6)] + [(i, j) for i in range(6) for j in range(i + 1, 6)]
 )
 
-# Smallest PT eigenvalue by its characteristic polynomial (_pt_min): the
-# smallest stack the kernel is used for, its Laguerre step count, the error
-# bound that certifies a matrix and the largest row 1-norm it accepts (a
-# density matrix's PT has row 1-norms of at most 2).  On 2 cores with
-# OpenBLAS 0.3.31, LAPACK's eigvalsh took 0.007 ms for 1 matrix and 0.49 ms
-# for 256, the kernel 0.26 ms and 0.39 ms; at 3000 matrices 1.6 ms against 6.0.
-_PT_MIN_STACK = 256
+# Smallest PT eigenvalue by its characteristic polynomial (_pt_min): its
+# Laguerre step count, the error bound that certifies a matrix and the
+# largest row 1-norm it accepts (a density matrix's PT has row 1-norms of at
+# most 2).
 _PT_LAGUERRE_STEPS = 6
 _PT_TOL = 1e-15
 _PT_MAX_ROW = 4.0
@@ -99,9 +89,9 @@ _NEWTON_H = 0.01
 # Unit roundoff of float64.
 _U = 2.0**-53
 
-# Fewest states of each part in which _table_from_eig measures a large stack:
-# above the largest chunk of the Monte Carlo harness (11409 draws), which
-# calls _spectral_table directly.  At 8192 and at 16384 states a part,
+# States of each slice in which _table_from_eig measures a stack: above the
+# largest chunk of the Monte Carlo harness (11409 draws), which calls
+# _spectral_table directly.  At 8192 and at 16384 states a slice,
 # `measure --input` of 10^5 states peaked at the same RSS, set by the reader.
 _TABLE_BLOCK = 16384
 
@@ -135,10 +125,10 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     (Wootters, PRL 80, 2245 (1998)): B is sqrt(rho) (sy x sy) sqrt(rho)^T with
     the unitaries u and u^T taken off its two sides, and R^2 is unitarily
     similar to B B^dagger, so C = max(0, l1 - l2 - l3 - l4) for the singular
-    values l1 >= ... >= l4 of B.  ``_kernel_or_lapack`` sends stacks under
-    _C_MIN_STACK, and the matrices ``_laguerre_concurrence`` does not
-    certify on the entry stack ``_conj_w`` forms, to
-    ``_lapack_concurrence``; the two routes agree to rounding.
+    values l1 >= ... >= l4 of B.  ``_kernel_or_lapack`` sends the matrices
+    ``_laguerre_concurrence`` does not certify on the entry stack
+    ``_conj_w`` forms to ``_lapack_concurrence``; the two routes agree to
+    rounding.
     Entries of p in [-TOL.psd_clamp, 0) are clipped to zero; anything lower,
     or NaN, raises the error of ``cmat.psd_fault``.
     """
@@ -148,22 +138,17 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     lead = u.shape[:-2]
     p, u = p.reshape(-1, 4), u.reshape(-1, 4, 4)
     c = _kernel_or_lapack(
-        len(u), _C_MIN_STACK,
         lambda: _laguerre_concurrence(np.ascontiguousarray(p.T), _conj_w(u)),
         lambda rows: _lapack_concurrence(p[rows], u[rows]),
     )
     return c.reshape(lead)
 
 
-def _kernel_or_lapack(n, min_stack, kernel, lapack) -> np.ndarray:
-    """Values of a stack of n matrices: ``lapack(...)``, LAPACK's for the
-    whole stack, if n < min_stack, where one LAPACK call is faster; else the
-    values of ``kernel()`` (values, certified mask), run under
-    ``np.errstate`` since overflow and NaN only leave a matrix uncertified,
-    with ``lapack(rows)`` for the rows it refuses, the bits a small stack
-    would give them."""
-    if n < min_stack:
-        return lapack(...)
+def _kernel_or_lapack(kernel, lapack) -> np.ndarray:
+    """Values of a stack of matrices: those of ``kernel()`` (values,
+    certified mask), run under ``np.errstate`` since overflow and NaN only
+    leave a matrix uncertified, with ``lapack(rows)`` for the rows it
+    refuses."""
     with np.errstate(all="ignore"):
         values, certified = kernel()
     failed = np.nonzero(~certified)[0]
@@ -424,11 +409,10 @@ def _pt_min(pt: np.ndarray, det: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each Hermitian matrix of a (4, 4, m) entry stack
     (``pt[a, b]`` the (m,) row of entry (a, b)) with determinants det.
 
-    ``_kernel_or_lapack`` sends stacks under _PT_MIN_STACK, and the
-    matrices ``_laguerre_min`` does not certify, to ``np.linalg.eigvalsh``.
+    ``_kernel_or_lapack`` sends the matrices ``_laguerre_min`` does not
+    certify to ``np.linalg.eigvalsh``.
     """
     return _kernel_or_lapack(
-        pt.shape[-1], _PT_MIN_STACK,
         lambda: _laguerre_min(pt, det),
         lambda rows: cmat._lapack(np.linalg.eigvalsh, pt[:, :, rows].transpose(2, 0, 1))[:, 0],
     )
@@ -567,21 +551,15 @@ def _table_from_eig(w: np.ndarray, u: np.ndarray) -> dict[str, np.ndarray]:
     u of a checked (n, 4, 4) stack, as ``eigh`` gives them: w clamped at 0,
     u as a complex column stack (a real stack has real eigenvectors).
 
-    A stack of n >= 2 _TABLE_BLOCK states is measured in n // _TABLE_BLOCK
-    consecutive parts whose sizes differ by at most one state, and their
-    columns are joined, so that the route's working set stays that of one
-    part.  Every part holds at least _TABLE_BLOCK states, no short tail, so
-    its screened and NPT stacks stay far above the kernels' LAPACK cutoff.
+    The stack is measured in consecutive slices of _TABLE_BLOCK states, the
+    last one shorter (an empty stack is one empty slice), and their columns
+    are joined, so that the route's working set stays that of one slice.
     """
-    n = len(w)
-    parts = max(1, n // _TABLE_BLOCK)
-    edges = [n * k // parts for k in range(parts + 1)]
-    tables = [
-        _spectral_table(np.clip(w[a:b], 0.0, None), np.ascontiguousarray(u[a:b].transpose(2, 1, 0), dtype=complex))
-        for a, b in zip(edges[:-1], edges[1:])
-    ]
-    if parts == 1:
-        return tables[0]
+    tables = []
+    for a in range(0, max(len(w), 1), _TABLE_BLOCK):
+        p = np.clip(w[a : a + _TABLE_BLOCK], 0.0, None)
+        cols = np.ascontiguousarray(u[a : a + _TABLE_BLOCK].transpose(2, 1, 0), dtype=complex)
+        tables.append(_spectral_table(p, cols))
     return {name: np.concatenate([table[name] for table in tables]) for name in tables[0]}
 
 
@@ -595,12 +573,13 @@ def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
 
 def measure_report(rho: qstate.DensityMatrix) -> MeasureReport:
     """Evaluate every measure once for a single state: row 0 of the table of
-    one ``eigh`` of the matrix, which construction checked, and so row 0 of
-    its 1-stack ``measure_table``.
+    one ``eigh`` of the matrix, which construction checked, and so, bit for
+    bit, its row in any ``measure_table`` that holds it.
 
-    A single state always takes the LAPACK route: routing it through the
-    kernels was measured about twelve times slower.  Stacks of states, as
-    the CLI reads them, go to ``measure_table`` in one call instead.
+    A call takes about 1 ms (0.95-0.98 ms on 2 cores, OpenBLAS 0.3.31), nearly
+    all of it the kernels' fixed cost per call, and ``measure_table`` of 1000
+    states about 5 ms; stacks of states, as the CLI reads them, go to
+    ``measure_table`` in one call.
     """
     table = _table_from_eig(*cmat._lapack(np.linalg.eigh, rho.matrix[None]))
     return MeasureReport(**{name: column[0].item() for name, column in table.items()})

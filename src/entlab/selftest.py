@@ -68,23 +68,30 @@ def check_states(n_grid: int = 26) -> None:
 
 
 def check_measures(n: int = 2000) -> None:
-    for f in np.linspace(0.5, 1.0, 26):
-        rho = qstate.werner_state(float(f))
-        _check(abs(measures.concurrence(rho) - (2 * f - 1)) < 1e-10, f"Werner F={f} concurrence is not 2F - 1")
-        _check(abs(measures.e_negative(rho) - (f - 0.5)) < 1e-10, f"Werner F={f} E_N is not F - 1/2")
+    fs = np.linspace(0.5, 1.0, 26)
+    werner = measures.measure_table(qstate.werner_stack(fs))
+    for f, c, e_n in zip(fs, werner["concurrence"], werner["e_negative"]):
+        _check(abs(c - (2 * f - 1)) < 1e-10, f"Werner F={f} concurrence is not 2F - 1")
+        _check(abs(e_n - (f - 0.5)) < 1e-10, f"Werner F={f} E_N is not F - 1/2")
     kets = _random_kets(sampler.RngStream(103), n)
     pures = kets[:, :, None] * np.conj(kets[:, None, :])
-    # the whole stack takes the concurrence kernel, a slice below _C_MIN_STACK
-    # LAPACK's route, whose (sy x sy) signs no Werner state can see
-    for ms in (pures, pures[: measures._C_MIN_STACK // 4]):
-        pure_table = measures.measure_table(ms)
-        excess = np.abs(pure_table["concurrence"] - 2 * pure_table["e_negative"]).max()
-        _check(excess < 1e-9, f"{len(ms)} pure states: C differs from 2 E_N by {excess:.3e}")
+    # the concurrence kernel refuses pure states, so they take LAPACK's
+    # route, whose (sy x sy) signs no Werner state can see
+    pure_table = measures.measure_table(pures)
+    excess = np.abs(pure_table["concurrence"] - 2 * pure_table["e_negative"]).max()
+    _check(excess < 1e-9, f"pure states: C differs from 2 E_N by {excess:.3e}")
     rhos = sampler.random_density_batch(sampler.RngStream(104), n)
     table = measures.measure_table(rhos)
     _check(np.all(table["concurrence"] >= 2 * table["e_negative"] - 1e-9), "a sampled state has C < 2 E_N")
     sep = table["separable"]
     _check(np.array_equal(sep, table["e_negative"] <= measures.EPS_SEP), "separable flags disagree with E_N")
+    # each state's measures are its own: its slice of 1, 7 or 255 states
+    # gives the whole stack's bits
+    edges = (0, 1, 8, 263, n)
+    slices = [measures.measure_table(rhos[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+    for name, column in table.items():
+        joined = np.concatenate([part[name] for part in slices])
+        _check(joined.tobytes() == column.tobytes(), f"{name} of a state depends on the stack it is measured in")
 
 
 def _near_product_pures(n: int = 512) -> np.ndarray:
@@ -104,7 +111,6 @@ def check_near_product_pt(n: int = 512) -> None:
     """E_N of ``_near_product_pures`` matches eigvalsh: the PT kernel must
     refuse what it cannot certify."""
     pures = _near_product_pures(n)
-    _check(n >= measures._PT_MIN_STACK, "stack too small for the PT kernel")
     lam = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(pures))[:, 0]
     e_negative = measures.measure_table(pures)["e_negative"]
     worst = np.abs(e_negative - np.maximum(0.0, -lam)).max()
@@ -132,7 +138,6 @@ def check_cancelling_minors(n: int = 512) -> None:
     basis[:, 0, 3], basis[:, 3, 3] = np.sqrt(0.5), -np.sqrt(0.5)
     u = local @ basis
     probs = np.tile([0.6, 0.4 - 2e-9, 1e-9, 1e-9], (n, 1))
-    _check(n >= measures._C_MIN_STACK, "stack too small for the concurrence kernel")
     same = np.array_equal(measures.concurrence_from_eig(probs, u), measures._lapack_concurrence(probs, u))
     _check(same, "concurrence kernel differs from LAPACK on cancelling minors")
 
@@ -167,7 +172,6 @@ def check_harness_rows(n: int = 2000) -> None:
     _check(exact, "sampled rho is not exactly Hermitian")
     screened, pt, det = measures._pt_screen(chunk[0])
     pt_min = measures._pt_min(pt, det)
-    _check(len(screened) >= measures._PT_MIN_STACK, "screened stack too small for the PT kernel")
     pts = cmat.partial_transpose_b(chunk[0].transpose(2, 0, 1)[screened])
     worst = np.abs(pt_min - cmat._lapack(np.linalg.eigvalsh, pts)[:, 0]).max()
     _check(worst <= 1e-15, f"screen's lambda_min differs from eigvalsh by {worst:.3e}")
@@ -195,7 +199,7 @@ def check_cn_region(n: int = 2000) -> None:
     kets = _random_kets(sampler.RngStream(111), n)
     eps = np.logspace(-12, -2, n)[:, None, None]
     near_pure = (1.0 - eps) * (kets[:, :, None] * np.conj(kets[:, None, :])) + eps * rhos
-    werner = qstate.werner_stack(np.linspace(0.25, 1.0, max(n // 4, measures._C_MIN_STACK)))
+    werner = qstate.werner_stack(np.linspace(0.25, 1.0, n // 4))
     for name, ms in (("sampler", rhos), ("near-pure", near_pure), ("Werner", werner)):
         excess = cn_region_excess(measures.measure_table(ms))
         _check(excess <= 1e-12, f"{name} states leave the (C, N) region by {excess:.3e}")

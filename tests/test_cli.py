@@ -212,8 +212,8 @@ class TestMeasure:
         assert (code, out, err) == (1, "", "error: eigh did not converge\n")
 
     def test_kernel_sized_file_matches_measure_report(self, capsys, tmp_path):
-        # a file of at least 256 rows takes the kernels, a single report
-        # LAPACK: each row agrees to rounding, every flag exactly
+        # each row of a file's table is the report of its state alone, bit
+        # for bit: CSV_FLOAT's 17 digits read back as the same double
         path = tmp_path / "states.csv"
         assert run_cli(capsys, "sample", "--seed", "5", "--count", "600", "--out", str(path))[0] == 0
         code, out, _ = run_cli(capsys, "measure", "--input", str(path))
@@ -227,12 +227,13 @@ class TestMeasure:
             fields = row.split(",")
             assert fields[-1] == ("true" if report.separable else "false")
             for name, field in zip(names, fields):
-                assert abs(float(field) - getattr(report, name)) <= 1.5e-15, name
+                assert float(field) == getattr(report, name), name
 
     def test_state_file_is_diagonalized_once(self, capsys, tmp_path, monkeypatch):
         # one eigh of the file's stack serves the PSD check and the measures;
         # eigvalsh sees only partial transposes of states reassembled from
-        # the check's clamped eigenpairs that the determinant screen kept
+        # the check's clamped eigenpairs that the determinant screen kept,
+        # here all of them, as a zero tolerance makes the PT kernel refuse each
         path = tmp_path / "states.csv"
         assert run_cli(capsys, "sample", "--seed", "5", "--count", "300", "--out", str(path))[0] == 0
         ms = random_density_batch(RngStream(5), 300)
@@ -244,6 +245,7 @@ class TestMeasure:
                 return _function(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, recorded)
+        monkeypatch.setattr(measures, "_PT_TOL", 0.0)
         code, out, _ = run_cli(capsys, "measure", "--input", str(path))
         assert code == 0 and out.count("\n") == 301
         assert [stack.shape for stack in calls["eigh"]] == [(300, 4, 4)]
@@ -270,14 +272,16 @@ class TestMeasure:
         assert len(rows) == 3000 and selftest.cn_region_excess(table) <= 1e-12
 
     # SHA-256 of `sample --seed 3 --count 255 --out F` and of `measure
-    # --input F` (numpy 2.4.6, OpenBLAS 0.3.31, Python 3.11.7).  Under 256
-    # rows every route is LAPACK.  The measure digest was re-pinned when
-    # E_N and S moved to the state reassembled from the checked spectral
-    # pair (by at most 5.3e-16 and 1.0e-15 on this file; no flag flipped),
-    # and again when E_F took the form that keeps its relative accuracy for
-    # weak entanglement (85 of 255 values moved, by at most 1.0e-11 relative).
+    # --input F` (numpy 2.4.6, OpenBLAS 0.3.31, Python 3.11.7).  The measure
+    # digest was re-pinned when E_N and S moved to the state reassembled
+    # from the checked spectral pair (by at most 5.3e-16 and 1.0e-15 on this
+    # file; no flag flipped), again when E_F took the form that keeps its
+    # relative accuracy for weak entanglement (85 of 255 values moved, by at
+    # most 1.0e-11 relative), and again when the kernels took every stack,
+    # where LAPACK had taken this one whole for its size (84 values of C,
+    # E_N and E_sum and 82 of E_F moved, by at most 5.3e-16; no flag flipped).
     PINNED_SAMPLE_SHA256 = "5b9b707f4564eaffb9c829e8c2bf4dcf0cc89b3459774bb2a64bb398b5fcec66"
-    PINNED_MEASURE_SHA256 = "3fbe743db45efc0f69b8c67e6b3c5c838cfcb721b502f301cb8bc043b2e8ea0e"
+    PINNED_MEASURE_SHA256 = "cdf93e4d0038d128ad77b680b092446d94d977d3a82af51897fa75fa513d15ca"
 
     def test_pinned_sample_and_measure_digests(self, capsys, tmp_path):
         path = tmp_path / "states.csv"
@@ -538,11 +542,15 @@ class TestCompare:
     # unchanged; a change that alters output bits says so and re-pins them.
     # fig1 and fig2 were re-pinned when E_F took the form that keeps its
     # relative accuracy for weak entanglement (E_F moved by at most 8.4e-7
-    # relative, d_ef by 3.5e-10; no flag flipped).
+    # relative, d_ef by 3.5e-10; no flag flipped), and fig1-3 when the
+    # kernels took every stack: LAPACK had taken the 17 entangled states of
+    # a shard's small top-up chunk for their number, and 4 of them moved C,
+    # E_F and E_N by at most 1.7e-16, 3 pairs' d_en and d_ef by at most
+    # 3.9e-15; no flag flipped.
     PINNED_SHA256 = {
-        "fig1.csv": "e9f63aceb61298cdb915e17c61dae80e5e841f7c2018538d09cd98b0946e3cb9",
-        "fig2.csv": "37aea98dc69fe15d200f72cddff215570ae8d3c3da9d0e0fc4a27de491a26f54",
-        "fig3.csv": "efbdb871f948d809a7f3b0104408aa458ae2e53a42fa97f5cc7b0aab1394c759",
+        "fig1.csv": "ec14d438621c2f75c53e4b896a80ec90dd5ce56c52a8ad05674373f756584313",
+        "fig2.csv": "149ab15e9402152cea1b915da2e91ad3cfff8c5fbdfc1a157d8e294bba4c9315",
+        "fig3.csv": "01034b5edcb3e04a85adbe935c319d16f9a24c7933b948826a01c0480153956e",
         "fig4.csv": "9c2fd2364b1633c360a94d8ab5edb8630d2f022ddbd43d44b7acab7587abbd83",
         "summary.csv": "ecc8fc07191672407314c051cf8a695903f0d17098d96a030444d9eb8b7f53ad",
     }

@@ -508,8 +508,7 @@ class TestSpectrumSkip:
 
     @pytest.mark.parametrize("seed,n", [(63, 20_000), (66, 37), (67, 300), (67, 700)])
     def test_chunk_rows_match_the_unskipped_path(self, monkeypatch, seed, n):
-        # 700 draws of seed 67 screen 257 states, one above _PT_MIN_STACK, so
-        # a single skipped state that the screen would keep would change the route
+        # a skipped draw that the screen would keep would drop or change a row
         rows = experiment._chunk_stats(sampler.RngStream(seed), n, 11)
         probs = sampler._draw_spectra(sampler.RngStream(seed), n)[0]
         assert experiment._separable_orbit(probs).any()

@@ -71,6 +71,18 @@ def _negative_det_screen(monkeypatch):
     monkeypatch.setattr(measures, "DET_SCREEN", -1e-6)
 
 
+def _size_route_restored(monkeypatch):
+    # a stack of fewer than 256 matrices goes to LAPACK whole, so that a
+    # state's bits depend on the size of the stack it is measured in
+    kernel_or_lapack = measures._kernel_or_lapack
+
+    def sized(kernel, lapack):
+        values = kernel_or_lapack(kernel, lapack)
+        return lapack(...) if len(values) < 256 else values
+
+    monkeypatch.setattr(measures, "_kernel_or_lapack", sized)
+
+
 # each fault, the function of measures it targets and the output of that
 # function it must change: a kernel's values (0) or certified mask (1), a
 # screen's indices (0).  A fault that certifies everything must also change
@@ -83,6 +95,7 @@ FAULTS = [
     (_cancellation_test_off, "_laguerre_concurrence", 1),
     (_one_laguerre_step_certified, "_laguerre_min", 0),
     (_negative_det_screen, "_pt_screen", 0),
+    (_size_route_restored, "_pt_min", 0),
 ]
 
 

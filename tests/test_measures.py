@@ -151,22 +151,19 @@ class TestJacobiKernel:
         _, probs, u = spectral_batch(50, 4096)
         in_stack = measures.concurrence_from_eig(probs, u)
         idx = np.nonzero(in_stack > 0.0)[0][:60]
-        alone = measures.concurrence_from_eig(probs[idx], u[idx])  # below the threshold
-        assert len(idx) < measures._C_MIN_STACK <= len(u)
+        alone = measures.concurrence_from_eig(probs[idx], u[idx])
+        assert alone.tobytes() == in_stack[idx].tobytes()
         reference = np.array([oracles.concurrence_mp(mpmath, probs[i], u[i]) for i in idx])
         assert np.abs(in_stack[idx] - reference).max() <= 1e-15
-        assert np.abs(alone - reference).max() <= 1e-15
+        # the route of every matrix the kernel refuses
+        assert np.abs(measures._lapack_concurrence(probs[idx], u[idx]) - reference).max() <= 1e-15
 
     @pytest.mark.parametrize("name", SPECTRA)
-    def test_spectra_against_lapack(self, monkeypatch, name):
+    def test_spectra_against_lapack(self, name):
         u = oracles.qr_haar_unitaries(np.random.default_rng(47), 4000)
         probs = np.tile(self.SPECTRA[name], (4000, 1))
-        assert len(u) >= measures._C_MIN_STACK
         c = measures.concurrence_from_eig(probs, u)
-        with monkeypatch.context() as m:
-            m.setattr(measures, "_C_MIN_STACK", np.inf)
-            lapack = measures.concurrence_from_eig(probs, u)
-        assert np.abs(c - lapack).max() <= 1e-15
+        assert np.abs(c - measures._lapack_concurrence(probs, u)).max() <= 1e-15
 
     @staticmethod
     def batched_b(probs, u):
@@ -214,9 +211,7 @@ class TestJacobiKernel:
 
     def test_forced_fallback_is_lapack(self, monkeypatch):
         _, probs, u = spectral_batch(51, 2000)
-        with monkeypatch.context() as m:
-            m.setattr(measures, "_C_MIN_STACK", np.inf)
-            lapack = measures.concurrence_from_eig(probs, u)
+        lapack = measures._lapack_concurrence(probs, u)
         # the kernel's values differ from LAPACK's in the last bits ...
         assert not np.array_equal(measures.concurrence_from_eig(probs, u), lapack)
         # ... so equality shows that every matrix fell back: a zero
@@ -228,20 +223,20 @@ class TestJacobiKernel:
     def test_tiny_off_diagonal_state_through_the_kernel(self, monkeypatch, entry):
         # a valid rank-deficient state with off-diagonal entries of 5e-88 (on
         # which the Jacobi kernel overflowed) among 299 sampler states: no
-        # RuntimeWarning, and the kernel route stays within 1e-15 of LAPACK's
+        # RuntimeWarning, and the kernel route stays within 1e-15 of LAPACK's,
+        # which every state takes when a zero cancellation factor certifies none
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         rho[entry] = rho[entry[::-1]] = 5e-88
         ms = np.concatenate([random_density_batch(RngStream(5), 299), rho[None]])  # measure_table checks it
-        monkeypatch.setattr(measures, "_C_MIN_STACK", 1)
         c = measures.measure_table(ms)["concurrence"]
-        monkeypatch.setattr(measures, "_C_MIN_STACK", np.inf)
+        monkeypatch.setattr(measures, "_C_CANCEL", 0.0)
         assert np.abs(c - measures.measure_table(ms)["concurrence"]).max() <= 1e-15
 
     def test_single_state_matches_stack(self):
         _, probs, u = spectral_batch(49, 4096)
         in_stack = measures.concurrence_from_eig(probs, u)
         alone = [measures.concurrence_from_eig(probs[i : i + 1], u[i : i + 1])[0] for i in range(512)]
-        assert np.abs(in_stack[:512] - alone).max() <= 1e-15
+        assert in_stack[:512].tobytes() == np.array(alone).tobytes()
 
 
 def pt_entry_stack(ms):
@@ -289,13 +284,14 @@ class TestPtMinKernel:
         entangled = np.nonzero(lapack_pt_min(rhos) < -measures.EPS_SEP)[0][:60]
         idx = np.concatenate([entangled, len(rhos) + np.arange(len(special))])
         in_stack = pt_min_of(pt)
-        alone = pt_min_of(np.ascontiguousarray(pt[:, :, idx]))  # below the threshold
-        assert len(idx) < measures._PT_MIN_STACK <= pt.shape[-1]
+        alone = pt_min_of(np.ascontiguousarray(pt[:, :, idx]))
+        assert alone.tobytes() == in_stack[idx].tobytes()
         reference = np.array(
             [oracles.eigvalsh_min_mp(mpmath, cmat.partial_transpose_b(ms[i])) for i in idx]
         )
         assert np.abs(in_stack[idx] - reference).max() <= 1e-15
-        assert np.abs(alone - reference).max() <= 1e-15
+        # the route of every matrix the kernel refuses
+        assert np.abs(lapack_pt_min(ms[idx]) - reference).max() <= 1e-15
         # Schmidt coefficients <= 1e-2 put three PT eigenvalues within alpha of
         # zero, so |p'| is tiny and the certificate must refuse them; it accepts
         # the Werner states and the singlet, whose root is Gershgorin's bound
@@ -347,7 +343,7 @@ class TestPtMinKernel:
         pt = pt_entry_stack(random_density_batch(RngStream(59), 4096))
         in_stack = pt_min_of(pt)
         alone = [pt_min_of(pt[:, :, i : i + 1])[0] for i in range(512)]
-        assert np.abs(in_stack[:512] - alone).max() <= 1e-15
+        assert in_stack[:512].tobytes() == np.array(alone).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -391,7 +387,7 @@ class TestSharedRootStep:
     @pytest.mark.parametrize("name", PAIRS)
     def test_shard_stacks(self, shard_kernel_inputs, name):
         calls = shard_kernel_inputs[name]
-        assert calls and all(args[-1].shape[-1] >= measures._C_MIN_STACK for args in calls)
+        assert calls
         for args in calls:
             self.assert_same_bits(name, args)
 
@@ -465,18 +461,16 @@ class TestRawStacks:
     @given(raw_stacks())
     @settings(max_examples=400, deadline=None)
     def test_value_or_library_error_through_the_kernel(self, ms):
-        # with the size threshold at 1 every stack takes the polynomial kernel,
-        # which must certify no wrong value and, unlike the LAPACK routines
-        # above, runs without a numpy error state around it
-        with mock.patch.object(measures, "_PT_MIN_STACK", 1):
-            self.value_or_library_error(ms)
-            try:
-                if fault := cmat.hermiticity_fault(ms):
-                    raise fault[1]
-                lam = pt_min_of(pt_entry_stack(ms))
-                reference = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(ms))[:, 0]
-            except EntanglementLabError:
-                return
+        # every stack takes the polynomial PT kernel, which must certify no
+        # wrong value and, unlike the LAPACK routines, runs without a numpy
+        # error state around it
+        try:
+            if fault := cmat.hermiticity_fault(ms):
+                raise fault[1]
+            lam = pt_min_of(pt_entry_stack(ms))
+            reference = cmat._lapack(np.linalg.eigvalsh, cmat.partial_transpose_b(ms))[:, 0]
+        except EntanglementLabError:
+            return
         # a certified value is within 1e-15 of the exact one, LAPACK's within a
         # few u ||rho^Gamma||; any other matrix fell back to LAPACK
         with np.errstate(all="ignore"):
@@ -758,15 +752,13 @@ class TestMeasureReport:
             assert r.linear_entropy == measures.linear_entropy(rho)
             assert r.separable == measures.is_separable(rho)
 
-    def test_equals_its_table_row(self, monkeypatch):
-        # measure_report is row 0 of a 1-stack measure_table; with LAPACK for
-        # every stack size, each report is a row of the whole table bit for bit
+    def test_equals_its_table_row(self):
+        # measure_report is row 0 of a 1-stack measure_table, and so a row of
+        # any table that holds its state, bit for bit
         fs = (0.25, 0.5, 0.5 + 1e-10, 0.75, 1.0)
         alphas = (0.0, 0.6, 1 / np.sqrt(2))
         states = [qstate.DensityMatrix(m) for m in random_density_batch(RngStream(39), 500)]
         states += [werner_state(f) for f in fs] + [pure_schmidt(a) for a in alphas] + [singlet()]
-        monkeypatch.setattr(measures, "_C_MIN_STACK", np.inf)
-        monkeypatch.setattr(measures, "_PT_MIN_STACK", np.inf)
         table = measures.measure_table(np.stack([rho.matrix for rho in states]))
         for k, rho in enumerate(states):
             row = measures.MeasureReport(**{name: col[k].item() for name, col in table.items()})
@@ -774,8 +766,8 @@ class TestMeasureReport:
 
     @pytest.mark.parametrize("n", [1, 300])
     def test_product_state_has_no_negative_zero(self, n):
-        # lambda_min of the PT of |00><00| is exactly 0.0, on the LAPACK
-        # route (1 state) and the kernel route (300)
+        # lambda_min of the PT of |00><00| is exactly 0.0, alone and in a
+        # stack of 300
         m = np.zeros((n, 4, 4))
         m[:, 0, 0] = 1.0
         table = measures.measure_table(m)
@@ -841,13 +833,44 @@ class TestSpectralRoute:
         }
         for column, values in expected.items():
             assert np.abs(table[column] - values).max() <= 1e-14, column
-        assert np.array_equal(table["separable"], lam >= -measures.EPS_SEP)
+        # the flags are the EPS_SEP rule on the route's own lambda_min, which
+        # lies within the kernel's 1e-15 contract of eigvalsh's: the Werner
+        # states within 1e-17 of -EPS_SEP fall on either side of it by rounding
+        route_lam = pt_min_of(pt_entry_stack(rho))
+        assert np.abs(route_lam - lam).max() <= 1e-15
+        assert np.array_equal(table["separable"], route_lam >= -measures.EPS_SEP)
         assert table["concurrence"].tobytes() == c.tobytes()
 
+    @staticmethod
+    def assert_one_route(ms):
+        """ms measured whole equals each of its states measured alone, and
+        its blocks of 7 and of 255 states, bit for bit in every column."""
+        whole = measures.measure_table(ms)
+        for size in (1, 7, 255):
+            blocks = [measures.measure_table(ms[i : i + size]) for i in range(0, len(ms), size)]
+            for name, column in whole.items():
+                joined = np.concatenate([block[name] for block in blocks])
+                assert joined.tobytes() == column.tobytes(), (size, name)
+
+    @pytest.mark.parametrize("name", ["sampler", "near-product", "Werner"])
+    def test_one_route_per_state(self, name):
+        ms = random_density_batch(RngStream(81), 1000) if name == "sampler" else stress_stacks()[name]
+        self.assert_one_route(ms)
+
+    @given(raw_stacks(sizes=st.integers(1, 20), forms=("state",)))
+    @settings(max_examples=200, deadline=None)
+    def test_one_route_per_state_of_hypothesis_stacks(self, ms):
+        try:
+            with np.errstate(all="ignore"):
+                qstate._checked_eig(ms)
+        except EntanglementLabError:
+            return
+        self.assert_one_route(ms)
+
     def test_blocks_equal_the_whole_stack(self):
-        # a state's bits depend on its stack only through the 256-matrix
-        # cutoff, also past 16384 states, where the kernels' (m,) temporaries
-        # reach the 256 KiB at which numpy computes into an unnamed one in place
+        # a state's bits do not depend on its stack, also past 16384 states,
+        # where the kernels' (m,) temporaries reach the 256 KiB at which numpy
+        # computes into an unnamed one in place
         ms = random_density_batch(RngStream(77), 40_000)
         whole, starts = measures.measure_table(ms), range(0, 40_000, 5000)
         blocks = [measures.measure_table(ms[i : i + 5000]) for i in starts]
@@ -858,8 +881,8 @@ class TestSpectralRoute:
         assert measures.concurrence_from_eig(probs, u).tobytes() == c.tobytes()
 
     def test_large_stack_is_measured_in_parts(self, monkeypatch):
-        # 2 B + 1 states: two parts, of B and B + 1 states, with the bits of
-        # the whole stack in one piece
+        # 2 B + 1 states: slices of B, B and 1 states, with the bits of the
+        # whole stack in one piece
         block = measures._TABLE_BLOCK
         _, probs, cols = sampler._spectral_stacks(RngStream(79), 2 * block + 1)
         probs = np.clip(probs, 0.0, None)
@@ -872,7 +895,7 @@ class TestSpectralRoute:
 
         monkeypatch.setattr(measures, "_spectral_table", recorded)
         parts = measures._table_from_eig(probs, cols.transpose(2, 1, 0))
-        assert sizes == [block, block + 1]
+        assert sizes == [block, block, 1]
         for name, column in whole.items():
             assert parts[name].tobytes() == column.tobytes(), name
 
@@ -953,15 +976,16 @@ class TestConcurrenceNegativityRegion:
     @given(raw_stacks(forms=("state",)))
     @settings(max_examples=300, deadline=None)
     def test_hypothesis_states(self, ms):
-        # extreme Gram matrices over their trace, on the LAPACK routes
-        assert self.excess_if_valid(ms) <= 1e-12
+        # extreme Gram matrices over their trace, on the LAPACK routes: zero
+        # tolerances make the PT and concurrence kernels refuse every matrix
+        with mock.patch.object(measures, "_PT_TOL", 0.0), mock.patch.object(measures, "_C_CANCEL", 0.0):
+            assert self.excess_if_valid(ms) <= 1e-12
 
     @given(raw_stacks(forms=("state",)))
     @settings(max_examples=300, deadline=None)
     def test_hypothesis_states_through_the_kernel(self, ms):
-        # with the size thresholds at 1 the PT and concurrence kernels take every stack
-        with mock.patch.object(measures, "_PT_MIN_STACK", 1), mock.patch.object(measures, "_C_MIN_STACK", 1):
-            assert self.excess_if_valid(ms) <= 1e-12
+        # the PT and concurrence kernels take every stack
+        assert self.excess_if_valid(ms) <= 1e-12
 
     def test_excess_measures_both_bounds(self):
         # (C, N) = (0.5, 0.6) lies above N <= C, (0.5, 0.2) below the lower

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from entlab import cli, cmat, measures, qstate
 from entlab.errors import (
     EntanglementLabError,
+    NotConverged,
     NotHermitian,
     NotPSD,
     ParameterOutOfRange,
@@ -668,9 +669,23 @@ class TestValidateStack:
         assert line == 102
         with pytest.raises(NotHermitian) as err:
             cmat.hermitian_eig(ms)
+        assert err.value.index == 100
         errors["hermitian_eig"] = err.value
         for name, err in errors.items():
             self.assert_same_error(err, read_message if name == "read_stack" else str(err), alone.value)
+
+    def test_hermitian_eig_names_the_first_matrix_eigh_fails_on(self):
+        # hermitian_eig checks no positivity: after a valid and a non-PSD
+        # matrix, LAPACK's failure on the stiff one raises, with its index,
+        # where psd_sqrt of the same stack names the non-PSD one
+        stiff = self.faulty_matrices()[5]
+        ms = np.stack([np.eye(4) / 4, np.diag([1.5, -0.5, 0.0, 0.0]), stiff]).astype(complex)
+        with pytest.raises(NotConverged) as err:
+            cmat.hermitian_eig(ms)
+        assert err.value.index == 2
+        with pytest.raises(NotPSD) as err:
+            cmat.psd_sqrt(ms)
+        assert err.value.index == 1
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_part_of_any_entry(self, value):
