@@ -5,9 +5,11 @@ Every operation accepts a single (4, 4) matrix or a stack of shape
 invariant has one check, which finds a stack's first faulty matrix and the
 error it alone raises: ``hermiticity_fault`` (finite and Hermitian, by
 ``hermiticity_defects``) and ``psd_fault`` (positive semidefinite, PSD).
-``hermitian_eig``, ``psd_sqrt`` and ``qstate``'s stack check build on them.
-The basis ordering is fixed throughout: |00>, |01>, |10>, |11>, with the
-first qubit labelled A and the second B.
+``hermitian_eig``, ``psd_sqrt`` and ``qstate``'s stack check run them in
+one order, Hermiticity (then the traces), ``eigh`` over the matrices before
+the first fault (``_eig_before``), then PSD, and the first faulty matrix
+raises (``_raise``).  The basis ordering is fixed throughout: |00>, |01>,
+|10>, |11>, with the first qubit labelled A and the second B.
 """
 
 from __future__ import annotations
@@ -98,58 +100,42 @@ def _lapack(fn, m: np.ndarray, **kwargs):
         raise NotConverged(f"{fn.__name__} did not converge: {exc}") from exc
 
 
-def _eigh_converges(m: np.ndarray) -> bool:
-    """Whether ``eigh`` converges on the matrix m alone."""
+def _eig_before(ms: np.ndarray, fault: tuple[int, Exception] | None) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """(w, u, fault): ``eigh`` of the matrices of a numeric (n, 4, 4) stack
+    before fault's index (fault an earlier check's (index, error) or None),
+    in one call; only if it fails, the first matrix it fails on alone, with
+    its own NotConverged, is the fault, and (w, u) cover those before it."""
+    n = len(ms) if fault is None else fault[0]
     try:
-        _lapack(np.linalg.eigh, m)
+        return (*_lapack(np.linalg.eigh, ms[:n]), fault)
     except NotConverged:
-        return False
-    return True
-
-
-def _eigh(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``eigh`` of a numeric (..., 4, 4) stack, in one batched call.  Where
-    it fails, the first matrix, flattened, on which ``eigh`` fails alone
-    (searched for only then) raises NotConverged, with its index as
-    ``index``."""
-    try:
-        return _lapack(np.linalg.eigh, ms)
-    except NotConverged as exc:
-        flat = ms.reshape(-1, 4, 4)
-        exc.index = next(i for i in range(len(flat)) if not _eigh_converges(flat[i]))
+        for index in range(n):
+            try:
+                _lapack(np.linalg.eigh, ms[index])
+            except NotConverged as exc:
+                return (*_lapack(np.linalg.eigh, ms[:index]), (index, exc))
         raise
 
 
-def _psd_eig(ms: np.ndarray, fault: tuple[int, Exception] | None) -> tuple[np.ndarray, np.ndarray]:
-    """(w, u) of ``eigh`` over a numeric (n, 4, 4) stack before the index of
-    fault, an earlier check's (index, error) or None; the first of it,
-    ``_eigh``'s failure and ``psd_fault``'s raises, with its index as
-    ``index``."""
-    n = len(ms) if fault is None else fault[0]
-    try:
-        w, u = _eigh(ms[:n])
-    except NotConverged as exc:
-        fault = exc.index, exc
-        w, u = _lapack(np.linalg.eigh, ms[: exc.index])
-    if fault := psd_fault(w) or fault:
+def _raise(fault: tuple[int, Exception] | None) -> None:
+    """Raise fault's error, if there is one, with its index as ``index`` (set nowhere else)."""
+    if fault:
         fault[1].index = fault[0]
         raise fault[1]
-    return w, u
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (columns) of a Hermitian matrix
-    or (..., 4, 4) stack.  The first matrix, flattened, that
-    ``hermiticity_fault`` finds, or else that ``eigh`` fails on alone
-    (``_eigh``), raises, with its index as ``index``.
+    or (..., 4, 4) stack.  The first matrix, flattened, that is not Hermitian
+    or on which ``eigh`` fails alone raises, with its index as ``index``.
 
     Each eigenvector matrix U is unitary with U diag(w) U^dagger reconstructing
     its input; both hold to Tolerances.reconstruction.
     """
-    if fault := hermiticity_fault(m):
-        fault[1].index = fault[0]
-        raise fault[1]
-    return _eigh(_numeric(m))
+    m = _numeric(m)
+    w, u, fault = _eig_before(m.reshape(-1, 4, 4), hermiticity_fault(m))
+    _raise(fault)
+    return w.reshape(m.shape[:-1]), u.reshape(m.shape)
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
@@ -157,10 +143,11 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-TOL.psd_clamp, 0) are treated as rounding noise and
     clamped to zero before the square root; ``psd_fault``'s error is raised
-    for anything lower.  A stack's first faulty matrix raises (``_psd_eig``).
+    for anything lower.  A stack's first faulty matrix raises, by any check.
     """
     m = _numeric(m)
-    w, v = _psd_eig(m.reshape(-1, 4, 4), hermiticity_fault(m))
+    w, v, fault = _eig_before(m.reshape(-1, 4, 4), hermiticity_fault(m))
+    _raise(psd_fault(w) or fault)
     s = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.conj(np.swapaxes(v, -1, -2))
     return (0.5 * (s + np.conj(np.swapaxes(s, -1, -2)))).reshape(m.shape)
 

@@ -31,7 +31,7 @@ through ``qstate.write_csv``.
 from __future__ import annotations
 
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,11 +165,10 @@ def compare_pair(rho1: DensityMatrix, rho2: DensityMatrix) -> PairComparisonReco
     either difference is within TIE_EPSILON of zero, or is undefined because
     both values are zero, are flagged as ties and never count.
     """
-    report1 = measures.measure_report(rho1)
-    report2 = measures.measure_report(rho2)
-    if report1.separable or report2.separable:
+    (report1, report2), table = measures._report_table(rho1, rho2)
+    if table.pop("separable").any():
         raise SeparableInput("compare_pair requires two entangled states")
-    stats = np.array([astuple(report1)[:5], astuple(report2)[:5]])
+    stats = np.column_stack(list(table.values()))  # (C, E_F, E_N, E_sum, S) per state
     rows, tie = _pair_rows(stats[:1], stats[1:])
     d_ef, d_en, violation, s_total = rows[0][["d_ef", "d_en", "violation", "s_total"]].item()
     return PairComparisonRecord(report1, report2, d_ef, d_en, violation, bool(tie[0]), s_total)

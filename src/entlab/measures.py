@@ -29,10 +29,10 @@ steps, then a Newton step with a certified error bound), and one
 fallback, ``_kernel_or_lapack``: LAPACK takes each matrix a kernel cannot
 certify, and the two routes agree to rounding.  Every step works state by
 state, so a state's bits are a function of that state alone, whatever
-stack it is measured in.  ``measure_report`` returns the one row of the
-table of one state; it serves ``experiment.compare_pair`` and the scalar
-functions (``concurrence``, ``e_formation``, ``e_negative``, ``e_sum``,
-``linear_entropy``, ``is_separable``), which return its fields.
+stack it is measured in.  ``measure_report`` is the row of one state, whose
+fields the scalar functions return (``concurrence``, ``e_formation``,
+``e_negative``, ``e_sum``, ``linear_entropy``, ``is_separable``), and
+``experiment.compare_pair`` measures its two states as one stack.
 """
 
 from __future__ import annotations
@@ -130,10 +130,9 @@ def concurrence_from_eig(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``_conj_w`` forms to ``_lapack_concurrence``; the two routes agree to
     rounding.
     Entries of p in [-TOL.psd_clamp, 0) are clipped to zero; anything lower,
-    or NaN, raises the error of ``cmat.psd_fault``.
+    or NaN, raises the error of ``cmat.psd_fault``, with its ``index``.
     """
-    if fault := cmat.psd_fault(p):
-        raise fault[1]
+    cmat._raise(cmat.psd_fault(p))
     p, u = np.clip(p, 0.0, None), np.asarray(u)
     lead = u.shape[:-2]
     p, u = p.reshape(-1, 4), u.reshape(-1, 4, 4)
@@ -571,18 +570,23 @@ def measure_table(ms: np.ndarray) -> dict[str, np.ndarray]:
     return _table_from_eig(*qstate._checked_eig(np.asarray(ms)))
 
 
+def _report_table(*states: qstate.DensityMatrix) -> tuple[list[MeasureReport], dict[str, np.ndarray]]:
+    """(reports, table): the table of one ``eigh`` of a few checked states and
+    each one's MeasureReport, its row: bit for bit its row in any
+    ``measure_table`` that holds it, as a state's values depend on it alone."""
+    table = _table_from_eig(*cmat._lapack(np.linalg.eigh, np.stack([rho.matrix for rho in states])))
+    return [MeasureReport(*row) for row in zip(*(column.tolist() for column in table.values()))], table
+
+
 def measure_report(rho: qstate.DensityMatrix) -> MeasureReport:
-    """Evaluate every measure once for a single state: row 0 of the table of
-    one ``eigh`` of the matrix, which construction checked, and so, bit for
-    bit, its row in any ``measure_table`` that holds it.
+    """Every measure of a single state, once: its row of ``_report_table``.
 
     A call takes about 1 ms (0.95-0.98 ms on 2 cores, OpenBLAS 0.3.31), nearly
-    all of it the kernels' fixed cost per call, and ``measure_table`` of 1000
-    states about 5 ms; stacks of states, as the CLI reads them, go to
-    ``measure_table`` in one call.
+    all of it the kernels' fixed cost per call, as does ``compare_pair`` of
+    two states, measured as one stack; ``measure_table`` of 1000 states
+    takes about 5 ms, and the CLI passes it whole stacks.
     """
-    table = _table_from_eig(*cmat._lapack(np.linalg.eigh, rho.matrix[None]))
-    return MeasureReport(**{name: column[0].item() for name, column in table.items()})
+    return _report_table(rho)[0][0]
 
 
 def concurrence(rho: qstate.DensityMatrix) -> float:

@@ -82,10 +82,10 @@ def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stack of density matrices, from the one ``eigh`` of its check, each step
     to the central tolerances: Hermiticity and finite entries
     (``cmat.hermiticity_fault``) over the stack, the traces in one einsum
-    over the matrices before its first fault, then PSD over those before the
-    first trace fault (``cmat._psd_eig``).  So the lowest-indexed faulty
-    matrix raises the error it alone raises, with its ``index``; any other
-    array raises NotHermitian first."""
+    over the matrices before its first fault, ``cmat._eig_before`` over those
+    before the first fault so far, then PSD.  So the lowest-indexed faulty
+    matrix raises the error it alone raises, LAPACK's failure included, with
+    its ``index``; any other array raises NotHermitian first."""
     if ms.ndim != 3 or ms.shape[1:] != (4, 4):
         raise NotHermitian(f"expected a (n, 4, 4) stack, got shape {ms.shape}")
     ms = cmat._numeric(ms)  # float64 or complex128: no integer trace wraps, and eigh takes every float
@@ -96,7 +96,9 @@ def _checked_eig(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(bad):
         dev = float(trace_dev[bad[0]])
         fault = int(bad[0]), TraceNotOne(f"trace deviates from 1 by {dev:.3e}", deviation=dev)
-    return cmat._psd_eig(ms, fault)
+    w, u, fault = cmat._eig_before(ms, fault)
+    cmat._raise(cmat.psd_fault(w) or fault)
+    return w, u
 
 
 @dataclass(frozen=True)

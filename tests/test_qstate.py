@@ -389,6 +389,9 @@ _SPELLINGS = {
     "leading +": lambda x: f"{x:+.17g}",
     "upper-case E": lambda x: f"{x:.17E}",
     "padded": lambda x: f"  {x!r} ",
+    # float strips Unicode whitespace too; a row with such a field is read
+    # field by field, each token as float reads it
+    "Unicode-padded": lambda x: f"\u00a0{x!r}\u2003",
 }
 
 
@@ -416,6 +419,7 @@ class TestCsvGrammar:
         n=st.integers(1, 6),
         spellings=st.lists(st.sampled_from(sorted(_SPELLINGS)), min_size=6 * 32, max_size=6 * 32),
     )
+    @example(seed=0, n=2, spellings=["Unicode-padded", "%.17g"] * 96)  # the reader's field-by-field path
     @settings(max_examples=100, deadline=None)
     def test_spellings_read_as_float_reads_them(self, seed, n, spellings):
         # each field of valid states in its own spelling: the reader's values
@@ -701,12 +705,14 @@ class TestValidateStack:
                 qstate.read_stack(io.StringIO(write_text(bad)))
 
     # orders of faulty_matrices(): each first once, each kind before and after
-    # others; LAPACK's failure (5) first, and after a PSD fault it defers to
-    @pytest.mark.parametrize("order", ["01234", "43210", "34021", "13402", "20413", "502413", "453021"])
+    # others; LAPACK's failure (5) first, before a Hermiticity fault, and
+    # after a PSD fault it defers to
+    @pytest.mark.parametrize("order", ["01234", "43210", "34021", "13402", "20413", "502413", "453021", "51"])
     def test_lowest_indexed_fault_wins_in_any_order(self, order, tmp_path, capsys):
         # after a valid matrix, the faulty matrices in this order: whatever
         # checks the later ones fail, every entry point raises the error of
-        # the first alone, and the reader and `measure --input` name line 3
+        # the first alone, with index 1, and the reader and `measure --input`
+        # name line 3
         faulty = [self.faulty_matrices()[int(k)] for k in order]
         ms = np.stack([np.eye(4) / 4, *faulty]).astype(complex)
         with pytest.raises(EntanglementLabError) as alone:
@@ -715,6 +721,17 @@ class TestValidateStack:
         assert line == 3
         for name, err in errors.items():
             self.assert_same_error(err, read_message if name == "read_stack" else str(err), alone.value)
+            assert err.index == 1
+        # hermitian_eig checks neither trace nor positivity, psd_sqrt no
+        # trace: the first of the faults each checks raises likewise
+        for fn, kinds in ((cmat.hermitian_eig, "0125"), (cmat.psd_sqrt, "01245")):
+            first = next(i for i, k in enumerate(order) if k in kinds)
+            with pytest.raises(EntanglementLabError) as own:
+                qstate.DensityMatrix(faulty[first])
+            with pytest.raises(EntanglementLabError) as err:
+                fn(ms)
+            self.assert_same_error(err.value, str(err.value), own.value)
+            assert err.value.index == 1 + first
         path = tmp_path / "states.csv"
         path.write_text(write_text(ms))
         assert cli.main(["measure", "--input", str(path)]) == 1

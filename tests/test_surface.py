@@ -173,6 +173,26 @@ def test_one_module_calls_the_text_parser():
     assert calls(functions["_floats"], "float")
 
 
+def test_one_function_names_the_faulty_matrix():
+    # a stack's first fault, LAPACK's failure included, is decided in cmat:
+    # cmat._raise alone sets an error's index, cmat._eig_before alone turns
+    # LAPACK's failure into a fault, and outside cmat only the reader catches
+    # NotConverged by name, to add the file line
+    setters, catchers = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for n in ast.walk(top):
+                if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                    targets = [t for target in (n.targets if isinstance(n, ast.Assign) else [n.target]) for t in ast.walk(target)]
+                    if any(isinstance(t, ast.Attribute) and t.attr == "index" for t in targets):
+                        setters.append(where)
+                elif isinstance(n, ast.ExceptHandler) and n.type and "NotConverged" in _references(n.type):
+                    catchers.append(where)
+    assert setters == ["cmat._raise"]
+    assert sorted(set(catchers)) == ["cmat._eig_before", "qstate._read_stack_eig"]
+
+
 def _constructions(tree: ast.Module, name: str) -> int:
     return sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name for n in ast.walk(tree))
 
